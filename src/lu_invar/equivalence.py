@@ -51,7 +51,8 @@ class Fingerprint:
     ``N_value``, ``M_value`` and the matching lambda coefficient arrays are
     present only when the state has rank 2 (the format the degree-4
     invariants are defined for). ``lambda_coeffs`` maps an invariant name
-    to ascending polynomial coefficients.
+    to ascending polynomial coefficients; its ``"det"`` entry is the
+    signed, reversed F and is reported but not compared separately.
     """
 
     dims: tuple[int, ...]
@@ -79,7 +80,7 @@ class EquivalenceReport:
 
     ``verdict`` is NotEquivalent exactly when at least one check failed;
     ``witness`` names the first failing check in the fixed evaluation
-    order (rank, F_i, N, M, kyfan, lambda coefficients).
+    order (rank, F_i, N, M, kyfan, lambda_N, lambda_M).
     """
 
     verdict: str
@@ -177,7 +178,7 @@ def compare_fingerprints(
 
     checks.append(_make_check("kyfan", fa.kyfan, fb.kyfan, atol, rtol))
 
-    for key in ("det", "N", "M"):
+    for key in ("N", "M"):
         paired = _paired_coeffs(fa, fb, key)
         if paired is None:
             continue
@@ -229,9 +230,9 @@ def witness_search_hint(
 ) -> list[tuple[str, float]]:
     """Invariants ranked by how strongly they separate the pair.
 
-    Returns (name, |delta|) tuples sorted by relative difference
-    |delta| / max(|a|, |b|), largest first; ties keep the fixed check
-    order.
+    Returns (name, |delta|) tuples, failing checks before passing ones,
+    each group sorted by relative difference |delta| / max(|a|, |b|),
+    largest first; ties keep the fixed check order.
     """
     cfg = cfg or ScreenConfig()
     report = screen(rho_a, rho_b, cfg)
@@ -243,5 +244,5 @@ def witness_search_hint(
         return c.delta / scale
 
     # stable sort: ties keep the fixed check order
-    ordered = sorted(report.checks, key=relative, reverse=True)
+    ordered = sorted(report.checks, key=lambda c: (c.passed, -relative(c)))
     return [(c.name, c.delta) for c in ordered]

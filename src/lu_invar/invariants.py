@@ -8,14 +8,17 @@ tr(A_{i1} A_{j1}^dag ... A_{is} A_{js}^dag): every multilinear invariant
 of the matching format, evaluated on it, is both decomposition-independent
 and local-unitary invariant.
 
-Implemented invariant polynomials (explicit formulas only):
+Implemented invariant polynomials, each computed in closed form:
 
-* the elementary symmetric coefficients F_i of Omega (any size),
+* the elementary symmetric polynomials F_i of the Omega spectrum (any
+  size), from the eigenvalues of the Gram matrix's PSD check,
 * Cayley's 2x2x2 hyperdeterminant,
 * the two degree-4 determinant invariants N and M of format 2x2x2x2,
   each the determinant of one 4x4 flattening of the s=2 hypermatrix
   (see ``N_LAYOUT`` / ``M_LAYOUT`` below for which flattenings and signs),
-* coefficients of the lambda polynomials inv(Omega_s - lambda E),
+* coefficients of the lambda polynomials inv(Omega_s - lambda E): the
+  signed F for ``det``, a characteristic polynomial for N and a linear
+  polynomial for M,
 * the Ky Fan (trace) norm of the realignment matrix, the classical
   comparison baseline.
 """
@@ -23,8 +26,6 @@ Implemented invariant polynomials (explicit formulas only):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,9 +51,11 @@ class GramMatrix:
 
     Hermitian and positive semidefinite by construction; its trace equals
     the trace of the reconstructed state (1 for a density matrix).
+    ``spectrum`` holds its eigenvalues in ascending order.
     """
 
     omega: np.ndarray
+    spectrum: np.ndarray
 
     @property
     def size(self) -> int:
@@ -76,7 +79,8 @@ def gram_matrix(d: PureStateDecomposition) -> GramMatrix:
             f"NotUnitTrace: Gram trace {tr!r} differs from 1 by {abs(tr - 1.0):.3e}"
         )
     omega.setflags(write=False)
-    return GramMatrix(omega=omega)
+    w.setflags(write=False)
+    return GramMatrix(omega=omega, spectrum=w)
 
 
 @dataclass(frozen=True)
@@ -91,17 +95,20 @@ class InvariantVector:
 
 
 def f_invariants(g: GramMatrix) -> InvariantVector:
-    """Characteristic-polynomial coefficients of Omega, sign-normalized.
+    """Elementary symmetric polynomials of the Gram spectrum.
 
     F_i := e_i(spectrum of Omega), i.e. (-1)**i times the coefficient of
-    lambda**(I-i) in det(lambda E - Omega). For a PSD Omega every F_i is
-    real and nonnegative, matching the concrete F_1 = tr(Omega) and
-    F_I = det(Omega) formulas.
+    lambda**(I-i) in det(lambda E - Omega), so F_1 = tr(Omega) and
+    F_I = det(Omega). Built by the product recurrence
+    e_k <- e_k + x * e_(k-1) over the eigenvalues x of ``g.spectrum``.
+    Omega is PSD, so up to rounding every term is nonnegative and each
+    F_i keeps its relative accuracy however small it is. F_0 is exactly
+    1 and every F_i is real.
     """
-    p = char_poly(g.omega)
-    size = g.size
-    f = np.array([(-1) ** i * p.coeffs[size - i] for i in range(size + 1)], dtype=complex)
+    f = np.zeros(g.size + 1, dtype=complex)
     f[0] = 1.0
+    for x in g.spectrum:
+        f[1:] += x * f[:-1]
     f.setflags(write=False)
     return InvariantVector(F=f)
 
@@ -175,15 +182,6 @@ def hypermatrix(d: PureStateDecomposition, s: int) -> Hypermatrix:
     return Hypermatrix(s=s, side=i_count, entries=t)
 
 
-def identity_hypermatrix(s: int, side: int) -> np.ndarray:
-    """Entries of the identity hypermatrix: prod_k delta(i_k, j_k)."""
-    eye = np.eye(side)
-    t = eye
-    for _ in range(s - 1):
-        t = np.multiply.outer(t, eye)
-    return t  # axes already (i1, j1, i2, j2, ...)
-
-
 _LEVI_CIVITA_2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
@@ -237,12 +235,13 @@ def cayley_det_222(tensor, method: str = "expanded") -> complex:
 # D_j1 - D_i2 + D_j2 = 0 identically.
 #
 # * N is D_j2: rows (j1, i2), columns (i1, j2), the transpose of the
-#   (i1, j2) x (j1, i2) flattening. The identity hypermatrix is a
-#   permutation matrix in this layout.
+#   (i1, j2) x (j1, i2) flattening. The identity hypermatrix (1 at flat
+#   positions 0, 3, 12 and 15) is the 4x4 identity in this layout.
 # * M is -D_j1: rows (i2, j2), columns (i1, j1) taken in the order
 #   (0,0), (1,0), (0,1), (1,1). The sign is fixed so that the paper's
-#   Example 2 gives M(sigma1) = +1/6561. The identity hypermatrix has rank
-#   one in this layout, so lambda_poly(..., "M") has degree <= 1.
+#   Example 2 gives M(sigma1) = +1/6561. The identity hypermatrix is
+#   u u^T with u = (1, 0, 0, 1) in this layout, so lambda_poly(..., "M")
+#   has degree <= 1.
 #
 # By the identity, M = N + D where D = -D_i2 is the determinant of the
 # layout ((0, 8, 2, 10), (1, 9, 3, 11), (4, 12, 6, 14), (5, 13, 7, 15)),
@@ -259,9 +258,8 @@ N_LAYOUT = ((0, 1, 8, 9), (2, 3, 10, 11), (4, 5, 12, 13), (6, 7, 14, 15))
 M_LAYOUT = ((0, 8, 4, 12), (1, 9, 5, 13), (2, 10, 6, 14), (3, 11, 7, 15))
 
 
-def _layout_det(flat: np.ndarray, layout) -> complex:
-    mat = np.array([[flat[r] for r in row] for row in layout], dtype=complex)
-    return determinant(mat)
+def _layout_matrix(flat: np.ndarray, layout) -> np.ndarray:
+    return np.array([[flat[r] for r in row] for row in layout], dtype=complex)
 
 
 def _require_2222(h: Hypermatrix, name: str) -> None:
@@ -276,7 +274,7 @@ def invariant_N(h: Hypermatrix) -> complex:
     """Degree-4 invariant N: det of the (a0 a1 a8 a9 / a2 a3 a10 a11 /
     a4 a5 a12 a13 / a6 a7 a14 a15) layout of the s=2 hypermatrix."""
     _require_2222(h, "invariant_N")
-    return _layout_det(h.flat(), N_LAYOUT)
+    return determinant(_layout_matrix(h.flat(), N_LAYOUT))
 
 
 def invariant_M(h: Hypermatrix) -> complex:
@@ -290,39 +288,7 @@ def invariant_M(h: Hypermatrix) -> complex:
     by Luque and Thibon's identity L + M + N = 0 (see ``M_LAYOUT``).
     """
     _require_2222(h, "invariant_M")
-    return _layout_det(h.flat(), M_LAYOUT)
-
-
-@lru_cache(maxsize=16)
-def _vandermonde_inverse(d: int) -> np.ndarray:
-    """Exact inverse of the Vandermonde matrix at integer nodes 0..d.
-
-    Computed in rational arithmetic so interpolation at the nodes is exact
-    up to the evaluation error of the sampled values.
-    """
-    n = d + 1
-    aug = [
-        [Fraction(x) ** p for p in range(n)] + [Fraction(int(x == j)) for j in range(n)]
-        for x in range(n)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    inv = np.array([[float(aug[i][n + j]) for j in range(n)] for i in range(n)])
-    inv.setflags(write=False)
-    return inv
-
-
-def _interpolate(values: np.ndarray, d: int) -> np.ndarray:
-    """Coefficients (ascending) of the degree-<=d polynomial through
-    the samples at integer nodes 0..d."""
-    return _vandermonde_inverse(d) @ values
+    return determinant(_layout_matrix(h.flat(), M_LAYOUT))
 
 
 def lambda_poly(d: PureStateDecomposition, s: int, inv: str) -> Polynomial:
@@ -335,36 +301,34 @@ def lambda_poly(d: PureStateDecomposition, s: int, inv: str) -> Polynomial:
     multiplies it by exactly lambda**(J-r)), or ``"N"`` / ``"M"``
     (require s = 2 and a two-member decomposition).
 
-    Coefficients are recovered by evaluating at the integer nodes
-    0..degree and applying the exact Vandermonde inverse. The degree is
-    I for ``"det"``, 4 for ``"N"`` and 1 for ``"M"``: det(X - lambda E)
-    has degree at most rank(E), and the identity hypermatrix E is a
-    permutation matrix in the N layout but has rank one in the M layout.
+    Each polynomial has a closed form. ``"det"`` gives
+    sum_i (-1)**i F_i lambda**(I-i), the signed F of :func:`f_invariants`
+    in reverse order. In the N layout the identity hypermatrix E is the
+    4x4 identity, so ``"N"`` is the characteristic polynomial of that
+    flattening X. In the M layout E = u u^T with u = (1, 0, 0, 1), so
+    ``"M"`` is linear: det X - lambda u^T adj(X) u, whose slope is
+    det(X - u u^T) - det X.
     """
     size = len(d)
     if inv == "det":
         if s != 1:
             raise UnsupportedFormatError(f"inv='det' requires s=1, got s={s}")
-        omega = gram_matrix(d).omega
-        values = np.array(
-            [determinant(omega - t * np.eye(size)) for t in range(size + 1)]
-        )
-        coeffs = ((-1) ** size) * _interpolate(values, size)
-        return Polynomial(coeffs)
+        f = f_invariants(gram_matrix(d)).F
+        signs = (-1.0) ** np.arange(size + 1)
+        return Polynomial((signs * f)[::-1])
     if inv in ("N", "M"):
         if s != 2 or size != 2:
             raise UnsupportedFormatError(
                 f"inv={inv!r} requires s=2 and a rank-2 decomposition; "
                 f"got s={s}, I={size}"
             )
-        layout, degree = (N_LAYOUT, 4) if inv == "N" else (M_LAYOUT, 1)
-        h = hypermatrix(d, 2)
-        eye = identity_hypermatrix(2, 2).reshape(-1)
-        flat = h.flat()
-        values = np.array(
-            [_layout_det(flat - t * eye, layout) for t in range(degree + 1)]
-        )
-        return Polynomial(_interpolate(values, degree))
+        flat = hypermatrix(d, 2).flat()
+        if inv == "N":
+            return char_poly(_layout_matrix(flat, N_LAYOUT))
+        x = _layout_matrix(flat, M_LAYOUT)
+        det_x = determinant(x)
+        u = np.array([1.0, 0.0, 0.0, 1.0])
+        return Polynomial([det_x, determinant(x - np.outer(u, u)) - det_x])
     raise UnsupportedFormatError(f"unknown invariant {inv!r}; use 'det', 'N' or 'M'")
 
 

@@ -150,7 +150,10 @@ def char_poly(m) -> Polynomial:
     Computed with the Faddeev-LeVerrier trace recursion rather than an
     eigenvalue solve, so it works unchanged for non-Hermitian input and the
     coefficient of lambda**(I-i) is exactly (-1)**i times the i-th
-    elementary symmetric polynomial of the eigenvalues.
+    elementary symmetric polynomial of the eigenvalues. The recursion
+    loses relative accuracy on coefficients much smaller than the matrix
+    norm; the package uses it only for the 4x4 N flattening of
+    ``invariants.lambda_poly``, while F comes from the Gram spectrum.
     """
     m = _require_square(as_complex_matrix(m))
     n = m.shape[0]

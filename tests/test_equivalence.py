@@ -143,7 +143,7 @@ class TestScreen:
         assert names[1:3] == ["F_1", "F_2"]
         assert names[3:5] == ["invariant_N", "invariant_M"]
         assert names[5] == "kyfan"
-        assert names[6].startswith("lambda_det")
+        assert names[6].startswith("lambda_N")
 
     def test_verdict_iff_some_check_fails(self):
         for trial in range(6):
@@ -235,8 +235,20 @@ class TestWitnessSearchHint:
             scale = max(abs(c.value_a), abs(c.value_b))
             return c.delta / scale if scale else 0.0
 
-        values = [relative(name) for name, _ in hints]
-        assert values == sorted(values, reverse=True)
+        for passed in (False, True):
+            values = [relative(name) for name, _ in hints if by_name[name].passed is passed]
+            assert values == sorted(values, reverse=True)
+
+    def test_failing_checks_rank_above_passing(self):
+        # N is zero on both states, so lambda_N[0..2] are rounding noise
+        # with relative differences near 1; the real separators must lead
+        a = validate_density(np.diag([0.5, 0.0, 0.5, 0.0]), (2, 2))
+        b = validate_density(np.diag([0.501, 0.0, 0.499, 0.0]), (2, 2))
+        report = screen(a, b)
+        assert report.witness == "F_2"
+        failing = [c.name for c in report.checks if not c.passed]
+        hints = [name for name, _ in witness_search_hint(a, b)]
+        assert sorted(hints[: len(failing)]) == sorted(failing)
 
     def test_identical_states_all_zero(self, sigma1):
         hints = witness_search_hint(sigma1, sigma1)
@@ -252,14 +264,16 @@ class TestWitnessSearchHint:
 
 class TestSoundness:
     def test_no_false_positives_on_lu_pairs(self):
+        shapes = [((2, 2) if t % 2 else (2, 3), t % 3 + 1) for t in range(40)]
+        # full rank, where the smallest F_i lie many orders below 1
+        shapes += [((2, 2, 2), 8), ((3, 3), 9), ((4, 4), 16)] * 4
         flagged = []
-        for trial in range(40):
-            dims = (2, 2) if trial % 2 else (2, 3)
-            rho = random_density(dims, trial % 3 + 1, seed=2000 + trial)
+        for trial, (dims, rank) in enumerate(shapes):
+            rho = random_density(dims, rank, seed=2000 + trial)
             moved = apply_local_unitary_density(
                 rho, random_local_unitaries(dims, seed=3000 + trial)
             )
             report = screen(rho, moved)
             if report.verdict != "Inconclusive":
-                flagged.append((trial, report.witness))
+                flagged.append((trial, dims, rank, report.witness))
         assert flagged == []

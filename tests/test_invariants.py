@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from lu_invar.invariants import (
     f_invariants,
     gram_matrix,
     hypermatrix,
-    identity_hypermatrix,
     invariant_M,
     invariant_N,
     lambda_poly,
@@ -79,6 +79,22 @@ class TestFInvariants:
         assert abs(f[1] - 1.0) < 1e-10
         assert np.abs(f.imag).max() < 1e-10
 
+    def test_relative_accuracy_on_spread_spectrum(self):
+        # full-rank 4x4 state with spectrum proportional to 2**-k: F_16 is
+        # about 1e-41, so only a relatively accurate F can match the exact
+        # elementary symmetric polynomials of the same float spectrum
+        w = 2.0 ** -np.arange(16)
+        w /= w.sum()
+        rho = validate_density(np.diag(w), (4, 4))
+        f = f_invariants(gram_matrix(eigen_decomposition(rho))).F
+        exact = [Fraction(1)] + [Fraction(0)] * 16
+        for x in map(Fraction, w):
+            for k in range(16, 0, -1):
+                exact[k] += x * exact[k - 1]
+        for k in range(17):
+            assert abs(f[k].imag) == 0.0
+            assert abs(f[k].real - float(exact[k])) <= 1e-12 * float(exact[k])
+
     def test_matches_state_spectrum_symmetric_polynomials(self):
         # the Gram matrix of the eigenvector decomposition is diagonal in
         # the state's eigenvalues, so F_i = e_i(spectrum)
@@ -129,12 +145,6 @@ class TestHypermatrix:
     def test_too_large_rejected(self, rho1_decomp):
         with pytest.raises(TooLargeError):
             hypermatrix(rho1_decomp, 11)
-
-    def test_identity_hypermatrix(self):
-        e = identity_hypermatrix(2, 2).reshape(-1)
-        expected = np.zeros(16)
-        expected[[0, 3, 12, 15]] = 1.0  # r with i == j and k == l
-        assert np.array_equal(e, expected)
 
 
 class TestCayley:
@@ -273,7 +283,7 @@ class TestLambdaPoly:
         assert np.allclose(p.coeffs, [0.25, -1.0, 1.0], atol=1e-12)
 
     def test_det_agrees_with_trace_recursion(self):
-        # independent route: Faddeev-LeVerrier vs node interpolation
+        # independent route: Faddeev-LeVerrier vs the spectral F
         for trial in range(10):
             rho = random_density((2, 3), trial % 4 + 1, seed=200 + trial)
             d = eigen_decomposition(rho)
@@ -288,9 +298,11 @@ class TestLambdaPoly:
 
     def test_lambda_n_matches_direct_shift_evaluation(self, sigma1_decomp):
         flat = hypermatrix(sigma1_decomp, 2).flat()
-        eye = identity_hypermatrix(2, 2).reshape(-1)
-        # lambda_M is interpolated through two nodes only (degree 1); the
-        # direct evaluation off the nodes checks that it is exact too
+        # the identity hypermatrix: 1 where i1 == j1 and i2 == j2
+        eye = np.zeros(16)
+        eye[[0, 3, 12, 15]] = 1.0
+        # lambda_N comes from char_poly and lambda_M from two determinants;
+        # the direct evaluation at arbitrary lambda checks both closed forms
         for inv, layout in (("N", N_LAYOUT), ("M", M_LAYOUT)):
             p = lambda_poly(sigma1_decomp, 2, inv)
             for lam in (0.5, 2.5, -1.0):
