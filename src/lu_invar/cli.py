@@ -31,7 +31,6 @@ from .errors import (
 )
 from .invariants import f_invariants, gram_matrix, hypermatrix, invariant_M, invariant_N
 from .linalg import haar_unitary_from_rng
-from .selftest import run_selftest
 from .states import eigen_decomposition, merge_cut, mix_decomposition, validate_density
 from .statefile import dumps, fingerprint_to_doc, load_state, report_to_doc, save_state
 
@@ -226,6 +225,9 @@ def cmd_random_lu(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # imported here so that the other commands do not load the suites
+    from .selftest import run_selftest
+
     seed = _seed_from(args)
     results = run_selftest(full=args.full, seed=seed)
     failed = 0

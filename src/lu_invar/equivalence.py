@@ -51,8 +51,10 @@ class Fingerprint:
     ``N_value``, ``M_value`` and the matching lambda coefficient arrays are
     present only when the state has rank 2 (the format the degree-4
     invariants are defined for). ``lambda_coeffs`` maps an invariant name
-    to ascending polynomial coefficients; its ``"det"`` entry is the
-    signed, reversed F and is reported but not compared separately.
+    to ascending polynomial coefficients, all of them reported. Only the
+    coefficients that repeat no other value are compared: not ``"det"``
+    (the signed, reversed F), not ``lambda_N[0]`` (N) or ``lambda_N[4]``
+    (the monic leading 1), and not ``lambda_M[0]`` (M).
     """
 
     dims: tuple[int, ...]
@@ -80,7 +82,9 @@ class EquivalenceReport:
 
     ``verdict`` is NotEquivalent exactly when at least one check failed;
     ``witness`` names the first failing check in the fixed evaluation
-    order (rank, F_i, N, M, kyfan, lambda_N, lambda_M).
+    order (rank, F_i, N, M, kyfan, lambda_N[1..3], lambda_M[1]); the
+    lambda checks cover only the coefficients that are not N, M or the
+    constant 1.
     """
 
     verdict: str
@@ -94,22 +98,25 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
 
     Uses the eigenvector decomposition (sufficient by the rank argument:
     any longer decomposition only pads the Gram spectrum with zeros), so
-    the result is deterministic for a fixed configuration.
+    the result is deterministic for a fixed configuration. The Gram
+    matrix, and at rank 2 the s=2 hypermatrix, are each built once; every
+    invariant is read from them.
     """
     cfg = cfg or ScreenConfig()
     d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut)
     rank = len(d)
-    f = f_invariants(gram_matrix(d)).F
+    g = gram_matrix(d)
+    f = f_invariants(g).F
     bip = rho if len(rho.dims) == 2 else merge_cut(rho, cfg.cut)
     kyfan = realignment_kyfan(bip)
-    lambdas = {"det": lambda_poly(d, 1, "det").coeffs}
+    lambdas = {"det": lambda_poly(g, 1, "det").coeffs}
     n_value = m_value = None
     if rank == 2:
         h = hypermatrix(d, 2)
         n_value = invariant_N(h)
         m_value = invariant_M(h)
-        lambdas["N"] = lambda_poly(d, 2, "N").coeffs
-        lambdas["M"] = lambda_poly(d, 2, "M").coeffs
+        lambdas["N"] = lambda_poly(h, 2, "N").coeffs
+        lambdas["M"] = lambda_poly(h, 2, "M").coeffs
     return Fingerprint(
         dims=rho.dims,
         rank=rank,
@@ -130,6 +137,12 @@ def _make_check(name: str, a: complex, b: complex, atol: float, rtol: float) -> 
     # near-threshold on either side; informational only
     marginal = 0.1 * threshold < delta <= 10.0 * threshold
     return Check(name=name, value_a=a, value_b=b, delta=delta, passed=passed, marginal=marginal)
+
+
+# Compared lambda coefficients: indices 1 up to, not including, the stop.
+# lambda_N[0] is N and lambda_M[0] is M, both checked as invariant_N/M,
+# and lambda_N[4] is the monic leading 1.
+_LAMBDA_CHECKED = (("N", 4), ("M", 2))
 
 
 def _paired_coeffs(fa: Fingerprint, fb: Fingerprint, key: str):
@@ -178,12 +191,12 @@ def compare_fingerprints(
 
     checks.append(_make_check("kyfan", fa.kyfan, fb.kyfan, atol, rtol))
 
-    for key in ("N", "M"):
+    for key, stop in _LAMBDA_CHECKED:
         paired = _paired_coeffs(fa, fb, key)
         if paired is None:
             continue
         ca, cb = paired
-        for k in range(len(ca)):
+        for k in range(1, min(stop, len(ca))):
             checks.append(_make_check(f"lambda_{key}[{k}]", ca[k], cb[k], atol, rtol))
 
     failing = [c for c in checks if not c.passed]

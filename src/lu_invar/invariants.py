@@ -172,10 +172,15 @@ def hypermatrix(d: PureStateDecomposition, s: int) -> Hypermatrix:
     stack = d.stacked()
     # products P[i, j] = A_i A_j^dag, shape (I, I, n, n)
     prod = np.einsum("iab,jcb->ijac", stack, stack.conj())
-    cur = prod
-    for _ in range(s - 1):
-        cur = np.einsum("...ab,klbc->...klac", cur, prod)
-    t = np.einsum("...aa->...", cur)
+    if s == 1:
+        t = np.einsum("ijaa->ij", prod)
+    else:
+        cur = prod
+        for _ in range(s - 2):
+            cur = np.einsum("...ab,klbc->...klac", cur, prod)
+        # the last factor and the trace in one contraction:
+        # tr(C P[k, l]) = sum_ab C[a, b] P[k, l][b, a]
+        t = np.einsum("...ab,klba->...kl", cur, prod)
     _validate_hypermatrix_symmetries(t, s)
     t = np.ascontiguousarray(t)
     t.setflags(write=False)
@@ -256,10 +261,12 @@ def cayley_det_222(tensor, method: str = "expanded") -> complex:
 # values and N the Example 1 values.
 N_LAYOUT = ((0, 1, 8, 9), (2, 3, 10, 11), (4, 5, 12, 13), (6, 7, 14, 15))
 M_LAYOUT = ((0, 8, 4, 12), (1, 9, 5, 13), (2, 10, 6, 14), (3, 11, 7, 15))
+# the identity hypermatrix in the M layout: u u^T with u = (1, 0, 0, 1)
+_M_IDENTITY = np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0])
 
 
 def _layout_matrix(flat: np.ndarray, layout) -> np.ndarray:
-    return np.array([[flat[r] for r in row] for row in layout], dtype=complex)
+    return flat[np.asarray(layout)]
 
 
 def _require_2222(h: Hypermatrix, name: str) -> None:
@@ -291,7 +298,9 @@ def invariant_M(h: Hypermatrix) -> complex:
     return determinant(_layout_matrix(h.flat(), M_LAYOUT))
 
 
-def lambda_poly(d: PureStateDecomposition, s: int, inv: str) -> Polynomial:
+def lambda_poly(
+    x: PureStateDecomposition | GramMatrix | Hypermatrix, s: int, inv: str
+) -> Polynomial:
     """Coefficients of inv(Omega_s - lambda E) as a polynomial in lambda.
 
     ``inv`` selects the invariant polynomial applied to the shifted
@@ -301,6 +310,12 @@ def lambda_poly(d: PureStateDecomposition, s: int, inv: str) -> Polynomial:
     multiplies it by exactly lambda**(J-r)), or ``"N"`` / ``"M"``
     (require s = 2 and a two-member decomposition).
 
+    ``x`` is a :class:`PureStateDecomposition`, or the object already
+    built from one: the :class:`GramMatrix` for ``"det"``, the s=2
+    :class:`Hypermatrix` of format 2x2x2x2 for ``"N"`` / ``"M"``. A
+    decomposition is built into that object first; a built object of the
+    wrong kind or format raises :class:`UnsupportedFormatError`.
+
     Each polynomial has a closed form. ``"det"`` gives
     sum_i (-1)**i F_i lambda**(I-i), the signed F of :func:`f_invariants`
     in reverse order. In the N layout the identity hypermatrix E is the
@@ -309,27 +324,33 @@ def lambda_poly(d: PureStateDecomposition, s: int, inv: str) -> Polynomial:
     ``"M"`` is linear: det X - lambda u^T adj(X) u, whose slope is
     det(X - u u^T) - det X.
     """
-    size = len(d)
-    if inv == "det":
-        if s != 1:
-            raise UnsupportedFormatError(f"inv='det' requires s=1, got s={s}")
-        f = f_invariants(gram_matrix(d)).F
-        signs = (-1.0) ** np.arange(size + 1)
-        return Polynomial((signs * f)[::-1])
-    if inv in ("N", "M"):
-        if s != 2 or size != 2:
+    if inv not in ("det", "N", "M"):
+        raise UnsupportedFormatError(f"unknown invariant {inv!r}; use 'det', 'N' or 'M'")
+    want_s, want_type = (1, GramMatrix) if inv == "det" else (2, Hypermatrix)
+    if s != want_s:
+        raise UnsupportedFormatError(f"inv={inv!r} requires s={want_s}, got s={s}")
+    if isinstance(x, PureStateDecomposition):
+        if inv != "det" and len(x) != 2:
+            # refused before a hypermatrix of that size is built
             raise UnsupportedFormatError(
-                f"inv={inv!r} requires s=2 and a rank-2 decomposition; "
-                f"got s={s}, I={size}"
+                f"inv={inv!r} requires a rank-2 decomposition, got I={len(x)}"
             )
-        flat = hypermatrix(d, 2).flat()
-        if inv == "N":
-            return char_poly(_layout_matrix(flat, N_LAYOUT))
-        x = _layout_matrix(flat, M_LAYOUT)
-        det_x = determinant(x)
-        u = np.array([1.0, 0.0, 0.0, 1.0])
-        return Polynomial([det_x, determinant(x - np.outer(u, u)) - det_x])
-    raise UnsupportedFormatError(f"unknown invariant {inv!r}; use 'det', 'N' or 'M'")
+        x = gram_matrix(x) if inv == "det" else hypermatrix(x, 2)
+    if not isinstance(x, want_type):
+        raise UnsupportedFormatError(
+            f"inv={inv!r} needs a {want_type.__name__} or a decomposition, "
+            f"got {type(x).__name__}"
+        )
+    if inv == "det":
+        f = f_invariants(x).F
+        signs = (-1.0) ** np.arange(x.size + 1)
+        return Polynomial((signs * f)[::-1])
+    _require_2222(x, f"lambda_poly(inv={inv!r})")
+    if inv == "N":
+        return char_poly(_layout_matrix(x.flat(), N_LAYOUT))
+    mat = _layout_matrix(x.flat(), M_LAYOUT)
+    det_x = determinant(mat)
+    return Polynomial([det_x, determinant(mat - _M_IDENTITY) - det_x])
 
 
 def realignment(rho: DensityMatrix) -> np.ndarray:

@@ -80,6 +80,26 @@ class TestFingerprint:
             report = compare_fingerprints(fa, fb, cfg)
             assert report.verdict == "Inconclusive"
 
+    def test_one_build_per_fingerprint(self, rho1, monkeypatch):
+        # the Gram matrix and the s=2 hypermatrix are built once and every
+        # invariant is read from them
+        import lu_invar.equivalence
+        import lu_invar.invariants
+
+        calls = {"gram_matrix": 0, "hypermatrix": 0}
+        for name in calls:
+            original = getattr(lu_invar.invariants, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(lu_invar.invariants, name, counted)
+            monkeypatch.setattr(lu_invar.equivalence, name, counted)
+        fp = fingerprint(rho1)
+        assert fp.rank == 2
+        assert calls == {"gram_matrix": 1, "hypermatrix": 1}
+
 
 class TestScreen:
     def test_rho_pair_not_equivalent_witness_n(self, rho1, rho2):
@@ -143,7 +163,9 @@ class TestScreen:
         assert names[1:3] == ["F_1", "F_2"]
         assert names[3:5] == ["invariant_N", "invariant_M"]
         assert names[5] == "kyfan"
-        assert names[6].startswith("lambda_N")
+        # lambda_N[0], lambda_N[4] and lambda_M[0] repeat N, the constant 1
+        # and M, so only the other coefficients are checks
+        assert names[6:] == ["lambda_N[1]", "lambda_N[2]", "lambda_N[3]", "lambda_M[1]"]
 
     def test_verdict_iff_some_check_fails(self):
         for trial in range(6):

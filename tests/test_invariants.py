@@ -124,6 +124,20 @@ class TestHypermatrix:
             # flat ordering convention r = 8i + 4j + 2k + l
             assert abs(h.flat()[8 * i + 4 * j + 2 * k + l] - direct) < 1e-12
 
+    @pytest.mark.parametrize(
+        "s, dims, rank", [(1, (2, 2), 2), (3, (2, 2), 2), (2, (2, 3), 3)]
+    )
+    def test_entries_match_oracle(self, s, dims, rank):
+        # every entry, axes (i1, j1, ..., is, js), against explicit products;
+        # s=2 at rank 2 is test_entries_match_direct_trace_products
+        d = eigen_decomposition(random_density(dims, rank, seed=160 + 10 * s + rank))
+        mats = list(d.stacked())
+        h = hypermatrix(d, s)
+        assert h.entries.shape == (rank,) * (2 * s)
+        for idx in itertools.product(range(rank), repeat=2 * s):
+            direct = hyper_entry(mats, idx[0::2], idx[1::2])
+            assert abs(h.entries[idx] - direct) < 1e-12
+
     def test_pure_state_single_entry(self):
         rho = validate_density(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
         d = eigen_decomposition(rho)
@@ -319,6 +333,32 @@ class TestLambdaPoly:
             mixed = mix_decomposition(d, haar_unitary(2, seed=300 + k))
             assert np.abs(lambda_poly(mixed, 2, "N").coeffs - base_n).max() < 1e-8
             assert np.abs(lambda_poly(mixed, 2, "M").coeffs - base_m).max() < 1e-8
+
+    def test_built_objects_match_decomposition(self):
+        # the GramMatrix / Hypermatrix a fingerprint builds give exactly
+        # the coefficients that the decomposition itself gives
+        for seed in (74, 174):
+            d = eigen_decomposition(random_density((2, 3), 2, seed=seed))
+            g = gram_matrix(d)
+            h = hypermatrix(d, 2)
+            assert np.array_equal(lambda_poly(g, 1, "det").coeffs, lambda_poly(d, 1, "det").coeffs)
+            for inv in ("N", "M"):
+                assert np.array_equal(lambda_poly(h, 2, inv).coeffs, lambda_poly(d, 2, inv).coeffs)
+        full = eigen_decomposition(random_density((2, 3), 6, seed=274))
+        assert np.array_equal(
+            lambda_poly(gram_matrix(full), 1, "det").coeffs, lambda_poly(full, 1, "det").coeffs
+        )
+
+    def test_built_object_of_wrong_kind_or_format_rejected(self, rho1_decomp):
+        with pytest.raises(UnsupportedFormatError):
+            lambda_poly(hypermatrix(rho1_decomp, 2), 1, "det")
+        with pytest.raises(UnsupportedFormatError):
+            lambda_poly(hypermatrix(rho1_decomp, 1), 1, "det")
+        with pytest.raises(UnsupportedFormatError):
+            lambda_poly(gram_matrix(rho1_decomp), 2, "N")
+        rank3 = eigen_decomposition(random_density((2, 2), 3, seed=73))
+        with pytest.raises(UnsupportedFormatError):
+            lambda_poly(hypermatrix(rank3, 2), 2, "M")
 
     def test_unsupported_combinations(self, rho1_decomp):
         with pytest.raises(UnsupportedFormatError):
