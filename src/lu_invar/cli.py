@@ -21,7 +21,13 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .equivalence import ScreenConfig, compare_fingerprints, fingerprint, screen
+from .equivalence import (
+    ScreenConfig,
+    _make_check,
+    compare_fingerprints,
+    fingerprint,
+    screen,
+)
 from .errors import (
     BadCutError,
     LuInvarError,
@@ -97,7 +103,6 @@ def _config_from(args) -> ScreenConfig:
         rtol=getattr(args, "rtol", 1e-8),
         rank_tol=getattr(args, "rank_tol", None),
         cut=1 if cut is None else cut,
-        seed=_seed_from(args),
     )
 
 
@@ -166,7 +171,7 @@ def cmd_mix(args) -> int:
     cfg = _config_from(args)
     rho = load_state(args.state)
     d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(_seed_from(args))
     columns = []
     for _ in range(args.count):
         u = haar_unitary_from_rng(len(d), rng)
@@ -193,8 +198,7 @@ def cmd_mix(args) -> int:
         print(f"{name.ljust(width)} {row}")
         base = columns[0][name]
         for col in columns[1:]:
-            delta = abs(col[name] - base)
-            if delta > cfg.atol + cfg.rtol * max(abs(base), abs(col[name])):
+            if not _make_check(name, base, col[name], cfg.atol, cfg.rtol).passed:
                 consistent = False
     if not consistent:
         print("self-consistency FAILED: mixed decompositions disagree", file=sys.stderr)
@@ -203,13 +207,12 @@ def cmd_mix(args) -> int:
 
 
 def cmd_random_lu(args) -> int:
-    cfg = _config_from(args)
     rho = load_state(args.state)
     if len(rho.dims) > 2 and args.cut is None:
         raise BadCutError(
             "multipartite state: pass --cut to choose the bipartition for the local pair"
         )
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(_seed_from(args))
     if len(rho.dims) == 2:
         n1, n2 = rho.dims
     else:
@@ -228,9 +231,7 @@ def cmd_selftest(args) -> int:
     # imported here so that the other commands do not load the suites
     from .selftest import run_selftest
 
-    seed = _seed_from(args)
-    results = run_selftest(full=args.full, seed=seed)
-    failed = 0
+    results = run_selftest(full=args.full, seed=_seed_from(args))
     for r in results:
         flag = "PASS" if r.passed else "FAIL"
         detail = f"  ({r.detail})" if r.detail and not r.passed else ""
@@ -240,13 +241,15 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_DIFFER
 
 
-def _add_common(parser, tolerance_flags: bool = True) -> None:
+def _add_seed(parser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="random seed (fallback: LU_INVAR_SEED)")
-    if tolerance_flags:
-        parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=None,
-                            help="eigenvalues at or below this count as zero")
-        parser.add_argument("--cut", type=int, default=1,
-                            help="bipartition cut for multipartite states (default 1)")
+
+
+def _add_common(parser) -> None:
+    parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=None,
+                        help="eigenvalues at or below this count as zero")
+    parser.add_argument("--cut", type=int, default=1,
+                        help="bipartition cut for multipartite states (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mix", help="invariants across random decomposition mixings")
     p.add_argument("state")
     _add_common(p)
+    _add_seed(p)
     p.add_argument("--count", type=int, default=5, help="number of random mixings")
     p.add_argument("--atol", type=float, default=1e-8)
     p.add_argument("--rtol", type=float, default=1e-8)
@@ -286,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random-lu", help="write a locally rotated copy of a state")
     p.add_argument("state")
-    p.add_argument("--seed", type=int, default=None)
+    _add_seed(p)
     p.add_argument("--cut", type=int, default=None,
                    help="bipartition cut (required for multipartite input)")
     p.add_argument("--out", required=True, help="output StateFile path")
@@ -296,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--quick", dest="full", action="store_false")
     mode.add_argument("--full", dest="full", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    _add_seed(p)
     p.set_defaults(full=False, func=cmd_selftest)
 
     return parser

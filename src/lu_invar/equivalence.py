@@ -18,7 +18,6 @@ from .invariants import (
     f_invariants,
     gram_matrix,
     hypermatrix,
-    invariant_M,
     invariant_N,
     lambda_poly,
     realignment_kyfan,
@@ -28,20 +27,18 @@ from .states import DensityMatrix, eigen_decomposition, merge_cut
 
 @dataclass(frozen=True)
 class ScreenConfig:
-    """Tolerances and reproducibility knobs for fingerprinting.
+    """Tolerances and the bipartition for fingerprinting and comparison.
 
     A check fails when |delta| > atol + rtol * max(|a|, |b|). ``rank_tol``
     of None means the scale-aware default (1e-10 times the largest
     eigenvalue). ``cut`` selects the bipartition for states with more than
-    two subsystems. ``seed`` does not affect the fingerprint itself (it is
-    deterministic); it is recorded so reports stay reproducible.
+    two subsystems. Fingerprints are deterministic, so there is no seed.
     """
 
     atol: float = 1e-8
     rtol: float = 1e-8
     rank_tol: float | None = None
     cut: int = 1
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,9 @@ class Fingerprint:
     ``N_value``, ``M_value`` and the matching lambda coefficient arrays are
     present only when the state has rank 2 (the format the degree-4
     invariants are defined for). ``lambda_coeffs`` maps an invariant name
-    to ascending polynomial coefficients, all of them reported. Only the
+    to ascending polynomial coefficients at the fixed length of its
+    format, trailing zeros included: rank + 1 for ``"det"``, 5 for
+    ``"N"`` and 2 for ``"M"``. All of them are reported. Only the
     coefficients that repeat no other value are compared: not ``"det"``
     (the signed, reversed F), not ``lambda_N[0]`` (N) or ``lambda_N[4]``
     (the monic leading 1), and not ``lambda_M[0]`` (M).
@@ -100,7 +99,7 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
     any longer decomposition only pads the Gram spectrum with zeros), so
     the result is deterministic for a fixed configuration. The Gram
     matrix, and at rank 2 the s=2 hypermatrix, are each built once; every
-    invariant is read from them.
+    invariant is read from them. M is the constant term of ``lambda_M``.
     """
     cfg = cfg or ScreenConfig()
     d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut)
@@ -114,9 +113,9 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
     if rank == 2:
         h = hypermatrix(d, 2)
         n_value = invariant_N(h)
-        m_value = invariant_M(h)
         lambdas["N"] = lambda_poly(h, 2, "N").coeffs
         lambdas["M"] = lambda_poly(h, 2, "M").coeffs
+        m_value = complex(lambdas["M"][0])
     return Fingerprint(
         dims=rho.dims,
         rank=rank,
@@ -143,19 +142,6 @@ def _make_check(name: str, a: complex, b: complex, atol: float, rtol: float) -> 
 # lambda_N[0] is N and lambda_M[0] is M, both checked as invariant_N/M,
 # and lambda_N[4] is the monic leading 1.
 _LAMBDA_CHECKED = (("N", 4), ("M", 2))
-
-
-def _paired_coeffs(fa: Fingerprint, fb: Fingerprint, key: str):
-    ca = fa.lambda_coeffs.get(key)
-    cb = fb.lambda_coeffs.get(key)
-    if ca is None or cb is None:
-        return None
-    width = max(len(ca), len(cb))
-
-    def pad(c):
-        return np.concatenate([np.asarray(c), np.zeros(width - len(c), dtype=complex)])
-
-    return pad(ca), pad(cb)
 
 
 def compare_fingerprints(
@@ -192,12 +178,10 @@ def compare_fingerprints(
     checks.append(_make_check("kyfan", fa.kyfan, fb.kyfan, atol, rtol))
 
     for key, stop in _LAMBDA_CHECKED:
-        paired = _paired_coeffs(fa, fb, key)
-        if paired is None:
-            continue
-        ca, cb = paired
-        for k in range(1, min(stop, len(ca))):
-            checks.append(_make_check(f"lambda_{key}[{k}]", ca[k], cb[k], atol, rtol))
+        if key in fa.lambda_coeffs and key in fb.lambda_coeffs:
+            ca, cb = fa.lambda_coeffs[key], fb.lambda_coeffs[key]
+            for k in range(1, stop):
+                checks.append(_make_check(f"lambda_{key}[{k}]", ca[k], cb[k], atol, rtol))
 
     failing = [c for c in checks if not c.passed]
     if failing:

@@ -323,6 +323,9 @@ def lambda_poly(
     flattening X. In the M layout E = u u^T with u = (1, 0, 0, 1), so
     ``"M"`` is linear: det X - lambda u^T adj(X) u, whose slope is
     det(X - u u^T) - det X.
+
+    The coefficient array has the fixed length of its format, zeros
+    included: I + 1 for ``"det"``, 5 for ``"N"`` and 2 for ``"M"``.
     """
     if inv not in ("det", "N", "M"):
         raise UnsupportedFormatError(f"unknown invariant {inv!r}; use 'det', 'N' or 'M'")

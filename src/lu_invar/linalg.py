@@ -67,19 +67,17 @@ def require_unitary(u, *, tol: float = UNITARITY_TOL, what: str = "matrix") -> n
 class Polynomial:
     """A polynomial with complex coefficients in ascending powers.
 
-    Trailing zero coefficients are trimmed on construction; the zero
-    polynomial is represented as ``coeffs == [0]``.
+    The coefficients are kept as given, trailing zeros included, so the
+    length is fixed by whoever builds the polynomial and never by
+    rounding; ``degree`` is that length minus one.
     """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        n = len(c)
-        while n > 1 and c[n - 1] == 0:
-            n -= 1
-        object.__setattr__(self, "coeffs", c[:n].copy())
-        self.coeffs.setflags(write=False)
+        c = np.array(self.coeffs, dtype=complex, ndmin=1)
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def degree(self) -> int:

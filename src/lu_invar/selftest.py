@@ -1,23 +1,32 @@
 """Built-in verification suites for the command line.
 
-Each suite re-derives one of the package's defining properties at run
-time: the bundled example states reproduce their published invariant
-values, randomized decomposition mixings and local-unitary transforms
-leave every invariant unchanged, zero-padding shifts the determinant
-polynomial by a power of lambda, and the 2x2x2 hyperdeterminant obeys its
-group covariance. The quick profile uses 10 random trials per property,
-the full profile 100 and additionally the padding-law and covariance
-suites.
+The fixture rows check that the bundled example states reproduce their
+published invariant values; they are computed once per run, from one
+fingerprint of each state and one screen of each pair.
+
+Every other property is one entry of a table run by one driver. An entry
+names its report rows with each row's bound, says whether it runs only
+in the full profile, and gives a ``trial(rng)`` that draws one random
+case and returns one deviation per row. The driver seeds each entry, runs
+10 trials (quick profile) or 100 (full profile) and passes a row when
+its largest deviation is below its bound; a NaN deviation fails its
+row. The properties: randomized
+decomposition mixings and local-unitary transforms leave every invariant
+unchanged, degenerate eigenbases leave the fingerprint unchanged, locally
+rotated pairs are never flagged, and, in the full profile only,
+zero-padding shifts the determinant polynomial by a power of lambda and
+the 2x2x2 hyperdeterminant obeys its group covariance.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equivalence import fingerprint, screen
+from .equivalence import Fingerprint, fingerprint, screen
 from .invariants import (
     cayley_det_222,
     f_invariants,
@@ -29,6 +38,7 @@ from .invariants import (
 )
 from .linalg import haar_unitary_from_rng
 from .states import (
+    DensityMatrix,
     apply_local_unitary,
     apply_local_unitary_density,
     eigen_decomposition,
@@ -46,350 +56,226 @@ class SuiteResult:
     detail: str
 
 
-def _result(name: str, passed: bool, detail: str = "") -> SuiteResult:
-    return SuiteResult(name=name, passed=bool(passed), detail=detail)
+@dataclass(frozen=True)
+class Property:
+    """One randomized suite: ``rows`` pairs each report row's name with
+    its bound, and ``trial(rng)`` returns one deviation per row."""
+
+    rows: tuple[tuple[str, float], ...]
+    trial: Callable[[np.random.Generator], tuple[float, ...]]
+    full_only: bool = False
 
 
-def _builtin_states():
-    from .fixtures import load_fixture
-
-    return {key: load_fixture(key) for key in ("rho1", "rho2", "sigma1", "sigma2")}
-
-
-def _suite_example1(trials: int, seed: int) -> list[SuiteResult]:
-    states = _builtin_states()
-    out = []
-    fp1 = fingerprint(states["rho1"])
-    fp2 = fingerprint(states["rho2"])
-    out.append(
-        _result(
-            "Example1: N(rho1)=1/256",
-            abs(fp1.N_value - 1.0 / 256.0) < 1e-12,
-            f"got {fp1.N_value}",
-        )
-    )
-    out.append(
-        _result("Example1: N(rho2)=0", abs(fp2.N_value) < 1e-12, f"got {fp2.N_value}")
-    )
-    out.append(
-        _result(
-            "Example1: F invariants agree on the pair",
-            np.abs(fp1.F - fp2.F).max() < 1e-10,
-        )
-    )
-    report = screen(states["rho1"], states["rho2"])
-    out.append(
-        _result(
+def _fixture_rows(states: dict, fps: dict) -> list[SuiteResult]:
+    r1, r2, s1, s2 = (fps[k] for k in ("rho1", "rho2", "sigma1", "sigma2"))
+    ex1 = screen(states["rho1"], states["rho2"])
+    ex2 = screen(states["sigma1"], states["sigma2"])
+    ky = 1.0 / math.sqrt(2.0)
+    rows = (
+        ("Example1: N(rho1)=1/256", abs(r1.N_value - 1.0 / 256.0) < 1e-12, f"got {r1.N_value}"),
+        ("Example1: N(rho2)=0", abs(r2.N_value) < 1e-12, f"got {r2.N_value}"),
+        ("Example1: F invariants agree on the pair", np.abs(r1.F - r2.F).max() < 1e-10, ""),
+        (
             "Example1: screen is NotEquivalent with witness invariant_N",
-            report.verdict == "NotEquivalent" and report.witness == "invariant_N",
-            f"verdict={report.verdict}, witness={report.witness}",
-        )
-    )
-    ky_target = 1.0 / math.sqrt(2.0)
-    out.append(
-        _result(
+            ex1.verdict == "NotEquivalent" and ex1.witness == "invariant_N",
+            f"verdict={ex1.verdict}, witness={ex1.witness}",
+        ),
+        (
             "Example1: realignment Ky Fan norm = 1/sqrt(2) for both",
-            abs(fp1.kyfan - ky_target) < 1e-10 and abs(fp2.kyfan - ky_target) < 1e-10,
-            f"got {fp1.kyfan}, {fp2.kyfan}",
-        )
-    )
-    return out
-
-
-def _suite_example2(trials: int, seed: int) -> list[SuiteResult]:
-    states = _builtin_states()
-    out = []
-    fp1 = fingerprint(states["sigma1"])
-    fp2 = fingerprint(states["sigma2"])
-    out.append(
-        _result(
-            "Example2: N(sigma1)=1/6561",
-            abs(fp1.N_value - 1.0 / 6561.0) < 1e-12,
-            f"got {fp1.N_value}",
-        )
-    )
-    out.append(
-        _result("Example2: N(sigma2)=0", abs(fp2.N_value) < 1e-12, f"got {fp2.N_value}")
-    )
-    out.append(
-        _result(
+            abs(r1.kyfan - ky) < 1e-10 and abs(r2.kyfan - ky) < 1e-10,
+            f"got {r1.kyfan}, {r2.kyfan}",
+        ),
+        ("Example2: N(sigma1)=1/6561", abs(s1.N_value - 1.0 / 6561.0) < 1e-12, f"got {s1.N_value}"),
+        ("Example2: N(sigma2)=0", abs(s2.N_value) < 1e-12, f"got {s2.N_value}"),
+        (
             "Example2: M(sigma1)=1/6561, M(sigma2)=0",
-            abs(fp1.M_value - 1.0 / 6561.0) < 1e-12 and abs(fp2.M_value) < 1e-12,
-            f"got {fp1.M_value}, {fp2.M_value}",
-        )
-    )
-    out.append(
-        _result(
-            "Example2: F invariants agree on the pair",
-            np.abs(fp1.F - fp2.F).max() < 1e-10,
-        )
-    )
-    report = screen(states["sigma1"], states["sigma2"])
-    out.append(
-        _result(
+            abs(s1.M_value - 1.0 / 6561.0) < 1e-12 and abs(s2.M_value) < 1e-12,
+            f"got {s1.M_value}, {s2.M_value}",
+        ),
+        ("Example2: F invariants agree on the pair", np.abs(s1.F - s2.F).max() < 1e-10, ""),
+        (
             "Example2: screen separates the pair",
-            report.verdict == "NotEquivalent",
-            f"verdict={report.verdict}, witness={report.witness}",
-        )
+            ex2.verdict == "NotEquivalent",
+            f"verdict={ex2.verdict}, witness={ex2.witness}",
+        ),
     )
-    return out
+    return [SuiteResult(name, bool(ok), detail) for name, ok, detail in rows]
 
 
-def _random_state(rng: np.random.Generator, dims, rank: int):
-    return random_density(dims, rank, seed=int(rng.integers(2**62)))
+def _dev(a, b) -> float:
+    return float(np.abs(np.subtract(a, b)).max())
 
 
-def _suite_mixing_independence(trials: int, seed: int) -> list[SuiteResult]:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        dims = (2, 2) if rng.integers(2) else (2, 3)
-        rank = int(rng.integers(1, math.prod(dims) // 2 + 2))
-        rho = _random_state(rng, dims, rank)
-        d = eigen_decomposition(rho)
-        base = f_invariants(gram_matrix(d)).F
-        for _ in range(5):
-            u = haar_unitary_from_rng(len(d), rng)
-            mixed = mix_decomposition(d, u)
-            dev = np.abs(f_invariants(gram_matrix(mixed)).F - base).max()
-            worst = max(worst, float(dev))
-    return [
-        _result(
-            "GramSpectrum: F invariants independent of decomposition mixing",
-            worst < 1e-9,
-            f"max deviation {worst:.2e}",
-        )
-    ]
+def _random_state(rng: np.random.Generator, rank_stop: int | None = None) -> DensityMatrix:
+    """A state on (2,2) or (2,3) with rank drawn from [1, rank_stop);
+    the default stop is half the dimension plus 2."""
+    dims = (2, 2) if rng.integers(2) else (2, 3)
+    stop = math.prod(dims) // 2 + 2 if rank_stop is None else rank_stop
+    return random_density(dims, int(rng.integers(1, stop)), seed=int(rng.integers(2**62)))
 
 
-def _suite_lu_invariance(trials: int, seed: int) -> list[SuiteResult]:
-    rng = np.random.default_rng(seed)
-    worst_gram = 0.0
-    worst_f = 0.0
-    for _ in range(trials):
-        dims = (2, 2) if rng.integers(2) else (2, 3)
-        rank = int(rng.integers(1, math.prod(dims) // 2 + 2))
-        rho = _random_state(rng, dims, rank)
-        d = eigen_decomposition(rho)
-        p = haar_unitary_from_rng(dims[0], rng)
-        q = haar_unitary_from_rng(dims[1], rng)
-        moved = apply_local_unitary(d, p, q)
-        worst_gram = max(
-            worst_gram,
-            float(np.abs(gram_matrix(moved).omega - gram_matrix(d).omega).max()),
-        )
-        worst_f = max(
-            worst_f,
-            float(
-                np.abs(
-                    f_invariants(gram_matrix(moved)).F - f_invariants(gram_matrix(d)).F
-                ).max()
-            ),
-        )
-    return [
-        _result(
-            "GramSpectrum: Gram matrix entrywise invariant under local unitaries",
-            worst_gram < 1e-10,
-            f"max deviation {worst_gram:.2e}",
-        ),
-        _result(
-            "GramSpectrum: F invariants match under local unitaries",
-            worst_f < 1e-9,
-            f"max deviation {worst_f:.2e}",
-        ),
-    ]
+def _mixing_trial(rng):
+    d = eigen_decomposition(_random_state(rng))
+    base = f_invariants(gram_matrix(d)).F
+    mixed = (mix_decomposition(d, haar_unitary_from_rng(len(d), rng)) for _ in range(5))
+    return (np.max([_dev(f_invariants(gram_matrix(m)).F, base) for m in mixed]),)
 
 
-def _padded_coeffs(d, s: int, inv: str, width: int) -> np.ndarray:
-    """lambda_poly coefficients zero-padded to ``width``: Polynomial trims
-    exact trailing zeros, so the raw length depends on rounding."""
-    c = lambda_poly(d, s, inv).coeffs
-    return np.concatenate([c, np.zeros(width - len(c), dtype=complex)])
+def _lu_trial(rng):
+    rho = _random_state(rng)
+    d = eigen_decomposition(rho)
+    p = haar_unitary_from_rng(rho.dims[0], rng)
+    q = haar_unitary_from_rng(rho.dims[1], rng)
+    g, moved = gram_matrix(d), gram_matrix(apply_local_unitary(d, p, q))
+    return _dev(moved.omega, g.omega), _dev(f_invariants(moved).F, f_invariants(g).F)
 
 
-def _rank2_invariants(d):
-    h = hypermatrix(d, 2)
+def _rank2_invariants(d) -> np.ndarray:
+    g, h = gram_matrix(d), hypermatrix(d, 2)
     return np.concatenate(
         [
             [invariant_N(h), invariant_M(h)],
-            _padded_coeffs(d, 1, "det", len(d) + 1),
-            _padded_coeffs(d, 2, "N", 5),
-            _padded_coeffs(d, 2, "M", 5),
+            lambda_poly(g, 1, "det").coeffs,
+            lambda_poly(h, 2, "N").coeffs,
+            lambda_poly(h, 2, "M").coeffs,
         ]
     )
 
 
-def _suite_degree4_invariance(trials: int, seed: int) -> list[SuiteResult]:
-    rng = np.random.default_rng(seed)
-    worst_mix = 0.0
-    worst_lu = 0.0
-    for _ in range(trials):
-        rho = _random_state(rng, (2, 2), 2)
-        d = eigen_decomposition(rho)
-        base = _rank2_invariants(d)
-        u = haar_unitary_from_rng(2, rng)
-        worst_mix = max(
-            worst_mix,
-            float(np.abs(_rank2_invariants(mix_decomposition(d, u)) - base).max()),
-        )
-        p = haar_unitary_from_rng(2, rng)
-        q = haar_unitary_from_rng(2, rng)
-        worst_lu = max(
-            worst_lu,
-            float(np.abs(_rank2_invariants(apply_local_unitary(d, p, q)) - base).max()),
-        )
-    return [
-        _result(
-            "Degree4: N, M and lambda coefficients invariant under mixing",
-            worst_mix < 1e-8,
-            f"max deviation {worst_mix:.2e}",
-        ),
-        _result(
-            "Degree4: N, M and lambda coefficients invariant under local unitaries",
-            worst_lu < 1e-8,
-            f"max deviation {worst_lu:.2e}",
-        ),
+def _degree4_trial(rng):
+    d = eigen_decomposition(random_density((2, 2), 2, seed=int(rng.integers(2**62))))
+    base = _rank2_invariants(d)
+    mixed = mix_decomposition(d, haar_unitary_from_rng(2, rng))
+    p, q = haar_unitary_from_rng(2, rng), haar_unitary_from_rng(2, rng)
+    return (
+        _dev(_rank2_invariants(mixed), base),
+        _dev(_rank2_invariants(apply_local_unitary(d, p, q)), base),
+    )
+
+
+def _soundness_trial(rng):
+    rho = _random_state(rng, rank_stop=4)
+    locals_ = random_local_unitaries(rho.dims, seed=int(rng.integers(2**62)))
+    moved = apply_local_unitary_density(rho, locals_)
+    # 1 when the pair is flagged; the row's bound of 1 allows no flag
+    return (float(screen(rho, moved).verdict != "Inconclusive"),)
+
+
+def _padding_trial(rng):
+    d = eigen_decomposition(_random_state(rng, rank_stop=5))
+    base = lambda_poly(d, 1, "det")
+    devs = [
+        _dev(lambda_poly(pad_with_zeros(d, j), 1, "det").coeffs, base.shifted(j - len(d)).coeffs)
+        for j in (len(d) + 1, len(d) + 2)
     ]
+    return (np.max(devs),)
 
 
-def _suite_padding_law(trials: int, seed: int) -> list[SuiteResult]:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        dims = (2, 2) if rng.integers(2) else (2, 3)
-        rank = int(rng.integers(1, 5))
-        rho = _random_state(rng, dims, rank)
-        d = eigen_decomposition(rho)
-        base = lambda_poly(d, 1, "det")
-        for j in (len(d) + 1, len(d) + 2):
-            padded = lambda_poly(pad_with_zeros(d, j), 1, "det")
-            expected = base.shifted(j - len(d))
-            width = max(len(padded.coeffs), len(expected.coeffs))
-            pa = np.zeros(width, dtype=complex)
-            pb = np.zeros(width, dtype=complex)
-            pa[: len(padded.coeffs)] = padded.coeffs
-            pb[: len(expected.coeffs)] = expected.coeffs
-            worst = max(worst, float(np.abs(pa - pb).max()))
-    return [
-        _result(
-            "Padding: det polynomial of zero-padded decomposition is lambda^(J-r) times base",
-            worst < 1e-9,
-            f"max deviation {worst:.2e}",
-        )
-    ]
+_SLOT_ACTIONS = ("ia,ajk->ijk", "ja,iak->ijk", "ka,ija->ijk")
 
 
-def _suite_cayley(trials: int, seed: int) -> list[SuiteResult]:
-    rng = np.random.default_rng(seed)
-    worst_agreement = 0.0
-    worst_cov = 0.0
-    worst_product = 0.0
-    for _ in range(trials):
-        t = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-        expanded = cayley_det_222(t)
-        compact = cayley_det_222(t, method="compact")
-        worst_agreement = max(
-            worst_agreement, abs(expanded - compact) / max(abs(expanded), 1e-30)
-        )
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        for slot, spec in enumerate(("ia,ajk->ijk", "ja,iak->ijk", "ka,ija->ijk")):
-            acted = np.einsum(spec, b, t)
-            scale = np.linalg.det(b) ** 2
-            worst_cov = max(
-                worst_cov,
-                abs(cayley_det_222(acted) - scale * expanded) / max(abs(scale * expanded), 1e-30),
-            )
-        u, v, w = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3))
-        # unit product vectors keep the tensor O(1) so the absolute
-        # vanishing threshold is meaningful
-        product = np.einsum("i,j,k->ijk", u / np.linalg.norm(u), v / np.linalg.norm(v), w / np.linalg.norm(w))
-        worst_product = max(worst_product, abs(cayley_det_222(product)))
-    return [
-        _result(
-            "Cayley: 12-term expansion agrees with Levi-Civita contraction",
-            worst_agreement < 1e-12,
-            f"max relative deviation {worst_agreement:.2e}",
-        ),
-        _result(
-            "Cayley: one-slot action scales the value by det(B)^2",
-            worst_cov < 1e-8,
-            f"max relative deviation {worst_cov:.2e}",
-        ),
-        _result(
-            "Cayley: vanishes on product tensors",
-            worst_product < 1e-12,
-            f"max |value| {worst_product:.2e}",
-        ),
-    ]
+def _cayley_trial(rng):
+    t = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    expanded = cayley_det_222(t)
+    compact = cayley_det_222(t, method="compact")
+    agreement = abs(expanded - compact) / max(abs(expanded), 1e-30)
+    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    scaled = np.linalg.det(b) ** 2 * expanded
+    covariance = np.max(
+        [abs(cayley_det_222(np.einsum(spec, b, t)) - scaled) for spec in _SLOT_ACTIONS]
+    ) / max(abs(scaled), 1e-30)
+    # unit product vectors keep the tensor O(1) so the absolute
+    # vanishing threshold is meaningful
+    u, v, w = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3))
+    product = np.einsum(
+        "i,j,k->ijk", u / np.linalg.norm(u), v / np.linalg.norm(v), w / np.linalg.norm(w)
+    )
+    return agreement, covariance, abs(cayley_det_222(product))
 
 
-def _suite_degeneracy(trials: int, seed: int) -> list[SuiteResult]:
-    states = _builtin_states()
-    rho1 = states["rho1"]
-    rng = np.random.default_rng(seed)
-    base = fingerprint(rho1)
-    worst = 0.0
-    for _ in range(max(trials, 2)):
-        d = eigen_decomposition(rho1)
-        u = haar_unitary_from_rng(len(d), rng)
-        rotated = mix_decomposition(d, u)
-        f = f_invariants(gram_matrix(rotated)).F
+def _properties(rho1: DensityMatrix, fp1: Fingerprint) -> tuple[Property, ...]:
+    """The randomized suites in report order. The degeneracy suite rotates
+    the twofold-degenerate eigenbasis of Example 1's rho1 and compares
+    against its fingerprint ``fp1``."""
+    d1 = eigen_decomposition(rho1)
+
+    def degeneracy_trial(rng):
+        rotated = mix_decomposition(d1, haar_unitary_from_rng(len(d1), rng))
         h = hypermatrix(rotated, 2)
-        worst = max(
-            worst,
-            float(np.abs(f - base.F).max()),
-            abs(invariant_N(h) - base.N_value),
-            abs(invariant_M(h) - base.M_value),
-        )
-    return [
-        _result(
-            "Degeneracy: invariants stable across degenerate eigenbases",
-            worst < 1e-9,
-            f"max deviation {worst:.2e}",
-        )
-    ]
+        devs = [
+            _dev(f_invariants(gram_matrix(rotated)).F, fp1.F),
+            abs(invariant_N(h) - fp1.N_value),
+            abs(invariant_M(h) - fp1.M_value),
+        ]
+        return (np.max(devs),)
 
-
-def _suite_soundness(trials: int, seed: int) -> list[SuiteResult]:
-    rng = np.random.default_rng(seed)
-    false_positives = 0
-    for _ in range(trials):
-        dims = (2, 2) if rng.integers(2) else (2, 3)
-        rank = int(rng.integers(1, 4))
-        rho = _random_state(rng, dims, rank)
-        locals_ = random_local_unitaries(dims, seed=int(rng.integers(2**62)))
-        moved = apply_local_unitary_density(rho, locals_)
-        if screen(rho, moved).verdict != "Inconclusive":
-            false_positives += 1
-    return [
-        _result(
-            "Soundness: locally-unitary-equivalent pairs are never flagged",
-            false_positives == 0,
-            f"{false_positives} false positives in {trials} trials",
-        )
-    ]
-
-
-_SUITES = [
-    (_suite_example1, False),
-    (_suite_example2, False),
-    (_suite_mixing_independence, False),
-    (_suite_lu_invariance, False),
-    (_suite_degree4_invariance, False),
-    (_suite_degeneracy, False),
-    (_suite_soundness, False),
-    (_suite_padding_law, True),
-    (_suite_cayley, True),
-]
+    return (
+        Property(
+            (("GramSpectrum: F invariants independent of decomposition mixing", 1e-9),),
+            _mixing_trial,
+        ),
+        Property(
+            (
+                ("GramSpectrum: Gram matrix entrywise invariant under local unitaries", 1e-10),
+                ("GramSpectrum: F invariants match under local unitaries", 1e-9),
+            ),
+            _lu_trial,
+        ),
+        Property(
+            (
+                ("Degree4: N, M and lambda coefficients invariant under mixing", 1e-8),
+                ("Degree4: N, M and lambda coefficients invariant under local unitaries", 1e-8),
+            ),
+            _degree4_trial,
+        ),
+        Property(
+            (("Degeneracy: invariants stable across degenerate eigenbases", 1e-9),),
+            degeneracy_trial,
+        ),
+        Property(
+            (("Soundness: locally-unitary-equivalent pairs are never flagged", 1.0),),
+            _soundness_trial,
+        ),
+        Property(
+            (
+                (
+                    "Padding: det polynomial of zero-padded decomposition is "
+                    "lambda^(J-r) times base",
+                    1e-9,
+                ),
+            ),
+            _padding_trial,
+            full_only=True,
+        ),
+        Property(
+            (
+                ("Cayley: 12-term expansion agrees with Levi-Civita contraction", 1e-12),
+                ("Cayley: one-slot action scales the value by det(B)^2", 1e-8),
+                ("Cayley: vanishes on product tensors", 1e-12),
+            ),
+            _cayley_trial,
+            full_only=True,
+        ),
+    )
 
 
 def run_selftest(full: bool = False, seed: int = 0) -> list[SuiteResult]:
-    """Run the embedded suites; full mode adds the padding and covariance
-    suites and raises the trial count from 10 to 100."""
+    """Run the fixture rows and the randomized suites; full mode adds the
+    padding and covariance suites and raises the trial count from 10 to
+    100. A row's detail gives its largest deviation and its bound."""
+    from .fixtures import load_fixture
+
+    states = {key: load_fixture(key) for key in ("rho1", "rho2", "sigma1", "sigma2")}
+    fps = {key: fingerprint(rho) for key, rho in states.items()}
+    results = _fixture_rows(states, fps)
     trials = 100 if full else 10
-    results: list[SuiteResult] = []
-    for i, (suite, full_only) in enumerate(_SUITES):
-        if full_only and not full:
+    # suite i draws from seed + 7919 * i; the fixture rows are suites 0 and 1
+    for i, prop in enumerate(_properties(states["rho1"], fps["rho1"]), start=2):
+        if prop.full_only and not full:
             continue
-        results.extend(suite(trials, seed + 7919 * i))
+        rng = np.random.default_rng(seed + 7919 * i)
+        worst = np.max([prop.trial(rng) for _ in range(trials)], axis=0)
+        for (name, bound), w in zip(prop.rows, worst):
+            detail = f"max {w:.2e} in {trials} trials, bound {bound:.0e}"
+            results.append(SuiteResult(name, bool(w < bound), detail))
     return results

@@ -5,7 +5,7 @@ Two document kinds are exchanged on disk:
 * StateFile: ``{"dims": [n1, ...], "matrix": [[[re, im], ...], ...]}``
   with a row-major N x N complex matrix, N the product of dims.
 * ReportFile: an ``EquivalenceReport`` plus both fingerprints, the tool
-  version, seed and tolerances used.
+  version and tolerances used.
 
 Serialization is deterministic: keys are emitted in alphabetical order
 and numbers with 17 significant digits, so parse -> serialize round-trips
@@ -178,7 +178,6 @@ def report_to_doc(
         ],
         "fingerprint_a": None if fp_a is None else fingerprint_to_doc(fp_a),
         "fingerprint_b": None if fp_b is None else fingerprint_to_doc(fp_b),
-        "seed": int(cfg.seed),
         "tolerances": {
             "atol": float(cfg.atol),
             "rtol": float(cfg.rtol),

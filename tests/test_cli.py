@@ -104,9 +104,9 @@ class TestCompare:
         assert any(c["name"] == "invariant_N" and not c["passed"] for c in doc["checks"])
 
     def test_json_deterministic(self, capsys):
-        main(["compare", SIGMA1, SIGMA2, "--json", "--seed", "5"])
+        assert main(["compare", SIGMA1, SIGMA2, "--json"]) == 1
         first = capsys.readouterr().out
-        main(["compare", SIGMA1, SIGMA2, "--json", "--seed", "5"])
+        assert main(["compare", SIGMA1, SIGMA2, "--json"]) == 1
         second = capsys.readouterr().out
         assert first == second
 
@@ -233,8 +233,43 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "Example1: N(rho1)=1/256 FAIL" in out
 
+    @pytest.mark.parametrize(
+        "drift", [lambda n: 1e-3 * n, lambda n: float("nan")], ids=["drift", "nan"]
+    )
+    def test_randomized_failure_detected(self, capsys, monkeypatch, drift):
+        # a per-call drift in F, or a NaN, breaks the randomized F suites,
+        # which must be named FAIL with their largest deviation and bound
+        import lu_invar.selftest
+
+        real = lu_invar.selftest.f_invariants
+        calls = {"n": 0}
+
+        def drifting(g):
+            calls["n"] += 1
+            iv = real(g)
+            return type(iv)(F=iv.F + drift(calls["n"]))
+
+        monkeypatch.setattr(lu_invar.selftest, "f_invariants", drifting)
+        assert main(["selftest", "--quick"]) == 1
+        out = capsys.readouterr().out
+        assert "Example1: N(rho1)=1/256 PASS" in out
+        line = next(
+            x for x in out.splitlines()
+            if x.startswith("GramSpectrum: F invariants independent of decomposition mixing")
+        )
+        assert " FAIL  (max " in line and "bound 1e-09" in line
+        assert "Degeneracy: invariants stable across degenerate eigenbases FAIL" in out
+        assert "Soundness: locally-unitary-equivalent pairs are never flagged PASS" in out
+
 
 class TestUsage:
+    def test_seed_only_on_randomized_commands(self, capsys):
+        # fingerprints are deterministic, so compute and compare take no seed
+        assert main(["compute", RHO1, "--seed", "5"]) == 2
+        assert main(["compare", RHO1, RHO2, "--seed", "5"]) == 2
+        assert main(["compare", RHO1, RHO2, "--json"]) == 1
+        assert "seed" not in json.loads(capsys.readouterr().out)
+
     def test_no_arguments_exit_2(self):
         assert main([]) == 2
 

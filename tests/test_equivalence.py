@@ -42,6 +42,23 @@ class TestFingerprint:
         assert fp.N_value is None and fp.M_value is None
         assert set(fp.lambda_coeffs) == {"det"}
 
+    def test_lambda_lengths_fixed_per_format(self, rho1, rho2, sigma1, sigma2):
+        # rank + 1 coefficients for det, 5 for N and 2 for M, zeros kept:
+        # lambda_M is identically zero on rho1 and sigma2
+        states = [rho1, rho2, sigma1, sigma2] + [
+            random_density(dims, 2, seed=980 + k)
+            for k, dims in enumerate(((2, 2), (2, 3), (3, 3), (2, 2, 2)))
+        ]
+        for rho in states:
+            fp = fingerprint(rho)
+            assert fp.rank == 2
+            lengths = {key: len(c) for key, c in fp.lambda_coeffs.items()}
+            assert lengths == {"det": 3, "N": 5, "M": 2}
+        assert np.array_equal(fingerprint(rho1).lambda_coeffs["M"], [0.0, 0.0])
+        for rank in (1, 3, 4):
+            fp = fingerprint(random_density((2, 3), rank, seed=990 + rank))
+            assert {key: len(c) for key, c in fp.lambda_coeffs.items()} == {"det": rank + 1}
+
     def test_rank_matches_f_length(self):
         for trial in range(6):
             rho = random_density((2, 3), trial % 4 + 1, seed=900 + trial)
@@ -156,16 +173,18 @@ class TestScreen:
         r2 = screen(sigma1, sigma2)
         assert r1 == r2
 
-    def test_check_order_fixed(self, rho1, rho2):
-        report = screen(rho1, rho2)
-        names = [c.name for c in report.checks]
-        assert names[0] == "rank"
-        assert names[1:3] == ["F_1", "F_2"]
-        assert names[3:5] == ["invariant_N", "invariant_M"]
-        assert names[5] == "kyfan"
-        # lambda_N[0], lambda_N[4] and lambda_M[0] repeat N, the constant 1
-        # and M, so only the other coefficients are checks
-        assert names[6:] == ["lambda_N[1]", "lambda_N[2]", "lambda_N[3]", "lambda_M[1]"]
+    def test_check_order_fixed(self, rho1, rho2, sigma2):
+        # rho1 and sigma2 both have lambda_M identically zero; the check
+        # list does not depend on that
+        for other in (rho2, sigma2):
+            names = [c.name for c in screen(rho1, other).checks]
+            assert names[0] == "rank"
+            assert names[1:3] == ["F_1", "F_2"]
+            assert names[3:5] == ["invariant_N", "invariant_M"]
+            assert names[5] == "kyfan"
+            # lambda_N[0], lambda_N[4] and lambda_M[0] repeat N, the
+            # constant 1 and M, so only the other coefficients are checks
+            assert names[6:] == ["lambda_N[1]", "lambda_N[2]", "lambda_N[3]", "lambda_M[1]"]
 
     def test_verdict_iff_some_check_fails(self):
         for trial in range(6):

@@ -161,15 +161,14 @@ class TestHaarUnitary:
 
 
 class TestPolynomial:
-    def test_trailing_zeros_trimmed(self):
+    def test_coefficients_kept_at_given_length(self):
+        # trailing zeros are kept, so the length never depends on rounding
         p = Polynomial(np.array([1.0, 2.0, 0.0, 0.0]))
-        assert p.degree == 1
-        assert np.allclose(p.coeffs, [1.0, 2.0])
-
-    def test_zero_polynomial(self):
-        p = Polynomial(np.array([0.0, 0.0]))
-        assert p.degree == 0
-        assert p.coeffs[0] == 0
+        assert p.degree == 3
+        assert np.array_equal(p.coeffs, [1.0, 2.0, 0.0, 0.0])
+        zero = Polynomial(np.array([0.0, 0.0]))
+        assert zero.degree == 1
+        assert np.array_equal(zero.coeffs, [0.0, 0.0])
 
     def test_evaluation(self):
         p = Polynomial(np.array([1.0, -2.0, 1.0]))  # (x-1)^2
