@@ -166,9 +166,14 @@ class TestPolynomial:
         p = Polynomial(np.array([1.0, 2.0, 0.0, 0.0]))
         assert p.degree == 3
         assert np.array_equal(p.coeffs, [1.0, 2.0, 0.0, 0.0])
-        zero = Polynomial(np.array([0.0, 0.0]))
-        assert zero.degree == 1
-        assert np.array_equal(zero.coeffs, [0.0, 0.0])
+
+    def test_zero_polynomial(self):
+        # the zero polynomial keeps its length too; there is no [0] special case
+        p = Polynomial(np.array([0.0, 0.0]))
+        assert p.degree == 1
+        assert p.coeffs[0] == 0
+        assert np.array_equal(p.coeffs, [0.0, 0.0])
+        assert p(2.5) == 0
 
     def test_evaluation(self):
         p = Polynomial(np.array([1.0, -2.0, 1.0]))  # (x-1)^2
