@@ -21,13 +21,7 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .equivalence import (
-    ScreenConfig,
-    _make_check,
-    compare_fingerprints,
-    fingerprint,
-    screen,
-)
+from .equivalence import ScreenConfig, _make_check, fingerprint, screen_with_fingerprints
 from .errors import (
     BadCutError,
     LuInvarError,
@@ -45,17 +39,6 @@ EXIT_DIFFER = 1
 EXIT_USAGE = 2
 EXIT_INVALID = 3
 
-# exact rationals of the bundled example pairs, rendered next to
-# matching values in text output
-_KNOWN_CONSTANTS = (
-    (1.0 / 256.0, "1/256"),
-    (1.0 / 6561.0, "1/6561"),
-    (1.0 / math.sqrt(2.0), "1/sqrt(2)"),
-    (0.25, "1/4"),
-    (2.0 / 9.0, "2/9"),
-)
-
-
 def _sci(x: float) -> str:
     """Compact scientific notation: 0.00390625 -> '3.90625e-3'."""
     if x == 0:
@@ -67,20 +50,10 @@ def _sci(x: float) -> str:
     return f"{mantissa}e{int(exponent)}"
 
 
-def _fmt_real(x: float) -> str:
-    # values within 1e-12 of a bundled constant render as that constant
-    for value, label in _KNOWN_CONSTANTS:
-        if abs(x - value) <= 1e-12:
-            return f"{_sci(value)} ({label})"
-        if abs(x + value) <= 1e-12:
-            return f"{_sci(-value)} (-{label})"
-    return _sci(x)
-
-
 def _fmt(z) -> str:
     z = complex(z)
     if abs(z.imag) < 1e-12:
-        return _fmt_real(z.real)
+        return _sci(z.real)
     return f"{_sci(z.real)}{'+' if z.imag >= 0 else '-'}{_sci(abs(z.imag))}i"
 
 
@@ -115,7 +88,7 @@ def _render_fingerprint_text(path: str, fp, out) -> None:
     if fp.N_value is not None:
         print(f"N = {_fmt(fp.N_value)}", file=out)
         print(f"M = {_fmt(fp.M_value)}", file=out)
-    print(f"kyfan = {_fmt_real(fp.kyfan)}", file=out)
+    print(f"kyfan = {_sci(fp.kyfan)}", file=out)
     for key, coeffs in fp.lambda_coeffs.items():
         rendered = ", ".join(_fmt(c) for c in coeffs)
         print(f"lambda_{key} = [{rendered}]", file=out)
@@ -134,15 +107,9 @@ def cmd_compute(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _config_from(args)
-    rho_a = load_state(args.state_a)
-    rho_b = load_state(args.state_b)
-    fp_a = fp_b = None
-    if rho_a.dims == rho_b.dims:
-        fp_a = fingerprint(rho_a, cfg)
-        fp_b = fingerprint(rho_b, cfg)
-        report = compare_fingerprints(fp_a, fp_b, cfg)
-    else:
-        report = screen(rho_a, rho_b, cfg)
+    report, fp_a, fp_b = screen_with_fingerprints(
+        load_state(args.state_a), load_state(args.state_b), cfg
+    )
     if args.json:
         sys.stdout.write(dumps(report_to_doc(report, fp_a, fp_b, cfg)))
     else:

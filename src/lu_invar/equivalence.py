@@ -11,6 +11,7 @@ There is deliberately no ``Equivalent`` verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -197,29 +198,43 @@ def compare_fingerprints(
     )
 
 
-def screen(
+def screen_with_fingerprints(
     rho_a: DensityMatrix, rho_b: DensityMatrix, cfg: ScreenConfig | None = None
-) -> EquivalenceReport:
-    """Screen a pair of states for local-unitary non-equivalence."""
+) -> tuple[EquivalenceReport, Fingerprint | None, Fingerprint | None]:
+    """Screen a pair; return the report and both fingerprints, or ``None,
+    None`` when the dimension signatures differ. That report's one check
+    holds the entries at the first position where the signatures differ,
+    a missing subsystem reading as 0."""
     cfg = cfg or ScreenConfig()
     if rho_a.dims != rho_b.dims:
+        a, b = next(
+            (x, y) for x, y in zip_longest(rho_a.dims, rho_b.dims, fillvalue=0) if x != y
+        )
         check = Check(
             name="dimension signature",
-            value_a=complex(len(rho_a.dims)),
-            value_b=complex(len(rho_b.dims)),
+            value_a=complex(a),
+            value_b=complex(b),
             delta=float("inf"),
             passed=False,
             marginal=False,
         )
-        return EquivalenceReport(
+        report = EquivalenceReport(
             verdict="NotEquivalent",
             witness="dimension signature",
             witness_values=(rho_a.dims, rho_b.dims, None),
             checks=(check,),
         )
+        return report, None, None
     fa = fingerprint(rho_a, cfg)
     fb = fingerprint(rho_b, cfg)
-    return compare_fingerprints(fa, fb, cfg)
+    return compare_fingerprints(fa, fb, cfg), fa, fb
+
+
+def screen(
+    rho_a: DensityMatrix, rho_b: DensityMatrix, cfg: ScreenConfig | None = None
+) -> EquivalenceReport:
+    """Screen a pair of states for local-unitary non-equivalence."""
+    return screen_with_fingerprints(rho_a, rho_b, cfg)[0]
 
 
 def witness_search_hint(

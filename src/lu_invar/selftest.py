@@ -4,18 +4,19 @@ The fixture rows check that the bundled example states reproduce their
 published invariant values; they are computed once per run, from one
 fingerprint of each state and one screen of each pair.
 
-Every other property is one entry of a table run by one driver. An entry
-names its report rows with each row's bound, says whether it runs only
-in the full profile, and gives a ``trial(rng)`` that draws one random
-case and returns one deviation per row. The driver seeds each entry, runs
-10 trials (quick profile) or 100 (full profile) and passes a row when
-its largest deviation is below its bound; a NaN deviation fails its
-row. The properties: randomized
-decomposition mixings and local-unitary transforms leave every invariant
-unchanged, degenerate eigenbases leave the fingerprint unchanged, locally
-rotated pairs are never flagged, and, in the full profile only,
-zero-padding shifts the determinant polynomial by a power of lambda and
-the 2x2x2 hyperdeterminant obeys its group covariance.
+Every other property is one entry of the table ``properties``, and one
+driver, ``run_property``, runs an entry for a number of trials from one
+seed. An entry names its report rows with each row's bound, says whether
+it runs only in the full profile, and gives a ``trial(rng)`` that draws
+one random case and returns one deviation per row. A row passes when its
+largest deviation is below its bound; a NaN deviation fails it. Random
+states are drawn on (2,2) and (2,3) at every rank from 1 to 4. The
+properties: decomposition mixings and local-unitary transforms leave
+every invariant unchanged, degenerate eigenbases leave F, N, M and the
+lambda coefficients unchanged, locally rotated pairs are never flagged,
+and, in the full profile only, zero-padding shifts the determinant
+polynomial by a power of lambda and the 2x2x2 hyperdeterminant obeys its
+group covariance.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivalence import Fingerprint, fingerprint, screen
+from .equivalence import fingerprint, screen
 from .invariants import (
     cayley_det_222,
     f_invariants,
@@ -106,12 +107,11 @@ def _dev(a, b) -> float:
     return float(np.abs(np.subtract(a, b)).max())
 
 
-def _random_state(rng: np.random.Generator, rank_stop: int | None = None) -> DensityMatrix:
-    """A state on (2,2) or (2,3) with rank drawn from [1, rank_stop);
-    the default stop is half the dimension plus 2."""
+def _random_state(rng: np.random.Generator) -> DensityMatrix:
+    """A state on (2,2) or (2,3) with rank drawn from 1 to 4, so full
+    rank on (2,2) is drawn too."""
     dims = (2, 2) if rng.integers(2) else (2, 3)
-    stop = math.prod(dims) // 2 + 2 if rank_stop is None else rank_stop
-    return random_density(dims, int(rng.integers(1, stop)), seed=int(rng.integers(2**62)))
+    return random_density(dims, int(rng.integers(1, 5)), seed=int(rng.integers(2**62)))
 
 
 def _mixing_trial(rng):
@@ -154,7 +154,7 @@ def _degree4_trial(rng):
 
 
 def _soundness_trial(rng):
-    rho = _random_state(rng, rank_stop=4)
+    rho = _random_state(rng)
     locals_ = random_local_unitaries(rho.dims, seed=int(rng.integers(2**62)))
     moved = apply_local_unitary_density(rho, locals_)
     # 1 when the pair is flagged; the row's bound of 1 allows no flag
@@ -162,7 +162,7 @@ def _soundness_trial(rng):
 
 
 def _padding_trial(rng):
-    d = eigen_decomposition(_random_state(rng, rank_stop=5))
+    d = eigen_decomposition(_random_state(rng))
     base = lambda_poly(d, 1, "det")
     devs = [
         _dev(lambda_poly(pad_with_zeros(d, j), 1, "det").coeffs, base.shifted(j - len(d)).coeffs)
@@ -193,50 +193,50 @@ def _cayley_trial(rng):
     return agreement, covariance, abs(cayley_det_222(product))
 
 
-def _properties(rho1: DensityMatrix, fp1: Fingerprint) -> tuple[Property, ...]:
-    """The randomized suites in report order. The degeneracy suite rotates
-    the twofold-degenerate eigenbasis of Example 1's rho1 and compares
-    against its fingerprint ``fp1``."""
+def properties(rho1: DensityMatrix) -> dict[str, Property]:
+    """The randomized suites by key, in report order. The degeneracy suite
+    rotates the twofold-degenerate eigenbasis of Example 1's ``rho1`` and
+    compares F, N, M and the lambda coefficients against those of its
+    eigenvector decomposition."""
     d1 = eigen_decomposition(rho1)
+
+    def degeneracy_values(d):
+        return np.concatenate([f_invariants(gram_matrix(d)).F, _rank2_invariants(d)])
+
+    base = degeneracy_values(d1)
 
     def degeneracy_trial(rng):
         rotated = mix_decomposition(d1, haar_unitary_from_rng(len(d1), rng))
-        h = hypermatrix(rotated, 2)
-        devs = [
-            _dev(f_invariants(gram_matrix(rotated)).F, fp1.F),
-            abs(invariant_N(h) - fp1.N_value),
-            abs(invariant_M(h) - fp1.M_value),
-        ]
-        return (np.max(devs),)
+        return (_dev(degeneracy_values(rotated), base),)
 
-    return (
-        Property(
+    return {
+        "mixing": Property(
             (("GramSpectrum: F invariants independent of decomposition mixing", 1e-9),),
             _mixing_trial,
         ),
-        Property(
+        "lu": Property(
             (
                 ("GramSpectrum: Gram matrix entrywise invariant under local unitaries", 1e-10),
                 ("GramSpectrum: F invariants match under local unitaries", 1e-9),
             ),
             _lu_trial,
         ),
-        Property(
+        "degree4": Property(
             (
                 ("Degree4: N, M and lambda coefficients invariant under mixing", 1e-8),
                 ("Degree4: N, M and lambda coefficients invariant under local unitaries", 1e-8),
             ),
             _degree4_trial,
         ),
-        Property(
+        "degeneracy": Property(
             (("Degeneracy: invariants stable across degenerate eigenbases", 1e-9),),
             degeneracy_trial,
         ),
-        Property(
+        "soundness": Property(
             (("Soundness: locally-unitary-equivalent pairs are never flagged", 1.0),),
             _soundness_trial,
         ),
-        Property(
+        "padding": Property(
             (
                 (
                     "Padding: det polynomial of zero-padded decomposition is "
@@ -247,7 +247,7 @@ def _properties(rho1: DensityMatrix, fp1: Fingerprint) -> tuple[Property, ...]:
             _padding_trial,
             full_only=True,
         ),
-        Property(
+        "cayley": Property(
             (
                 ("Cayley: 12-term expansion agrees with Levi-Civita contraction", 1e-12),
                 ("Cayley: one-slot action scales the value by det(B)^2", 1e-8),
@@ -256,13 +256,26 @@ def _properties(rho1: DensityMatrix, fp1: Fingerprint) -> tuple[Property, ...]:
             _cayley_trial,
             full_only=True,
         ),
-    )
+    }
+
+
+def run_property(prop: Property, trials: int, seed: int) -> list[SuiteResult]:
+    """One result per row of ``prop`` over ``trials`` trials drawn from
+    ``seed``. A row passes when its largest deviation is below its bound,
+    so a NaN fails it; its detail gives that deviation and the bound."""
+    rng = np.random.default_rng(seed)
+    worst = np.max([prop.trial(rng) for _ in range(trials)], axis=0)
+    return [
+        SuiteResult(name, bool(w < bound), f"max {w:.2e} in {trials} trials, bound {bound:.0e}")
+        for (name, bound), w in zip(prop.rows, worst)
+    ]
 
 
 def run_selftest(full: bool = False, seed: int = 0) -> list[SuiteResult]:
     """Run the fixture rows and the randomized suites; full mode adds the
     padding and covariance suites and raises the trial count from 10 to
-    100. A row's detail gives its largest deviation and its bound."""
+    100. The acceptance tests run the same suites at their own trial
+    counts and seeds."""
     from .fixtures import load_fixture
 
     states = {key: load_fixture(key) for key in ("rho1", "rho2", "sigma1", "sigma2")}
@@ -270,12 +283,7 @@ def run_selftest(full: bool = False, seed: int = 0) -> list[SuiteResult]:
     results = _fixture_rows(states, fps)
     trials = 100 if full else 10
     # suite i draws from seed + 7919 * i; the fixture rows are suites 0 and 1
-    for i, prop in enumerate(_properties(states["rho1"], fps["rho1"]), start=2):
-        if prop.full_only and not full:
-            continue
-        rng = np.random.default_rng(seed + 7919 * i)
-        worst = np.max([prop.trial(rng) for _ in range(trials)], axis=0)
-        for (name, bound), w in zip(prop.rows, worst):
-            detail = f"max {w:.2e} in {trials} trials, bound {bound:.0e}"
-            results.append(SuiteResult(name, bool(w < bound), detail))
+    for i, prop in enumerate(properties(states["rho1"]).values(), start=2):
+        if full or not prop.full_only:
+            results += run_property(prop, trials, seed + 7919 * i)
     return results

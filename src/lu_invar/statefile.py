@@ -97,7 +97,10 @@ def parse_state(doc, tol: float = 1e-10) -> DensityMatrix:
                 raise StateFormatError(
                     f"matrix entry ({i}, {j}) must be a [re, im] number pair"
                 )
-            mat[i, j] = complex(cell[0], cell[1])
+            try:
+                mat[i, j] = complex(cell[0], cell[1])
+            except OverflowError as exc:
+                raise StateFormatError(f"matrix entry ({i}, {j}) overflows a float") from exc
     return validate_density(mat, dims, tol=tol)
 
 

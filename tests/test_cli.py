@@ -24,11 +24,10 @@ class TestCompute:
     def test_text_output_rho1(self, capsys):
         assert main(["compute", RHO1]) == 0
         out = capsys.readouterr().out
-        assert "N = 3.90625e-3" in out
-        assert "1/256" in out
+        n_line = next(line for line in out.splitlines() if line.startswith("N = "))
+        assert float(n_line[len("N = "):]) == pytest.approx(1 / 256, rel=1e-12, abs=0)
         assert "rank: 2" in out
         assert "kyfan = 7.0710678118654" in out
-        assert "(1/sqrt(2))" in out
 
     def test_json_output_parses_and_sorted(self, capsys):
         assert main(["compute", RHO1, "--json"]) == 0
@@ -73,6 +72,16 @@ class TestCompute:
         path = write_state(tmp_path, "schema.json", {"dims": [2, 2]})
         assert main(["compute", path]) == 2
 
+    def test_entry_too_large_for_float_exit_2(self, tmp_path, capsys):
+        # a 401-digit integer parses as JSON but has no float value
+        rows = [[[0, 0] for _ in range(4)] for _ in range(4)]
+        rows[0][1][0] = 10**400
+        path = write_state(tmp_path, "huge.json", {"dims": [2, 2], "matrix": rows})
+        assert main(["compute", path]) == 2
+        assert "matrix entry (0, 1)" in capsys.readouterr().err
+        assert main(["compare", RHO1, path]) == 2
+        assert "matrix entry (0, 1)" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_rho_pair_exit_1_witness_n(self, capsys):
@@ -109,6 +118,22 @@ class TestCompare:
         assert main(["compare", SIGMA1, SIGMA2, "--json"]) == 1
         second = capsys.readouterr().out
         assert first == second
+
+    def test_dims_mismatch(self, tmp_path, capsys):
+        from lu_invar.states import random_density
+        from lu_invar.statefile import save_state
+
+        path = str(tmp_path / "qubit_qutrit.json")
+        save_state(random_density((2, 3), 2, seed=5), path)
+        assert main(["compare", RHO1, path, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["fingerprint_a"] is None and doc["fingerprint_b"] is None
+        assert doc["witness"] == "dimension signature"
+        assert doc["witness_values"] == {"delta": None, "value_a": [2, 2], "value_b": [2, 3]}
+        (check,) = doc["checks"]
+        assert (check["value_a"], check["value_b"]) == ([2, 0], [3, 0])
+        assert main(["compare", RHO1, path]) == 1
+        assert "[FAIL] dimension signature: 2 vs 3 (delta inf)" in capsys.readouterr().out
 
     def test_loose_tolerance_changes_verdict(self, capsys):
         assert main(["compare", RHO1, RHO2, "--atol", "1.0", "--rtol", "1.0"]) == 0

@@ -154,11 +154,15 @@ class TestScreen:
         assert report.witness == "rank"
 
     def test_dimension_signature_gate(self):
+        # the check holds the entries at the first position where the
+        # signatures differ; a missing subsystem reads as 0
         a = random_density((2, 2), 2, seed=94)
-        b = random_density((2, 3), 2, seed=95)
-        report = screen(a, b)
-        assert report.verdict == "NotEquivalent"
-        assert report.witness == "dimension signature"
+        for dims_b, values in (((2, 3), (2, 3)), ((2, 2, 2), (0, 2))):
+            report = screen(a, random_density(dims_b, 2, seed=95))
+            assert report.verdict == "NotEquivalent"
+            assert report.witness == "dimension signature"
+            (check,) = report.checks
+            assert (check.value_a, check.value_b) == values
 
     def test_symmetric(self, rho1, rho2):
         ab = screen(rho1, rho2)
