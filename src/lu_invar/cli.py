@@ -40,13 +40,11 @@ EXIT_USAGE = 2
 EXIT_INVALID = 3
 
 def _sci(x: float) -> str:
-    """Compact scientific notation: 0.00390625 -> '3.90625e-3'."""
-    if x == 0:
-        return "0"
+    """Compact scientific notation in the shortest digits that read back
+    as ``x``: 0.00390625 -> '3.90625e-3'; integers below 1e6 as integers."""
     if x == int(x) and abs(x) < 1e6:
         return str(int(x))
-    mantissa, exponent = f"{x:.15e}".split("e")
-    mantissa = mantissa.rstrip("0").rstrip(".")
+    mantissa, exponent = np.format_float_scientific(x, unique=True, trim="-").split("e")
     return f"{mantissa}e{int(exponent)}"
 
 

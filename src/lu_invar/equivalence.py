@@ -99,17 +99,16 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
     Uses the eigenvector decomposition (sufficient by the rank argument:
     any longer decomposition only pads the Gram spectrum with zeros), so
     the result is deterministic for a fixed configuration. The Gram
-    matrix, and at rank 2 the s=2 hypermatrix, are each built once; every
-    invariant is read from them. M is the constant term of ``lambda_M``.
+    matrix, F and, at rank 2, the s=2 hypermatrix are each built once;
+    every invariant is read from them. M is the constant term of ``lambda_M``.
     """
     cfg = cfg or ScreenConfig()
     d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut)
     rank = len(d)
-    g = gram_matrix(d)
-    f = f_invariants(g).F
+    f = f_invariants(gram_matrix(d))
     bip = rho if len(rho.dims) == 2 else merge_cut(rho, cfg.cut)
     kyfan = realignment_kyfan(bip)
-    lambdas = {"det": lambda_poly(g, 1, "det").coeffs}
+    lambdas = {"det": lambda_poly(f, 1, "det").coeffs}
     n_value = m_value = None
     if rank == 2:
         h = hypermatrix(d, 2)
@@ -120,7 +119,7 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
     return Fingerprint(
         dims=rho.dims,
         rank=rank,
-        F=f,
+        F=f.F,
         kyfan=kyfan,
         N_value=n_value,
         M_value=m_value,

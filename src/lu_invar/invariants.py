@@ -63,9 +63,10 @@ class GramMatrix:
 
 
 def gram_matrix(d: PureStateDecomposition) -> GramMatrix:
-    """Overlap matrix of a decomposition, validated against its invariants."""
-    stack = d.stacked()
-    omega = np.einsum("ikl,jkl->ij", stack, stack.conj())
+    """Overlap matrix of a decomposition, validated against its invariants:
+    Omega = V V^dag, one matrix product, with row i of V the flattened A_i."""
+    vecs = d.stacked().reshape(len(d), d.n * d.m)
+    omega = vecs @ vecs.conj().T
     herm = float(np.abs(omega - omega.conj().T).max())
     if herm > GRAM_TOL:
         raise NotHermitianError(f"NotHermitian: Gram residual {herm:.3e} > {GRAM_TOL:.3e}")
@@ -310,11 +311,11 @@ def lambda_poly(
     multiplies it by exactly lambda**(J-r)), or ``"N"`` / ``"M"``
     (require s = 2 and a two-member decomposition).
 
-    ``x`` is a :class:`PureStateDecomposition`, or the object already
-    built from one: the :class:`GramMatrix` for ``"det"``, the s=2
-    :class:`Hypermatrix` of format 2x2x2x2 for ``"N"`` / ``"M"``. A
-    decomposition is built into that object first; a built object of the
-    wrong kind or format raises :class:`UnsupportedFormatError`.
+    ``x`` is a :class:`PureStateDecomposition` or an object built from
+    one: its :class:`GramMatrix` or that matrix's :class:`InvariantVector`
+    for ``"det"``, its s=2 :class:`Hypermatrix` of format 2x2x2x2 for
+    ``"N"`` / ``"M"``. What is missing is built first; a built object of
+    the wrong kind or format raises :class:`UnsupportedFormatError`.
 
     Each polynomial has a closed form. ``"det"`` gives
     sum_i (-1)**i F_i lambda**(I-i), the signed F of :func:`f_invariants`
@@ -329,7 +330,7 @@ def lambda_poly(
     """
     if inv not in ("det", "N", "M"):
         raise UnsupportedFormatError(f"unknown invariant {inv!r}; use 'det', 'N' or 'M'")
-    want_s, want_type = (1, GramMatrix) if inv == "det" else (2, Hypermatrix)
+    want_s, want_type = (1, InvariantVector) if inv == "det" else (2, Hypermatrix)
     if s != want_s:
         raise UnsupportedFormatError(f"inv={inv!r} requires s={want_s}, got s={s}")
     if isinstance(x, PureStateDecomposition):
@@ -339,15 +340,13 @@ def lambda_poly(
                 f"inv={inv!r} requires a rank-2 decomposition, got I={len(x)}"
             )
         x = gram_matrix(x) if inv == "det" else hypermatrix(x, 2)
+    if inv == "det" and isinstance(x, GramMatrix):
+        x = f_invariants(x)
     if not isinstance(x, want_type):
-        raise UnsupportedFormatError(
-            f"inv={inv!r} needs a {want_type.__name__} or a decomposition, "
-            f"got {type(x).__name__}"
-        )
+        raise UnsupportedFormatError(f"inv={inv!r} cannot be read from a {type(x).__name__}")
     if inv == "det":
-        f = f_invariants(x).F
-        signs = (-1.0) ** np.arange(x.size + 1)
-        return Polynomial((signs * f)[::-1])
+        signs = (-1.0) ** np.arange(len(x))
+        return Polynomial((signs * x.F)[::-1])
     _require_2222(x, f"lambda_poly(inv={inv!r})")
     if inv == "N":
         return char_poly(_layout_matrix(x.flat(), N_LAYOUT))

@@ -1,7 +1,7 @@
 """Built-in verification suites for the command line.
 
-The fixture rows check that the bundled example states reproduce their
-published invariant values; they are computed once per run, from one
+The fixture rows, ``fixture_rows``, check that the bundled example states
+reproduce their published invariant values; they are computed from one
 fingerprint of each state and one screen of each pair.
 
 Every other property is one entry of the table ``properties``, and one
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivalence import fingerprint, screen
+from .fixtures import FIXTURE_NAMES, load_fixture
 from .invariants import (
     cayley_det_222,
     f_invariants,
@@ -67,8 +68,10 @@ class Property:
     full_only: bool = False
 
 
-def _fixture_rows(states: dict, fps: dict) -> list[SuiteResult]:
-    r1, r2, s1, s2 = (fps[k] for k in ("rho1", "rho2", "sigma1", "sigma2"))
+def fixture_rows() -> list[SuiteResult]:
+    """One result per published value of the example states and pairs."""
+    states = {key: load_fixture(key) for key in FIXTURE_NAMES}
+    r1, r2, s1, s2 = (fingerprint(rho) for rho in states.values())
     ex1 = screen(states["rho1"], states["rho2"])
     ex2 = screen(states["sigma1"], states["sigma2"])
     ky = 1.0 / math.sqrt(2.0)
@@ -276,14 +279,10 @@ def run_selftest(full: bool = False, seed: int = 0) -> list[SuiteResult]:
     padding and covariance suites and raises the trial count from 10 to
     100. The acceptance tests run the same suites at their own trial
     counts and seeds."""
-    from .fixtures import load_fixture
-
-    states = {key: load_fixture(key) for key in ("rho1", "rho2", "sigma1", "sigma2")}
-    fps = {key: fingerprint(rho) for key, rho in states.items()}
-    results = _fixture_rows(states, fps)
+    results = fixture_rows()
     trials = 100 if full else 10
     # suite i draws from seed + 7919 * i; the fixture rows are suites 0 and 1
-    for i, prop in enumerate(properties(states["rho1"]).values(), start=2):
+    for i, prop in enumerate(properties(load_fixture("rho1")).values(), start=2):
         if full or not prop.full_only:
             results += run_property(prop, trials, seed + 7919 * i)
     return results

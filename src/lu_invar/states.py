@@ -1,10 +1,10 @@
 """Quantum-state data model.
 
 A mixed state is a validated density matrix tagged with its subsystem
-dimensions. A pure-state decomposition is stored as the list of weighted
-coefficient matrices A_i (the sqrt-probability is absorbed into each
-matrix, never kept separately): the state vector sqrt(p_i)|v_i> with
-coefficient c at basis ket |k l> becomes matrix entry (A_i)[k, l].
+dimensions. A pure-state decomposition is stored as one (I, n, m) stack
+of weighted coefficient matrices A_i (the sqrt-probability is absorbed
+into each matrix, never kept separately): the state vector sqrt(p_i)|v_i>
+with coefficient c at basis ket |k l> becomes matrix entry (A_i)[k, l].
 
 Basis enumeration is big-endian over the listed dimension order, i.e.
 row-major: the composite index of (k_1, ..., k_m) is the mixed-radix
@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     BadCutError,
     BadLengthError,
+    BadShapeError,
     DimensionMismatchError,
     NotHermitianError,
     NotPSDError,
@@ -90,40 +91,45 @@ def validate_density(mat, dims, tol: float = DENSITY_TOL) -> DensityMatrix:
 class PureStateDecomposition:
     """Coefficient matrices A_i of one pure-state decomposition.
 
-    Each A_i is n x m; summing vec(A_i) vec(A_i)^dag over i reproduces the
-    source density matrix, and sum_i tr(A_i A_i^dag) is the total
-    probability (1 for a unit-trace state).
+    ``stack`` holds every n x m matrix A_i in one read-only (I, n, m)
+    array; summing vec(A_i) vec(A_i)^dag over i reproduces the source
+    density matrix, and sum_i tr(A_i A_i^dag) is the total probability (1
+    for a unit-trace state). Build it with :func:`make_decomposition`.
     """
 
     n: int
     m: int
-    mats: tuple[np.ndarray, ...]
+    stack: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.mats)
+        return len(self.stack)
+
+    @property
+    def mats(self) -> tuple[np.ndarray, ...]:
+        """The matrices A_i as read-only views into the stack."""
+        return tuple(self.stack)
 
     def stacked(self) -> np.ndarray:
-        """The matrices as one (I, n, m) array."""
-        return np.stack(self.mats)
+        """The matrices as one read-only (I, n, m) array, without a copy."""
+        return self.stack
 
 
 def make_decomposition(mats) -> PureStateDecomposition:
-    """Bundle coefficient matrices, checking they share one n x m shape."""
-    arrs = tuple(as_complex_matrix(a) for a in mats)
-    if not arrs:
+    """Copy n x m coefficient matrices, a sequence or an (I, n, m) array,
+    into one read-only complex stack, checking their shapes and that
+    every entry is finite."""
+    try:
+        stack = np.array(mats, dtype=complex)
+    except ValueError as exc:  # members of different shapes, or not numbers
+        raise DimensionMismatchError(f"not one stack of n x m matrices: {exc}") from exc
+    if stack.shape[:1] == (0,):
         raise BadLengthError("a decomposition needs at least one coefficient matrix")
-    n, m = arrs[0].shape
-    for a in arrs:
-        if a.shape != (n, m):
-            raise DimensionMismatchError(
-                f"coefficient matrices disagree in shape: {a.shape} vs {(n, m)}"
-            )
-    frozen = []
-    for a in arrs:
-        a = a.copy()
-        a.setflags(write=False)
-        frozen.append(a)
-    return PureStateDecomposition(n=n, m=m, mats=tuple(frozen))
+    if stack.ndim != 3 or 0 in stack.shape:
+        raise BadShapeError(f"expected a stack of n x m matrices, got shape {stack.shape}")
+    if not np.all(np.isfinite(stack.view(float))):
+        raise BadShapeError("coefficient matrices contain NaN or Inf entries")
+    stack.setflags(write=False)
+    return PureStateDecomposition(n=stack.shape[1], m=stack.shape[2], stack=stack)
 
 
 def reconstruct(d: PureStateDecomposition) -> np.ndarray:
@@ -134,40 +140,40 @@ def reconstruct(d: PureStateDecomposition) -> np.ndarray:
 
 def total_weight(d: PureStateDecomposition) -> float:
     """sum_i tr(A_i A_i^dag); equals tr(rho) for a faithful decomposition."""
-    return float(sum(np.vdot(a, a).real for a in d.mats))
+    return float(np.vdot(d.stacked(), d.stacked()).real)
 
 
 def flatten_multipartite(coeffs, dims, cut: int) -> np.ndarray:
-    """Reshape a coefficient vector over (k_1, ..., k_m) to an N1 x N2 matrix.
+    """Reshape coefficient vectors over (k_1, ..., k_m) to N1 x N2 matrices.
 
-    The row index is the big-endian mixed-radix number of (k_1, ..., k_cut),
-    the column index that of the remaining indices. For two subsystems and
-    cut 1 this is the plain n x m reshape.
+    The vectors run along the last axis, so one vector gives one matrix
+    and an (I, N) stack an (I, N1, N2) stack. The row index is the
+    big-endian mixed-radix number of (k_1, ..., k_cut), the column index
+    that of the remaining indices. For two subsystems and cut 1 this is
+    the plain n x m reshape.
     """
     dims = tuple(int(x) for x in dims)
-    m = len(dims)
-    if not 1 <= cut < m:
-        raise BadCutError(f"cut must satisfy 1 <= cut < {m}, got {cut}")
-    c = np.asarray(coeffs, dtype=complex).reshape(-1)
-    if c.size != math.prod(dims):
+    c = np.asarray(coeffs, dtype=complex)
+    if c.shape[-1:] != (math.prod(dims),):
         raise BadLengthError(
-            f"coefficient vector has length {c.size}, expected prod{dims} = {math.prod(dims)}"
+            f"coefficient vectors have shape {c.shape}, expected length "
+            f"prod{dims} = {math.prod(dims)} along the last axis"
         )
-    n1 = math.prod(dims[:cut])
-    n2 = math.prod(dims[cut:])
-    return c.reshape(n1, n2)
+    return c.reshape(c.shape[:-1] + _cut_sizes(dims, cut))
+
+
+def _cut_sizes(dims: tuple[int, ...], cut: int) -> tuple[int, int]:
+    """(N1, N2): the sizes of the first ``cut`` subsystems and of the rest."""
+    if not 1 <= cut < len(dims):
+        raise BadCutError(f"cut must satisfy 1 <= cut < {len(dims)}, got {cut}")
+    return math.prod(dims[:cut]), math.prod(dims[cut:])
 
 
 def merge_cut(rho: DensityMatrix, cut: int = 1) -> DensityMatrix:
     """View a multipartite state as bipartite across the given cut."""
-    m = len(rho.dims)
-    if m == 1:
+    if len(rho.dims) == 1:
         raise BadCutError("cannot bipartition a single-subsystem state")
-    if not 1 <= cut < m:
-        raise BadCutError(f"cut must satisfy 1 <= cut < {m}, got {cut}")
-    n1 = math.prod(rho.dims[:cut])
-    n2 = math.prod(rho.dims[cut:])
-    return DensityMatrix(dims=(n1, n2), mat=rho.mat, tol=rho.tol)
+    return DensityMatrix(dims=_cut_sizes(rho.dims, cut), mat=rho.mat, tol=rho.tol)
 
 
 def eigen_decomposition(
@@ -180,7 +186,9 @@ def eigen_decomposition(
     scale-aware: 1e-10 times the largest eigenvalue.
 
     For more than two subsystems the coefficient vectors are flattened
-    across ``cut`` (first ``cut`` subsystems versus the rest).
+    across ``cut`` (first ``cut`` subsystems versus the rest). Member i,
+    sqrt(w_i) times the i-th eigenvector, is built with all the others as
+    one scaled and reshaped stack.
     """
     w, v = hermitian_eig(rho.mat, tol=max(rho.tol, 1e-10))
     if rank_tol is None:
@@ -188,11 +196,8 @@ def eigen_decomposition(
     rank = int(np.sum(w > rank_tol))
     if rank == 0:
         raise NotPSDError("state has numerical rank 0; not a valid density matrix")
-    mats = [
-        np.sqrt(w[i]) * flatten_multipartite(v[:, i], rho.dims, cut)
-        for i in range(rank)
-    ]
-    return make_decomposition(mats)
+    weighted = (v[:, :rank] * np.sqrt(w[:rank])).T  # row i is sqrt(w_i) v_i
+    return make_decomposition(flatten_multipartite(weighted, rho.dims, cut))
 
 
 def mix_decomposition(d: PureStateDecomposition, u) -> PureStateDecomposition:
@@ -207,15 +212,15 @@ def mix_decomposition(d: PureStateDecomposition, u) -> PureStateDecomposition:
             f"mixing matrix is {u.shape[0]}x{u.shape[0]} but decomposition has {len(d)} members"
         )
     mixed = np.einsum("ij,jkl->ikl", u, d.stacked())
-    return make_decomposition(list(mixed))
+    return make_decomposition(mixed)
 
 
 def pad_with_zeros(d: PureStateDecomposition, j: int) -> PureStateDecomposition:
     """Append j - I all-zero coefficient matrices (j >= I required)."""
     if j < len(d):
         raise BadLengthError(f"target length {j} is below current length {len(d)}")
-    zeros = [np.zeros((d.n, d.m), dtype=complex) for _ in range(j - len(d))]
-    return make_decomposition(list(d.mats) + zeros)
+    zeros = np.zeros((j - len(d), d.n, d.m), dtype=complex)
+    return make_decomposition(np.concatenate([d.stacked(), zeros]))
 
 
 def apply_local_unitary(d: PureStateDecomposition, p, q) -> PureStateDecomposition:
@@ -232,7 +237,7 @@ def apply_local_unitary(d: PureStateDecomposition, p, q) -> PureStateDecompositi
             f"local unitaries {p.shape[0]}x{p.shape[0]}, {q.shape[0]}x{q.shape[0]} "
             f"do not fit coefficient matrices {d.n}x{d.m}"
         )
-    return make_decomposition([p @ a @ q.T for a in d.mats])
+    return make_decomposition(p @ d.stacked() @ q.T)
 
 
 def apply_local_unitary_density(rho: DensityMatrix, locals_) -> DensityMatrix:

@@ -4,6 +4,8 @@ Each test collects every failed clause before reporting, so a criterion's
 printed line always appears and lists everything that went wrong. Run
 with ``pytest tests/test_acceptance.py -v -s`` to see all lines.
 
+Criteria 1-3 read the published fixture values from the ``selftest``
+fixture rows, with those rows' bounds, and add their own CLI clauses.
 Criteria 4-10 are randomized: each runs one ``selftest`` property through
 the ``selftest`` driver at the criterion's own trial count, seed and
 bounds. Their random states cover (2,2) and (2,3) at every rank from 1
@@ -13,13 +15,9 @@ to 4, and a NaN deviation fails the criterion.
 import json
 import time
 
-import numpy as np
-
 from lu_invar.cli import main
-from lu_invar.equivalence import fingerprint
 from lu_invar.fixtures import fixture_path, load_fixture
-from lu_invar.invariants import realignment_kyfan
-from lu_invar.selftest import properties, run_property
+from lu_invar.selftest import fixture_rows, properties, run_property
 
 RHO1 = str(fixture_path("rho1"))
 RHO2 = str(fixture_path("rho2"))
@@ -32,6 +30,17 @@ def finish(name, failures):
     detail = "" if not failures else " (" + "; ".join(failures) + ")"
     print(f"[acceptance] {name}: {status}{detail}")
     assert not failures, f"{name}{detail}"
+
+
+def fixture_failures(*names):
+    """The failed clauses among the ``selftest`` fixture rows ``names``;
+    a name with no row fails too."""
+    rows = {r.name: r for r in fixture_rows()}
+    return [
+        f"{name}: {rows[name].detail}" if name in rows else f"no fixture row {name!r}"
+        for name in names
+        if name not in rows or not rows[name].passed
+    ]
 
 
 def run_criterion(key, trials, seed, bounds):
@@ -49,14 +58,8 @@ def run_criterion(key, trials, seed, bounds):
 
 
 def test_criterion_01_example1_regression(capsys):
-    failures = []
     start = time.perf_counter()
-    fp1 = fingerprint(load_fixture("rho1"))
-    fp2 = fingerprint(load_fixture("rho2"))
-    if not abs(fp1.N_value - 1.0 / 256.0) <= 1e-12:
-        failures.append(f"N(rho1) = {fp1.N_value}, expected 1/256")
-    if not abs(fp2.N_value) <= 1e-12:
-        failures.append(f"N(rho2) = {fp2.N_value}, expected 0")
+    failures = fixture_failures("Example1: N(rho1)=1/256", "Example1: N(rho2)=0")
     code = main(["compare", RHO1, RHO2, "--json"])
     doc = json.loads(capsys.readouterr().out)
     if code != 1:
@@ -71,13 +74,7 @@ def test_criterion_01_example1_regression(capsys):
 
 
 def test_criterion_02_example2_regression(capsys):
-    failures = []
-    fp1 = fingerprint(load_fixture("sigma1"))
-    fp2 = fingerprint(load_fixture("sigma2"))
-    if not abs(fp1.M_value - 1.0 / 6561.0) <= 1e-12:
-        failures.append(f"M(sigma1) = {fp1.M_value}, expected 1/6561")
-    if not abs(fp2.M_value) <= 1e-12:
-        failures.append(f"M(sigma2) = {fp2.M_value}, expected 0")
+    failures = fixture_failures("Example2: M(sigma1)=1/6561, M(sigma2)=0")
     code = main(["compare", SIGMA1, SIGMA2, "--json"])
     doc = json.loads(capsys.readouterr().out)
     if code != 1:
@@ -107,12 +104,7 @@ def test_criterion_02_example2_regression(capsys):
 
 
 def test_criterion_03_kyfan_baseline(capsys):
-    failures = []
-    target = 1.0 / np.sqrt(2.0)
-    for name in ("rho1", "rho2"):
-        value = realignment_kyfan(load_fixture(name))
-        if not abs(value - target) <= 1e-10:
-            failures.append(f"kyfan({name}) = {value}, expected 1/sqrt(2)")
+    failures = fixture_failures("Example1: realignment Ky Fan norm = 1/sqrt(2) for both")
     with capsys.disabled():
         finish("criterion 3 (realignment Ky Fan norm baseline)", failures)
 

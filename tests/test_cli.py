@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import lu_invar.invariants
-from lu_invar.cli import main
+from lu_invar.cli import _sci, main
 from lu_invar.fixtures import fixture_path
 from lu_invar.statefile import dumps, load_state
 
@@ -81,6 +81,16 @@ class TestCompute:
         assert "matrix entry (0, 1)" in capsys.readouterr().err
         assert main(["compare", RHO1, path]) == 2
         assert "matrix entry (0, 1)" in capsys.readouterr().err
+
+
+class TestSci:
+    def test_shortest_round_trip_digits(self):
+        for x in (1.0000000000000002, 0.25000000000000011, 1 / 256, -7.5e5, 5e-324, 1e300):
+            assert float(_sci(x)) == x
+        assert _sci(1.0000000000000002) == "1.0000000000000002e0"
+        assert _sci(1 / 256) == "3.90625e-3"
+        assert _sci(-7.5e5) == "-750000"
+        assert _sci(0.0) == "0"
 
 
 class TestCompare:

@@ -17,6 +17,25 @@ from lu_invar.states import (
 from oracles import elementary_symmetric
 
 
+def count_calls(monkeypatch, names):
+    """Count the calls to each named ``lu_invar.invariants`` function,
+    patched where both ``invariants`` and ``equivalence`` look it up."""
+    import lu_invar.equivalence
+    import lu_invar.invariants
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(lu_invar.invariants, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lu_invar.invariants, name, counted)
+        monkeypatch.setattr(lu_invar.equivalence, name, counted)
+    return calls
+
+
 class TestFingerprint:
     def test_rho1(self, rho1):
         fp = fingerprint(rho1)
@@ -100,22 +119,20 @@ class TestFingerprint:
     def test_one_build_per_fingerprint(self, rho1, monkeypatch):
         # the Gram matrix and the s=2 hypermatrix are built once and every
         # invariant is read from them
-        import lu_invar.equivalence
-        import lu_invar.invariants
-
-        calls = {"gram_matrix": 0, "hypermatrix": 0}
-        for name in calls:
-            original = getattr(lu_invar.invariants, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(lu_invar.invariants, name, counted)
-            monkeypatch.setattr(lu_invar.equivalence, name, counted)
+        calls = count_calls(monkeypatch, ("gram_matrix", "hypermatrix"))
         fp = fingerprint(rho1)
         assert fp.rank == 2
         assert calls == {"gram_matrix": 1, "hypermatrix": 1}
+
+    def test_f_invariants_once_per_fingerprint(self, rho1, monkeypatch):
+        # lambda_det is the signed, reversed F that the fingerprint reports
+        calls = count_calls(monkeypatch, ("f_invariants",))
+        for rho in (rho1, random_density((3, 3), 9, seed=81)):
+            calls["f_invariants"] = 0
+            fp = fingerprint(rho)
+            assert calls == {"f_invariants": 1}
+            signs = (-1.0) ** np.arange(fp.rank + 1)
+            assert np.array_equal(fp.lambda_coeffs["det"], (signs * fp.F)[::-1])
 
 
 class TestScreen:

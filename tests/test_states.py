@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from lu_invar.errors import (
     BadCutError,
     BadLengthError,
+    BadShapeError,
     DimensionMismatchError,
     NotHermitianError,
     NotPSDError,
@@ -11,12 +14,13 @@ from lu_invar.errors import (
     NotUnitaryError,
 )
 from lu_invar.invariants import gram_matrix
-from lu_invar.linalg import char_poly, haar_unitary
+from lu_invar.linalg import char_poly, haar_unitary, hermitian_eig
 from lu_invar.states import (
     apply_local_unitary,
     apply_local_unitary_density,
     eigen_decomposition,
     flatten_multipartite,
+    make_decomposition,
     mix_decomposition,
     pad_with_zeros,
     random_density,
@@ -108,6 +112,55 @@ class TestEigenDecomposition:
         omega = gram_matrix(d).omega
         w = np.sort(np.linalg.eigvalsh(rho.mat))[::-1][:3]
         assert np.abs(omega - np.diag(w)).max() < 1e-10
+
+    def test_multipartite_stack_matches_per_member_oracle(self):
+        # oracle: member i built on its own as sqrt(w_i) * flatten(v_i)
+        for dims in ((2, 2, 2), (2, 3, 2)):
+            size = math.prod(dims)
+            for cut in (1, 2):
+                for rank in (1, 2, size):
+                    rho = random_density(dims, rank, seed=10 * size + rank + cut)
+                    d = eigen_decomposition(rho, cut=cut)
+                    assert (d.n, d.m) == (math.prod(dims[:cut]), math.prod(dims[cut:]))
+                    assert len(d) == rank
+                    assert np.abs(reconstruct(d) - rho.mat).max() < 1e-10
+                    w, v = hermitian_eig(rho.mat, tol=max(rho.tol, 1e-10))
+                    for i, a in enumerate(d.mats):
+                        oracle = np.sqrt(w[i]) * flatten_multipartite(v[:, i], dims, cut)
+                        assert np.array_equal(a, oracle)
+
+    def test_stack_read_only_and_not_copied(self, rho1):
+        d = eigen_decomposition(rho1)
+        stack = d.stacked()
+        assert stack is d.stacked()
+        assert not stack.flags.writeable
+        assert not d.mats[0].flags.writeable
+        assert np.shares_memory(stack, d.mats[0])
+
+    def test_cut_out_of_range(self):
+        rho = random_density((2, 2, 2), 2, seed=8)
+        for cut in (0, 3):
+            with pytest.raises(BadCutError):
+                eigen_decomposition(rho, cut=cut)
+
+
+class TestMakeDecomposition:
+    def test_copies_once_into_a_stack(self):
+        mats = [np.eye(2), np.ones((2, 2))]
+        d = make_decomposition(mats)
+        mats[0][0, 0] = 5.0
+        assert d.stacked().shape == (2, 2, 2)
+        assert np.array_equal(d.mats[0], np.eye(2))
+
+    def test_invalid_input_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            make_decomposition([np.eye(2), np.ones((2, 3))])
+        with pytest.raises(BadLengthError):
+            make_decomposition([])
+        with pytest.raises(BadShapeError):
+            make_decomposition([np.ones(2), np.ones(2)])
+        with pytest.raises(BadShapeError):
+            make_decomposition([np.array([[np.nan, 0.0], [0.0, 1.0]])])
 
 
 class TestMixDecomposition:
