@@ -20,11 +20,16 @@ Implemented invariant polynomials, each computed in closed form:
   signed F for ``det``, a characteristic polynomial for N and a linear
   polynomial for M,
 * the Ky Fan (trace) norm of the realignment matrix, the classical
-  comparison baseline.
+  comparison baseline. For Hermitian rho the realigned R satisfies
+  R = S_n conj(R) S_m, with S the swap (i,j) -> (j,i), so in the
+  orthonormal basis {e_ii, (e_ij + e_ji)/sqrt(2), i(e_ij - e_ji)/sqrt(2)}
+  the matrix Q_n^dag R Q_m is real with the same singular values; the
+  norm comes from the real SVD of that matrix.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +43,7 @@ from .errors import (
     TooLargeError,
     UnsupportedFormatError,
 )
-from .linalg import Polynomial, char_poly, determinant, singular_values
+from .linalg import Polynomial, as_complex_matrix, char_poly, determinant, singular_values
 from .states import DensityMatrix, PureStateDecomposition
 
 GRAM_TOL = 1e-10
@@ -74,7 +79,7 @@ def gram_matrix(d: PureStateDecomposition) -> GramMatrix:
     w = np.linalg.eigvalsh(omega)
     if w.min() < -GRAM_TOL:
         raise NotPSDError(f"NotPSD: Gram min eigenvalue {w.min():.3e} < -{GRAM_TOL:.3e}")
-    tr = float(np.trace(omega).real)
+    tr = float(omega.trace().real)
     if abs(tr - 1.0) > GRAM_TOL:
         raise NotUnitTraceError(
             f"NotUnitTrace: Gram trace {tr!r} differs from 1 by {abs(tr - 1.0):.3e}"
@@ -106,10 +111,11 @@ def f_invariants(g: GramMatrix) -> InvariantVector:
     F_i keeps its relative accuracy however small it is. F_0 is exactly
     1 and every F_i is real.
     """
-    f = np.zeros(g.size + 1, dtype=complex)
+    f = np.zeros(g.size + 1)
     f[0] = 1.0
-    for x in g.spectrum:
+    for x in g.spectrum:  # real arithmetic on the real spectrum
         f[1:] += x * f[:-1]
+    f = f.astype(complex)
     f.setflags(write=False)
     return InvariantVector(F=f)
 
@@ -151,7 +157,7 @@ def _validate_hypermatrix_symmetries(t: np.ndarray, s: int) -> None:
         raise BadShapeError("hypermatrix violates conjugate symmetry")
     # simultaneous cyclic shift of the s (i, j) pairs (trace cyclicity)
     if s > 1:
-        rolled = np.moveaxis(t, [0, 1], [2 * s - 2, 2 * s - 1])
+        rolled = t.transpose(*range(2, 2 * s), 0, 1)
         if np.abs(t - rolled).max() > 1e-10 * scale:
             raise BadShapeError("hypermatrix violates cyclic symmetry")
 
@@ -266,8 +272,17 @@ M_LAYOUT = ((0, 8, 4, 12), (1, 9, 5, 13), (2, 10, 6, 14), (3, 11, 7, 15))
 _M_IDENTITY = np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0])
 
 
+@functools.lru_cache(maxsize=4)
+def _layout_index(layout) -> np.ndarray:
+    """The index array of a layout, built once per layout. Keyed by the
+    layout itself, so the module constants are read at every call."""
+    index = np.array(layout)
+    index.setflags(write=False)
+    return index
+
+
 def _layout_matrix(flat: np.ndarray, layout) -> np.ndarray:
-    return flat[np.asarray(layout)]
+    return flat[_layout_index(layout)]
 
 
 def _require_2222(h: Hypermatrix, name: str) -> None:
@@ -350,9 +365,18 @@ def lambda_poly(
     _require_2222(x, f"lambda_poly(inv={inv!r})")
     if inv == "N":
         return char_poly(_layout_matrix(x.flat(), N_LAYOUT))
-    mat = _layout_matrix(x.flat(), M_LAYOUT)
-    det_x = determinant(mat)
-    return Polynomial([det_x, determinant(mat - _M_IDENTITY) - det_x])
+    mat = as_complex_matrix(_layout_matrix(x.flat(), M_LAYOUT))
+    # det X and det(X - u u^T) from one batched LU factorization
+    det_x, det_shifted = np.linalg.det(np.stack((mat, mat - _M_IDENTITY)))
+    return Polynomial([det_x, det_shifted - det_x])
+
+
+def _bipartite_dims(rho: DensityMatrix) -> tuple[int, int]:
+    if len(rho.dims) != 2:
+        raise NotBipartiteError(
+            f"realignment needs a bipartite state, got {len(rho.dims)} subsystems"
+        )
+    return rho.dims
 
 
 def realignment(rho: DensityMatrix) -> np.ndarray:
@@ -361,15 +385,84 @@ def realignment(rho: DensityMatrix) -> np.ndarray:
     R has shape n^2 x m^2 with R[(i,j),(k,l)] = rho[(i,k),(j,l)], indices
     big-endian as everywhere in this package.
     """
-    if len(rho.dims) != 2:
-        raise NotBipartiteError(
-            f"realignment needs a bipartite state, got {len(rho.dims)} subsystems"
-        )
-    n, m = rho.dims
+    n, m = _bipartite_dims(rho)
     four = rho.mat.reshape(n, m, n, m)  # axes (i, k, j, l)
     return four.transpose(0, 2, 1, 3).reshape(n * n, m * m)
 
 
+_DIAG, _SYM, _ANTI = 0, 1, 2
+# Entry (a, b) of the real realigned matrix is w1 part(z1) + w2 part(z2),
+# tabulated by the kinds of a (row) and b (column); see
+# _real_realignment_plan. _WEIGHT holds w1 and w2, _IMAG whether part is
+# the imaginary part.
+_SQRT2 = np.sqrt(2.0)
+_WEIGHT = np.array([
+    [[1.0, _SQRT2, -_SQRT2], [_SQRT2, 1.0, -1.0], [_SQRT2, 1.0, 1.0]],
+    [[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, -1.0]],
+])
+_IMAG = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+
+
+def _swap_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, kind) of each vector of the swap-adapted orthonormal basis of
+    C^(n*n), in order: e_ii; (e_ij + e_ji)/sqrt(2) for i < j;
+    i(e_ij - e_ji)/sqrt(2) for i < j."""
+    diag = np.arange(n)
+    iu, ju = np.nonzero(diag[:, None] < diag)
+    kind = np.repeat([_DIAG, _SYM, _ANTI], [n, len(iu), len(iu)])
+    return np.concatenate([diag, iu, iu]), np.concatenate([diag, ju, ju]), kind
+
+
+@functools.lru_cache(maxsize=16)
+def _real_realignment_plan(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, weight), each (2, n^2, m^2), such that the real realigned
+    matrix is sum_t weight[t] * x[index[t]], x the float view of rho.
+
+    Entry (a, b) of Q_n^dag R Q_m, for a basis vector a on (i, j) and b on
+    (k, l), reads z1 = R[(i,j),(k,l)] and z2 = R[(i,j),(l,k)]. Hermiticity,
+    R[(j,i),(l,k)] = conj R[(i,j),(k,l)], folds the other entries onto
+    these two:
+
+                 b = e_kk      b = sym         b = anti
+      a = e_ii   Re z1         sqrt2 Re z1     -sqrt2 Im z1
+      a = sym    sqrt2 Re z1   Re z1 + Re z2   -Im z1 + Im z2
+      a = anti   sqrt2 Im z1   Im z1 + Im z2   Re z1 - Re z2
+
+    Both entries lie in rho's upper triangle (row <= column), and a
+    diagonal one only by its real part.
+    """
+    i, j, kind_a = _swap_basis(n)
+    k, l, kind_b = _swap_basis(m)
+    size = n * m
+    row = (i * m * size + j * m)[:, None]  # R[(i,j),(k,l)] = rho[i*m + k, j*m + l]
+    kinds = (3 * kind_a)[:, None] + kind_b  # positions in the flattened 3x3 tables
+    # the float view holds Re at 2p and Im at 2p + 1
+    index = 2 * np.stack([row + k * size + l, row + l * size + k]) + _IMAG.take(kinds)
+    weight = _WEIGHT.reshape(2, 9).take(kinds, axis=1)
+    index.setflags(write=False)
+    weight.setflags(write=False)
+    return index, weight
+
+
+def _real_realignment(rho: DensityMatrix) -> np.ndarray:
+    """The real matrix Q_n^dag R Q_m, with Q_n the unitary whose columns
+    are the basis of :func:`_swap_basis`, gathered from rho's entries by a
+    plan cached per (n, m)."""
+    n, m = _bipartite_dims(rho)
+    index, weight = _real_realignment_plan(n, m)
+    x = np.ascontiguousarray(rho.mat, dtype=complex).view(float).ravel()
+    return (weight * x[index]).sum(axis=0)
+
+
 def realignment_kyfan(rho: DensityMatrix) -> float:
-    """Ky Fan norm (sum of all singular values) of the realigned matrix."""
-    return float(np.sum(singular_values(realignment(rho))))
+    """Ky Fan norm (sum of all singular values) of the realigned matrix R.
+
+    For Hermitian rho, R = S_n conj(R) S_m with S the swap (i,j) -> (j,i).
+    The orthonormal basis Q = {e_ii, (e_ij + e_ji)/sqrt(2),
+    i(e_ij - e_ji)/sqrt(2)} has S conj(Q) = Q, so Q_n^dag R Q_m is real and,
+    Q being unitary, has the singular values of R: the norm is the sum from
+    a real SVD of the same size. rho is read as the Hermitian matrix with
+    its upper triangle and the real part of its diagonal, from which a
+    validated state differs by at most its tolerance.
+    """
+    return float(singular_values(_real_realignment(rho)).sum())

@@ -28,10 +28,13 @@ UNITARITY_TOL = 1e-10
 
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a 2-d complex128 array, rejecting non-finite entries."""
-    a = np.asarray(m, dtype=complex)
+    return _finite_matrix(np.asarray(m, dtype=complex))
+
+
+def _finite_matrix(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise BadShapeError(f"expected a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise BadShapeError("matrix contains NaN or Inf entries")
     return a
 
@@ -121,13 +124,18 @@ def hermitian_eig(h, tol: float = HERMITICITY_TOL):
         w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(f"NoConvergence: eigh failed: {exc}") from exc
-    order = np.argsort(w)[::-1]
-    return w[order].astype(float), v[:, order]
+    # eigh returns the eigenvalues ascending; reversed views make them descending
+    return w[::-1], v[:, ::-1]
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values of a rectangular matrix, descending and nonnegative."""
-    m = as_complex_matrix(m)
+    """Singular values of a rectangular matrix, descending and nonnegative.
+
+    Real input (bool, integer or float) stays real as float64, so it takes
+    the real SVD; anything else is coerced to complex128.
+    """
+    m = np.asarray(m)
+    m = _finite_matrix(m.astype(float if m.dtype.kind in "biuf" else complex, copy=False))
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -158,11 +166,12 @@ def char_poly(m) -> Polynomial:
     coeffs = np.zeros(n + 1, dtype=complex)
     coeffs[n] = 1.0
     mk = m.copy()
-    c = -np.trace(mk)
+    c = -mk.trace()
     coeffs[n - 1] = c
     for k in range(2, n + 1):
-        mk = m @ (mk + c * np.eye(n))
-        c = -np.trace(mk) / k
+        mk.flat[:: n + 1] += c  # mk + c E in place; mk is a copy or a product, never m
+        mk = m @ mk
+        c = -mk.trace() / k
         coeffs[n - k] = c
     return Polynomial(coeffs)
 

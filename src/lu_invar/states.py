@@ -76,7 +76,7 @@ def validate_density(mat, dims, tol: float = DENSITY_TOL) -> DensityMatrix:
     herm = hermiticity_residual(mat)
     if herm > tol:
         raise NotHermitianError(f"NotHermitian: max |rho - rho^dag| = {herm:.3e} > tol {tol:.3e}")
-    tr = complex(np.trace(mat))
+    tr = complex(mat.trace())
     if abs(tr - 1.0) > tol:
         raise NotUnitTraceError(f"NotUnitTrace: |tr(rho) - 1| = {abs(tr - 1.0):.3e} > tol {tol:.3e}")
     w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
@@ -126,7 +126,7 @@ def make_decomposition(mats) -> PureStateDecomposition:
         raise BadLengthError("a decomposition needs at least one coefficient matrix")
     if stack.ndim != 3 or 0 in stack.shape:
         raise BadShapeError(f"expected a stack of n x m matrices, got shape {stack.shape}")
-    if not np.all(np.isfinite(stack.view(float))):
+    if not np.isfinite(stack).all():
         raise BadShapeError("coefficient matrices contain NaN or Inf entries")
     stack.setflags(write=False)
     return PureStateDecomposition(n=stack.shape[1], m=stack.shape[2], stack=stack)
@@ -193,7 +193,7 @@ def eigen_decomposition(
     w, v = hermitian_eig(rho.mat, tol=max(rho.tol, 1e-10))
     if rank_tol is None:
         rank_tol = 1e-10 * max(w[0], 0.0)
-    rank = int(np.sum(w > rank_tol))
+    rank = np.count_nonzero(w > rank_tol)
     if rank == 0:
         raise NotPSDError("state has numerical rank 0; not a valid density matrix")
     weighted = (v[:, :rank] * np.sqrt(w[:rank])).T  # row i is sqrt(w_i) v_i

@@ -124,6 +124,28 @@ class TestFingerprint:
         assert fp.rank == 2
         assert calls == {"gram_matrix": 1, "hypermatrix": 1}
 
+    def test_lapack_calls_per_fingerprint(self, rho1, monkeypatch):
+        # one eigh for the decomposition, one eigvalsh for the Gram check,
+        # one real SVD for Ky Fan and, at rank 2, one det for N and one
+        # batched det for lambda_M
+        calls = {name: [] for name in ("eigh", "eigvalsh", "svd", "det")}
+        for name, record in calls.items():
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, _record=record, **kwargs):
+                _record.append(np.asarray(a).dtype)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        full = random_density((3, 3), 9, seed=82)
+        for rho, dets in ((rho1, 2), (full, 0)):
+            for record in calls.values():
+                record.clear()
+            fingerprint(rho)
+            counts = {name: len(record) for name, record in calls.items()}
+            assert counts == {"eigh": 1, "eigvalsh": 1, "svd": 1, "det": dets}
+            assert calls["svd"] == [np.float64]
+
     def test_f_invariants_once_per_fingerprint(self, rho1, monkeypatch):
         # lambda_det is the signed, reversed F that the fingerprint reports
         calls = count_calls(monkeypatch, ("f_invariants",))

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from lu_invar.invariants import (
     invariant_M,
     invariant_N,
     lambda_poly,
+    _real_realignment,
     realignment,
     realignment_kyfan,
 )
@@ -29,12 +31,32 @@ from lu_invar.states import (
     apply_local_unitary,
     eigen_decomposition,
     make_decomposition,
+    merge_cut,
     mix_decomposition,
     pad_with_zeros,
     random_density,
     validate_density,
 )
-from oracles import elementary_symmetric, hyper_entry, leibniz_det, realign_loops
+from oracles import (
+    elementary_symmetric,
+    hyper_entry,
+    leibniz_det,
+    realign_loops,
+    swap_adapted_basis,
+)
+
+# (dims, cut) of the realignment oracle tests; a three-party state is
+# realigned across its cut
+REALIGNMENT_CASES = [
+    ((2, 2), 1), ((2, 3), 1), ((3, 2), 1), ((3, 3), 1), ((4, 4), 1), ((8, 8), 1),
+    ((2, 2, 2), 1), ((2, 2, 2), 2),
+]
+REALIGNMENT_IDS = [f"{'x'.join(map(str, dims))}-cut{cut}" for dims, cut in REALIGNMENT_CASES]
+
+
+def realignment_case(dims, cut, rank, seed):
+    rho = random_density(dims, math.prod(dims) if rank == "full" else rank, seed=seed)
+    return rho if len(dims) == 2 else merge_cut(rho, cut)
 
 
 class TestGramMatrix:
@@ -401,6 +423,26 @@ class TestRealignment:
         r = realignment(rho)
         assert r.shape == (4, 9)
         assert np.abs(r - realign_loops(rho.mat, 2, 3)).max() < 1e-15
+
+    @pytest.mark.parametrize("dims, cut", REALIGNMENT_CASES, ids=REALIGNMENT_IDS)
+    @pytest.mark.parametrize("rank", [1, 2, "full"], ids=lambda r: f"rank{r}")
+    def test_kyfan_matches_complex_svd_oracle(self, dims, cut, rank):
+        rho = realignment_case(dims, cut, rank, seed=82)
+        r = realign_loops(rho.mat, *rho.dims)
+        expected = np.linalg.svd(r, compute_uv=False).sum()
+        assert abs(realignment_kyfan(rho) - expected) < 1e-13
+
+    @pytest.mark.parametrize("dims, cut", REALIGNMENT_CASES, ids=REALIGNMENT_IDS)
+    def test_real_matrix_is_swap_adapted_change_of_basis(self, dims, cut):
+        rho = realignment_case(dims, cut, 2, seed=83)
+        n, m = rho.dims
+        qn, qm = swap_adapted_basis(n), swap_adapted_basis(m)
+        assert np.abs(qn.conj().T @ qn - np.eye(n * n)).max() < 1e-15
+        dense = qn.conj().T @ realign_loops(rho.mat, n, m) @ qm
+        assert np.abs(dense.imag).max() <= 1e-15
+        real = _real_realignment(rho)
+        assert real.dtype == np.float64
+        assert np.abs(real - dense.real).max() <= 1e-15
 
     def test_non_bipartite_rejected(self):
         rho = random_density((2, 2, 2), 2, seed=75)

@@ -73,6 +73,20 @@ class TestSingularValues:
     def test_zero_matrix(self):
         assert np.allclose(singular_values(np.zeros((2, 3))), [0.0, 0.0])
 
+    def test_real_input_stays_real(self, monkeypatch):
+        seen = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            seen.append(a.dtype)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        m = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert np.allclose(singular_values(m), singular_values(m.astype(complex)))
+        assert np.allclose(singular_values(m.astype(int)), singular_values(m))
+        assert seen == [np.float64, np.complex128, np.float64, np.float64]
+
     def test_square_sum_is_frobenius(self):
         rng = np.random.default_rng(13)
         for shape in ((3, 3), (2, 5), (6, 4)):
@@ -80,6 +94,24 @@ class TestSingularValues:
             sv = singular_values(m)
             frob = np.trace(m.conj().T @ m).real
             assert abs(np.sum(sv**2) - frob) <= 1e-10 * frob
+
+
+class TestNonContiguousInput:
+    # a transposed matrix has no contiguous last axis; each function takes
+    # it as the matrix it is, equal to its contiguous copy
+    def test_transposed_matrix(self):
+        m = random_hermitian(4, np.random.default_rng(17))
+        t, c = m.T, np.ascontiguousarray(m.T)
+        for got, want in zip(hermitian_eig(t), hermitian_eig(c)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(singular_values(t), singular_values(c))
+        assert determinant(t) == determinant(c)
+
+    def test_transposed_nan_rejected(self):
+        m = np.eye(3, dtype=complex)
+        m[2, 0] = np.nan
+        with pytest.raises(BadShapeError):
+            singular_values(m.T)
 
 
 class TestDeterminant:

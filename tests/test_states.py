@@ -58,6 +58,14 @@ class TestValidateDensity:
         with pytest.raises(NotPSDError, match="NotPSD"):
             validate_density(mat, (2, 2))
 
+    def test_non_contiguous_input_accepted(self, rho1):
+        # the transpose of a state is a state; neither it nor a Fortran-order
+        # array has a contiguous last axis
+        t = validate_density(rho1.mat.T, rho1.dims)
+        assert np.array_equal(t.mat, rho1.mat.T)
+        f = validate_density(np.asfortranarray(np.eye(4) / 4.0), (2, 2))
+        assert np.array_equal(f.mat, np.eye(4) / 4.0)
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             validate_density(np.eye(3) / 3.0, (2, 2))
@@ -151,6 +159,13 @@ class TestMakeDecomposition:
         mats[0][0, 0] = 5.0
         assert d.stacked().shape == (2, 2, 2)
         assert np.array_equal(d.mats[0], np.eye(2))
+
+    def test_non_contiguous_stack(self):
+        stack = np.arange(12.0).reshape(2, 2, 3) * (1 + 1j)
+        d = make_decomposition(stack.transpose(0, 2, 1))
+        assert np.array_equal(d.stacked(), stack.transpose(0, 2, 1))
+        with pytest.raises(BadShapeError):
+            make_decomposition(np.where(stack == 0, np.nan, stack).transpose(0, 2, 1))
 
     def test_invalid_input_rejected(self):
         with pytest.raises(DimensionMismatchError):
