@@ -18,6 +18,7 @@ from .equivalence import (
     Fingerprint,
     ScreenConfig,
     compare_fingerprints,
+    decomposition_fingerprint,
     fingerprint,
     screen,
     witness_search_hint,
@@ -26,6 +27,7 @@ from .errors import (
     BadCutError,
     BadLengthError,
     BadShapeError,
+    BadToleranceError,
     DimensionMismatchError,
     LuInvarError,
     NoConvergenceError,
@@ -81,6 +83,7 @@ __all__ = [
     "BadCutError",
     "BadLengthError",
     "BadShapeError",
+    "BadToleranceError",
     "DensityMatrix",
     "DimensionMismatchError",
     "EquivalenceReport",
@@ -107,6 +110,7 @@ __all__ = [
     "cayley_det_222",
     "char_poly",
     "compare_fingerprints",
+    "decomposition_fingerprint",
     "determinant",
     "eigen_decomposition",
     "f_invariants",

@@ -17,21 +17,34 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
 from ._version import __version__
-from .equivalence import ScreenConfig, _make_check, fingerprint, screen_with_fingerprints
+from .equivalence import (
+    ScreenConfig,
+    compare_fingerprints,
+    decomposition_fingerprint,
+    fingerprint,
+    screen_with_fingerprints,
+)
 from .errors import (
     BadCutError,
+    BadToleranceError,
     LuInvarError,
     NotBipartiteError,
     StateFormatError,
     ValidationError,
 )
-from .invariants import f_invariants, gram_matrix, hypermatrix, invariant_M, invariant_N
 from .linalg import haar_unitary_from_rng
-from .states import eigen_decomposition, merge_cut, mix_decomposition, validate_density
+from .states import (
+    apply_local_unitary_density,
+    eigen_decomposition,
+    merge_cut,
+    mix_decomposition,
+    random_local_unitaries,
+)
 from .statefile import dumps, fingerprint_to_doc, load_state, report_to_doc, save_state
 
 EXIT_OK = 0
@@ -68,13 +81,10 @@ def _seed_from(args) -> int:
 
 
 def _config_from(args) -> ScreenConfig:
-    cut = getattr(args, "cut", None)
-    return ScreenConfig(
-        atol=getattr(args, "atol", 1e-8),
-        rtol=getattr(args, "rtol", 1e-8),
-        rank_tol=getattr(args, "rank_tol", None),
-        cut=1 if cut is None else cut,
-    )
+    """The command's options that are ScreenConfig fields; the fields a
+    command has no option for keep their defaults."""
+    given = vars(args)
+    return ScreenConfig(**{f.name: given[f.name] for f in fields(ScreenConfig) if f.name in given})
 
 
 def _render_fingerprint_text(path: str, fp, out) -> None:
@@ -133,39 +143,29 @@ def cmd_compare(args) -> int:
 
 
 def cmd_mix(args) -> int:
+    """Fingerprint random mixings of the eigenvector decomposition and
+    compare each with the first, printing one row per compared check."""
     cfg = _config_from(args)
     rho = load_state(args.state)
     d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut)
     rng = np.random.default_rng(_seed_from(args))
-    columns = []
-    for _ in range(args.count):
-        u = haar_unitary_from_rng(len(d), rng)
-        mixed = mix_decomposition(d, u)
-        values = {}
-        f = f_invariants(gram_matrix(mixed)).F
-        for i in range(len(f)):
-            values[f"F_{i}"] = f[i]
-        if len(d) == 2:
-            h = hypermatrix(mixed, 2)
-            values["N"] = invariant_N(h)
-            values["M"] = invariant_M(h)
-        columns.append(values)
-    if not columns:
+    fps = [
+        decomposition_fingerprint(mix_decomposition(d, haar_unitary_from_rng(len(d), rng)), rho)
+        for _ in range(args.count)
+    ]
+    if not fps:
         print("no mixings requested; nothing to compare")
         return EXIT_OK
-    names = list(columns[0])
+    # column t holds the value_b side of mixing t compared with mixing 0
+    reports = [compare_fingerprints(fps[0], fp, cfg) for fp in fps]
+    names = [c.name for c in reports[0].checks]
     width = max(len(n) for n in names)
-    header = " ".join(f"mix{t}".rjust(28) for t in range(len(columns)))
+    header = " ".join(f"mix{t}".rjust(28) for t in range(len(fps)))
     print(f"{'invariant'.ljust(width)} {header}")
-    consistent = True
-    for name in names:
-        row = " ".join(_fmt(col[name]).rjust(28) for col in columns)
+    for k, name in enumerate(names):
+        row = " ".join(_fmt(r.checks[k].value_b).rjust(28) for r in reports)
         print(f"{name.ljust(width)} {row}")
-        base = columns[0][name]
-        for col in columns[1:]:
-            if not _make_check(name, base, col[name], cfg.atol, cfg.rtol).passed:
-                consistent = False
-    if not consistent:
+    if any(r.verdict != "Inconclusive" for r in reports):
         print("self-consistency FAILED: mixed decompositions disagree", file=sys.stderr)
         return EXIT_DIFFER
     return EXIT_OK
@@ -177,17 +177,9 @@ def cmd_random_lu(args) -> int:
         raise BadCutError(
             "multipartite state: pass --cut to choose the bipartition for the local pair"
         )
-    rng = np.random.default_rng(_seed_from(args))
-    if len(rho.dims) == 2:
-        n1, n2 = rho.dims
-    else:
-        bip = merge_cut(rho, args.cut)
-        n1, n2 = bip.dims
-    u1 = haar_unitary_from_rng(n1, rng)
-    u2 = haar_unitary_from_rng(n2, rng)
-    full = np.kron(u1, u2)
-    moved = validate_density(full @ rho.mat @ full.conj().T, rho.dims, tol=1e-9)
-    save_state(moved, args.out)
+    bip = merge_cut(rho, 1 if args.cut is None else args.cut)
+    moved = apply_local_unitary_density(bip, random_local_unitaries(bip.dims, _seed_from(args)))
+    save_state(replace(moved, dims=rho.dims), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -211,10 +203,32 @@ def _add_seed(parser) -> None:
 
 
 def _add_common(parser) -> None:
-    parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=None,
+    parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=ScreenConfig.rank_tol,
                         help="eigenvalues at or below this count as zero")
-    parser.add_argument("--cut", type=int, default=1,
-                        help="bipartition cut for multipartite states (default 1)")
+    parser.add_argument("--cut", type=int, default=ScreenConfig.cut,
+                        help="bipartition cut for multipartite states (default %(default)s)")
+
+
+def _add_tolerances(parser) -> None:
+    parser.add_argument("--atol", type=float, default=ScreenConfig.atol)
+    parser.add_argument("--rtol", type=float, default=ScreenConfig.rtol)
+
+
+def _count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return count
+
+
+def _add_format(parser) -> None:
+    fmt = parser.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--text", dest="json", action="store_false")
+    parser.set_defaults(json=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,29 +242,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="fingerprint one state")
     p.add_argument("state")
     _add_common(p)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--text", dest="json", action="store_false")
-    p.set_defaults(json=False, func=cmd_compute)
+    _add_format(p)
+    p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("compare", help="screen a pair of states")
     p.add_argument("state_a")
     p.add_argument("state_b")
     _add_common(p)
-    p.add_argument("--atol", type=float, default=1e-8)
-    p.add_argument("--rtol", type=float, default=1e-8)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--text", dest="json", action="store_false")
-    p.set_defaults(json=False, func=cmd_compare)
+    _add_tolerances(p)
+    _add_format(p)
+    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("mix", help="invariants across random decomposition mixings")
     p.add_argument("state")
     _add_common(p)
     _add_seed(p)
-    p.add_argument("--count", type=int, default=5, help="number of random mixings")
-    p.add_argument("--atol", type=float, default=1e-8)
-    p.add_argument("--rtol", type=float, default=1e-8)
+    p.add_argument("--count", type=_count, default=5, help="number of random mixings")
+    _add_tolerances(p)
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("random-lu", help="write a locally rotated copy of a state")
@@ -279,10 +287,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except StateFormatError as exc:
+    except (StateFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BadCutError, NotBipartiteError) as exc:
+    except (BadCutError, BadToleranceError, NotBipartiteError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValidationError as exc:
@@ -291,9 +299,6 @@ def main(argv=None) -> int:
     except LuInvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -10,11 +10,13 @@ There is deliberately no ``Equivalent`` verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
 import numpy as np
 
+from .errors import BadToleranceError, DimensionMismatchError
 from .invariants import (
     f_invariants,
     gram_matrix,
@@ -23,7 +25,7 @@ from .invariants import (
     lambda_poly,
     realignment_kyfan,
 )
-from .states import DensityMatrix, eigen_decomposition, merge_cut
+from .states import DensityMatrix, PureStateDecomposition, eigen_decomposition, merge_cut
 
 
 @dataclass(frozen=True)
@@ -34,12 +36,21 @@ class ScreenConfig:
     of None means the scale-aware default (1e-10 times the largest
     eigenvalue). ``cut`` selects the bipartition for states with more than
     two subsystems. Fingerprints are deterministic, so there is no seed.
+    ``atol``, ``rtol`` and a given ``rank_tol`` must be finite and >= 0,
+    else :class:`BadToleranceError`: a negative or NaN tolerance would
+    fail every check, even of a state against itself.
     """
 
     atol: float = 1e-8
     rtol: float = 1e-8
     rank_tol: float | None = None
     cut: int = 1
+
+    def __post_init__(self) -> None:
+        tols = {"atol": self.atol, "rtol": self.rtol, "rank_tol": self.rank_tol or 0.0}
+        for name, value in tols.items():
+            if not (math.isfinite(value) and value >= 0.0):
+                raise BadToleranceError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -93,20 +104,25 @@ class EquivalenceReport:
     checks: tuple[Check, ...]
 
 
-def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerprint:
-    """Compute the invariant fingerprint of a state.
+def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> Fingerprint:
+    """The fingerprint of ``rho`` read from ``d``, any pure-state
+    decomposition of it, with rank the length of ``d``.
 
-    Uses the eigenvector decomposition (sufficient by the rank argument:
-    any longer decomposition only pads the Gram spectrum with zeros), so
-    the result is deterministic for a fixed configuration. The Gram
-    matrix, F and, at rank 2, the s=2 hypermatrix are each built once;
-    every invariant is read from them. M is the constant term of ``lambda_M``.
+    The Gram matrix, F and, at rank 2, the s=2 hypermatrix are each built
+    once; M is the constant term of ``lambda_M``. Ky Fan is read from
+    ``rho`` across the bipartition that d's (n, m) shape names. Only that
+    shape is checked against ``rho`` (:class:`DimensionMismatchError`).
     """
-    cfg = cfg or ScreenConfig()
-    d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut)
+    bip = rho
+    if (d.n, d.m) != rho.dims:
+        cuts = [(math.prod(rho.dims[:c]), math.prod(rho.dims[c:])) for c in range(1, len(rho.dims))]
+        if (d.n, d.m) not in cuts:
+            raise DimensionMismatchError(
+                f"{d.n}x{d.m} coefficient matrices fit no bipartition of dims {rho.dims}"
+            )
+        bip = merge_cut(rho, cuts.index((d.n, d.m)) + 1)
     rank = len(d)
     f = f_invariants(gram_matrix(d))
-    bip = rho if len(rho.dims) == 2 else merge_cut(rho, cfg.cut)
     kyfan = realignment_kyfan(bip)
     lambdas = {"det": lambda_poly(f, 1, "det").coeffs}
     n_value = m_value = None
@@ -117,13 +133,18 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
         lambdas["M"] = lambda_poly(h, 2, "M").coeffs
         m_value = complex(lambdas["M"][0])
     return Fingerprint(
-        dims=rho.dims,
-        rank=rank,
-        F=f.F,
-        kyfan=kyfan,
-        N_value=n_value,
-        M_value=m_value,
-        lambda_coeffs=lambdas,
+        dims=rho.dims, rank=rank, F=f.F, kyfan=kyfan,
+        N_value=n_value, M_value=m_value, lambda_coeffs=lambdas,
+    )
+
+
+def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerprint:
+    """The fingerprint of a state from its eigenvector decomposition across
+    ``cfg.cut``: deterministic, and sufficient by the rank argument (any
+    longer decomposition only pads the Gram spectrum with zeros)."""
+    cfg = cfg or ScreenConfig()
+    return decomposition_fingerprint(
+        eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut), rho
     )
 
 
@@ -150,17 +171,8 @@ def compare_fingerprints(
     """Compare two fingerprints check by check, in the fixed order."""
     cfg = cfg or ScreenConfig()
     atol, rtol = cfg.atol, cfg.rtol
-    checks: list[Check] = []
-
-    rank_check = Check(
-        name="rank",
-        value_a=complex(fa.rank),
-        value_b=complex(fb.rank),
-        delta=float(abs(fa.rank - fb.rank)),
-        passed=fa.rank == fb.rank,
-        marginal=False,
-    )
-    checks.append(rank_check)
+    delta = float(abs(fa.rank - fb.rank))
+    checks = [Check("rank", complex(fa.rank), complex(fb.rank), delta, delta == 0.0, False)]
 
     # F_i beyond a state's own rank is an elementary symmetric polynomial
     # with more factors than nonzero eigenvalues, hence exactly zero.
@@ -183,17 +195,11 @@ def compare_fingerprints(
             for k in range(1, stop):
                 checks.append(_make_check(f"lambda_{key}[{k}]", ca[k], cb[k], atol, rtol))
 
-    failing = [c for c in checks if not c.passed]
-    if failing:
-        first = failing[0]
-        return EquivalenceReport(
-            verdict="NotEquivalent",
-            witness=first.name,
-            witness_values=(first.value_a, first.value_b, first.delta),
-            checks=tuple(checks),
-        )
+    first = next((c for c in checks if not c.passed), None)
+    if first is None:
+        return EquivalenceReport("Inconclusive", None, None, tuple(checks))
     return EquivalenceReport(
-        verdict="Inconclusive", witness=None, witness_values=None, checks=tuple(checks)
+        "NotEquivalent", first.name, (first.value_a, first.value_b, first.delta), tuple(checks)
     )
 
 
@@ -209,19 +215,9 @@ def screen_with_fingerprints(
         a, b = next(
             (x, y) for x, y in zip_longest(rho_a.dims, rho_b.dims, fillvalue=0) if x != y
         )
-        check = Check(
-            name="dimension signature",
-            value_a=complex(a),
-            value_b=complex(b),
-            delta=float("inf"),
-            passed=False,
-            marginal=False,
-        )
+        check = Check("dimension signature", complex(a), complex(b), math.inf, False, False)
         report = EquivalenceReport(
-            verdict="NotEquivalent",
-            witness="dimension signature",
-            witness_values=(rho_a.dims, rho_b.dims, None),
-            checks=(check,),
+            "NotEquivalent", check.name, (rho_a.dims, rho_b.dims, None), (check,)
         )
         return report, None, None
     fa = fingerprint(rho_a, cfg)

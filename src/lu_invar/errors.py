@@ -48,6 +48,10 @@ class BadCutError(LuInvarError):
     pass
 
 
+class BadToleranceError(LuInvarError):
+    """A comparison or rank tolerance is negative, NaN or infinite."""
+
+
 class TooLargeError(LuInvarError):
     pass
 

@@ -30,6 +30,7 @@ Implemented invariant polynomials, each computed in closed form:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,8 +147,11 @@ class Hypermatrix:
         return self.entries.reshape(-1)
 
 
-def _validate_hypermatrix_symmetries(t: np.ndarray, s: int) -> None:
-    scale = max(float(np.abs(t).max()), 1.0)
+def _validate_hypermatrix(t: np.ndarray, s: int) -> None:
+    peak = float(np.abs(t).max())  # NaN or Inf when any entry is
+    if not math.isfinite(peak):
+        raise BadShapeError("hypermatrix has NaN or Inf entries: its products overflow")
+    scale = max(peak, 1.0)
     # conj(T[i1,j1,...,is,js]) == T[js,is, ..., j1,i1]: reverse the pair
     # sequence and swap within each pair (trace of the dagger).
     axes = []
@@ -166,7 +170,8 @@ def hypermatrix(d: PureStateDecomposition, s: int) -> Hypermatrix:
     """The order-2s hypermatrix tr(A_{i1} A_{j1}^dag ... A_{is} A_{js}^dag).
 
     For s = 1 this flattens to the Gram matrix. Refuses formats larger
-    than 2**20 entries.
+    than 2**20 entries, and raises ``BadShapeError`` when an entry
+    overflows to Inf or NaN.
     """
     if s < 1:
         raise BadShapeError(f"order parameter s must be >= 1, got {s}")
@@ -188,7 +193,7 @@ def hypermatrix(d: PureStateDecomposition, s: int) -> Hypermatrix:
         # the last factor and the trace in one contraction:
         # tr(C P[k, l]) = sum_ab C[a, b] P[k, l][b, a]
         t = np.einsum("...ab,klba->...kl", cur, prod)
-    _validate_hypermatrix_symmetries(t, s)
+    _validate_hypermatrix(t, s)
     t = np.ascontiguousarray(t)
     t.setflags(write=False)
     return Hypermatrix(s=s, side=i_count, entries=t)

@@ -16,7 +16,9 @@ every invariant unchanged, degenerate eigenbases leave F, N, M and the
 lambda coefficients unchanged, locally rotated pairs are never flagged,
 and, in the full profile only, zero-padding shifts the determinant
 polynomial by a power of lambda and the 2x2x2 hyperdeterminant obeys its
-group covariance.
+group covariance. The mixing, degree-4 and degeneracy properties read
+their invariants through ``decomposition_fingerprint``, the one path that
+``fingerprint`` and ``lu-invar mix`` take too.
 """
 
 from __future__ import annotations
@@ -27,17 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivalence import fingerprint, screen
+from .equivalence import decomposition_fingerprint, fingerprint, screen
 from .fixtures import FIXTURE_NAMES, load_fixture
-from .invariants import (
-    cayley_det_222,
-    f_invariants,
-    gram_matrix,
-    hypermatrix,
-    invariant_M,
-    invariant_N,
-    lambda_poly,
-)
+from .invariants import cayley_det_222, f_invariants, gram_matrix, lambda_poly
 from .linalg import haar_unitary_from_rng
 from .states import (
     DensityMatrix,
@@ -117,11 +111,17 @@ def _random_state(rng: np.random.Generator) -> DensityMatrix:
     return random_density(dims, int(rng.integers(1, 5)), seed=int(rng.integers(2**62)))
 
 
+def _values(fp) -> np.ndarray:
+    """F, N, M and every lambda coefficient of a rank-2 fingerprint, in one array."""
+    return np.concatenate([fp.F, [fp.N_value, fp.M_value], *fp.lambda_coeffs.values()])
+
+
 def _mixing_trial(rng):
-    d = eigen_decomposition(_random_state(rng))
-    base = f_invariants(gram_matrix(d)).F
+    rho = _random_state(rng)
+    d = eigen_decomposition(rho)
+    base = decomposition_fingerprint(d, rho).F
     mixed = (mix_decomposition(d, haar_unitary_from_rng(len(d), rng)) for _ in range(5))
-    return (np.max([_dev(f_invariants(gram_matrix(m)).F, base) for m in mixed]),)
+    return (np.max([_dev(decomposition_fingerprint(m, rho).F, base) for m in mixed]),)
 
 
 def _lu_trial(rng):
@@ -133,26 +133,16 @@ def _lu_trial(rng):
     return _dev(moved.omega, g.omega), _dev(f_invariants(moved).F, f_invariants(g).F)
 
 
-def _rank2_invariants(d) -> np.ndarray:
-    g, h = gram_matrix(d), hypermatrix(d, 2)
-    return np.concatenate(
-        [
-            [invariant_N(h), invariant_M(h)],
-            lambda_poly(g, 1, "det").coeffs,
-            lambda_poly(h, 2, "N").coeffs,
-            lambda_poly(h, 2, "M").coeffs,
-        ]
-    )
-
-
 def _degree4_trial(rng):
-    d = eigen_decomposition(random_density((2, 2), 2, seed=int(rng.integers(2**62))))
-    base = _rank2_invariants(d)
+    rho = random_density((2, 2), 2, seed=int(rng.integers(2**62)))
+    d = eigen_decomposition(rho)
+    base = _values(decomposition_fingerprint(d, rho))
     mixed = mix_decomposition(d, haar_unitary_from_rng(2, rng))
     p, q = haar_unitary_from_rng(2, rng), haar_unitary_from_rng(2, rng)
+    moved = apply_local_unitary_density(rho, [p, q])
     return (
-        _dev(_rank2_invariants(mixed), base),
-        _dev(_rank2_invariants(apply_local_unitary(d, p, q)), base),
+        _dev(_values(decomposition_fingerprint(mixed, rho)), base),
+        _dev(_values(decomposition_fingerprint(apply_local_unitary(d, p, q), moved)), base),
     )
 
 
@@ -202,15 +192,11 @@ def properties(rho1: DensityMatrix) -> dict[str, Property]:
     compares F, N, M and the lambda coefficients against those of its
     eigenvector decomposition."""
     d1 = eigen_decomposition(rho1)
-
-    def degeneracy_values(d):
-        return np.concatenate([f_invariants(gram_matrix(d)).F, _rank2_invariants(d)])
-
-    base = degeneracy_values(d1)
+    base = _values(decomposition_fingerprint(d1, rho1))
 
     def degeneracy_trial(rng):
         rotated = mix_decomposition(d1, haar_unitary_from_rng(len(d1), rng))
-        return (_dev(degeneracy_values(rotated), base),)
+        return (_dev(_values(decomposition_fingerprint(rotated, rho1)), base),)
 
     return {
         "mixing": Property(

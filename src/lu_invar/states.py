@@ -38,7 +38,6 @@ from .linalg import (
 )
 
 DENSITY_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,19 @@ import json
 import numpy as np
 import pytest
 
+import lu_invar.equivalence
 import lu_invar.invariants
-from lu_invar.cli import _sci, main
+from lu_invar.cli import _config_from, _sci, build_parser, main
+from lu_invar.equivalence import ScreenConfig, compare_fingerprints, fingerprint
 from lu_invar.fixtures import fixture_path
-from lu_invar.statefile import dumps, load_state
+from lu_invar.states import (
+    DensityMatrix,
+    apply_local_unitary_density,
+    merge_cut,
+    random_density,
+    random_local_unitaries,
+)
+from lu_invar.statefile import dumps, load_state, save_state
 
 RHO1 = str(fixture_path("rho1"))
 RHO2 = str(fixture_path("rho2"))
@@ -148,6 +157,20 @@ class TestCompare:
     def test_loose_tolerance_changes_verdict(self, capsys):
         assert main(["compare", RHO1, RHO2, "--atol", "1.0", "--rtol", "1.0"]) == 0
 
+    @pytest.mark.parametrize(
+        "option",
+        [["--atol", "-1"], ["--rtol", "nan"], ["--rank-tol", "nan"], ["--rank-tol", "-1"]],
+        ids=["atol-negative", "rtol-nan", "rank-tol-nan", "rank-tol-negative"],
+    )
+    def test_out_of_range_tolerance_is_usage_error(self, capsys, option):
+        # a state against itself was NotEquivalent (exit 1), or rank 0 (exit 3)
+        assert main(["compare", RHO1, RHO1, *option]) == 2
+        assert "usage error: " in capsys.readouterr().err
+
+    def test_zero_tolerances_stay_inconclusive(self, capsys):
+        assert main(["compare", RHO1, RHO1, "--atol", "0", "--rtol", "0"]) == 0
+        assert "verdict: Inconclusive" in capsys.readouterr().out
+
 
 class TestRoundTrip:
     def test_fixture_parse_serialize_byte_identical(self, tmp_path):
@@ -175,6 +198,21 @@ class TestMix:
     def test_zero_mixings(self, capsys):
         assert main(["mix", RHO1, "--count", "0"]) == 0
 
+    def test_negative_count_is_usage_error(self, capsys):
+        assert main(["mix", RHO1, "--count", "-2"]) == 2
+        assert "--count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rho", [load_state(SIGMA1), random_density((2, 2, 2), 3, seed=6)], ids=["rank2", "rank3"]
+    )
+    def test_rows_are_the_compared_checks(self, tmp_path, capsys, rho):
+        path = str(tmp_path / "state.json")
+        save_state(rho, path)
+        assert main(["mix", path, "--count", "2", "--seed", "4"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        fp = fingerprint(rho)
+        assert [r.split()[0] for r in rows] == [c.name for c in compare_fingerprints(fp, fp).checks]
+
     def test_pure_state(self, tmp_path, capsys):
         doc = {
             "dims": [2, 2],
@@ -187,14 +225,14 @@ class TestMix:
         }
         path = write_state(tmp_path, "pure.json", doc)
         assert main(["mix", path, "--count", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "F_0" in out and "F_1" in out
+        # F_0 is the constant 1, which no comparison checks, so no row shows it
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert names == ["rank", "F_1", "kyfan"]
 
     def test_disagreement_exits_1(self, capsys, monkeypatch):
-        # inject a per-call drift so the mixed columns stop agreeing
-        import lu_invar.cli as cli_mod
-
-        real = cli_mod.f_invariants
+        # inject a per-call drift into the F that every fingerprint reads,
+        # so the mixed columns stop agreeing
+        real = lu_invar.equivalence.f_invariants
         calls = {"n": 0}
 
         def drifting(g):
@@ -202,12 +240,28 @@ class TestMix:
             iv = real(g)
             return type(iv)(F=iv.F + 1e-3 * calls["n"])
 
-        monkeypatch.setattr(cli_mod, "f_invariants", drifting)
+        monkeypatch.setattr(lu_invar.equivalence, "f_invariants", drifting)
         assert main(["mix", RHO1, "--count", "3", "--seed", "1"]) == 1
         assert "self-consistency FAILED" in capsys.readouterr().err
 
 
 class TestRandomLu:
+    @pytest.mark.parametrize(
+        "rho, cut",
+        [(load_state(RHO1), None), (random_density((2, 2, 3), 3, seed=8), 1),
+         (random_density((2, 2, 3), 3, seed=8), 2)],
+        ids=["rho1", "223-cut1", "223-cut2"],
+    )
+    def test_output_is_the_library_composition(self, tmp_path, rho, cut):
+        src, out, expected = (str(tmp_path / name) for name in ("in.json", "out.json", "lib.json"))
+        save_state(rho, src)
+        cut_args = [] if cut is None else ["--cut", str(cut)]
+        assert main(["random-lu", src, "--seed", "9", *cut_args, "--out", out]) == 0
+        bip = merge_cut(rho, cut or 1)
+        moved = apply_local_unitary_density(bip, random_local_unitaries(bip.dims, seed=9))
+        save_state(DensityMatrix(dims=rho.dims, mat=moved.mat, tol=moved.tol), expected)
+        assert (tmp_path / "out.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
+
     def test_output_compares_inconclusive(self, tmp_path, capsys):
         out = str(tmp_path / "moved.json")
         assert main(["random-lu", RHO1, "--seed", "1", "--out", out]) == 0
@@ -272,11 +326,10 @@ class TestSelftest:
         "drift", [lambda n: 1e-3 * n, lambda n: float("nan")], ids=["drift", "nan"]
     )
     def test_randomized_failure_detected(self, capsys, monkeypatch, drift):
-        # a per-call drift in F, or a NaN, breaks the randomized F suites,
-        # which must be named FAIL with their largest deviation and bound
-        import lu_invar.selftest
-
-        real = lu_invar.selftest.f_invariants
+        # a per-call drift in the F that every fingerprint reads, or a NaN,
+        # breaks the randomized suites, which must be named FAIL with their
+        # largest deviation and bound
+        real = lu_invar.equivalence.f_invariants
         calls = {"n": 0}
 
         def drifting(g):
@@ -284,20 +337,31 @@ class TestSelftest:
             iv = real(g)
             return type(iv)(F=iv.F + drift(calls["n"]))
 
-        monkeypatch.setattr(lu_invar.selftest, "f_invariants", drifting)
+        monkeypatch.setattr(lu_invar.equivalence, "f_invariants", drifting)
         assert main(["selftest", "--quick"]) == 1
-        out = capsys.readouterr().out
-        assert "Example1: N(rho1)=1/256 PASS" in out
-        line = next(
-            x for x in out.splitlines()
-            if x.startswith("GramSpectrum: F invariants independent of decomposition mixing")
-        )
-        assert " FAIL  (max " in line and "bound 1e-09" in line
-        assert "Degeneracy: invariants stable across degenerate eigenbases FAIL" in out
-        assert "Soundness: locally-unitary-equivalent pairs are never flagged PASS" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert "Example1: N(rho1)=1/256 PASS" in lines
+        for row, bound in (
+            ("GramSpectrum: F invariants independent of decomposition mixing", "1e-09"),
+            ("Degeneracy: invariants stable across degenerate eigenbases", "1e-09"),
+            # the screen reads the same F, so it flags rotated pairs too
+            ("Soundness: locally-unitary-equivalent pairs are never flagged", "1e+00"),
+        ):
+            line = next(x for x in lines if x.startswith(row))
+            assert " FAIL  (max " in line and f"bound {bound}" in line
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv", [["compute", "s"], ["compare", "a", "b"], ["mix", "s"]], ids=lambda a: a[0]
+    )
+    def test_defaults_are_screen_config_defaults(self, argv):
+        args = build_parser().parse_args(argv)
+        for name in ("atol", "rtol", "rank_tol", "cut"):
+            if hasattr(args, name):
+                assert getattr(args, name) == getattr(ScreenConfig, name)
+        assert _config_from(args) == ScreenConfig()
+
     def test_seed_only_on_randomized_commands(self, capsys):
         # fingerprints are deterministic, so compute and compare take no seed
         assert main(["compute", RHO1, "--seed", "5"]) == 2

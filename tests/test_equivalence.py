@@ -1,15 +1,24 @@
+import math
+
 import numpy as np
+import pytest
 
 from lu_invar.equivalence import (
     Fingerprint,
     ScreenConfig,
     compare_fingerprints,
+    decomposition_fingerprint,
     fingerprint,
     screen,
     witness_search_hint,
 )
+from lu_invar.errors import BadToleranceError, DimensionMismatchError
+from lu_invar.linalg import haar_unitary
 from lu_invar.states import (
     apply_local_unitary_density,
+    eigen_decomposition,
+    merge_cut,
+    mix_decomposition,
     random_density,
     random_local_unitaries,
     validate_density,
@@ -155,6 +164,60 @@ class TestFingerprint:
             assert calls == {"f_invariants": 1}
             signs = (-1.0) ** np.arange(fp.rank + 1)
             assert np.array_equal(fp.lambda_coeffs["det"], (signs * fp.F)[::-1])
+
+
+class TestDecompositionFingerprint:
+    def test_eigen_decomposition_gives_fingerprint(self, sigma1):
+        fa = fingerprint(sigma1)
+        fb = decomposition_fingerprint(eigen_decomposition(sigma1), sigma1)
+        assert np.array_equal(fa.F, fb.F)
+        assert (fa.rank, fa.N_value, fa.M_value, fa.kyfan) == (
+            fb.rank, fb.N_value, fb.M_value, fb.kyfan
+        )
+
+    def test_mixed_decomposition_compares_inconclusive(self, rho1):
+        d = eigen_decomposition(rho1)
+        mixed = mix_decomposition(d, haar_unitary(2, seed=3))
+        report = compare_fingerprints(fingerprint(rho1), decomposition_fingerprint(mixed, rho1))
+        assert report.verdict == "Inconclusive"
+
+    def test_kyfan_across_the_decomposition_cut(self):
+        # (2,2,3) at cut 2 gives 4x3 matrices, and Ky Fan is read there
+        rho = random_density((2, 2, 3), 3, seed=84)
+        d = eigen_decomposition(rho, cut=2)
+        assert (d.n, d.m) == (4, 3)
+        fp = decomposition_fingerprint(d, rho)
+        assert fp.kyfan == fingerprint(rho, ScreenConfig(cut=2)).kyfan
+        assert fp.kyfan != fingerprint(rho, ScreenConfig(cut=1)).kyfan
+        assert fp.dims == (2, 2, 3)
+
+    def test_shape_must_name_a_bipartition(self):
+        rho = random_density((2, 3), 2, seed=85)
+        swapped = eigen_decomposition(merge_cut(random_density((3, 2), 2, seed=85)))
+        with pytest.raises(DimensionMismatchError, match="3x2"):
+            decomposition_fingerprint(swapped, rho)
+
+
+class TestScreenConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"atol": -1.0},
+            {"rtol": math.nan},
+            {"atol": math.inf},
+            {"rank_tol": math.nan},
+            {"rank_tol": -1.0},
+        ],
+        ids=["atol-negative", "rtol-nan", "atol-inf", "rank_tol-nan", "rank_tol-negative"],
+    )
+    def test_out_of_range_tolerance_refused(self, kwargs):
+        # a negative or NaN tolerance would flag a state against itself
+        with pytest.raises(BadToleranceError, match=next(iter(kwargs))):
+            ScreenConfig(**kwargs)
+
+    def test_zero_tolerances_keep_a_state_inconclusive(self, rho1):
+        cfg = ScreenConfig(atol=0.0, rtol=0.0, rank_tol=0.0)
+        assert screen(rho1, rho1, cfg).verdict == "Inconclusive"
 
 
 class TestScreen:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -181,6 +182,14 @@ class TestHypermatrix:
     def test_too_large_rejected(self, rho1_decomp):
         with pytest.raises(TooLargeError):
             hypermatrix(rho1_decomp, 11)
+
+    def test_overflow_refused(self):
+        # finite coefficient matrices whose fourfold products overflow
+        d = make_decomposition([np.diag([1e100, 0.0]), np.diag([0.0, 1e100])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadShapeError, match="hypermatrix has NaN or Inf"):
+                hypermatrix(d, 2)
 
 
 class TestCayley:
