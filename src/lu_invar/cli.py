@@ -144,7 +144,8 @@ def cmd_compare(args) -> int:
 
 def cmd_mix(args) -> int:
     """Fingerprint random mixings of the eigenvector decomposition and
-    compare each with the first, printing one row per compared check."""
+    compare each with the first, printing one row per compared check that
+    reads the decomposition (every check but ``kyfan``)."""
     cfg = _config_from(args)
     rho = load_state(args.state)
     d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut)
@@ -156,15 +157,16 @@ def cmd_mix(args) -> int:
     if not fps:
         print("no mixings requested; nothing to compare")
         return EXIT_OK
-    # column t holds the value_b side of mixing t compared with mixing 0
+    # column t holds the value_b side of mixing t compared with mixing 0;
+    # Ky Fan is read from rho, not from the decomposition, so it gets no row
     reports = [compare_fingerprints(fps[0], fp, cfg) for fp in fps]
-    names = [c.name for c in reports[0].checks]
-    width = max(len(n) for n in names)
+    rows = [k for k, c in enumerate(reports[0].checks) if c.name != "kyfan"]
+    width = max(len(reports[0].checks[k].name) for k in rows)
     header = " ".join(f"mix{t}".rjust(28) for t in range(len(fps)))
     print(f"{'invariant'.ljust(width)} {header}")
-    for k, name in enumerate(names):
+    for k in rows:
         row = " ".join(_fmt(r.checks[k].value_b).rjust(28) for r in reports)
-        print(f"{name.ljust(width)} {row}")
+        print(f"{reports[0].checks[k].name.ljust(width)} {row}")
     if any(r.verdict != "Inconclusive" for r in reports):
         print("self-consistency FAILED: mixed decompositions disagree", file=sys.stderr)
         return EXIT_DIFFER

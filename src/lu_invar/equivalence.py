@@ -1,11 +1,17 @@
 """Local-unitary equivalence screening.
 
-The screen computes an invariant fingerprint of each state from its
-eigenvector decomposition and compares the two fingerprints within
-tolerance. Every invariant here is a necessary condition for local
-unitary equivalence, so the verdict is one-sided: ``NotEquivalent`` with
-a named witness when some invariant differs, ``Inconclusive`` otherwise.
-There is deliberately no ``Equivalent`` verdict.
+The screen computes an invariant fingerprint of each state from one
+pure-state decomposition of it and compares the two fingerprints within
+tolerance. At numerical full rank that decomposition is the Cholesky
+factor of the state, otherwise its eigenvector decomposition. Any two
+decompositions of equal length differ by a unitary mixing, which only
+conjugates the Gram matrix, so both give the same invariants; the
+Cholesky factor saves the eigen-solve.
+
+Every invariant here is a necessary condition for local unitary
+equivalence, so the verdict is one-sided: ``NotEquivalent`` with a named
+witness when some invariant differs, ``Inconclusive`` otherwise. There
+is deliberately no ``Equivalent`` verdict.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import numpy as np
 
 from .errors import BadToleranceError, DimensionMismatchError
 from .invariants import (
+    GramMatrix,
     f_invariants,
     gram_matrix,
     hypermatrix,
@@ -25,7 +32,15 @@ from .invariants import (
     lambda_poly,
     realignment_kyfan,
 )
-from .states import DensityMatrix, PureStateDecomposition, eigen_decomposition, merge_cut
+from .states import (
+    DensityMatrix,
+    PureStateDecomposition,
+    cholesky_decomposition,
+    eigen_decomposition,
+    hermitian_matrix,
+    merge_cut,
+    numerical_rank,
+)
 
 
 @dataclass(frozen=True)
@@ -104,14 +119,17 @@ class EquivalenceReport:
     checks: tuple[Check, ...]
 
 
-def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> Fingerprint:
+def decomposition_fingerprint(
+    d: PureStateDecomposition, rho: DensityMatrix, gram: GramMatrix | None = None
+) -> Fingerprint:
     """The fingerprint of ``rho`` read from ``d``, any pure-state
     decomposition of it, with rank the length of ``d``.
 
     The Gram matrix, F and, at rank 2, the s=2 hypermatrix are each built
-    once; M is the constant term of ``lambda_M``. Ky Fan is read from
-    ``rho`` across the bipartition that d's (n, m) shape names. Only that
-    shape is checked against ``rho`` (:class:`DimensionMismatchError`).
+    once; ``gram``, when given, is ``gram_matrix(d)`` built already. M is
+    the constant term of ``lambda_M``. Ky Fan is read from ``rho`` across
+    the bipartition that d's (n, m) shape names. Only that shape is
+    checked against ``rho`` (:class:`DimensionMismatchError`).
     """
     bip = rho
     if (d.n, d.m) != rho.dims:
@@ -122,7 +140,7 @@ def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> 
             )
         bip = merge_cut(rho, cuts.index((d.n, d.m)) + 1)
     rank = len(d)
-    f = f_invariants(gram_matrix(d))
+    f = f_invariants(gram_matrix(d) if gram is None else gram)
     kyfan = realignment_kyfan(bip)
     lambdas = {"det": lambda_poly(f, 1, "det").coeffs}
     n_value = m_value = None
@@ -139,13 +157,27 @@ def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> 
 
 
 def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerprint:
-    """The fingerprint of a state from its eigenvector decomposition across
-    ``cfg.cut``: deterministic, and sufficient by the rank argument (any
-    longer decomposition only pads the Gram spectrum with zeros)."""
+    """The fingerprint of a state across ``cfg.cut``, deterministic.
+
+    It first tries the Cholesky factor, rho = L L^dag with member i column
+    i of L. When that succeeds and the Gram spectrum of those members
+    shows full rank (by ``states.numerical_rank`` at ``cfg.rank_tol``),
+    the fingerprint is read from them and that Gram matrix, with no
+    eigen-solve. Otherwise it is read from the eigenvector decomposition,
+    which has exactly rank(rho) members. Both are decompositions of rho of
+    length rank(rho); they differ by a unitary mixing, which conjugates
+    the Gram matrix and leaves every invariant unchanged. A longer
+    decomposition would only pad the Gram spectrum with zeros.
+    """
     cfg = cfg or ScreenConfig()
-    return decomposition_fingerprint(
-        eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut), rho
-    )
+    herm = hermitian_matrix(rho)
+    d = cholesky_decomposition(rho, cfg.cut, hermitian=herm)
+    if d is not None:
+        g = gram_matrix(d)
+        if numerical_rank(g.spectrum, cfg.rank_tol) == len(d):
+            return decomposition_fingerprint(d, rho, g)
+    d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut, hermitian=herm)
+    return decomposition_fingerprint(d, rho)
 
 
 def _make_check(name: str, a: complex, b: complex, atol: float, rtol: float) -> Check:

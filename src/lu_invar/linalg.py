@@ -97,6 +97,31 @@ class Polynomial:
         return Polynomial(np.concatenate([np.zeros(k, dtype=complex), self.coeffs]))
 
 
+def hermitian_part(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """(H + H^dag) / 2, the exactly Hermitian matrix nearest a square H
+    that is within ``tol`` of Hermitian (``max |H - H^dag| <= tol``, else
+    :class:`NotHermitianError`)."""
+    h = _require_square(as_complex_matrix(h))
+    res = hermiticity_residual(h)
+    if res > tol:
+        raise NotHermitianError(
+            f"NotHermitian: max |H - H^dag| = {res:.3e} > tol {tol:.3e}"
+        )
+    return (h + h.conj().T) / 2.0
+
+
+def eigh_descending(h: np.ndarray):
+    """Eigenvalues, descending, and matching column eigenvectors of an
+    exactly Hermitian complex matrix, such as :func:`hermitian_part`
+    returns. Only its lower triangle is read."""
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(f"NoConvergence: eigh failed: {exc}") from exc
+    # eigh returns the eigenvalues ascending; reversed views make them descending
+    return w[::-1], v[:, ::-1]
+
+
 def hermitian_eig(h, tol: float = HERMITICITY_TOL):
     """Eigen-decomposition of a Hermitian matrix.
 
@@ -114,18 +139,7 @@ def hermitian_eig(h, tol: float = HERMITICITY_TOL):
         of column eigenvectors. For degenerate eigenvalues any orthonormal
         basis of the eigenspace may be returned.
     """
-    h = _require_square(as_complex_matrix(h))
-    res = hermiticity_residual(h)
-    if res > tol:
-        raise NotHermitianError(
-            f"NotHermitian: max |H - H^dag| = {res:.3e} > tol {tol:.3e}"
-        )
-    try:
-        w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(f"NoConvergence: eigh failed: {exc}") from exc
-    # eigh returns the eigenvalues ascending; reversed views make them descending
-    return w[::-1], v[:, ::-1]
+    return eigh_descending(hermitian_part(h, tol))
 
 
 def singular_values(m) -> np.ndarray:

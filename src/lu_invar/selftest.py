@@ -18,7 +18,9 @@ and, in the full profile only, zero-padding shifts the determinant
 polynomial by a power of lambda and the 2x2x2 hyperdeterminant obeys its
 group covariance. The mixing, degree-4 and degeneracy properties read
 their invariants through ``decomposition_fingerprint``, the one path that
-``fingerprint`` and ``lu-invar mix`` take too.
+``fingerprint`` and ``lu-invar mix`` take too; the local-unitary F row
+compares the F that ``fingerprint`` reports, so at full rank it covers
+the Cholesky decomposition as well.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .equivalence import decomposition_fingerprint, fingerprint, screen
 from .fixtures import FIXTURE_NAMES, load_fixture
-from .invariants import cayley_det_222, f_invariants, gram_matrix, lambda_poly
+from .invariants import cayley_det_222, gram_matrix, lambda_poly
 from .linalg import haar_unitary_from_rng
 from .states import (
     DensityMatrix,
@@ -72,7 +74,7 @@ def fixture_rows() -> list[SuiteResult]:
     rows = (
         ("Example1: N(rho1)=1/256", abs(r1.N_value - 1.0 / 256.0) < 1e-12, f"got {r1.N_value}"),
         ("Example1: N(rho2)=0", abs(r2.N_value) < 1e-12, f"got {r2.N_value}"),
-        ("Example1: F invariants agree on the pair", np.abs(r1.F - r2.F).max() < 1e-10, ""),
+        _f_row("Example1", r1, r2),
         (
             "Example1: screen is NotEquivalent with witness invariant_N",
             ex1.verdict == "NotEquivalent" and ex1.witness == "invariant_N",
@@ -90,7 +92,7 @@ def fixture_rows() -> list[SuiteResult]:
             abs(s1.M_value - 1.0 / 6561.0) < 1e-12 and abs(s2.M_value) < 1e-12,
             f"got {s1.M_value}, {s2.M_value}",
         ),
-        ("Example2: F invariants agree on the pair", np.abs(s1.F - s2.F).max() < 1e-10, ""),
+        _f_row("Example2", s1, s2),
         (
             "Example2: screen separates the pair",
             ex2.verdict == "NotEquivalent",
@@ -98,6 +100,12 @@ def fixture_rows() -> list[SuiteResult]:
         ),
     )
     return [SuiteResult(name, bool(ok), detail) for name, ok, detail in rows]
+
+
+def _f_row(example: str, fa, fb) -> tuple[str, bool, str]:
+    dev = _dev(fa.F, fb.F)
+    return (f"{example}: F invariants agree on the pair", dev < 1e-10,
+            f"max |dF| {dev:.2e}, bound 1e-10")
 
 
 def _dev(a, b) -> float:
@@ -129,8 +137,11 @@ def _lu_trial(rng):
     d = eigen_decomposition(rho)
     p = haar_unitary_from_rng(rho.dims[0], rng)
     q = haar_unitary_from_rng(rho.dims[1], rng)
-    g, moved = gram_matrix(d), gram_matrix(apply_local_unitary(d, p, q))
-    return _dev(moved.omega, g.omega), _dev(f_invariants(moved).F, f_invariants(g).F)
+    moved = apply_local_unitary_density(rho, [p, q])
+    return (
+        _dev(gram_matrix(apply_local_unitary(d, p, q)).omega, gram_matrix(d).omega),
+        _dev(fingerprint(moved).F, fingerprint(rho).F),
+    )
 
 
 def _degree4_trial(rng):

@@ -31,8 +31,9 @@ from .errors import (
 )
 from .linalg import (
     as_complex_matrix,
+    eigh_descending,
     haar_unitary_from_rng,
-    hermitian_eig,
+    hermitian_part,
     hermiticity_residual,
     require_unitary,
 )
@@ -175,28 +176,76 @@ def merge_cut(rho: DensityMatrix, cut: int = 1) -> DensityMatrix:
     return DensityMatrix(dims=_cut_sizes(rho.dims, cut), mat=rho.mat, tol=rho.tol)
 
 
+def hermitian_matrix(rho: DensityMatrix) -> np.ndarray:
+    """``rho.mat`` made exactly Hermitian, (M + M^dag) / 2, after checking
+    that max |M - M^dag| is within max(rho.tol, 1e-10)
+    (:class:`NotHermitianError` otherwise). Both factorizations below read
+    this matrix, so a caller that tries one and then the other checks and
+    symmetrizes once."""
+    return hermitian_part(rho.mat, tol=max(rho.tol, 1e-10))
+
+
+def numerical_rank(w: np.ndarray, rank_tol: float | None = None) -> int:
+    """How many of the eigenvalues ``w`` of a state exceed ``rank_tol``.
+
+    The rule every decomposition of the package decides its rank by.
+    Eigenvalues at or below ``rank_tol`` are treated as exact zeros; the
+    default threshold is scale-aware, 1e-10 times the largest eigenvalue.
+    A rank of 0 raises :class:`NotPSDError`.
+    """
+    if rank_tol is None:
+        rank_tol = 1e-10 * max(float(w.max()), 0.0)
+    rank = int(np.count_nonzero(w > rank_tol))
+    if rank == 0:
+        raise NotPSDError("state has numerical rank 0; not a valid density matrix")
+    return rank
+
+
 def eigen_decomposition(
-    rho: DensityMatrix, rank_tol: float | None = None, cut: int = 1
+    rho: DensityMatrix,
+    rank_tol: float | None = None,
+    cut: int = 1,
+    *,
+    hermitian: np.ndarray | None = None,
 ) -> PureStateDecomposition:
     """The eigenvector decomposition of a density matrix.
 
-    Eigenvalues at or below ``rank_tol`` are treated as exact zeros, so the
-    decomposition has exactly rank(rho) members. The default threshold is
-    scale-aware: 1e-10 times the largest eigenvalue.
-
-    For more than two subsystems the coefficient vectors are flattened
-    across ``cut`` (first ``cut`` subsystems versus the rest). Member i,
-    sqrt(w_i) times the i-th eigenvector, is built with all the others as
-    one scaled and reshaped stack.
+    It has exactly rank(rho) members, the rank by :func:`numerical_rank`
+    at ``rank_tol``. For more than two subsystems the coefficient vectors
+    are flattened across ``cut`` (first ``cut`` subsystems versus the
+    rest). Member i, sqrt(w_i) times the i-th eigenvector, is built with
+    all the others as one scaled and reshaped stack. ``hermitian`` is
+    :func:`hermitian_matrix` of ``rho`` when the caller holds it already.
     """
-    w, v = hermitian_eig(rho.mat, tol=max(rho.tol, 1e-10))
-    if rank_tol is None:
-        rank_tol = 1e-10 * max(w[0], 0.0)
-    rank = np.count_nonzero(w > rank_tol)
-    if rank == 0:
-        raise NotPSDError("state has numerical rank 0; not a valid density matrix")
+    if hermitian is None:
+        hermitian = hermitian_matrix(rho)
+    w, v = eigh_descending(hermitian)
+    rank = numerical_rank(w, rank_tol)
     weighted = (v[:, :rank] * np.sqrt(w[:rank])).T  # row i is sqrt(w_i) v_i
     return make_decomposition(flatten_multipartite(weighted, rho.dims, cut))
+
+
+def cholesky_decomposition(
+    rho: DensityMatrix, cut: int = 1, *, hermitian: np.ndarray | None = None
+) -> PureStateDecomposition | None:
+    """The decomposition of rho by its Cholesky factor, rho = L L^dag, or
+    None when the factorization fails (rho is not numerically positive
+    definite).
+
+    Member i is column i of L, flattened across ``cut`` as the
+    eigenvectors are, so there are always prod(dims) members; whether that
+    is rho's rank is for the caller to decide. The factorization is
+    backward stable whenever it completes, so L L^dag is as faithful a
+    decomposition as the eigenvectors. ``hermitian`` is as for
+    :func:`eigen_decomposition`.
+    """
+    if hermitian is None:
+        hermitian = hermitian_matrix(rho)
+    try:
+        low = np.linalg.cholesky(hermitian)
+    except np.linalg.LinAlgError:
+        return None
+    return make_decomposition(flatten_multipartite(low.T, rho.dims, cut))
 
 
 def mix_decomposition(d: PureStateDecomposition, u) -> PureStateDecomposition:

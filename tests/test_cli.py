@@ -211,7 +211,10 @@ class TestMix:
         assert main(["mix", path, "--count", "2", "--seed", "4"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         fp = fingerprint(rho)
-        assert [r.split()[0] for r in rows] == [c.name for c in compare_fingerprints(fp, fp).checks]
+        # every compared check but kyfan, which is read from rho and not
+        # from the mixed decomposition
+        checks = [c.name for c in compare_fingerprints(fp, fp).checks if c.name != "kyfan"]
+        assert [r.split()[0] for r in rows] == checks
 
     def test_pure_state(self, tmp_path, capsys):
         doc = {
@@ -227,7 +230,7 @@ class TestMix:
         assert main(["mix", path, "--count", "3"]) == 0
         # F_0 is the constant 1, which no comparison checks, so no row shows it
         names = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
-        assert names == ["rank", "F_1", "kyfan"]
+        assert names == ["rank", "F_1"]
 
     def test_disagreement_exits_1(self, capsys, monkeypatch):
         # inject a per-call drift into the F that every fingerprint reads,
@@ -343,9 +346,12 @@ class TestSelftest:
         assert "Example1: N(rho1)=1/256 PASS" in lines
         for row, bound in (
             ("GramSpectrum: F invariants independent of decomposition mixing", "1e-09"),
+            ("GramSpectrum: F invariants match under local unitaries", "1e-09"),
             ("Degeneracy: invariants stable across degenerate eigenbases", "1e-09"),
             # the screen reads the same F, so it flags rotated pairs too
             ("Soundness: locally-unitary-equivalent pairs are never flagged", "1e+00"),
+            ("Example1: F invariants agree on the pair", "1e-10"),
+            ("Example2: F invariants agree on the pair", "1e-10"),
         ):
             line = next(x for x in lines if x.startswith(row))
             assert " FAIL  (max " in line and f"bound {bound}" in line

@@ -12,13 +12,21 @@ from lu_invar.equivalence import (
     screen,
     witness_search_hint,
 )
-from lu_invar.errors import BadToleranceError, DimensionMismatchError
+from lu_invar.errors import (
+    BadToleranceError,
+    DimensionMismatchError,
+    NotHermitianError,
+    NotPSDError,
+)
 from lu_invar.linalg import haar_unitary
 from lu_invar.states import (
+    DensityMatrix,
     apply_local_unitary_density,
+    cholesky_decomposition,
     eigen_decomposition,
     merge_cut,
     mix_decomposition,
+    numerical_rank,
     random_density,
     random_local_unitaries,
     validate_density,
@@ -134,10 +142,13 @@ class TestFingerprint:
         assert calls == {"gram_matrix": 1, "hypermatrix": 1}
 
     def test_lapack_calls_per_fingerprint(self, rho1, monkeypatch):
-        # one eigh for the decomposition, one eigvalsh for the Gram check,
-        # one real SVD for Ky Fan and, at rank 2, one det for N and one
+        # full rank: one cholesky for the decomposition, one eigvalsh for
+        # the Gram check, rank and F, one real SVD for Ky Fan and no eigh.
+        # rho1 (rank 2): the cholesky fails, then one eigh for the
+        # decomposition, one eigvalsh, one SVD, one det for N and one
         # batched det for lambda_M
-        calls = {name: [] for name in ("eigh", "eigvalsh", "svd", "det")}
+        names = ("cholesky", "eigh", "eigvalsh", "svd", "det")
+        calls = {name: [] for name in names}
         for name, record in calls.items():
             original = getattr(np.linalg, name)
 
@@ -147,12 +158,12 @@ class TestFingerprint:
 
             monkeypatch.setattr(np.linalg, name, counted)
         full = random_density((3, 3), 9, seed=82)
-        for rho, dets in ((rho1, 2), (full, 0)):
+        for rho, expected in ((rho1, (1, 1, 1, 1, 2)), (full, (1, 0, 1, 1, 0))):
             for record in calls.values():
                 record.clear()
             fingerprint(rho)
             counts = {name: len(record) for name, record in calls.items()}
-            assert counts == {"eigh": 1, "eigvalsh": 1, "svd": 1, "det": dets}
+            assert counts == dict(zip(names, expected))
             assert calls["svd"] == [np.float64]
 
     def test_f_invariants_once_per_fingerprint(self, rho1, monkeypatch):
@@ -164,6 +175,86 @@ class TestFingerprint:
             assert calls == {"f_invariants": 1}
             signs = (-1.0) ** np.arange(fp.rank + 1)
             assert np.array_equal(fp.lambda_coeffs["det"], (signs * fp.F)[::-1])
+
+
+def state_with_spectrum(w, dims, seed):
+    """diag(w) in a Haar-random basis: a state of known spectrum."""
+    u = haar_unitary(math.prod(dims), seed=seed)
+    return validate_density((u * np.asarray(w)) @ u.conj().T, dims)
+
+
+class TestCholeskyPath:
+    """At numerical full rank the fingerprint is read from the Cholesky
+    factor; below it, from the eigenvector decomposition."""
+
+    @pytest.mark.parametrize(
+        "dims, cut",
+        [((2, 2), 1), ((2, 3), 1), ((3, 3), 1), ((2, 2, 2), 1), ((2, 2, 2), 2), ((4, 4), 1)],
+    )
+    def test_full_rank_agrees_with_eigenvector_path(self, dims, cut, monkeypatch):
+        import lu_invar.equivalence
+
+        cfg = ScreenConfig(cut=cut)
+        for seed in range(4):
+            rho = random_density(dims, math.prod(dims), seed=1000 + seed)
+            want = decomposition_fingerprint(eigen_decomposition(rho, cut=cut), rho)
+            with monkeypatch.context() as m:
+                # the full-rank path runs no eigen-solve
+                m.setattr(lu_invar.equivalence, "eigen_decomposition", None)
+                got = fingerprint(rho, cfg)
+            assert got.rank == want.rank == math.prod(dims)
+            assert np.abs(got.F - want.F).max() <= 1e-12
+            assert got.kyfan == want.kyfan
+
+    def test_cholesky_succeeds_below_full_rank(self):
+        # two eigenvalues far below rank_tol: the factorization completes,
+        # the Gram spectrum shows rank 2, and the eigenvector path decides
+        for seed in range(5):
+            rho = state_with_spectrum([0.6, 0.4 - 2e-14, 1e-14, 1e-14], (2, 2), seed)
+            assert cholesky_decomposition(rho) is not None
+            got = fingerprint(rho)
+            want = decomposition_fingerprint(eigen_decomposition(rho), rho)
+            assert got.rank == 2
+            assert got.N_value is not None and got.M_value is not None
+            assert np.array_equal(got.F, want.F)
+            assert (got.N_value, got.M_value, got.kyfan) == (
+                want.N_value, want.M_value, want.kyfan
+            )
+            for key, coeffs in want.lambda_coeffs.items():
+                assert np.array_equal(got.lambda_coeffs[key], coeffs)
+
+    @pytest.mark.parametrize("factor, rank", [(0.5, 3), (2.0, 4)])
+    def test_rank_near_rank_tol_matches_eigenvector_path(self, factor, rank):
+        # lambda_min at factor * rank_tol, the default rank_tol 1e-10 * 0.5
+        x = factor * 1e-10 * 0.5
+        for seed in range(5):
+            rho = state_with_spectrum([0.5, 0.3, 0.2 - x, x], (2, 2), seed)
+            assert fingerprint(rho).rank == len(eigen_decomposition(rho)) == rank
+
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_hermiticity_checked_once(self, rank, monkeypatch):
+        import lu_invar.linalg
+
+        real = lu_invar.linalg.hermiticity_residual
+        calls = []
+        monkeypatch.setattr(
+            lu_invar.linalg, "hermiticity_residual", lambda a: calls.append(1) or real(a)
+        )
+        fingerprint(random_density((2, 2), rank, seed=1010))
+        assert len(calls) == 1
+
+    def test_non_hermitian_refused(self):
+        mat = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        mat[0, 1] = 1e-6
+        with pytest.raises(NotHermitianError):
+            fingerprint(DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10))
+
+    def test_numerical_rank(self):
+        w = np.array([0.5, 0.5, 4e-11, 6e-11])
+        assert numerical_rank(w) == 3
+        assert numerical_rank(w, rank_tol=0.0) == 4
+        with pytest.raises(NotPSDError):
+            numerical_rank(w, rank_tol=1.0)
 
 
 class TestDecompositionFingerprint:
