@@ -21,7 +21,6 @@ from .equivalence import (
     decomposition_fingerprint,
     fingerprint,
     screen,
-    witness_search_hint,
 )
 from .errors import (
     BadCutError,
@@ -56,7 +55,6 @@ from .invariants import (
     realignment_kyfan,
 )
 from .linalg import (
-    Polynomial,
     char_poly,
     determinant,
     haar_unitary,
@@ -98,7 +96,6 @@ __all__ = [
     "NotPSDError",
     "NotUnitTraceError",
     "NotUnitaryError",
-    "Polynomial",
     "PureStateDecomposition",
     "ScreenConfig",
     "StateFormatError",
@@ -133,5 +130,4 @@ __all__ = [
     "screen",
     "singular_values",
     "validate_density",
-    "witness_search_hint",
 ]

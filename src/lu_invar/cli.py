@@ -37,7 +37,7 @@ from .errors import (
     StateFormatError,
     ValidationError,
 )
-from .linalg import haar_unitary_from_rng
+from .linalg import haar_unitary
 from .states import (
     apply_local_unitary_density,
     eigen_decomposition,
@@ -151,7 +151,7 @@ def cmd_mix(args) -> int:
     d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut)
     rng = np.random.default_rng(_seed_from(args))
     fps = [
-        decomposition_fingerprint(mix_decomposition(d, haar_unitary_from_rng(len(d), rng)), rho)
+        decomposition_fingerprint(mix_decomposition(d, haar_unitary(len(d), rng)), rho)
         for _ in range(args.count)
     ]
     if not fps:

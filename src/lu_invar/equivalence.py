@@ -142,13 +142,13 @@ def decomposition_fingerprint(
     rank = len(d)
     f = f_invariants(gram_matrix(d) if gram is None else gram)
     kyfan = realignment_kyfan(bip)
-    lambdas = {"det": lambda_poly(f, 1, "det").coeffs}
+    lambdas = {"det": lambda_poly(f, 1, "det")}
     n_value = m_value = None
     if rank == 2:
         h = hypermatrix(d, 2)
         n_value = invariant_N(h)
-        lambdas["N"] = lambda_poly(h, 2, "N").coeffs
-        lambdas["M"] = lambda_poly(h, 2, "M").coeffs
+        lambdas["N"] = lambda_poly(h, 2, "N")
+        lambdas["M"] = lambda_poly(h, 2, "M")
         m_value = complex(lambdas["M"][0])
     return Fingerprint(
         dims=rho.dims, rank=rank, F=f.F, kyfan=kyfan,
@@ -262,26 +262,3 @@ def screen(
 ) -> EquivalenceReport:
     """Screen a pair of states for local-unitary non-equivalence."""
     return screen_with_fingerprints(rho_a, rho_b, cfg)[0]
-
-
-def witness_search_hint(
-    rho_a: DensityMatrix, rho_b: DensityMatrix, cfg: ScreenConfig | None = None
-) -> list[tuple[str, float]]:
-    """Invariants ranked by how strongly they separate the pair.
-
-    Returns (name, |delta|) tuples, failing checks before passing ones,
-    each group sorted by relative difference |delta| / max(|a|, |b|),
-    largest first; ties keep the fixed check order.
-    """
-    cfg = cfg or ScreenConfig()
-    report = screen(rho_a, rho_b, cfg)
-
-    def relative(c: Check) -> float:
-        scale = max(abs(c.value_a), abs(c.value_b))
-        if scale == 0.0:
-            return 0.0
-        return c.delta / scale
-
-    # stable sort: ties keep the fixed check order
-    ordered = sorted(report.checks, key=lambda c: (c.passed, -relative(c)))
-    return [(c.name, c.delta) for c in ordered]

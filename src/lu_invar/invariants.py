@@ -44,7 +44,7 @@ from .errors import (
     TooLargeError,
     UnsupportedFormatError,
 )
-from .linalg import Polynomial, as_complex_matrix, char_poly, determinant, singular_values
+from .linalg import as_complex_matrix, char_poly, determinant, singular_values
 from .states import DensityMatrix, PureStateDecomposition
 
 GRAM_TOL = 1e-10
@@ -71,7 +71,7 @@ class GramMatrix:
 def gram_matrix(d: PureStateDecomposition) -> GramMatrix:
     """Overlap matrix of a decomposition, validated against its invariants:
     Omega = V V^dag, one matrix product, with row i of V the flattened A_i."""
-    vecs = d.stacked().reshape(len(d), d.n * d.m)
+    vecs = d.stack.reshape(len(d), d.n * d.m)
     omega = vecs @ vecs.conj().T
     herm = float(np.abs(omega - omega.conj().T).max())
     if herm > GRAM_TOL:
@@ -128,19 +128,11 @@ class Hypermatrix:
     ``entries`` has shape (I,) * (2s) with axes in the trace order
     (i_1, j_1, i_2, j_2, ...), so that for s = 2 and I = 2 the row-major
     flat index of entry (i, j, k, l) is exactly r = 8i + 4j + 2k + l.
-    Use :meth:`entry` to address an element by its two index groups.
     """
 
     s: int
     side: int
     entries: np.ndarray
-
-    def entry(self, i_idx, j_idx) -> complex:
-        """Element for row group (i_1..i_s) and column group (j_1..j_s)."""
-        if len(i_idx) != self.s or len(j_idx) != self.s:
-            raise BadShapeError(f"index groups must each have length {self.s}")
-        interleaved = tuple(x for pair in zip(i_idx, j_idx) for x in pair)
-        return complex(self.entries[interleaved])
 
     def flat(self) -> np.ndarray:
         """Row-major flattening; matches the r = 8i+4j+2k+l convention."""
@@ -181,7 +173,7 @@ def hypermatrix(d: PureStateDecomposition, s: int) -> Hypermatrix:
             f"hypermatrix would have {i_count ** (2 * s)} entries "
             f"(limit {HYPERMATRIX_MAX_ENTRIES})"
         )
-    stack = d.stacked()
+    stack = d.stack
     # products P[i, j] = A_i A_j^dag, shape (I, I, n, n)
     prod = np.einsum("iab,jcb->ijac", stack, stack.conj())
     if s == 1:
@@ -321,8 +313,9 @@ def invariant_M(h: Hypermatrix) -> complex:
 
 def lambda_poly(
     x: PureStateDecomposition | GramMatrix | Hypermatrix, s: int, inv: str
-) -> Polynomial:
-    """Coefficients of inv(Omega_s - lambda E) as a polynomial in lambda.
+) -> np.ndarray:
+    """Coefficients of inv(Omega_s - lambda E) as a polynomial in lambda,
+    in ascending powers, as a read-only complex array.
 
     ``inv`` selects the invariant polynomial applied to the shifted
     hypermatrix: ``"det"`` (requires s = 1; the resulting polynomial is
@@ -366,14 +359,20 @@ def lambda_poly(
         raise UnsupportedFormatError(f"inv={inv!r} cannot be read from a {type(x).__name__}")
     if inv == "det":
         signs = (-1.0) ** np.arange(len(x))
-        return Polynomial((signs * x.F)[::-1])
+        return _read_only((signs * x.F)[::-1])
     _require_2222(x, f"lambda_poly(inv={inv!r})")
     if inv == "N":
         return char_poly(_layout_matrix(x.flat(), N_LAYOUT))
     mat = as_complex_matrix(_layout_matrix(x.flat(), M_LAYOUT))
     # det X and det(X - u u^T) from one batched LU factorization
     det_x, det_shifted = np.linalg.det(np.stack((mat, mat - _M_IDENTITY)))
-    return Polynomial([det_x, det_shifted - det_x])
+    return _read_only([det_x, det_shifted - det_x])
+
+
+def _read_only(coeffs) -> np.ndarray:
+    c = np.array(coeffs, dtype=complex)
+    c.setflags(write=False)
+    return c
 
 
 def _bipartite_dims(rho: DensityMatrix) -> tuple[int, int]:

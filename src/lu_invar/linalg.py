@@ -11,8 +11,6 @@ suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -64,37 +62,6 @@ def require_unitary(u, *, tol: float = UNITARITY_TOL, what: str = "matrix") -> n
             f"NotUnitary: {what} has max |U^dag U - E| = {res:.3e} > tol {tol:.3e}"
         )
     return u
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """A polynomial with complex coefficients in ascending powers.
-
-    The coefficients are kept as given, trailing zeros included, so the
-    length is fixed by whoever builds the polynomial and never by
-    rounding; ``degree`` is that length minus one.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex, ndmin=1)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: complex) -> complex:
-        acc = 0j
-        for c in self.coeffs[::-1]:
-            acc = acc * x + c
-        return acc
-
-    def shifted(self, k: int) -> "Polynomial":
-        """Multiply by lambda**k (prepend k zero coefficients)."""
-        return Polynomial(np.concatenate([np.zeros(k, dtype=complex), self.coeffs]))
 
 
 def hermitian_part(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -164,8 +131,10 @@ def determinant(m) -> complex:
     return complex(np.linalg.det(m))
 
 
-def char_poly(m) -> Polynomial:
-    """Characteristic polynomial det(lambda*E - M), monic, ascending coeffs.
+def char_poly(m) -> np.ndarray:
+    """Characteristic polynomial det(lambda*E - M): its n + 1 coefficients
+    in ascending powers of lambda, the last exactly 1, as a read-only
+    complex array.
 
     Computed with the Faddeev-LeVerrier trace recursion rather than an
     eigenvalue solve, so it works unchanged for non-Hermitian input and the
@@ -187,11 +156,13 @@ def char_poly(m) -> Polynomial:
         mk = m @ mk
         c = -mk.trace() / k
         coeffs[n - k] = c
-    return Polynomial(coeffs)
+    coeffs.setflags(write=False)
+    return coeffs
 
 
-def haar_unitary(dim: int, seed: int) -> np.ndarray:
-    """A Haar-distributed random unitary, deterministic for a fixed seed.
+def haar_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
+    """A Haar-distributed random unitary, drawn from ``seed``: an int, or
+    a ``numpy.random.Generator`` whose stream it continues.
 
     Samples a dim x dim matrix of independent standard complex Gaussians,
     orthonormalizes by QR, and fixes the phases so the triangular factor
@@ -199,12 +170,7 @@ def haar_unitary(dim: int, seed: int) -> np.ndarray:
     """
     if dim < 1:
         raise BadShapeError(f"dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    return haar_unitary_from_rng(dim, rng)
-
-
-def haar_unitary_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one Haar unitary from an existing Generator stream."""
+    rng = np.random.default_rng(seed)  # a Generator is returned unchanged
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)

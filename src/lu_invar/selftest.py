@@ -34,7 +34,7 @@ import numpy as np
 from .equivalence import decomposition_fingerprint, fingerprint, screen
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .invariants import cayley_det_222, gram_matrix, lambda_poly
-from .linalg import haar_unitary_from_rng
+from .linalg import haar_unitary
 from .states import (
     DensityMatrix,
     apply_local_unitary,
@@ -128,15 +128,15 @@ def _mixing_trial(rng):
     rho = _random_state(rng)
     d = eigen_decomposition(rho)
     base = decomposition_fingerprint(d, rho).F
-    mixed = (mix_decomposition(d, haar_unitary_from_rng(len(d), rng)) for _ in range(5))
+    mixed = (mix_decomposition(d, haar_unitary(len(d), rng)) for _ in range(5))
     return (np.max([_dev(decomposition_fingerprint(m, rho).F, base) for m in mixed]),)
 
 
 def _lu_trial(rng):
     rho = _random_state(rng)
     d = eigen_decomposition(rho)
-    p = haar_unitary_from_rng(rho.dims[0], rng)
-    q = haar_unitary_from_rng(rho.dims[1], rng)
+    p = haar_unitary(rho.dims[0], rng)
+    q = haar_unitary(rho.dims[1], rng)
     moved = apply_local_unitary_density(rho, [p, q])
     return (
         _dev(gram_matrix(apply_local_unitary(d, p, q)).omega, gram_matrix(d).omega),
@@ -148,8 +148,8 @@ def _degree4_trial(rng):
     rho = random_density((2, 2), 2, seed=int(rng.integers(2**62)))
     d = eigen_decomposition(rho)
     base = _values(decomposition_fingerprint(d, rho))
-    mixed = mix_decomposition(d, haar_unitary_from_rng(2, rng))
-    p, q = haar_unitary_from_rng(2, rng), haar_unitary_from_rng(2, rng)
+    mixed = mix_decomposition(d, haar_unitary(2, rng))
+    p, q = haar_unitary(2, rng), haar_unitary(2, rng)
     moved = apply_local_unitary_density(rho, [p, q])
     return (
         _dev(_values(decomposition_fingerprint(mixed, rho)), base),
@@ -168,8 +168,9 @@ def _soundness_trial(rng):
 def _padding_trial(rng):
     d = eigen_decomposition(_random_state(rng))
     base = lambda_poly(d, 1, "det")
+    # multiplying by lambda**k prepends k zero coefficients
     devs = [
-        _dev(lambda_poly(pad_with_zeros(d, j), 1, "det").coeffs, base.shifted(j - len(d)).coeffs)
+        _dev(lambda_poly(pad_with_zeros(d, j), 1, "det"), np.pad(base, (j - len(d), 0)))
         for j in (len(d) + 1, len(d) + 2)
     ]
     return (np.max(devs),)
@@ -206,7 +207,7 @@ def properties(rho1: DensityMatrix) -> dict[str, Property]:
     base = _values(decomposition_fingerprint(d1, rho1))
 
     def degeneracy_trial(rng):
-        rotated = mix_decomposition(d1, haar_unitary_from_rng(len(d1), rng))
+        rotated = mix_decomposition(d1, haar_unitary(len(d1), rng))
         return (_dev(_values(decomposition_fingerprint(rotated, rho1)), base),)
 
     return {

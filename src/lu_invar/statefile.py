@@ -98,9 +98,12 @@ def parse_state(doc, tol: float = 1e-10) -> DensityMatrix:
                     f"matrix entry ({i}, {j}) must be a [re, im] number pair"
                 )
             try:
-                mat[i, j] = complex(cell[0], cell[1])
+                z = complex(cell[0], cell[1])
             except OverflowError as exc:
                 raise StateFormatError(f"matrix entry ({i}, {j}) overflows a float") from exc
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise StateFormatError(f"matrix entry ({i}, {j}) is not a finite number")
+            mat[i, j] = z
     return validate_density(mat, dims, tol=tol)
 
 

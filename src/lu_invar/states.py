@@ -24,6 +24,7 @@ from .errors import (
     BadCutError,
     BadLengthError,
     BadShapeError,
+    BadToleranceError,
     DimensionMismatchError,
     NotHermitianError,
     NotPSDError,
@@ -32,7 +33,7 @@ from .errors import (
 from .linalg import (
     as_complex_matrix,
     eigh_descending,
-    haar_unitary_from_rng,
+    haar_unitary,
     hermitian_part,
     hermiticity_residual,
     require_unitary,
@@ -52,10 +53,6 @@ class DensityMatrix:
     dims: tuple[int, ...]
     mat: np.ndarray
     tol: float
-
-    @property
-    def size(self) -> int:
-        return self.mat.shape[0]
 
 
 def validate_density(mat, dims, tol: float = DENSITY_TOL) -> DensityMatrix:
@@ -104,15 +101,6 @@ class PureStateDecomposition:
     def __len__(self) -> int:
         return len(self.stack)
 
-    @property
-    def mats(self) -> tuple[np.ndarray, ...]:
-        """The matrices A_i as read-only views into the stack."""
-        return tuple(self.stack)
-
-    def stacked(self) -> np.ndarray:
-        """The matrices as one read-only (I, n, m) array, without a copy."""
-        return self.stack
-
 
 def make_decomposition(mats) -> PureStateDecomposition:
     """Copy n x m coefficient matrices, a sequence or an (I, n, m) array,
@@ -134,13 +122,8 @@ def make_decomposition(mats) -> PureStateDecomposition:
 
 def reconstruct(d: PureStateDecomposition) -> np.ndarray:
     """Density matrix sum_i vec(A_i) vec(A_i)^dag implied by a decomposition."""
-    vecs = d.stacked().reshape(len(d), d.n * d.m)
+    vecs = d.stack.reshape(len(d), d.n * d.m)
     return np.einsum("ia,ib->ab", vecs, vecs.conj())
-
-
-def total_weight(d: PureStateDecomposition) -> float:
-    """sum_i tr(A_i A_i^dag); equals tr(rho) for a faithful decomposition."""
-    return float(np.vdot(d.stacked(), d.stacked()).real)
 
 
 def flatten_multipartite(coeffs, dims, cut: int) -> np.ndarray:
@@ -191,11 +174,19 @@ def numerical_rank(w: np.ndarray, rank_tol: float | None = None) -> int:
     The rule every decomposition of the package decides its rank by.
     Eigenvalues at or below ``rank_tol`` are treated as exact zeros; the
     default threshold is scale-aware, 1e-10 times the largest eigenvalue.
-    A rank of 0 raises :class:`NotPSDError`.
+    A rank of 0 raises :class:`BadToleranceError` when the largest
+    eigenvalue is positive, so a given ``rank_tol`` dropped it, and
+    :class:`NotPSDError` when no eigenvalue is positive.
     """
+    top = float(w.max())
     if rank_tol is None:
-        rank_tol = 1e-10 * max(float(w.max()), 0.0)
+        rank_tol = 1e-10 * max(top, 0.0)
     rank = int(np.count_nonzero(w > rank_tol))
+    if rank == 0 and top > 0.0:
+        raise BadToleranceError(
+            f"rank_tol {rank_tol!r} is at or above the largest eigenvalue {top!r}; "
+            "it keeps no eigenvalue"
+        )
     if rank == 0:
         raise NotPSDError("state has numerical rank 0; not a valid density matrix")
     return rank
@@ -259,7 +250,7 @@ def mix_decomposition(d: PureStateDecomposition, u) -> PureStateDecomposition:
         raise DimensionMismatchError(
             f"mixing matrix is {u.shape[0]}x{u.shape[0]} but decomposition has {len(d)} members"
         )
-    mixed = np.einsum("ij,jkl->ikl", u, d.stacked())
+    mixed = np.einsum("ij,jkl->ikl", u, d.stack)
     return make_decomposition(mixed)
 
 
@@ -268,7 +259,7 @@ def pad_with_zeros(d: PureStateDecomposition, j: int) -> PureStateDecomposition:
     if j < len(d):
         raise BadLengthError(f"target length {j} is below current length {len(d)}")
     zeros = np.zeros((j - len(d), d.n, d.m), dtype=complex)
-    return make_decomposition(np.concatenate([d.stacked(), zeros]))
+    return make_decomposition(np.concatenate([d.stack, zeros]))
 
 
 def apply_local_unitary(d: PureStateDecomposition, p, q) -> PureStateDecomposition:
@@ -285,7 +276,7 @@ def apply_local_unitary(d: PureStateDecomposition, p, q) -> PureStateDecompositi
             f"local unitaries {p.shape[0]}x{p.shape[0]}, {q.shape[0]}x{q.shape[0]} "
             f"do not fit coefficient matrices {d.n}x{d.m}"
         )
-    return make_decomposition(p @ d.stacked() @ q.T)
+    return make_decomposition(p @ d.stack @ q.T)
 
 
 def apply_local_unitary_density(rho: DensityMatrix, locals_) -> DensityMatrix:
@@ -321,4 +312,4 @@ def random_density(dims, rank: int, seed: int, tol: float = DENSITY_TOL) -> Dens
 def random_local_unitaries(dims, seed: int) -> list[np.ndarray]:
     """One Haar-random unitary per subsystem, from a single seeded stream."""
     rng = np.random.default_rng(seed)
-    return [haar_unitary_from_rng(int(d), rng) for d in dims]
+    return [haar_unitary(int(d), rng) for d in dims]

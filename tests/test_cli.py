@@ -82,14 +82,17 @@ class TestCompute:
         assert main(["compute", path]) == 2
 
     def test_entry_too_large_for_float_exit_2(self, tmp_path, capsys):
-        # a 401-digit integer parses as JSON but has no float value
+        # a 401-digit integer parses as JSON but has no float value; Python's
+        # JSON reader also accepts NaN and Infinity, and reads 1e400 as inf
         rows = [[[0, 0] for _ in range(4)] for _ in range(4)]
-        rows[0][1][0] = 10**400
-        path = write_state(tmp_path, "huge.json", {"dims": [2, 2], "matrix": rows})
-        assert main(["compute", path]) == 2
-        assert "matrix entry (0, 1)" in capsys.readouterr().err
-        assert main(["compare", RHO1, path]) == 2
-        assert "matrix entry (0, 1)" in capsys.readouterr().err
+        rows[0][1][0] = "ENTRY"
+        template = json.dumps({"dims": [2, 2], "matrix": rows})
+        for k, literal in enumerate(["1" + "0" * 400, "NaN", "Infinity", "-Infinity", "1e400"]):
+            path = write_state(tmp_path, f"huge{k}.json", template.replace('"ENTRY"', literal))
+            assert main(["compute", path]) == 2, literal
+            assert "matrix entry (0, 1)" in capsys.readouterr().err
+            assert main(["compare", RHO1, path]) == 2, literal
+            assert "matrix entry (0, 1)" in capsys.readouterr().err
 
 
 class TestSci:
@@ -159,11 +162,15 @@ class TestCompare:
 
     @pytest.mark.parametrize(
         "option",
-        [["--atol", "-1"], ["--rtol", "nan"], ["--rank-tol", "nan"], ["--rank-tol", "-1"]],
-        ids=["atol-negative", "rtol-nan", "rank-tol-nan", "rank-tol-negative"],
+        [
+            ["--atol", "-1"], ["--rtol", "nan"], ["--rank-tol", "nan"], ["--rank-tol", "-1"],
+            ["--rank-tol", "0.6"],
+        ],
+        ids=["atol-negative", "rtol-nan", "rank-tol-nan", "rank-tol-negative", "rank-tol-above-top"],
     )
     def test_out_of_range_tolerance_is_usage_error(self, capsys, option):
-        # a state against itself was NotEquivalent (exit 1), or rank 0 (exit 3)
+        # a state against itself was NotEquivalent (exit 1), or rank 0 (exit 3);
+        # rho1's largest eigenvalue is 1/2, so rank_tol 0.6 keeps none
         assert main(["compare", RHO1, RHO1, *option]) == 2
         assert "usage error: " in capsys.readouterr().err
 

@@ -10,7 +10,6 @@ from lu_invar.equivalence import (
     decomposition_fingerprint,
     fingerprint,
     screen,
-    witness_search_hint,
 )
 from lu_invar.errors import (
     BadToleranceError,
@@ -253,8 +252,14 @@ class TestCholeskyPath:
         w = np.array([0.5, 0.5, 4e-11, 6e-11])
         assert numerical_rank(w) == 3
         assert numerical_rank(w, rank_tol=0.0) == 4
-        with pytest.raises(NotPSDError):
-            numerical_rank(w, rank_tol=1.0)
+        # a rank_tol at or above the largest eigenvalue keeps none
+        for tol in (0.5, 1.0):
+            with pytest.raises(BadToleranceError, match=r"rank_tol .* largest eigenvalue 0\.5"):
+                numerical_rank(w, rank_tol=tol)
+        # a spectrum with no positive eigenvalue is no state at any tolerance
+        for tol in (None, 0.0, 1.0):
+            with pytest.raises(NotPSDError):
+                numerical_rank(np.array([0.0, -1e-12]), rank_tol=tol)
 
 
 class TestDecompositionFingerprint:
@@ -444,60 +449,6 @@ class TestCompareFingerprints:
         names = [c.name for c in report.checks]
         assert "F_4" in names
         assert report.witness == "rank"
-
-
-class TestWitnessSearchHint:
-    def test_rho_pair_top_entries(self, rho1, rho2):
-        hints = witness_search_hint(rho1, rho2)
-        ranked = dict(hints)
-        # N is 1/256 vs 0 and M is 0 vs 1/256; both separate the pair with
-        # relative difference 1, as do some lambda coefficients, so which of
-        # them leads is decided by rounding and is not pinned here
-        assert abs(ranked["invariant_M"] - 1.0 / 256.0) < 1e-12
-        assert abs(ranked["invariant_N"] - 1.0 / 256.0) < 1e-12
-        failing = {c.name for c in screen(rho1, rho2).checks if not c.passed}
-        assert {"invariant_N", "invariant_M"} <= failing
-        # every failing check ranks above every passing one
-        positions = {name: i for i, (name, _) in enumerate(hints)}
-        worst_failing = max(positions[name] for name in failing)
-        best_passing = min(p for name, p in positions.items() if name not in failing)
-        assert worst_failing < best_passing
-
-    def test_ranking_is_by_relative_difference(self, rho1, rho2):
-        hints = witness_search_hint(rho1, rho2)
-        report = screen(rho1, rho2)
-        by_name = {c.name: c for c in report.checks}
-
-        def relative(name):
-            c = by_name[name]
-            scale = max(abs(c.value_a), abs(c.value_b))
-            return c.delta / scale if scale else 0.0
-
-        for passed in (False, True):
-            values = [relative(name) for name, _ in hints if by_name[name].passed is passed]
-            assert values == sorted(values, reverse=True)
-
-    def test_failing_checks_rank_above_passing(self):
-        # N is zero on both states, so lambda_N[0..2] are rounding noise
-        # with relative differences near 1; the real separators must lead
-        a = validate_density(np.diag([0.5, 0.0, 0.5, 0.0]), (2, 2))
-        b = validate_density(np.diag([0.501, 0.0, 0.499, 0.0]), (2, 2))
-        report = screen(a, b)
-        assert report.witness == "F_2"
-        failing = [c.name for c in report.checks if not c.passed]
-        hints = [name for name, _ in witness_search_hint(a, b)]
-        assert sorted(hints[: len(failing)]) == sorted(failing)
-
-    def test_identical_states_all_zero(self, sigma1):
-        hints = witness_search_hint(sigma1, sigma1)
-        assert all(delta == 0.0 for _, delta in hints)
-
-    def test_sigma_pair_top_entry(self, sigma1, sigma2):
-        hints = witness_search_hint(sigma1, sigma2)
-        # kyfan separates this pair most strongly in absolute terms;
-        # the first degree-4 separator is invariant_N
-        top_names = [name for name, _ in hints[:3]]
-        assert "invariant_N" in top_names or "kyfan" in top_names
 
 
 class TestSoundness:
