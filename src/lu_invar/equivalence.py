@@ -3,10 +3,16 @@
 The screen computes an invariant fingerprint of each state from one
 pure-state decomposition of it and compares the two fingerprints within
 tolerance. At numerical full rank that decomposition is the Cholesky
-factor of the state, otherwise its eigenvector decomposition. Any two
+factor of the state, otherwise its eigenvector decomposition, which
+``states.eigen_decomposition`` reads from a diagonally pivoted Cholesky
+factor: rho = L L^dag + E with r' >= rank columns in O(n^2 r') work,
+stopped once the largest remaining diagonal entry is at most tau
+(1e-12 max diag(rho) / n, never below n eps max diag(rho), whatever the
+``rank_tol``), so tr E <= n tau, and then
+rotated by the eigenvectors of the r' x r' Gram matrix L^dag L. Any two
 decompositions of equal length differ by a unitary mixing, which only
-conjugates the Gram matrix, so both give the same invariants; the
-Cholesky factor saves the eigen-solve.
+conjugates the Gram matrix, so all give the same invariants, and no
+eigen-solve of the n x n state is needed on either path.
 
 Every invariant here is a necessary condition for local unitary
 equivalence, so the verdict is one-sided: ``NotEquivalent`` with a named

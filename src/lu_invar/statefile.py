@@ -8,8 +8,8 @@ Two document kinds are exchanged on disk:
   version and tolerances used.
 
 Serialization is deterministic: keys are emitted in alphabetical order
-and numbers with 17 significant digits, so parse -> serialize round-trips
-are byte-identical.
+and numbers with 17 significant digits, every zero as ``0`` whatever its
+sign, so parse -> serialize round-trips are byte-identical.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ def _emit(obj, indent: int, level: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+        # adding 0.0 turns -0.0 into 0.0, so a zero is always written "0"
+        return format(float(obj) + 0.0, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:

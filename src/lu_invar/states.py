@@ -36,6 +36,7 @@ from .linalg import (
     haar_unitary,
     hermitian_part,
     hermiticity_residual,
+    pivoted_cholesky,
     require_unitary,
 )
 
@@ -178,7 +179,7 @@ def numerical_rank(w: np.ndarray, rank_tol: float | None = None) -> int:
     eigenvalue is positive, so a given ``rank_tol`` dropped it, and
     :class:`NotPSDError` when no eigenvalue is positive.
     """
-    top = float(w.max())
+    top = float(w.max(initial=0.0))  # a zero matrix has an empty Gram spectrum
     if rank_tol is None:
         rank_tol = 1e-10 * max(top, 0.0)
     rank = int(np.count_nonzero(w > rank_tol))
@@ -199,21 +200,43 @@ def eigen_decomposition(
     *,
     hermitian: np.ndarray | None = None,
 ) -> PureStateDecomposition:
-    """The eigenvector decomposition of a density matrix.
+    """The eigenvector decomposition of a density matrix, read from a
+    rank-revealing factor.
 
-    It has exactly rank(rho) members, the rank by :func:`numerical_rank`
-    at ``rank_tol``. For more than two subsystems the coefficient vectors
-    are flattened across ``cut`` (first ``cut`` subsystems versus the
-    rest). Member i, sqrt(w_i) times the i-th eigenvector, is built with
-    all the others as one scaled and reshaped stack. ``hermitian`` is
+    A diagonally pivoted Cholesky factorization (:func:`pivoted_cholesky`)
+    stops once the largest remaining diagonal entry is at most tau, giving
+    rho = L L^dag + E with r' >= rank(rho) columns in O(n^2 r') work for an
+    n x n rho, and E positive semidefinite with tr E <= n tau. tau is
+    1e-12 * max diag(rho) / n, never below n * eps * max diag(rho),
+    LAPACK ``xPSTRF``'s default, where a pivot would be rounding noise
+    (that floor binds for n > 67). As the largest eigenvalue is at least
+    max diag(rho), ||E|| <= n tau is at most 1e-12 times it, 1% of the
+    default ``rank_tol``. tau does not depend on a given ``rank_tol``: the
+    w below are then within ||E|| of the top eigenvalues of rho in any
+    basis rho is written in, and a given ``rank_tol`` below about n tau
+    counts no eigenvalue the factor dropped. The r' x r' Gram matrix
+    L^dag L = U W U^dag then gives the members L u_i, of Gram matrix
+    diag(w), descending: Rayleigh-Ritz on the range of L, so member i is
+    sqrt(w_i) times an eigenvector of L L^dag, exact when E = 0.
+
+    There are exactly rank(rho) members, the rank by
+    :func:`numerical_rank` of w at ``rank_tol``. For more than two
+    subsystems the coefficient vectors are flattened across ``cut`` (first
+    ``cut`` subsystems versus the rest). ``hermitian`` is
     :func:`hermitian_matrix` of ``rho`` when the caller holds it already.
     """
     if hermitian is None:
         hermitian = hermitian_matrix(rho)
-    w, v = eigh_descending(hermitian)
+    n = hermitian.shape[0]
+    top = max(float(hermitian.diagonal().real.max()), 0.0)
+    # never below LAPACK xPSTRF's default n eps max diag(rho): a pivot at
+    # the rounding level of the Schur complement is a column of noise
+    tau = max(1e-12 / n, n * np.finfo(float).eps) * top
+    rows = pivoted_cholesky(hermitian, tau)  # row k is column k of L
+    w, u = eigh_descending(rows.conj() @ rows.T)
     rank = numerical_rank(w, rank_tol)
-    weighted = (v[:, :rank] * np.sqrt(w[:rank])).T  # row i is sqrt(w_i) v_i
-    return make_decomposition(flatten_multipartite(weighted, rho.dims, cut))
+    members = u[:, :rank].T @ rows  # row i is L u_i
+    return make_decomposition(flatten_multipartite(members, rho.dims, cut))
 
 
 def cholesky_decomposition(

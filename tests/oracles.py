@@ -109,3 +109,15 @@ def swap_adapted_basis(n: int) -> np.ndarray:
                 q[j * n + i, col] = sign * phase / np.sqrt(2.0)
                 col += 1
     return q
+
+
+def eigh_decomposition_stack(mat, dims) -> np.ndarray:
+    """The eigenvector decomposition by a full eigen-solve of the n x n
+    state: member i is sqrt(w_i) v_i for each eigenvalue w_i above 1e-10
+    times the largest, reshaped row-major to a dims[0] x (n / dims[0])
+    matrix. Returned as an (I, dims[0], n / dims[0]) stack."""
+    mat = np.asarray(mat, dtype=complex)
+    w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    w, v = w[::-1], v[:, ::-1]
+    rank = int(np.count_nonzero(w > 1e-10 * max(w[0], 0.0)))
+    return (v[:, :rank] * np.sqrt(w[:rank])).T.reshape(rank, dims[0], -1)

@@ -194,6 +194,17 @@ class TestRoundTrip:
         text = fixture_path("sigma1").read_text()
         assert "0.33333333333333331" in text
 
+    def test_negative_zero_written_as_zero(self):
+        # which zeros come out signed depends on the arithmetic path, so a
+        # canonical document writes every zero the same way
+        from lu_invar.statefile import _pair
+
+        assert dumps(-0.0) == "0\n"
+        assert dumps(np.float64(-0.0)) == "0\n"
+        text = dumps({"z": _pair(complex(-0.0, -0.0)), "w": [_pair(-1.5 - 0.0j), -0.0]})
+        assert "-0" not in text
+        assert json.loads(text) == {"w": [[-1.5, 0], 0], "z": [0, 0]}
+
 
 class TestMix:
     def test_rho1_five_mixings(self, capsys):

@@ -141,29 +141,37 @@ class TestFingerprint:
         assert calls == {"gram_matrix": 1, "hypermatrix": 1}
 
     def test_lapack_calls_per_fingerprint(self, rho1, monkeypatch):
-        # full rank: one cholesky for the decomposition, one eigvalsh for
-        # the Gram check, rank and F, one real SVD for Ky Fan and no eigh.
-        # rho1 (rank 2): the cholesky fails, then one eigh for the
-        # decomposition, one eigvalsh, one SVD, one det for N and one
-        # batched det for lambda_M
+        # full rank: one n x n cholesky for the decomposition, one eigvalsh
+        # for the Gram check, rank and F, one real SVD for Ky Fan and no
+        # eigh. Rank 2: the cholesky fails, then one eigh of the r' x r'
+        # Gram matrix of the pivoted factor (r' = 2 here), one eigvalsh of
+        # the members' 2 x 2 Gram matrix, one SVD, one det for N and one
+        # batched det for lambda_M; no eigen-solve sees an n x n matrix
         names = ("cholesky", "eigh", "eigvalsh", "svd", "det")
         calls = {name: [] for name in names}
         for name, record in calls.items():
             original = getattr(np.linalg, name)
 
             def counted(a, *args, _original=original, _record=record, **kwargs):
-                _record.append(np.asarray(a).dtype)
+                a = np.asarray(a)
+                _record.append((a.shape, a.dtype))
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         full = random_density((3, 3), 9, seed=82)
-        for rho, expected in ((rho1, (1, 1, 1, 1, 2)), (full, (1, 0, 1, 1, 0))):
+        big = random_density((8, 8), 2, seed=83)
+        cases = ((rho1, (1, 1, 1, 1, 2)), (big, (1, 1, 1, 1, 2)), (full, (1, 0, 1, 1, 0)))
+        for rho, expected in cases:
             for record in calls.values():
                 record.clear()
-            fingerprint(rho)
+            fp = fingerprint(rho)
             counts = {name: len(record) for name, record in calls.items()}
             assert counts == dict(zip(names, expected))
-            assert calls["svd"] == [np.float64]
+            assert [dtype for _, dtype in calls["svd"]] == [np.float64]
+            n = rho.mat.shape[0]
+            assert calls["cholesky"] == [((n, n), np.complex128)]
+            gram_side = (fp.rank, fp.rank)
+            assert all(shape == gram_side for shape, _ in calls["eigh"] + calls["eigvalsh"])
 
     def test_f_invariants_once_per_fingerprint(self, rho1, monkeypatch):
         # lambda_det is the signed, reversed F that the fingerprint reports
@@ -230,6 +238,21 @@ class TestCholeskyPath:
             rho = state_with_spectrum([0.5, 0.3, 0.2 - x, x], (2, 2), seed)
             assert fingerprint(rho).rank == len(eigen_decomposition(rho)) == rank
 
+    def test_given_rank_tol_keeps_rotated_copies_inconclusive(self):
+        # two noise eigenvalues far below a given rank_tol of 1e-4, their
+        # mass 8e-11 within the Gram trace check's 1e-10: the kept members
+        # must not depend on the basis the state is written in, so a
+        # locally rotated copy passes that check and is never NotEquivalent
+        cfg = ScreenConfig(rank_tol=1e-4)
+        for seed in range(8):
+            rho = state_with_spectrum([0.6, 0.4 - 8e-11, 4e-11, 4e-11], (2, 2), seed)
+            assert fingerprint(rho, cfg).rank == 2
+            for k in range(4):
+                moved = apply_local_unitary_density(
+                    rho, random_local_unitaries((2, 2), seed=100 * seed + k)
+                )
+                assert screen(rho, moved, cfg).verdict == "Inconclusive"
+
     @pytest.mark.parametrize("rank", [2, 4])
     def test_hermiticity_checked_once(self, rank, monkeypatch):
         import lu_invar.linalg
@@ -260,6 +283,12 @@ class TestCholeskyPath:
         for tol in (None, 0.0, 1.0):
             with pytest.raises(NotPSDError):
                 numerical_rank(np.array([0.0, -1e-12]), rank_tol=tol)
+        # nor is a zero matrix, whose pivoted factor has no column and so
+        # an empty Gram spectrum
+        with pytest.raises(NotPSDError):
+            numerical_rank(np.array([]))
+        with pytest.raises(NotPSDError):
+            fingerprint(DensityMatrix(dims=(2, 2), mat=np.zeros((4, 4), dtype=complex), tol=1e-10))
 
 
 class TestDecompositionFingerprint:

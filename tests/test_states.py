@@ -24,6 +24,7 @@ from lu_invar.states import (
     mix_decomposition,
     pad_with_zeros,
     random_density,
+    random_local_unitaries,
     reconstruct,
     validate_density,
 )
@@ -121,7 +122,9 @@ class TestEigenDecomposition:
         assert np.abs(omega - np.diag(w)).max() < 1e-10
 
     def test_multipartite_stack_matches_per_member_oracle(self):
-        # oracle: member i built on its own as sqrt(w_i) * flatten(v_i)
+        # oracle: member i built on its own as sqrt(w_i) * flatten(v_i);
+        # an eigenvector carries an arbitrary phase, so each member may
+        # differ from its oracle by one unit-modulus factor
         for dims in ((2, 2, 2), (2, 3, 2)):
             size = math.prod(dims)
             for cut in (1, 2):
@@ -134,7 +137,39 @@ class TestEigenDecomposition:
                     w, v = hermitian_eig(rho.mat, tol=max(rho.tol, 1e-10))
                     for i, a in enumerate(d.stack):
                         oracle = np.sqrt(w[i]) * flatten_multipartite(v[:, i], dims, cut)
-                        assert np.array_equal(a, oracle)
+                        overlap = np.vdot(oracle, a)
+                        phase = overlap / abs(overlap)
+                        assert np.abs(a - phase * oracle).max() <= 1e-12
+
+    def test_zero_rank_tol_counts_no_rounding_noise(self):
+        # rank_tol 0 keeps every eigenvalue above zero, but the pivoted
+        # factor stops at the rounding level of its Schur complement, so a
+        # rank-2 state keeps its two members and no column of noise
+        for dims in ((2, 2), (3, 3), (8, 8)):
+            for seed in range(8):
+                rho = random_density(dims, 2, seed=1020 + seed)
+                d = eigen_decomposition(rho, rank_tol=0.0)
+                assert len(d) == 2
+                assert np.abs(reconstruct(d) - rho.mat).max() <= 1e-12
+
+    def test_given_rank_tol_keeps_top_eigenvalues_in_any_basis(self):
+        # noise eigenvalues near 1e-7 sit far below rank_tol 1e-4 but far
+        # above the factor's stopping threshold, so the factor keeps them
+        # and the two kept Gram eigenvalues are rho's top two, whatever
+        # local basis rho is written in
+        w = [0.6, 0.4 - 2.5e-7, 1.5e-7, 1e-7]
+        for seed in range(4):
+            u = haar_unitary(4, seed=1040 + seed)
+            rho = validate_density((u * np.asarray(w)) @ u.conj().T, (2, 2))
+            for k in range(4):
+                moved = apply_local_unitary_density(
+                    rho, random_local_unitaries((2, 2), seed=1050 + 10 * seed + k)
+                )
+                d = eigen_decomposition(moved, rank_tol=1e-4)
+                assert len(d) == 2
+                vecs = d.stack.reshape(len(d), -1)  # gram_matrix refuses trace 1 - 2.5e-7
+                kept = np.linalg.eigvalsh(vecs @ vecs.conj().T)[::-1]
+                assert np.abs(kept - w[:2]).max() <= 1e-13
 
     def test_stack_read_only_and_not_copied(self, rho1):
         d = eigen_decomposition(rho1)
