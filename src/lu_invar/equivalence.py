@@ -1,18 +1,20 @@
 """Local-unitary equivalence screening.
 
-The screen computes an invariant fingerprint of each state from one
-pure-state decomposition of it and compares the two fingerprints within
-tolerance. At numerical full rank that decomposition is the Cholesky
-factor of the state, otherwise its eigenvector decomposition, which
-``states.eigen_decomposition`` reads from a diagonally pivoted Cholesky
-factor: rho = L L^dag + E with r' >= rank columns in O(n^2 r') work,
-stopped once the largest remaining diagonal entry is at most tau
-(1e-12 max diag(rho) / n, never below n eps max diag(rho), whatever the
-``rank_tol``), so tr E <= n tau, and then
+The screen computes an invariant fingerprint of each state and compares
+the two fingerprints within tolerance. The Gram spectrum of every
+pure-state decomposition of a state is its nonzero spectrum, so at
+numerical full rank F is read from ``DensityMatrix.spectrum``, the
+eigenvalues that validation computed, and no decomposition is built.
+Below full rank the fingerprint is read from the eigenvector
+decomposition, which ``states.eigen_decomposition`` reads from a
+diagonally pivoted Cholesky factor: rho = L L^dag + E with r' >= rank
+columns in O(n^2 r') work, stopped once the largest remaining diagonal
+entry is at most tau (1e-12 max diag(rho) / n, never below n eps
+max diag(rho), whatever the ``rank_tol``), so tr E <= n tau, and then
 rotated by the eigenvectors of the r' x r' Gram matrix L^dag L. Any two
 decompositions of equal length differ by a unitary mixing, which only
 conjugates the Gram matrix, so all give the same invariants, and no
-eigen-solve of the n x n state is needed on either path.
+eigen-solve of the n x n state runs on either path.
 
 Every invariant here is a necessary condition for local unitary
 equivalence, so the verdict is one-sided: ``NotEquivalent`` with a named
@@ -30,20 +32,20 @@ import numpy as np
 
 from .errors import BadToleranceError, DimensionMismatchError
 from .invariants import (
-    GramMatrix,
+    Hypermatrix,
+    InvariantVector,
     f_invariants,
     gram_matrix,
     hypermatrix,
     invariant_N,
     lambda_poly,
     realignment_kyfan,
+    require_unit_gram_trace,
 )
 from .states import (
     DensityMatrix,
     PureStateDecomposition,
-    cholesky_decomposition,
     eigen_decomposition,
-    hermitian_matrix,
     merge_cut,
     numerical_rank,
 )
@@ -125,17 +127,14 @@ class EquivalenceReport:
     checks: tuple[Check, ...]
 
 
-def decomposition_fingerprint(
-    d: PureStateDecomposition, rho: DensityMatrix, gram: GramMatrix | None = None
-) -> Fingerprint:
+def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> Fingerprint:
     """The fingerprint of ``rho`` read from ``d``, any pure-state
     decomposition of it, with rank the length of ``d``.
 
     The Gram matrix, F and, at rank 2, the s=2 hypermatrix are each built
-    once; ``gram``, when given, is ``gram_matrix(d)`` built already. M is
-    the constant term of ``lambda_M``. Ky Fan is read from ``rho`` across
-    the bipartition that d's (n, m) shape names. Only that shape is
-    checked against ``rho`` (:class:`DimensionMismatchError`).
+    once. M is the constant term of ``lambda_M``. Ky Fan is read from
+    ``rho`` across the bipartition that d's (n, m) shape names. Only that
+    shape is checked against ``rho`` (:class:`DimensionMismatchError`).
     """
     bip = rho
     if (d.n, d.m) != rho.dims:
@@ -145,19 +144,24 @@ def decomposition_fingerprint(
                 f"{d.n}x{d.m} coefficient matrices fit no bipartition of dims {rho.dims}"
             )
         bip = merge_cut(rho, cuts.index((d.n, d.m)) + 1)
-    rank = len(d)
-    f = f_invariants(gram_matrix(d) if gram is None else gram)
-    kyfan = realignment_kyfan(bip)
+    f = f_invariants(gram_matrix(d).spectrum)
+    return _fingerprint(rho, f, realignment_kyfan(bip), hypermatrix(d, 2) if len(d) == 2 else None)
+
+
+def _fingerprint(
+    rho: DensityMatrix, f: InvariantVector, kyfan: float, h: Hypermatrix | None
+) -> Fingerprint:
+    """The fingerprint of rank len(f) - 1 from F, Ky Fan and, at rank 2,
+    the s=2 hypermatrix ``h``."""
     lambdas = {"det": lambda_poly(f, 1, "det")}
     n_value = m_value = None
-    if rank == 2:
-        h = hypermatrix(d, 2)
+    if h is not None:
         n_value = invariant_N(h)
         lambdas["N"] = lambda_poly(h, 2, "N")
         lambdas["M"] = lambda_poly(h, 2, "M")
         m_value = complex(lambdas["M"][0])
     return Fingerprint(
-        dims=rho.dims, rank=rank, F=f.F, kyfan=kyfan,
+        dims=rho.dims, rank=len(f) - 1, F=f.F, kyfan=kyfan,
         N_value=n_value, M_value=m_value, lambda_coeffs=lambdas,
     )
 
@@ -165,25 +169,33 @@ def decomposition_fingerprint(
 def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerprint:
     """The fingerprint of a state across ``cfg.cut``, deterministic.
 
-    It first tries the Cholesky factor, rho = L L^dag with member i column
-    i of L. When that succeeds and the Gram spectrum of those members
-    shows full rank (by ``states.numerical_rank`` at ``cfg.rank_tol``),
-    the fingerprint is read from them and that Gram matrix, with no
-    eigen-solve. Otherwise it is read from the eigenvector decomposition,
-    which has exactly rank(rho) members. Both are decompositions of rho of
-    length rank(rho); they differ by a unitary mixing, which conjugates
-    the Gram matrix and leaves every invariant unchanged. A longer
-    decomposition would only pad the Gram spectrum with zeros.
+    The Gram spectrum of every decomposition of rho is rho's nonzero
+    spectrum, so at full rank F is read from ``rho.spectrum``, the
+    eigenvalues validation computed, with no factorization, Gram matrix or
+    eigen-solve. Full rank means every eigenvalue exceeds both
+    ``cfg.rank_tol`` (by ``states.numerical_rank``) and the noise floor
+    n eps lambda_max, where the pivoted factor of ``eigen_decomposition``
+    stops too: an eigenvalue at the rounding level of rho is no evidence
+    of rank, whatever the ``rank_tol``. The Gram trace check runs on that
+    spectrum, and Ky Fan is read from rho across ``cfg.cut``. Below full
+    rank the fingerprint is read from the eigenvector decomposition, which
+    has exactly rank(rho) members (:func:`decomposition_fingerprint`).
     """
     cfg = cfg or ScreenConfig()
-    herm = hermitian_matrix(rho)
-    d = cholesky_decomposition(rho, cfg.cut, hermitian=herm)
-    if d is not None:
-        g = gram_matrix(d)
-        if numerical_rank(g.spectrum, cfg.rank_tol) == len(d):
-            return decomposition_fingerprint(d, rho, g)
-    d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut, hermitian=herm)
+    w = rho.spectrum
+    if _full_rank(w, cfg.rank_tol):
+        require_unit_gram_trace(float(w.sum()))
+        kyfan = realignment_kyfan(merge_cut(rho, cfg.cut))
+        return _fingerprint(rho, f_invariants(w), kyfan, None)
+    d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut)
     return decomposition_fingerprint(d, rho)
+
+
+def _full_rank(w: np.ndarray, rank_tol: float | None) -> bool:
+    """Whether every eigenvalue of the ascending ``w`` exceeds both
+    ``rank_tol`` and the noise floor len(w) eps max(w)."""
+    floor = len(w) * np.finfo(float).eps * w[-1]
+    return w[0] > floor and numerical_rank(w, rank_tol) == len(w)
 
 
 def _make_check(name: str, a: complex, b: complex, atol: float, rtol: float) -> Check:

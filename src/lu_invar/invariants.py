@@ -11,7 +11,9 @@ and local-unitary invariant.
 Implemented invariant polynomials, each computed in closed form:
 
 * the elementary symmetric polynomials F_i of the Omega spectrum (any
-  size), from the eigenvalues of the Gram matrix's PSD check,
+  size), from its eigenvalues: those of the Gram matrix's PSD check, or
+  the nonzero spectrum of the state, which every decomposition's Omega
+  shares,
 * Cayley's 2x2x2 hyperdeterminant,
 * the two degree-4 determinant invariants N and M of format 2x2x2x2,
   each the determinant of one 4x4 flattening of the s=2 hypermatrix
@@ -80,14 +82,20 @@ def gram_matrix(d: PureStateDecomposition) -> GramMatrix:
     w = np.linalg.eigvalsh(omega)
     if w.min() < -GRAM_TOL:
         raise NotPSDError(f"NotPSD: Gram min eigenvalue {w.min():.3e} < -{GRAM_TOL:.3e}")
-    tr = float(omega.trace().real)
-    if abs(tr - 1.0) > GRAM_TOL:
-        raise NotUnitTraceError(
-            f"NotUnitTrace: Gram trace {tr!r} differs from 1 by {abs(tr - 1.0):.3e}"
-        )
+    require_unit_gram_trace(float(omega.trace().real))
     omega.setflags(write=False)
     w.setflags(write=False)
     return GramMatrix(omega=omega, spectrum=w)
+
+
+def require_unit_gram_trace(trace: float) -> None:
+    """The Gram trace check: the Gram matrix of a decomposition of a
+    unit-trace state has trace 1 within ``GRAM_TOL``
+    (:class:`NotUnitTraceError` otherwise)."""
+    if abs(trace - 1.0) > GRAM_TOL:
+        raise NotUnitTraceError(
+            f"NotUnitTrace: Gram trace {trace!r} differs from 1 by {abs(trace - 1.0):.3e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -101,20 +109,23 @@ class InvariantVector:
         return len(self.F)
 
 
-def f_invariants(g: GramMatrix) -> InvariantVector:
-    """Elementary symmetric polynomials of the Gram spectrum.
+def f_invariants(w) -> InvariantVector:
+    """Elementary symmetric polynomials of a Gram spectrum ``w``.
 
-    F_i := e_i(spectrum of Omega), i.e. (-1)**i times the coefficient of
-    lambda**(I-i) in det(lambda E - Omega), so F_1 = tr(Omega) and
-    F_I = det(Omega). Built by the product recurrence
-    e_k <- e_k + x * e_(k-1) over the eigenvalues x of ``g.spectrum``.
-    Omega is PSD, so up to rounding every term is nonnegative and each
-    F_i keeps its relative accuracy however small it is. F_0 is exactly
-    1 and every F_i is real.
+    ``w`` holds the I eigenvalues of a Gram matrix Omega, such as
+    ``GramMatrix.spectrum``, or the nonzero spectrum of the state itself,
+    which every decomposition's Gram matrix shares. F_i := e_i(w), i.e.
+    (-1)**i times the coefficient of lambda**(I-i) in det(lambda E - Omega),
+    so F_1 = tr(Omega) and F_I = det(Omega). Built by the product
+    recurrence e_k <- e_k + x * e_(k-1) over the eigenvalues x in the
+    order given. Omega is PSD, so up to rounding every term is nonnegative
+    and each F_i keeps its relative accuracy however small it is. F_0 is
+    exactly 1 and every F_i is real.
     """
-    f = np.zeros(g.size + 1)
+    w = np.asarray(w, dtype=float)
+    f = np.zeros(len(w) + 1)
     f[0] = 1.0
-    for x in g.spectrum:  # real arithmetic on the real spectrum
+    for x in w:  # real arithmetic on the real spectrum
         f[1:] += x * f[:-1]
     f = f.astype(complex)
     f.setflags(write=False)
@@ -354,7 +365,7 @@ def lambda_poly(
             )
         x = gram_matrix(x) if inv == "det" else hypermatrix(x, 2)
     if inv == "det" and isinstance(x, GramMatrix):
-        x = f_invariants(x)
+        x = f_invariants(x.spectrum)
     if not isinstance(x, want_type):
         raise UnsupportedFormatError(f"inv={inv!r} cannot be read from a {type(x).__name__}")
     if inv == "det":

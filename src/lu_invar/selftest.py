@@ -18,9 +18,9 @@ and, in the full profile only, zero-padding shifts the determinant
 polynomial by a power of lambda and the 2x2x2 hyperdeterminant obeys its
 group covariance. The mixing, degree-4 and degeneracy properties read
 their invariants through ``decomposition_fingerprint``, the one path that
-``fingerprint`` and ``lu-invar mix`` take too; the local-unitary F row
-compares the F that ``fingerprint`` reports, so at full rank it covers
-the Cholesky decomposition as well.
+``fingerprint`` and ``lu-invar mix`` take too below full rank; the
+local-unitary F row compares the F that ``fingerprint`` reports, so at
+full rank it covers the F read from the state's spectrum as well.
 """
 
 from __future__ import annotations

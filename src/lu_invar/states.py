@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -48,19 +48,50 @@ class DensityMatrix:
     """A validated Hermitian, PSD, unit-trace matrix with subsystem dims.
 
     Construct through :func:`validate_density`; the stored ``tol`` is the
-    tolerance the validation was performed at.
+    tolerance the validation was performed at. ``spectrum`` holds the
+    ascending, read-only eigenvalues of the Hermitian part of ``mat``,
+    computed once per state: validation keeps the ones it checks
+    positivity with, and :func:`merge_cut` passes them on. A state built
+    by hand computes them on first use, through :func:`hermitian_matrix`,
+    and that first use checks it as validation would: Hermitian within
+    max(tol, 1e-10) (:class:`NotHermitianError`) and no eigenvalue below
+    minus that tolerance (:class:`NotPSDError`).
     """
 
     dims: tuple[int, ...]
     mat: np.ndarray
     tol: float
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        tol = max(self.tol, 1e-10)
+        return _checked_spectrum(hermitian_part(self.mat, tol=tol), tol)
+
+
+def _checked_spectrum(h: np.ndarray, tol: float) -> np.ndarray:
+    """The ascending, read-only eigenvalues of the exactly Hermitian h, or
+    :class:`NotPSDError` when the least is below -tol."""
+    w = np.linalg.eigvalsh(h)
+    if w[0] < -tol:
+        raise NotPSDError(f"NotPSD: min eigenvalue = {w[0]:.3e} < -tol {tol:.3e}")
+    w.setflags(write=False)
+    return w
+
+
+def _density(dims, mat: np.ndarray, tol: float, spectrum: np.ndarray | None) -> DensityMatrix:
+    rho = DensityMatrix(dims=dims, mat=mat, tol=tol)
+    if spectrum is not None:
+        vars(rho)["spectrum"] = spectrum  # fills the cached property
+    return rho
+
 
 def validate_density(mat, dims, tol: float = DENSITY_TOL) -> DensityMatrix:
     """Validate a candidate density matrix against its three invariants.
 
     Raises ``NotHermitianError``, ``NotUnitTraceError`` or ``NotPSDError``
-    naming the violated invariant and the measured residual.
+    naming the violated invariant and the measured residual. The
+    eigenvalues that positivity is checked with, one ``eigvalsh`` of the
+    Hermitian part, are kept as the state's ``spectrum``.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) < 1 or any(d < 2 for d in dims):
@@ -77,12 +108,10 @@ def validate_density(mat, dims, tol: float = DENSITY_TOL) -> DensityMatrix:
     tr = complex(mat.trace())
     if abs(tr - 1.0) > tol:
         raise NotUnitTraceError(f"NotUnitTrace: |tr(rho) - 1| = {abs(tr - 1.0):.3e} > tol {tol:.3e}")
-    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-    if w.min() < -tol:
-        raise NotPSDError(f"NotPSD: min eigenvalue = {w.min():.3e} < -tol {tol:.3e}")
+    w = _checked_spectrum((mat + mat.conj().T) / 2.0, tol)
     mat = mat.copy()
     mat.setflags(write=False)
-    return DensityMatrix(dims=dims, mat=mat, tol=tol)
+    return _density(dims, mat, tol, w)
 
 
 @dataclass(frozen=True)
@@ -157,16 +186,17 @@ def merge_cut(rho: DensityMatrix, cut: int = 1) -> DensityMatrix:
     """View a multipartite state as bipartite across the given cut."""
     if len(rho.dims) == 1:
         raise BadCutError("cannot bipartition a single-subsystem state")
-    return DensityMatrix(dims=_cut_sizes(rho.dims, cut), mat=rho.mat, tol=rho.tol)
+    return _density(_cut_sizes(rho.dims, cut), rho.mat, rho.tol, vars(rho).get("spectrum"))
 
 
 def hermitian_matrix(rho: DensityMatrix) -> np.ndarray:
-    """``rho.mat`` made exactly Hermitian, (M + M^dag) / 2, after checking
-    that max |M - M^dag| is within max(rho.tol, 1e-10)
-    (:class:`NotHermitianError` otherwise). Both factorizations below read
-    this matrix, so a caller that tries one and then the other checks and
-    symmetrizes once."""
-    return hermitian_part(rho.mat, tol=max(rho.tol, 1e-10))
+    """``rho.mat`` made exactly Hermitian, (M + M^dag) / 2.
+
+    The state is checked once, when its ``spectrum`` is computed: by
+    :func:`validate_density`, or here on the first use of a state built
+    by hand (:class:`NotHermitianError`, :class:`NotPSDError`)."""
+    rho.spectrum  # computes, and so checks, the spectrum of a hand-built state
+    return (rho.mat + rho.mat.conj().T) / 2.0
 
 
 def numerical_rank(w: np.ndarray, rank_tol: float | None = None) -> int:
@@ -194,11 +224,7 @@ def numerical_rank(w: np.ndarray, rank_tol: float | None = None) -> int:
 
 
 def eigen_decomposition(
-    rho: DensityMatrix,
-    rank_tol: float | None = None,
-    cut: int = 1,
-    *,
-    hermitian: np.ndarray | None = None,
+    rho: DensityMatrix, rank_tol: float | None = None, cut: int = 1
 ) -> PureStateDecomposition:
     """The eigenvector decomposition of a density matrix, read from a
     rank-revealing factor.
@@ -222,11 +248,9 @@ def eigen_decomposition(
     There are exactly rank(rho) members, the rank by
     :func:`numerical_rank` of w at ``rank_tol``. For more than two
     subsystems the coefficient vectors are flattened across ``cut`` (first
-    ``cut`` subsystems versus the rest). ``hermitian`` is
-    :func:`hermitian_matrix` of ``rho`` when the caller holds it already.
+    ``cut`` subsystems versus the rest).
     """
-    if hermitian is None:
-        hermitian = hermitian_matrix(rho)
+    hermitian = hermitian_matrix(rho)
     n = hermitian.shape[0]
     top = max(float(hermitian.diagonal().real.max()), 0.0)
     # never below LAPACK xPSTRF's default n eps max diag(rho): a pivot at
@@ -237,29 +261,6 @@ def eigen_decomposition(
     rank = numerical_rank(w, rank_tol)
     members = u[:, :rank].T @ rows  # row i is L u_i
     return make_decomposition(flatten_multipartite(members, rho.dims, cut))
-
-
-def cholesky_decomposition(
-    rho: DensityMatrix, cut: int = 1, *, hermitian: np.ndarray | None = None
-) -> PureStateDecomposition | None:
-    """The decomposition of rho by its Cholesky factor, rho = L L^dag, or
-    None when the factorization fails (rho is not numerically positive
-    definite).
-
-    Member i is column i of L, flattened across ``cut`` as the
-    eigenvectors are, so there are always prod(dims) members; whether that
-    is rho's rank is for the caller to decide. The factorization is
-    backward stable whenever it completes, so L L^dag is as faithful a
-    decomposition as the eigenvectors. ``hermitian`` is as for
-    :func:`eigen_decomposition`.
-    """
-    if hermitian is None:
-        hermitian = hermitian_matrix(rho)
-    try:
-        low = np.linalg.cholesky(hermitian)
-    except np.linalg.LinAlgError:
-        return None
-    return make_decomposition(flatten_multipartite(low.T, rho.dims, cut))
 
 
 def mix_decomposition(d: PureStateDecomposition, u) -> PureStateDecomposition:

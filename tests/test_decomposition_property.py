@@ -1,6 +1,8 @@
 """Property test of the eigenvector decomposition read from the pivoted
 Cholesky factor, across the accepted grid of dims and ranks, against a
-full eigen-solve of the state (``oracles.eigh_decomposition_stack``)."""
+full eigen-solve of the state (``oracles.eigh_decomposition_stack``),
+and of the screen of a state against a locally rotated copy at the
+default and at a zero ``rank_tol``."""
 
 import math
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lu_invar.equivalence import decomposition_fingerprint, fingerprint, screen
+from lu_invar.equivalence import ScreenConfig, decomposition_fingerprint, fingerprint, screen
 from lu_invar.invariants import gram_matrix
 from lu_invar.linalg import haar_unitary
 from lu_invar.states import (
@@ -62,6 +64,20 @@ def test_factor_decomposition_matches_eigh_oracle(dims, rank, seed):
 
     moved = apply_local_unitary_density(rho, random_local_unitaries(dims, seed=seed + 1))
     assert screen(rho, moved).verdict == "Inconclusive"
+
+
+@over_grid
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_rotated_copy_inconclusive_at_zero_rank_tol(dims, rank, seed):
+    # rank_tol=0 keeps every eigenvalue above the noise floor; the rounding
+    # noise of a rotated copy must not read as extra rank
+    cfg = ScreenConfig(rank_tol=0.0)
+    rho = random_density(dims, rank, seed=seed)
+    moved = apply_local_unitary_density(rho, random_local_unitaries(dims, seed=seed + 1))
+    report = screen(rho, moved, cfg)
+    assert report.verdict == "Inconclusive", report.witness
+    assert fingerprint(rho, cfg).rank == rank
 
 
 @over_grid

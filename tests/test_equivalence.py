@@ -21,7 +21,6 @@ from lu_invar.linalg import haar_unitary
 from lu_invar.states import (
     DensityMatrix,
     apply_local_unitary_density,
-    cholesky_decomposition,
     eigen_decomposition,
     merge_cut,
     mix_decomposition,
@@ -141,12 +140,12 @@ class TestFingerprint:
         assert calls == {"gram_matrix": 1, "hypermatrix": 1}
 
     def test_lapack_calls_per_fingerprint(self, rho1, monkeypatch):
-        # full rank: one n x n cholesky for the decomposition, one eigvalsh
-        # for the Gram check, rank and F, one real SVD for Ky Fan and no
-        # eigh. Rank 2: the cholesky fails, then one eigh of the r' x r'
-        # Gram matrix of the pivoted factor (r' = 2 here), one eigvalsh of
-        # the members' 2 x 2 Gram matrix, one SVD, one det for N and one
-        # batched det for lambda_M; no eigen-solve sees an n x n matrix
+        # full rank: F, the rank and the Gram trace check come from the
+        # spectrum validation computed, so one real SVD for Ky Fan is the
+        # only LAPACK call. Rank 2: one eigh of the r' x r' Gram matrix of
+        # the pivoted factor (r' = 2 here), one eigvalsh of the members'
+        # 2 x 2 Gram matrix, one SVD, one det for N and one batched det for
+        # lambda_M; no cholesky, and no eigen-solve sees an n x n matrix
         names = ("cholesky", "eigh", "eigvalsh", "svd", "det")
         calls = {name: [] for name in names}
         for name, record in calls.items():
@@ -160,7 +159,7 @@ class TestFingerprint:
             monkeypatch.setattr(np.linalg, name, counted)
         full = random_density((3, 3), 9, seed=82)
         big = random_density((8, 8), 2, seed=83)
-        cases = ((rho1, (1, 1, 1, 1, 2)), (big, (1, 1, 1, 1, 2)), (full, (1, 0, 1, 1, 0)))
+        cases = ((rho1, (0, 1, 1, 1, 2)), (big, (0, 1, 1, 1, 2)), (full, (0, 0, 0, 1, 0)))
         for rho, expected in cases:
             for record in calls.values():
                 record.clear()
@@ -168,10 +167,19 @@ class TestFingerprint:
             counts = {name: len(record) for name, record in calls.items()}
             assert counts == dict(zip(names, expected))
             assert [dtype for _, dtype in calls["svd"]] == [np.float64]
-            n = rho.mat.shape[0]
-            assert calls["cholesky"] == [((n, n), np.complex128)]
             gram_side = (fp.rank, fp.rank)
             assert all(shape == gram_side for shape, _ in calls["eigh"] + calls["eigvalsh"])
+
+    def test_full_rank_pair_screened_twice_runs_no_eigvalsh(self, monkeypatch):
+        # validation computed each state's spectrum once; screens reuse it
+        rho = random_density((3, 3), 9, seed=86)
+        moved = apply_local_unitary_density(rho, random_local_unitaries((3, 3), seed=87))
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+        for _ in range(2):
+            assert screen(rho, moved).verdict == "Inconclusive"
+        assert calls == []
 
     def test_f_invariants_once_per_fingerprint(self, rho1, monkeypatch):
         # lambda_det is the signed, reversed F that the fingerprint reports
@@ -191,8 +199,9 @@ def state_with_spectrum(w, dims, seed):
 
 
 class TestCholeskyPath:
-    """At numerical full rank the fingerprint is read from the Cholesky
-    factor; below it, from the eigenvector decomposition."""
+    """At numerical full rank the fingerprint is read from the state's
+    spectrum; below it, from the eigenvector decomposition that
+    ``eigen_decomposition`` reads from a pivoted Cholesky factor."""
 
     @pytest.mark.parametrize(
         "dims, cut",
@@ -206,19 +215,25 @@ class TestCholeskyPath:
             rho = random_density(dims, math.prod(dims), seed=1000 + seed)
             want = decomposition_fingerprint(eigen_decomposition(rho, cut=cut), rho)
             with monkeypatch.context() as m:
-                # the full-rank path runs no eigen-solve
+                # the full-rank path builds no decomposition or Gram matrix
                 m.setattr(lu_invar.equivalence, "eigen_decomposition", None)
+                m.setattr(lu_invar.equivalence, "gram_matrix", None)
                 got = fingerprint(rho, cfg)
             assert got.rank == want.rank == math.prod(dims)
             assert np.abs(got.F - want.F).max() <= 1e-12
             assert got.kyfan == want.kyfan
 
-    def test_cholesky_succeeds_below_full_rank(self):
-        # two eigenvalues far below rank_tol: the factorization completes,
-        # the Gram spectrum shows rank 2, and the eigenvector path decides
+    def test_spectrum_rule_decides_full_rank(self, monkeypatch):
+        # two eigenvalues of 1e-14: below the default rank_tol, so the
+        # eigenvector path gives rank 2; above the noise floor n eps
+        # lambda_max (5e-16 here), so rank_tol=0 reads full rank from the
+        # spectrum. Eigenvalues at the rounding level of rho are below that
+        # floor, so at rank_tol=0 the eigenvector path decides them.
+        import lu_invar.equivalence
+
+        zero = ScreenConfig(rank_tol=0.0)
         for seed in range(5):
             rho = state_with_spectrum([0.6, 0.4 - 2e-14, 1e-14, 1e-14], (2, 2), seed)
-            assert cholesky_decomposition(rho) is not None
             got = fingerprint(rho)
             want = decomposition_fingerprint(eigen_decomposition(rho), rho)
             assert got.rank == 2
@@ -229,6 +244,25 @@ class TestCholeskyPath:
             )
             for key, coeffs in want.lambda_coeffs.items():
                 assert np.array_equal(got.lambda_coeffs[key], coeffs)
+            with monkeypatch.context() as m:
+                m.setattr(lu_invar.equivalence, "eigen_decomposition", None)
+                full = fingerprint(rho, zero)
+            assert full.rank == 4
+            exact = [elementary_symmetric(list(rho.spectrum), k) for k in range(5)]
+            assert np.abs(full.F - exact).max() <= 1e-15
+
+            noise = state_with_spectrum([0.6, 0.4, 0.0, 0.0], (2, 2), seed)
+            assert noise.spectrum[0] <= 4 * np.finfo(float).eps * noise.spectrum[-1]
+            assert fingerprint(noise, zero).rank == 2
+
+    def test_rank_tol_zero_keeps_rotated_copy_inconclusive(self):
+        # the rotated copy's rounding-level eigenvalues once read as rank 4
+        # on a full-rank path, while rho itself read rank 2
+        rho = random_density((2, 2), 2, seed=1024)
+        moved = apply_local_unitary_density(rho, random_local_unitaries((2, 2), seed=1034))
+        report = screen(rho, moved, ScreenConfig(rank_tol=0.0))
+        assert report.verdict == "Inconclusive"
+        assert report.checks[0].value_a == report.checks[0].value_b == 2
 
     @pytest.mark.parametrize("factor, rank", [(0.5, 3), (2.0, 4)])
     def test_rank_near_rank_tol_matches_eigenvector_path(self, factor, rank):
@@ -255,15 +289,28 @@ class TestCholeskyPath:
 
     @pytest.mark.parametrize("rank", [2, 4])
     def test_hermiticity_checked_once(self, rank, monkeypatch):
+        # once per state, across validation and the fingerprints after it;
+        # a state built by hand is checked on its first fingerprint
         import lu_invar.linalg
+        import lu_invar.states
 
         real = lu_invar.linalg.hermiticity_residual
         calls = []
-        monkeypatch.setattr(
-            lu_invar.linalg, "hermiticity_residual", lambda a: calls.append(1) or real(a)
-        )
-        fingerprint(random_density((2, 2), rank, seed=1010))
+
+        def counted(a):
+            calls.append(1)
+            return real(a)
+
+        monkeypatch.setattr(lu_invar.linalg, "hermiticity_residual", counted)
+        monkeypatch.setattr(lu_invar.states, "hermiticity_residual", counted)
+        rho = random_density((2, 2), rank, seed=1010)
+        fingerprint(rho)
+        fingerprint(rho)
         assert len(calls) == 1
+        by_hand = DensityMatrix(dims=rho.dims, mat=rho.mat, tol=rho.tol)
+        fingerprint(by_hand)
+        fingerprint(by_hand)
+        assert len(calls) == 2
 
     def test_non_hermitian_refused(self):
         mat = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)

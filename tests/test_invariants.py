@@ -84,21 +84,21 @@ class TestGramMatrix:
 
 class TestFInvariants:
     def test_half_half(self, rho1_decomp):
-        f = f_invariants(gram_matrix(rho1_decomp)).F
+        f = f_invariants(gram_matrix(rho1_decomp).spectrum).F
         assert np.allclose(f, [1.0, 1.0, 0.25], atol=1e-12)
 
     def test_two_thirds_one_third(self, sigma2_decomp):
-        f = f_invariants(gram_matrix(sigma2_decomp)).F
+        f = f_invariants(gram_matrix(sigma2_decomp).spectrum).F
         assert np.allclose(f, [1.0, 1.0, 2.0 / 9.0], atol=1e-12)
 
     def test_pure_state(self):
         rho = validate_density(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
-        f = f_invariants(gram_matrix(eigen_decomposition(rho))).F
+        f = f_invariants(gram_matrix(eigen_decomposition(rho)).spectrum).F
         assert np.allclose(f, [1.0, 1.0], atol=1e-12)
 
     def test_f0_exactly_one_and_real(self):
         rho = random_density((2, 3), 3, seed=61)
-        f = f_invariants(gram_matrix(eigen_decomposition(rho))).F
+        f = f_invariants(gram_matrix(eigen_decomposition(rho)).spectrum).F
         assert f[0] == 1.0
         assert abs(f[1] - 1.0) < 1e-10
         assert np.abs(f.imag).max() < 1e-10
@@ -110,7 +110,7 @@ class TestFInvariants:
         w = 2.0 ** -np.arange(16)
         w /= w.sum()
         rho = validate_density(np.diag(w), (4, 4))
-        f = f_invariants(gram_matrix(eigen_decomposition(rho))).F
+        f = f_invariants(gram_matrix(eigen_decomposition(rho)).spectrum).F
         exact = [Fraction(1)] + [Fraction(0)] * 16
         for x in map(Fraction, w):
             for k in range(16, 0, -1):
@@ -123,7 +123,7 @@ class TestFInvariants:
         # the Gram matrix of the eigenvector decomposition is diagonal in
         # the state's eigenvalues, so F_i = e_i(spectrum)
         rho = random_density((2, 2), 4, seed=62)
-        f = f_invariants(gram_matrix(eigen_decomposition(rho))).F
+        f = f_invariants(gram_matrix(eigen_decomposition(rho)).spectrum).F
         w = np.linalg.eigvalsh(rho.mat)
         for i in range(len(f)):
             assert abs(f[i] - elementary_symmetric(list(w), i)) < 1e-9
@@ -477,10 +477,10 @@ class TestDecompositionIndependence:
             rank = trial % 4 + 1
             rho = random_density(dims, rank, seed=500 + trial)
             d = eigen_decomposition(rho)
-            base = f_invariants(gram_matrix(d)).F
+            base = f_invariants(gram_matrix(d).spectrum).F
             for k in range(10):
                 mixed = mix_decomposition(d, haar_unitary(rank, seed=600 + 10 * trial + k))
-                assert np.abs(f_invariants(gram_matrix(mixed)).F - base).max() < 1e-9
+                assert np.abs(f_invariants(gram_matrix(mixed).spectrum).F - base).max() < 1e-9
 
     def test_omega_entrywise_lu_invariance(self):
         for trial in range(10):
@@ -504,9 +504,9 @@ class TestDecompositionIndependence:
         # rho1 has a twofold-degenerate eigenvalue; rotating within the
         # degenerate eigenspace is another valid eigen decomposition
         d = eigen_decomposition(rho1)
-        base_f = f_invariants(gram_matrix(d)).F
+        base_f = f_invariants(gram_matrix(d).spectrum).F
         base_n = invariant_N(hypermatrix(d, 2))
         for k in range(10):
             rotated = mix_decomposition(d, haar_unitary(2, seed=1000 + k))
-            assert np.abs(f_invariants(gram_matrix(rotated)).F - base_f).max() < 1e-9
+            assert np.abs(f_invariants(gram_matrix(rotated).spectrum).F - base_f).max() < 1e-9
             assert abs(invariant_N(hypermatrix(rotated, 2)) - base_n) < 1e-9

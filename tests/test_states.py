@@ -16,11 +16,14 @@ from lu_invar.errors import (
 from lu_invar.invariants import gram_matrix
 from lu_invar.linalg import char_poly, haar_unitary, hermitian_eig
 from lu_invar.states import (
+    DensityMatrix,
     apply_local_unitary,
     apply_local_unitary_density,
     eigen_decomposition,
     flatten_multipartite,
+    hermitian_matrix,
     make_decomposition,
+    merge_cut,
     mix_decomposition,
     pad_with_zeros,
     random_density,
@@ -73,6 +76,35 @@ class TestValidateDensity:
     def test_subsystem_dimension_one_rejected(self):
         with pytest.raises(DimensionMismatchError):
             validate_density(np.eye(2) / 2.0, (2, 1))
+
+
+class TestSpectrum:
+    def test_validation_keeps_its_eigvalsh(self):
+        # read-only, ascending, and bitwise the eigvalsh of the Hermitian part
+        for dims, rank in (((2, 2), 4), ((2, 3), 2), ((2, 2, 2), 8)):
+            rho = random_density(dims, rank, seed=30 + rank)
+            w = rho.spectrum
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0] = 0.0
+            assert np.array_equal(w, np.linalg.eigvalsh(hermitian_matrix(rho)))
+            assert rho.spectrum is w
+
+    def test_merge_cut_forwards_it(self):
+        rho = random_density((2, 2, 2), 3, seed=33)
+        assert merge_cut(rho, 2).spectrum is rho.spectrum
+
+    def test_hand_built_state_checked_on_first_use(self, rho1):
+        by_hand = DensityMatrix(dims=rho1.dims, mat=rho1.mat, tol=rho1.tol)
+        assert "spectrum" not in vars(by_hand)
+        assert np.array_equal(by_hand.spectrum, rho1.spectrum)
+        mat = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
+        with pytest.raises(NotPSDError, match="NotPSD"):
+            DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10).spectrum
+        mat = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        mat[0, 1] = 1e-6
+        with pytest.raises(NotHermitianError):
+            hermitian_matrix(DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10))
 
 
 class TestEigenDecomposition:
