@@ -24,9 +24,11 @@ is deliberately no ``Equivalent`` verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,6 +78,9 @@ class ScreenConfig:
                 raise BadToleranceError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+_DEFAULT_CONFIG = ScreenConfig()
+
+
 @dataclass(frozen=True)
 class Fingerprint:
     """All implemented invariants of one state.
@@ -100,8 +105,12 @@ class Fingerprint:
     lambda_coeffs: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
+    """One compared quantity of a pair: its name, the value of each state,
+    |value_a - value_b| as ``delta``, whether it passed, and whether delta
+    lies within a factor 10 of the threshold on either side
+    (``marginal``, informational only)."""
+
     name: str
     value_a: complex
     value_b: complex
@@ -181,7 +190,7 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
     rank the fingerprint is read from the eigenvector decomposition, which
     has exactly rank(rho) members (:func:`decomposition_fingerprint`).
     """
-    cfg = cfg or ScreenConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     w = rho.spectrum
     if _full_rank(w, cfg.rank_tol):
         require_unit_gram_trace(float(w.sum()))
@@ -191,22 +200,14 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
     return decomposition_fingerprint(d, rho)
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _full_rank(w: np.ndarray, rank_tol: float | None) -> bool:
     """Whether every eigenvalue of the ascending ``w`` exceeds both
     ``rank_tol`` and the noise floor len(w) eps max(w)."""
-    floor = len(w) * np.finfo(float).eps * w[-1]
+    floor = len(w) * _EPS * w[-1]
     return w[0] > floor and numerical_rank(w, rank_tol) == len(w)
-
-
-def _make_check(name: str, a: complex, b: complex, atol: float, rtol: float) -> Check:
-    a = complex(a)
-    b = complex(b)
-    delta = abs(a - b)
-    threshold = atol + rtol * max(abs(a), abs(b))
-    passed = delta <= threshold
-    # near-threshold on either side; informational only
-    marginal = 0.1 * threshold < delta <= 10.0 * threshold
-    return Check(name=name, value_a=a, value_b=b, delta=delta, passed=passed, marginal=marginal)
 
 
 # Compared lambda coefficients: indices 1 up to, not including, the stop.
@@ -215,35 +216,59 @@ def _make_check(name: str, a: complex, b: complex, atol: float, rtol: float) -> 
 _LAMBDA_CHECKED = (("N", 4), ("M", 2))
 
 
+@functools.lru_cache(maxsize=32)
+def _f_names(top: int) -> tuple[str, ...]:
+    return tuple(f"F_{i}" for i in range(1, top))
+
+
+def _compared_values(fa: Fingerprint, fb: Fingerprint) -> tuple[list, list, list]:
+    """The names and the two sides' values, as Python scalars, of every
+    check after ``rank``, in the fixed order.
+
+    F_i beyond a state's own rank is an elementary symmetric polynomial
+    with more factors than nonzero eigenvalues, hence exactly zero, so the
+    shorter F is padded with zeros."""
+    top = max(len(fa.F), len(fb.F))
+    names = [*_f_names(top)]
+    va = fa.F[1:].tolist() + [0j] * (top - len(fa.F))
+    vb = fb.F[1:].tolist() + [0j] * (top - len(fb.F))
+    if fa.N_value is not None and fb.N_value is not None:
+        names.append("invariant_N")
+        va.append(complex(fa.N_value))
+        vb.append(complex(fb.N_value))
+    if fa.M_value is not None and fb.M_value is not None:
+        names.append("invariant_M")
+        va.append(complex(fa.M_value))
+        vb.append(complex(fb.M_value))
+    names.append("kyfan")
+    va.append(complex(fa.kyfan))
+    vb.append(complex(fb.kyfan))
+    for key, stop in _LAMBDA_CHECKED:
+        if key in fa.lambda_coeffs and key in fb.lambda_coeffs:
+            names += [f"lambda_{key}[{k}]" for k in range(1, stop)]
+            va += fa.lambda_coeffs[key][1:stop].tolist()
+            vb += fb.lambda_coeffs[key][1:stop].tolist()
+    return names, va, vb
+
+
 def compare_fingerprints(
     fa: Fingerprint, fb: Fingerprint, cfg: ScreenConfig | None = None
 ) -> EquivalenceReport:
-    """Compare two fingerprints check by check, in the fixed order."""
-    cfg = cfg or ScreenConfig()
+    """Compare two fingerprints check by check, in the fixed order.
+
+    The rank check passes on equal ranks. Every other check fails when
+    |delta| > atol + rtol * max(|a|, |b|), and is marginal when delta lies
+    above a tenth and at most ten times that threshold."""
+    cfg = cfg or _DEFAULT_CONFIG
     atol, rtol = cfg.atol, cfg.rtol
     delta = float(abs(fa.rank - fb.rank))
     checks = [Check("rank", complex(fa.rank), complex(fb.rank), delta, delta == 0.0, False)]
-
-    # F_i beyond a state's own rank is an elementary symmetric polynomial
-    # with more factors than nonzero eigenvalues, hence exactly zero.
-    top = max(len(fa.F), len(fb.F))
-    for i in range(1, top):
-        a = fa.F[i] if i < len(fa.F) else 0.0
-        b = fb.F[i] if i < len(fb.F) else 0.0
-        checks.append(_make_check(f"F_{i}", a, b, atol, rtol))
-
-    if fa.N_value is not None and fb.N_value is not None:
-        checks.append(_make_check("invariant_N", fa.N_value, fb.N_value, atol, rtol))
-    if fa.M_value is not None and fb.M_value is not None:
-        checks.append(_make_check("invariant_M", fa.M_value, fb.M_value, atol, rtol))
-
-    checks.append(_make_check("kyfan", fa.kyfan, fb.kyfan, atol, rtol))
-
-    for key, stop in _LAMBDA_CHECKED:
-        if key in fa.lambda_coeffs and key in fb.lambda_coeffs:
-            ca, cb = fa.lambda_coeffs[key], fb.lambda_coeffs[key]
-            for k in range(1, stop):
-                checks.append(_make_check(f"lambda_{key}[{k}]", ca[k], cb[k], atol, rtol))
+    for name, a, b in zip(*_compared_values(fa, fb)):
+        delta = abs(a - b)
+        threshold = atol + rtol * max(abs(a), abs(b))
+        checks.append(Check(
+            name, a, b, delta, delta <= threshold, 0.1 * threshold < delta <= 10.0 * threshold
+        ))
 
     first = next((c for c in checks if not c.passed), None)
     if first is None:
@@ -260,7 +285,7 @@ def screen_with_fingerprints(
     None`` when the dimension signatures differ. That report's one check
     holds the entries at the first position where the signatures differ,
     a missing subsystem reading as 0."""
-    cfg = cfg or ScreenConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     if rho_a.dims != rho_b.dims:
         a, b = next(
             (x, y) for x, y in zip_longest(rho_a.dims, rho_b.dims, fillvalue=0) if x != y

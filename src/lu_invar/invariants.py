@@ -109,6 +109,10 @@ class InvariantVector:
         return len(self.F)
 
 
+# Eigenvalues per block of the product recurrence in f_invariants
+F_BLOCK = 16
+
+
 def f_invariants(w) -> InvariantVector:
     """Elementary symmetric polynomials of a Gram spectrum ``w``.
 
@@ -116,20 +120,34 @@ def f_invariants(w) -> InvariantVector:
     ``GramMatrix.spectrum``, or the nonzero spectrum of the state itself,
     which every decomposition's Gram matrix shares. F_i := e_i(w), i.e.
     (-1)**i times the coefficient of lambda**(I-i) in det(lambda E - Omega),
-    so F_1 = tr(Omega) and F_I = det(Omega). Built by the product
-    recurrence e_k <- e_k + x * e_(k-1) over the eigenvalues x in the
-    order given. Omega is PSD, so up to rounding every term is nonnegative
-    and each F_i keeps its relative accuracy however small it is. F_0 is
+    so F_1 = tr(Omega) and F_I = det(Omega).
+
+    The eigenvalues are split, in the order given, into blocks of at most
+    ``F_BLOCK``. Within a block the product recurrence
+    e_k <- e_k + x * e_(k-1) runs on Python floats; the block polynomials
+    prod (1 + x t) are then multiplied pairwise by ``np.convolve``. Omega
+    is PSD, so up to rounding every term of both steps is nonnegative and
+    each F_i keeps its relative accuracy however small it is. Up to
+    ``F_BLOCK`` eigenvalues there is one block and no merge. F_0 is
     exactly 1 and every F_i is real.
     """
-    w = np.asarray(w, dtype=float)
-    f = np.zeros(len(w) + 1)
-    f[0] = 1.0
-    for x in w:  # real arithmetic on the real spectrum
-        f[1:] += x * f[:-1]
-    f = f.astype(complex)
+    xs = np.asarray(w, dtype=float).tolist()
+    polys = [_product_recurrence(xs[i:i + F_BLOCK]) for i in range(0, len(xs), F_BLOCK)]
+    while len(polys) > 1:
+        pairs = [polys[i:i + 2] for i in range(0, len(polys), 2)]
+        polys = [np.convolve(*pair) if len(pair) == 2 else pair[0] for pair in pairs]
+    f = np.array(polys[0] if polys else [1.0], dtype=complex)
     f.setflags(write=False)
     return InvariantVector(F=f)
+
+
+def _product_recurrence(xs: list) -> list:
+    """e_0 .. e_len(xs) of the floats ``xs``, one eigenvalue at a time."""
+    e = [1.0] + [0.0] * len(xs)
+    for j, x in enumerate(xs, 1):
+        for k in range(j, 0, -1):
+            e[k] += x * e[k - 1]
+    return e
 
 
 @dataclass(frozen=True)
@@ -369,8 +387,10 @@ def lambda_poly(
     if not isinstance(x, want_type):
         raise UnsupportedFormatError(f"inv={inv!r} cannot be read from a {type(x).__name__}")
     if inv == "det":
-        signs = (-1.0) ** np.arange(len(x))
-        return _read_only((signs * x.F)[::-1])
+        coeffs = np.array(x.F[::-1], dtype=complex)
+        coeffs[-2::-2] *= -1.0  # F_1, F_3, ..., at reversed positions I-1, I-3, ...
+        coeffs.setflags(write=False)
+        return coeffs
     _require_2222(x, f"lambda_poly(inv={inv!r})")
     if inv == "N":
         return char_poly(_layout_matrix(x.flat(), N_LAYOUT))

@@ -91,21 +91,23 @@ def eigh_descending(h: np.ndarray):
     return w[::-1], v[:, ::-1]
 
 
-def pivoted_cholesky(h: np.ndarray, tol: float) -> np.ndarray:
-    """The rows of a diagonally pivoted Cholesky factor of an exactly
-    Hermitian positive semidefinite matrix H: an (r, n) array whose
-    transpose L gives H = L L^dag + E.
+def pivoted_cholesky(m: np.ndarray, tol: float) -> np.ndarray:
+    """The rows of a diagonally pivoted Cholesky factor of the Hermitian
+    part H = (M + M^dag) / 2 of a square complex matrix M, H positive
+    semidefinite: an (r, n) array whose transpose L gives H = L L^dag + E.
 
-    Each step pivots on the largest remaining diagonal entry of the
-    Schur complement and stops once that entry is at most ``tol``. The
+    Only what the factor reads of H is formed: the real diagonal of M,
+    and each pivot column p as (M[:, p] + conj(M[p, :])) / 2. Each step
+    pivots on the largest remaining diagonal entry of the Schur
+    complement and stops once that entry is at most ``tol``. The
     residual E is then positive semidefinite with diag(E) <= tol, so
     ||E||_2 <= tr E <= n * tol, and r is at least the number of
     eigenvalues of H above n * tol. Like LAPACK ``xPSTF2``, column k is
     computed from the k columns before it and the remaining diagonal by
     one rank-1 update, O(n r) work per pivot and O(n r^2) in all.
     """
-    n = h.shape[0]
-    diag = h.diagonal().real.copy()  # diagonal of the Schur complement
+    n = m.shape[0]
+    diag = m.diagonal().real.copy()  # diagonal of the Schur complement
     rows = np.zeros((n, n), dtype=complex)
     r = 0
     while r < n:
@@ -113,7 +115,7 @@ def pivoted_cholesky(h: np.ndarray, tol: float) -> np.ndarray:
         pivot = diag[p]
         if pivot <= tol:
             break
-        col = h[:, p] - rows[:r, p].conj() @ rows[:r]
+        col = (m[:, p] + m[p].conj()) / 2.0 - rows[:r, p].conj() @ rows[:r]
         col /= math.sqrt(pivot)
         diag -= (col * col.conj()).real
         diag[p] = 0.0  # eliminated; rounding can leave a residue there

@@ -52,10 +52,10 @@ class DensityMatrix:
     ascending, read-only eigenvalues of the Hermitian part of ``mat``,
     computed once per state: validation keeps the ones it checks
     positivity with, and :func:`merge_cut` passes them on. A state built
-    by hand computes them on first use, through :func:`hermitian_matrix`,
-    and that first use checks it as validation would: Hermitian within
-    max(tol, 1e-10) (:class:`NotHermitianError`) and no eigenvalue below
-    minus that tolerance (:class:`NotPSDError`).
+    by hand computes them on first use, and that first use checks it as
+    validation would: Hermitian within max(tol, 1e-10)
+    (:class:`NotHermitianError`) and no eigenvalue below minus that
+    tolerance (:class:`NotPSDError`).
     """
 
     dims: tuple[int, ...]
@@ -183,20 +183,13 @@ def _cut_sizes(dims: tuple[int, ...], cut: int) -> tuple[int, int]:
 
 
 def merge_cut(rho: DensityMatrix, cut: int = 1) -> DensityMatrix:
-    """View a multipartite state as bipartite across the given cut."""
+    """View a multipartite state as bipartite across the given cut; a
+    bipartite state at cut 1 is returned itself."""
     if len(rho.dims) == 1:
         raise BadCutError("cannot bipartition a single-subsystem state")
+    if len(rho.dims) == 2 and cut == 1:
+        return rho
     return _density(_cut_sizes(rho.dims, cut), rho.mat, rho.tol, vars(rho).get("spectrum"))
-
-
-def hermitian_matrix(rho: DensityMatrix) -> np.ndarray:
-    """``rho.mat`` made exactly Hermitian, (M + M^dag) / 2.
-
-    The state is checked once, when its ``spectrum`` is computed: by
-    :func:`validate_density`, or here on the first use of a state built
-    by hand (:class:`NotHermitianError`, :class:`NotPSDError`)."""
-    rho.spectrum  # computes, and so checks, the spectrum of a hand-built state
-    return (rho.mat + rho.mat.conj().T) / 2.0
 
 
 def numerical_rank(w: np.ndarray, rank_tol: float | None = None) -> int:
@@ -248,15 +241,17 @@ def eigen_decomposition(
     There are exactly rank(rho) members, the rank by
     :func:`numerical_rank` of w at ``rank_tol``. For more than two
     subsystems the coefficient vectors are flattened across ``cut`` (first
-    ``cut`` subsystems versus the rest).
+    ``cut`` subsystems versus the rest). The factor reads the Hermitian
+    part of ``rho.mat`` column by column, so rho is never symmetrized as a
+    whole; a state built by hand is checked first, on its ``spectrum``.
     """
-    hermitian = hermitian_matrix(rho)
-    n = hermitian.shape[0]
-    top = max(float(hermitian.diagonal().real.max()), 0.0)
+    rho.spectrum  # computes, and so checks, the spectrum of a hand-built state
+    n = rho.mat.shape[0]
+    top = max(float(rho.mat.diagonal().real.max()), 0.0)
     # never below LAPACK xPSTRF's default n eps max diag(rho): a pivot at
     # the rounding level of the Schur complement is a column of noise
     tau = max(1e-12 / n, n * np.finfo(float).eps) * top
-    rows = pivoted_cholesky(hermitian, tau)  # row k is column k of L
+    rows = pivoted_cholesky(rho.mat, tau)  # row k is column k of L
     w, u = eigh_descending(rows.conj() @ rows.T)
     rank = numerical_rank(w, rank_tol)
     members = u[:, :rank].T @ rows  # row i is L u_i

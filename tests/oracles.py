@@ -121,3 +121,51 @@ def eigh_decomposition_stack(mat, dims) -> np.ndarray:
     w, v = w[::-1], v[:, ::-1]
     rank = int(np.count_nonzero(w > 1e-10 * max(w[0], 0.0)))
     return (v[:, :rank] * np.sqrt(w[:rank])).T.reshape(rank, dims[0], -1)
+
+
+def f_invariants_loop(w) -> np.ndarray:
+    """F_0 .. F_I of the floats ``w`` by one numpy update of the whole
+    product recurrence per eigenvalue, as a complex array."""
+    w = np.asarray(w, dtype=float)
+    f = np.zeros(len(w) + 1)
+    f[0] = 1.0
+    for x in w:
+        f[1:] += x * f[:-1]
+    return f.astype(complex)
+
+
+def make_check(name: str, a, b, atol: float, rtol: float) -> tuple:
+    """(name, value_a, value_b, delta, passed, marginal) of one compared
+    value: it fails when |a - b| > atol + rtol * max(|a|, |b|), and is
+    marginal when |a - b| lies above a tenth and at most ten times that
+    threshold."""
+    a = complex(a)
+    b = complex(b)
+    delta = abs(a - b)
+    threshold = atol + rtol * max(abs(a), abs(b))
+    passed = delta <= threshold
+    marginal = 0.1 * threshold < delta <= 10.0 * threshold
+    return (name, a, b, delta, passed, marginal)
+
+
+def reference_checks(fa, fb, atol: float, rtol: float) -> list:
+    """The check table of two fingerprints, value by value: rank, F_i with
+    the shorter F padded by zeros, N and M when both states have them,
+    Ky Fan, then lambda_N[1..3] and lambda_M[1] when both have them."""
+    delta = float(abs(fa.rank - fb.rank))
+    checks = [("rank", complex(fa.rank), complex(fb.rank), delta, delta == 0.0, False)]
+    for i in range(1, max(len(fa.F), len(fb.F))):
+        a = fa.F[i] if i < len(fa.F) else 0.0
+        b = fb.F[i] if i < len(fb.F) else 0.0
+        checks.append(make_check(f"F_{i}", a, b, atol, rtol))
+    if fa.N_value is not None and fb.N_value is not None:
+        checks.append(make_check("invariant_N", fa.N_value, fb.N_value, atol, rtol))
+    if fa.M_value is not None and fb.M_value is not None:
+        checks.append(make_check("invariant_M", fa.M_value, fb.M_value, atol, rtol))
+    checks.append(make_check("kyfan", fa.kyfan, fb.kyfan, atol, rtol))
+    for key, stop in (("N", 4), ("M", 2)):
+        if key in fa.lambda_coeffs and key in fb.lambda_coeffs:
+            ca, cb = fa.lambda_coeffs[key], fb.lambda_coeffs[key]
+            for k in range(1, stop):
+                checks.append(make_check(f"lambda_{key}[{k}]", ca[k], cb[k], atol, rtol))
+    return checks

@@ -29,7 +29,7 @@ from lu_invar.states import (
     random_local_unitaries,
     validate_density,
 )
-from oracles import elementary_symmetric
+from oracles import elementary_symmetric, reference_checks
 
 
 def count_calls(monkeypatch, names):
@@ -515,6 +515,29 @@ class TestCompareFingerprints:
         report = compare_fingerprints(base, far_fail, cfg)
         check = next(c for c in report.checks if c.name == "F_2")
         assert not check.passed and not check.marginal
+
+    def test_check_table_follows_the_rule_value_by_value(self, rho1, rho2, sigma1, sigma2):
+        full = random_density((8, 8), 64, seed=98)
+        full_lu = apply_local_unitary_density(full, random_local_unitaries((8, 8), seed=99))
+        base = fingerprint(rho1)
+        strict = ScreenConfig(atol=1e-8, rtol=0.0)
+        cases = [
+            (fingerprint(full), fingerprint(full_lu), ScreenConfig()),
+            # F padded: rank 2 against rank 4
+            (fingerprint(random_density((2, 2), 2, seed=96)),
+             fingerprint(random_density((2, 2), 4, seed=97)), ScreenConfig()),
+            (base, fingerprint(rho2), ScreenConfig()),
+            (fingerprint(sigma1), fingerprint(sigma2), ScreenConfig()),
+        ]
+        # the three cases of test_marginal_flag_both_sides_of_threshold
+        for shift in (3e-8, 3e-9, 1e-3):
+            cases.append((base, self._fingerprint_with_f2(base, base.F[2] + shift), strict))
+        for fa, fb, cfg in cases:
+            report = compare_fingerprints(fa, fb, cfg)
+            want = reference_checks(fa, fb, cfg.atol, cfg.rtol)
+            assert [tuple(c) for c in report.checks] == want
+            first = next((c for c in want if not c[4]), None)
+            assert report.witness == (None if first is None else first[0])
 
     def test_padding_f_comparison_across_ranks(self):
         # different ranks: rank check fails, F entries beyond the shorter

@@ -1,8 +1,12 @@
-"""The JSON output of ``compute`` and ``compare`` on the bundled fixtures,
-checked against the files in ``tests/golden``.
+"""The JSON output of ``compute`` and ``compare`` on the bundled fixtures
+and on the StateFiles in ``tests/golden/states``, checked against the
+files in ``tests/golden``.
 
 Each file is the output of one command, for example
-``lu-invar compute src/lu_invar/fixtures/rho1.json --json``. Keys,
+``lu-invar compute src/lu_invar/fixtures/rho1.json --json``. The
+StateFiles are a full-rank 4x4 state (``random_density((4, 4), 16,
+seed=41)``) and its ``lu-invar random-lu --seed 42`` copy, and a rank-2
+and a full-rank 2x2 state (seeds 43 and 44). Keys,
 strings, bools and nulls must match exactly, and so must the number and
 order of list items, which fixes the check names and their order.
 Numbers must match within 1e-12 absolute, so integers match exactly while
@@ -21,14 +25,22 @@ from lu_invar.fixtures import fixture_path
 GOLDEN = Path(__file__).parent / "golden"
 NUMBER_ATOL = 1e-12
 
+# (golden file, command and states, exit code); a state is a bundled
+# fixture or a file in tests/golden/states
 CASES = [
-    ("compute_rho1.json", ["compute", "rho1"]),
-    ("compute_rho2.json", ["compute", "rho2"]),
-    ("compute_sigma1.json", ["compute", "sigma1"]),
-    ("compute_sigma2.json", ["compute", "sigma2"]),
-    ("compare_rho1_rho2.json", ["compare", "rho1", "rho2"]),
-    ("compare_sigma1_sigma2.json", ["compare", "sigma1", "sigma2"]),
+    ("compute_rho1.json", ["compute", "rho1"], 0),
+    ("compute_rho2.json", ["compute", "rho2"], 0),
+    ("compute_sigma1.json", ["compute", "sigma1"], 0),
+    ("compute_sigma2.json", ["compute", "sigma2"], 0),
+    ("compare_rho1_rho2.json", ["compare", "rho1", "rho2"], 1),
+    ("compare_sigma1_sigma2.json", ["compare", "sigma1", "sigma2"], 1),
+    ("compare_full44_lu.json", ["compare", "full44.json", "full44_lu.json"], 0),
+    ("compare_rank2_full22.json", ["compare", "rank2_22.json", "full22.json"], 1),
 ]
+
+
+def state_path(name: str) -> str:
+    return str(GOLDEN / "states" / name if name.endswith(".json") else fixture_path(name))
 
 
 def _kind(x) -> str:
@@ -58,11 +70,11 @@ def mismatches(got, want, path="$"):
     return [] if ok else [f"{path}: {got!r} != {want!r}"]
 
 
-@pytest.mark.parametrize("golden, argv", CASES, ids=[name for name, _ in CASES])
-def test_fixture_json_output_matches_golden(golden, argv, capsys):
+@pytest.mark.parametrize("golden, argv, exit_code", CASES, ids=[name for name, *_ in CASES])
+def test_fixture_json_output_matches_golden(golden, argv, exit_code, capsys):
     command, *states = argv
-    code = main([command, *(str(fixture_path(s)) for s in states), "--json"])
-    assert code == (0 if command == "compute" else 1)
+    code = main([command, *map(state_path, states), "--json"])
+    assert code == exit_code
     got = json.loads(capsys.readouterr().out)
     want = json.loads((GOLDEN / golden).read_text())
     assert mismatches(got, want) == []

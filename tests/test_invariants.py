@@ -41,6 +41,7 @@ from lu_invar.states import (
 )
 from oracles import (
     elementary_symmetric,
+    f_invariants_loop,
     hyper_entry,
     leibniz_det,
     realign_loops,
@@ -54,6 +55,19 @@ REALIGNMENT_CASES = [
     ((2, 2, 2), 1), ((2, 2, 2), 2),
 ]
 REALIGNMENT_IDS = [f"{'x'.join(map(str, dims))}-cut{cut}" for dims, cut in REALIGNMENT_CASES]
+
+
+def exact_elementary(w) -> list:
+    """The exact e_0 .. e_n of the floats ``w``, as Fractions: the product
+    recurrence on the integers x * 2**shift, with one common shift."""
+    xs = [Fraction(x) for x in np.asarray(w, dtype=float).tolist()]
+    shift = max(x.denominator for x in xs).bit_length() - 1
+    e = [1] + [0] * len(xs)
+    for j, x in enumerate(xs, 1):
+        big = x.numerator * (2**shift // x.denominator)
+        for k in range(j, 0, -1):
+            e[k] += big * e[k - 1]
+    return [Fraction(e_k, 2 ** (k * shift)) for k, e_k in enumerate(e)]
 
 
 def realignment_case(dims, cut, rank, seed):
@@ -111,13 +125,31 @@ class TestFInvariants:
         w /= w.sum()
         rho = validate_density(np.diag(w), (4, 4))
         f = f_invariants(gram_matrix(eigen_decomposition(rho)).spectrum).F
-        exact = [Fraction(1)] + [Fraction(0)] * 16
-        for x in map(Fraction, w):
-            for k in range(16, 0, -1):
-                exact[k] += x * exact[k - 1]
+        exact = exact_elementary(w)
         for k in range(17):
             assert abs(f[k].imag) == 0.0
             assert abs(f[k].real - float(exact[k])) <= 1e-12 * float(exact[k])
+        # 64 and 256 ascending, geometrically spread eigenvalues whose F
+        # neither underflows nor overflows: several blocks of the
+        # recurrence, merged by convolution
+        for count, decades in ((64, 12), (256, 4)):
+            w = np.geomspace(10.0 ** (-decades / 2), 10.0 ** (decades / 2), count)
+            f = f_invariants(w).F
+            assert np.array_equal(f.imag, np.zeros(count + 1))
+            for f_k, e_k in zip(f.real.tolist(), exact_elementary(w)):
+                assert abs(Fraction(f_k) - e_k) <= Fraction(1e-13) * e_k
+
+    def test_bit_identical_to_one_update_per_eigenvalue_up_to_one_block(self):
+        # up to 16 eigenvalues the blocked recurrence runs the same float
+        # operations, in the same order, as the single loop
+        rng = np.random.default_rng(63)
+        spectra = [[], [0.7], [1.0, 0.0], [0.5, -1e-13, 0.25]]
+        spectra += [np.sort(rng.random(n)) / n for n in range(1, 17)]
+        spectra += [random_density((4, 4), 16, seed=64).spectrum]
+        for w in spectra:
+            f = f_invariants(w).F
+            assert f.tobytes() == f_invariants_loop(w).tobytes()
+            assert not f.flags.writeable
 
     def test_matches_state_spectrum_symmetric_polynomials(self):
         # the Gram matrix of the eigenvector decomposition is diagonal in

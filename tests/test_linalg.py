@@ -8,6 +8,8 @@ from lu_invar.linalg import (
     determinant,
     haar_unitary,
     hermitian_eig,
+    hermitian_part,
+    pivoted_cholesky,
     singular_values,
 )
 from oracles import elementary_symmetric, leibniz_det
@@ -59,6 +61,20 @@ class TestHermitianEig:
     def test_rejects_non_square(self):
         with pytest.raises(BadShapeError):
             hermitian_eig(np.zeros((2, 3)))
+
+
+class TestPivotedCholesky:
+    def test_reads_the_hermitian_part_column_by_column(self):
+        # a rank-3 PSD matrix off Hermitian by rounding-sized noise: the
+        # factor of M is bitwise the factor of (M + M^dag) / 2
+        rng = np.random.default_rng(13)
+        g = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        h = g @ g.conj().T
+        m = h + 1e-13 * (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        rows = pivoted_cholesky(m, 1e-10)
+        assert np.array_equal(rows, pivoted_cholesky(hermitian_part(m), 1e-10))
+        assert rows.shape == (3, 8)
+        assert np.abs(rows.T @ rows.conj() - hermitian_part(m)).max() < 1e-10
 
 
 class TestSingularValues:

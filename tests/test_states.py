@@ -14,14 +14,13 @@ from lu_invar.errors import (
     NotUnitaryError,
 )
 from lu_invar.invariants import gram_matrix
-from lu_invar.linalg import char_poly, haar_unitary, hermitian_eig
+from lu_invar.linalg import char_poly, haar_unitary, hermitian_eig, hermitian_part
 from lu_invar.states import (
     DensityMatrix,
     apply_local_unitary,
     apply_local_unitary_density,
     eigen_decomposition,
     flatten_multipartite,
-    hermitian_matrix,
     make_decomposition,
     merge_cut,
     mix_decomposition,
@@ -87,12 +86,18 @@ class TestSpectrum:
             assert not w.flags.writeable
             with pytest.raises(ValueError):
                 w[0] = 0.0
-            assert np.array_equal(w, np.linalg.eigvalsh(hermitian_matrix(rho)))
+            assert np.array_equal(w, np.linalg.eigvalsh(hermitian_part(rho.mat)))
             assert rho.spectrum is w
 
     def test_merge_cut_forwards_it(self):
         rho = random_density((2, 2, 2), 3, seed=33)
         assert merge_cut(rho, 2).spectrum is rho.spectrum
+
+    def test_merge_cut_of_a_bipartite_state_is_the_state(self):
+        rho = random_density((2, 3), 2, seed=34)
+        assert merge_cut(rho) is rho
+        with pytest.raises(BadCutError):
+            merge_cut(rho, 2)
 
     def test_hand_built_state_checked_on_first_use(self, rho1):
         by_hand = DensityMatrix(dims=rho1.dims, mat=rho1.mat, tol=rho1.tol)
@@ -104,7 +109,7 @@ class TestSpectrum:
         mat = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         mat[0, 1] = 1e-6
         with pytest.raises(NotHermitianError):
-            hermitian_matrix(DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10))
+            DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10).spectrum
 
 
 class TestEigenDecomposition:
