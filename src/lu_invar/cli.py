@@ -69,15 +69,16 @@ def _fmt(z) -> str:
 
 
 def _seed_from(args) -> int:
+    """``--seed``, else LU_INVAR_SEED, else 0; either must be an integer >= 0."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get("LU_INVAR_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise StateFormatError(f"LU_INVAR_SEED must be an integer, got {env!r}") from exc
-    return 0
+    if env is None:
+        return 0
+    try:
+        return _non_negative(env)
+    except argparse.ArgumentTypeError as exc:
+        raise StateFormatError(f"LU_INVAR_SEED {exc}") from exc
 
 
 def _config_from(args) -> ScreenConfig:
@@ -201,7 +202,8 @@ def cmd_selftest(args) -> int:
 
 
 def _add_seed(parser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="random seed (fallback: LU_INVAR_SEED)")
+    parser.add_argument("--seed", type=_non_negative, default=None,
+                        help="random seed (fallback: LU_INVAR_SEED)")
 
 
 def _add_common(parser) -> None:
@@ -216,14 +218,15 @@ def _add_tolerances(parser) -> None:
     parser.add_argument("--rtol", type=float, default=ScreenConfig.rtol)
 
 
-def _count(text: str) -> int:
+def _non_negative(text: str) -> int:
+    """The argument type of ``--count`` and ``--seed``."""
     try:
-        count = int(text)
+        value = int(text)
     except ValueError:
-        count = -1
-    if count < 0:
+        value = -1
+    if value < 0:
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return count
+    return value
 
 
 def _add_format(parser) -> None:
@@ -259,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     _add_common(p)
     _add_seed(p)
-    p.add_argument("--count", type=_count, default=5, help="number of random mixings")
+    p.add_argument("--count", type=_non_negative, default=5, help="number of random mixings")
     _add_tolerances(p)
     p.set_defaults(func=cmd_mix)
 

@@ -115,8 +115,10 @@ def load_state(path, tol: float = 1e-10) -> DensityMatrix:
             doc = json.load(fh)
     except OSError as exc:
         raise StateFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise StateFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors; nesting
+        # deeper than the interpreter's recursion limit is a RecursionError
+        raise StateFormatError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
     return parse_state(doc, tol=tol)
 
 

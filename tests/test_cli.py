@@ -61,8 +61,17 @@ class TestCompute:
         assert list(parsed["lambda"]) == ["det"]
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):
-        path = write_state(tmp_path, "bad.json", "{not json")
-        assert main(["compute", path]) == 2
+        # not JSON; not UTF-8; nested past the recursion limit; an integer
+        # past the interpreter's digit limit for parsing one (Python >= 3.11)
+        for k, raw in enumerate([
+            b"{not json", b'\xff\xfe{"dims": [2, 2]}', b"[" * 100000,
+            b'{"dims": [2, 2], "matrix": ' + b"1" * 5000 + b"}",
+        ]):
+            path = tmp_path / f"bad{k}.json"
+            path.write_bytes(raw)
+            assert main(["compute", str(path)]) == 2, raw[:12]
+            assert main(["compare", str(path), RHO1]) == 2, raw[:12]
+            assert main(["compare", RHO1, str(path)]) == 2, raw[:12]
 
     def test_missing_file_exit_2(self):
         assert main(["compute", "/nonexistent/state.json"]) == 2
@@ -219,6 +228,23 @@ class TestMix:
     def test_negative_count_is_usage_error(self, capsys):
         assert main(["mix", RHO1, "--count", "-2"]) == 2
         assert "--count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, env", [
+        (["mix", RHO1, "--seed", "-1"], None),
+        (["random-lu", RHO1, "--seed", "-3", "--out", "moved.json"], None),
+        (["random-lu", RHO1, "--out", "moved.json"], "-2"),
+        (["selftest", "--seed", "-1"], None),
+        (["selftest", "--seed", "-20000"], None),
+    ], ids=["mix", "random-lu", "random-lu-env", "selftest-1", "selftest-20000"])
+    def test_negative_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, env):
+        monkeypatch.chdir(tmp_path)
+        if env is None:
+            monkeypatch.delenv("LU_INVAR_SEED", raising=False)
+        else:
+            monkeypatch.setenv("LU_INVAR_SEED", env)
+        assert main(argv) == 2
+        assert "must be an integer >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "moved.json").exists()
 
     @pytest.mark.parametrize(
         "rho", [load_state(SIGMA1), random_density((2, 2, 2), 3, seed=6)], ids=["rank2", "rank3"]

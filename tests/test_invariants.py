@@ -94,6 +94,12 @@ class TestGramMatrix:
         half = make_decomposition([np.array([[2.0, 0.0], [0.0, 0.0]])])
         with pytest.raises(NotUnitTraceError):
             gram_matrix(half)
+        # Gram trace 1e12: its rounding is far above any unit-scale
+        # tolerance, and the trace is what the error names
+        rng = np.random.default_rng(93)
+        a = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        with pytest.raises(NotUnitTraceError):
+            gram_matrix(make_decomposition(1e6 * a / np.linalg.norm(a)))
 
 
 class TestFInvariants:
@@ -204,13 +210,20 @@ class TestHypermatrix:
         assert abs(h.flat()[0] - expected) < 1e-12
 
     def test_conjugate_and_cyclic_symmetry(self):
-        rho = random_density((2, 3), 3, seed=64)
-        d = eigen_decomposition(rho)
-        h = hypermatrix(d, 2)
-        for i, j, k, l in itertools.product(range(3), repeat=4):
-            val = h.entries[i, j, k, l]
-            assert abs(np.conj(val) - h.entries[l, k, j, i]) < 1e-12
-            assert abs(val - h.entries[k, l, i, j]) < 1e-12
+        # the trace of the dagger, conj T[i1, j1, ..., is, js] =
+        # T[js, is, ..., j1, i1], and the cyclic shift of the (i, j) pairs,
+        # on eigen and mixed decompositions; hypermatrix does not check them
+        cases = [(2, (2, 3), 3, 64, False), (2, (4, 4), 2, 65, False),
+                 (2, (4, 4), 2, 65, True), (3, (2, 2), 2, 66, False)]
+        for s, dims, rank, seed, mixed in cases:
+            d = eigen_decomposition(random_density(dims, rank, seed=seed))
+            if mixed:
+                d = mix_decomposition(d, haar_unitary(rank, np.random.default_rng(seed)))
+            t = hypermatrix(d, s).entries
+            bound = 1e-14 * np.abs(t).max()
+            for idx in itertools.product(range(rank), repeat=2 * s):
+                assert abs(np.conj(t[idx]) - t[idx[::-1]]) <= bound, (s, dims, mixed, idx)
+                assert abs(t[idx] - t[idx[2:] + idx[:2]]) <= bound, (s, dims, mixed, idx)
 
     def test_too_large_rejected(self, rho1_decomp):
         with pytest.raises(TooLargeError):
