@@ -72,7 +72,6 @@ from .states import (
     mix_decomposition,
     pad_with_zeros,
     random_density,
-    reconstruct,
     validate_density,
 )
 
@@ -126,7 +125,6 @@ __all__ = [
     "random_density",
     "realignment",
     "realignment_kyfan",
-    "reconstruct",
     "screen",
     "singular_values",
     "validate_density",

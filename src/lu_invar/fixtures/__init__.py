@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from ..states import DensityMatrix
-from ..statefile import parse_state
+from ..statefile import load_state
 
 FIXTURE_NAMES = ("rho1", "rho2", "sigma1", "sigma2")
 
@@ -19,6 +18,5 @@ def fixture_path(name: str) -> Path:
 
 
 def load_fixture(name: str) -> DensityMatrix:
-    """Parse and validate one of the bundled example states."""
-    doc = json.loads(fixture_path(name).read_text(encoding="utf-8"))
-    return parse_state(doc)
+    """Read and validate one of the bundled example states."""
+    return load_state(fixture_path(name))

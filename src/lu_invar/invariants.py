@@ -63,10 +63,6 @@ class GramMatrix:
     omega: np.ndarray
     spectrum: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.omega.shape[0]
-
 
 def gram_matrix(d: PureStateDecomposition) -> GramMatrix:
     """Overlap matrix of a decomposition: Omega = V V^dag, one matrix
@@ -202,19 +198,9 @@ def hypermatrix(d: PureStateDecomposition, s: int) -> Hypermatrix:
     return Hypermatrix(s=s, side=i_count, entries=t)
 
 
-_LEVI_CIVITA_2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def cayley_det_222(tensor, method: str = "expanded") -> complex:
-    """Cayley's hyperdeterminant of a 2x2x2 array.
-
-    ``method="expanded"`` evaluates the classical 12-term degree-4
-    polynomial. ``method="compact"`` contracts with the Levi-Civita symbol:
-    b_kn = (1/2) eps^{il} eps^{jm} a_{ijk} a_{lmn}, then
-    Det = -2 eps^{il} eps^{jm} b_{ij} b_{lm}. The -2 normalization (rather
-    than +1/2) is what makes the contraction identical to the 12-term
-    expansion; it is fixed by the basis tensor with a_000 = a_111 = 1,
-    whose hyperdeterminant is 1.
+def cayley_det_222(tensor) -> complex:
+    """Cayley's hyperdeterminant of a 2x2x2 array, the classical 12-term
+    degree-4 polynomial.
 
     Vanishes on decomposable (product) tensors, and scales by det(B)**2
     when an invertible B acts on any one slot.
@@ -223,26 +209,20 @@ def cayley_det_222(tensor, method: str = "expanded") -> complex:
     if a.size != 8:
         raise BadShapeError(f"expected 8 entries for a 2x2x2 tensor, got {a.size}")
     a = a.reshape(2, 2, 2)
-    if method == "expanded":
-        return complex(
-            a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
-            + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
-            + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
-            + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
-            - 2 * a[0, 0, 0] * a[0, 0, 1] * a[1, 1, 0] * a[1, 1, 1]
-            - 2 * a[0, 0, 0] * a[0, 1, 0] * a[1, 0, 1] * a[1, 1, 1]
-            - 2 * a[0, 0, 0] * a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 1]
-            - 2 * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 1] * a[1, 1, 0]
-            - 2 * a[0, 0, 1] * a[0, 1, 1] * a[1, 1, 0] * a[1, 0, 0]
-            - 2 * a[0, 1, 0] * a[0, 1, 1] * a[1, 0, 1] * a[1, 0, 0]
-            + 4 * a[0, 0, 0] * a[0, 1, 1] * a[1, 0, 1] * a[1, 1, 0]
-            + 4 * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0] * a[1, 1, 1]
-        )
-    if method == "compact":
-        eps = _LEVI_CIVITA_2
-        b = 0.5 * np.einsum("il,jm,ijk,lmn->kn", eps, eps, a, a)
-        return complex(-2.0 * np.einsum("il,jm,ij,lm->", eps, eps, b, b))
-    raise BadShapeError(f"unknown method {method!r}; use 'expanded' or 'compact'")
+    return complex(
+        a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
+        + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
+        + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
+        + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
+        - 2 * a[0, 0, 0] * a[0, 0, 1] * a[1, 1, 0] * a[1, 1, 1]
+        - 2 * a[0, 0, 0] * a[0, 1, 0] * a[1, 0, 1] * a[1, 1, 1]
+        - 2 * a[0, 0, 0] * a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 1]
+        - 2 * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 1] * a[1, 1, 0]
+        - 2 * a[0, 0, 1] * a[0, 1, 1] * a[1, 1, 0] * a[1, 0, 0]
+        - 2 * a[0, 1, 0] * a[0, 1, 1] * a[1, 0, 1] * a[1, 0, 0]
+        + 4 * a[0, 0, 0] * a[0, 1, 1] * a[1, 0, 1] * a[1, 1, 0]
+        + 4 * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0] * a[1, 1, 1]
+    )
 
 
 # 4x4 index layouts of the two degree-4 invariants of format 2x2x2x2,
@@ -322,24 +302,23 @@ def invariant_M(h: Hypermatrix) -> complex:
     return determinant(_layout_matrix(h.flat(), M_LAYOUT))
 
 
-def lambda_poly(
-    x: PureStateDecomposition | GramMatrix | Hypermatrix, s: int, inv: str
-) -> np.ndarray:
+def lambda_poly(x: InvariantVector | Hypermatrix, s: int, inv: str) -> np.ndarray:
     """Coefficients of inv(Omega_s - lambda E) as a polynomial in lambda,
     in ascending powers, as a read-only complex array.
 
     ``inv`` selects the invariant polynomial applied to the shifted
-    hypermatrix: ``"det"`` (requires s = 1; the resulting polynomial is
-    returned in the monic normalization (-1)**I det(Omega - lambda E) =
-    det(lambda E - Omega), under which zero-padding the decomposition
-    multiplies it by exactly lambda**(J-r)), or ``"N"`` / ``"M"``
-    (require s = 2 and a two-member decomposition).
+    hypermatrix, and with it what ``x`` must be:
 
-    ``x`` is a :class:`PureStateDecomposition` or an object built from
-    one: its :class:`GramMatrix` or that matrix's :class:`InvariantVector`
-    for ``"det"``, its s=2 :class:`Hypermatrix` of format 2x2x2x2 for
-    ``"N"`` / ``"M"``. What is missing is built first; a built object of
-    the wrong kind or format raises :class:`UnsupportedFormatError`.
+    * ``"det"`` (s = 1): the :class:`InvariantVector` of a Gram spectrum,
+      from :func:`f_invariants`. The polynomial is returned in the monic
+      normalization (-1)**I det(Omega - lambda E) = det(lambda E - Omega),
+      under which zero-padding the decomposition multiplies it by exactly
+      lambda**(J-r);
+    * ``"N"`` / ``"M"`` (s = 2): the s=2 :class:`Hypermatrix` of format
+      2x2x2x2, from :func:`hypermatrix` of a two-member decomposition.
+
+    Nothing is built here: any other ``x``, a decomposition included, or
+    another format raises :class:`UnsupportedFormatError`.
 
     Each polynomial has a closed form. ``"det"`` gives
     sum_i (-1)**i F_i lambda**(I-i), the signed F of :func:`f_invariants`
@@ -357,15 +336,6 @@ def lambda_poly(
     want_s, want_type = (1, InvariantVector) if inv == "det" else (2, Hypermatrix)
     if s != want_s:
         raise UnsupportedFormatError(f"inv={inv!r} requires s={want_s}, got s={s}")
-    if isinstance(x, PureStateDecomposition):
-        if inv != "det" and len(x) != 2:
-            # refused before a hypermatrix of that size is built
-            raise UnsupportedFormatError(
-                f"inv={inv!r} requires a rank-2 decomposition, got I={len(x)}"
-            )
-        x = gram_matrix(x) if inv == "det" else hypermatrix(x, 2)
-    if inv == "det" and isinstance(x, GramMatrix):
-        x = f_invariants(x.spectrum)
     if not isinstance(x, want_type):
         raise UnsupportedFormatError(f"inv={inv!r} cannot be read from a {type(x).__name__}")
     if inv == "det":

@@ -67,7 +67,7 @@ def _pair(z: complex) -> list:
     return [z.real, z.imag]
 
 
-def parse_state(doc, tol: float = 1e-10) -> DensityMatrix:
+def parse_state(doc) -> DensityMatrix:
     """Build a validated state from a parsed StateFile document."""
     if not isinstance(doc, dict):
         raise StateFormatError("state file must contain a JSON object")
@@ -105,10 +105,10 @@ def parse_state(doc, tol: float = 1e-10) -> DensityMatrix:
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise StateFormatError(f"matrix entry ({i}, {j}) is not a finite number")
             mat[i, j] = z
-    return validate_density(mat, dims, tol=tol)
+    return validate_density(mat, dims)
 
 
-def load_state(path, tol: float = 1e-10) -> DensityMatrix:
+def load_state(path) -> DensityMatrix:
     """Read and validate a StateFile from disk."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -119,7 +119,7 @@ def load_state(path, tol: float = 1e-10) -> DensityMatrix:
         # JSONDecodeError and UnicodeDecodeError are ValueErrors; nesting
         # deeper than the interpreter's recursion limit is a RecursionError
         raise StateFormatError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
-    return parse_state(doc, tol=tol)
+    return parse_state(doc)
 
 
 def state_to_doc(rho: DensityMatrix) -> dict:

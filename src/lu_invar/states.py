@@ -34,7 +34,6 @@ from .linalg import (
     as_complex_matrix,
     eigh_descending,
     haar_unitary,
-    hermitian_part,
     hermiticity_residual,
     pivoted_cholesky,
     require_unitary,
@@ -52,10 +51,10 @@ class DensityMatrix:
     ascending, read-only eigenvalues of the Hermitian part of ``mat``,
     computed once per state: validation keeps the ones it checks
     positivity with, and :func:`merge_cut` passes them on. A state built
-    by hand computes them on first use, and that first use checks it as
-    validation would: Hermitian within max(tol, 1e-10)
-    (:class:`NotHermitianError`) and no eigenvalue below minus that
-    tolerance (:class:`NotPSDError`).
+    by hand computes them on first use as
+    ``validate_density(mat, dims, tol).spectrum``, so that first use
+    checks it exactly as validation would, at its own ``tol``: shape,
+    Hermiticity, unit trace and positivity.
     """
 
     dims: tuple[int, ...]
@@ -64,18 +63,7 @@ class DensityMatrix:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        tol = max(self.tol, 1e-10)
-        return _checked_spectrum(hermitian_part(self.mat, tol=tol), tol)
-
-
-def _checked_spectrum(h: np.ndarray, tol: float) -> np.ndarray:
-    """The ascending, read-only eigenvalues of the exactly Hermitian h, or
-    :class:`NotPSDError` when the least is below -tol."""
-    w = np.linalg.eigvalsh(h)
-    if w[0] < -tol:
-        raise NotPSDError(f"NotPSD: min eigenvalue = {w[0]:.3e} < -tol {tol:.3e}")
-    w.setflags(write=False)
-    return w
+        return validate_density(self.mat, self.dims, self.tol).spectrum
 
 
 def _density(dims, mat: np.ndarray, tol: float, spectrum: np.ndarray | None) -> DensityMatrix:
@@ -108,7 +96,10 @@ def validate_density(mat, dims, tol: float = DENSITY_TOL) -> DensityMatrix:
     tr = complex(mat.trace())
     if abs(tr - 1.0) > tol:
         raise NotUnitTraceError(f"NotUnitTrace: |tr(rho) - 1| = {abs(tr - 1.0):.3e} > tol {tol:.3e}")
-    w = _checked_spectrum((mat + mat.conj().T) / 2.0, tol)
+    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+    if w[0] < -tol:
+        raise NotPSDError(f"NotPSD: min eigenvalue = {w[0]:.3e} < -tol {tol:.3e}")
+    w.setflags(write=False)
     mat = mat.copy()
     mat.setflags(write=False)
     return _density(dims, mat, tol, w)
@@ -148,12 +139,6 @@ def make_decomposition(mats) -> PureStateDecomposition:
         raise BadShapeError("coefficient matrices contain NaN or Inf entries")
     stack.setflags(write=False)
     return PureStateDecomposition(n=stack.shape[1], m=stack.shape[2], stack=stack)
-
-
-def reconstruct(d: PureStateDecomposition) -> np.ndarray:
-    """Density matrix sum_i vec(A_i) vec(A_i)^dag implied by a decomposition."""
-    vecs = d.stack.reshape(len(d), d.n * d.m)
-    return np.einsum("ia,ib->ab", vecs, vecs.conj())
 
 
 def flatten_multipartite(coeffs, dims, cut: int) -> np.ndarray:
@@ -315,7 +300,7 @@ def apply_local_unitary_density(rho: DensityMatrix, locals_) -> DensityMatrix:
     return validate_density(out, rho.dims, tol=max(rho.tol, 1e-9))
 
 
-def random_density(dims, rank: int, seed: int, tol: float = DENSITY_TOL) -> DensityMatrix:
+def random_density(dims, rank: int, seed: int) -> DensityMatrix:
     """A random density matrix of the requested rank (Ginibre construction)."""
     dims = tuple(int(d) for d in dims)
     n = math.prod(dims)
@@ -325,7 +310,7 @@ def random_density(dims, rank: int, seed: int, tol: float = DENSITY_TOL) -> Dens
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    return validate_density(rho, dims, tol=tol)
+    return validate_density(rho, dims)
 
 
 def random_local_unitaries(dims, seed: int) -> list[np.ndarray]:

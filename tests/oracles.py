@@ -1,9 +1,10 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here deliberately avoids the code paths of the package under
-test: determinants come from the Leibniz permutation sum, reconstructions
-and trace products from explicit Python loops, symmetric polynomials from
-direct enumeration over subsets.
+test: determinants come from the Leibniz permutation sum, trace products
+and realignments from explicit Python loops, symmetric polynomials from
+direct enumeration over subsets. The reconstruction of a state from a
+decomposition, which the package never needs, lives only here.
 """
 
 from __future__ import annotations
@@ -53,17 +54,11 @@ def elementary_symmetric(values, k: int) -> complex:
     )
 
 
-def reconstruct_loops(mats) -> np.ndarray:
-    """Density matrix from coefficient matrices, by explicit index loops."""
-    n, m = mats[0].shape
-    rho = np.zeros((n * m, n * m), dtype=complex)
-    for a in mats:
-        for k in range(n):
-            for l in range(m):
-                for kp in range(n):
-                    for lp in range(m):
-                        rho[k * m + l, kp * m + lp] += a[k, l] * np.conj(a[kp, lp])
-    return rho
+def reconstruct(d) -> np.ndarray:
+    """Density matrix sum_i vec(A_i) vec(A_i)^dag implied by a
+    decomposition ``d``, as one product of its flattened members."""
+    vecs = d.stack.reshape(len(d), d.n * d.m)
+    return np.einsum("ia,ib->ab", vecs, vecs.conj())
 
 
 def hyper_entry(mats, i_idx, j_idx) -> complex:

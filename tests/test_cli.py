@@ -86,6 +86,20 @@ class TestCompute:
         assert main(["compute", path]) == 3
         assert "NotPSD" in capsys.readouterr().err
 
+    def test_validated_at_fixed_tolerance(self, tmp_path, capsys):
+        # every StateFile is validated at 1e-10: a trace 5e-11 off 1 passes,
+        # one 2e-10 off fails
+        for excess, code in ((5e-11, 0), (2e-10, 3)):
+            mat = np.diag([0.5 + excess, 0.5, 0.0, 0.0])
+            doc = {
+                "dims": [2, 2],
+                "matrix": [[[float(mat[i, j]), 0.0] for j in range(4)] for i in range(4)],
+            }
+            path = write_state(tmp_path, f"trace{code}.json", doc)
+            assert main(["compute", path]) == code
+        assert "NotUnitTrace" in capsys.readouterr().err
+        assert load_state(tmp_path / "trace0.json").tol == 1e-10
+
     def test_wrong_schema_exit_2(self, tmp_path):
         path = write_state(tmp_path, "schema.json", {"dims": [2, 2]})
         assert main(["compute", path]) == 2

@@ -20,10 +20,9 @@ from lu_invar.states import (
     make_decomposition,
     random_density,
     random_local_unitaries,
-    reconstruct,
     validate_density,
 )
-from oracles import eigh_decomposition_stack
+from oracles import eigh_decomposition_stack, reconstruct
 
 GRID = ((2, 2), (2, 3), (3, 3), (2, 2, 2), (4, 4), (8, 8))
 CASES = [

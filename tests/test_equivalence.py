@@ -16,6 +16,7 @@ from lu_invar.errors import (
     DimensionMismatchError,
     NotHermitianError,
     NotPSDError,
+    NotUnitTraceError,
 )
 from lu_invar.linalg import haar_unitary
 from lu_invar.states import (
@@ -330,11 +331,12 @@ class TestCholeskyPath:
         for tol in (None, 0.0, 1.0):
             with pytest.raises(NotPSDError):
                 numerical_rank(np.array([0.0, -1e-12]), rank_tol=tol)
-        # nor is a zero matrix, whose pivoted factor has no column and so
-        # an empty Gram spectrum
+        # nor is an empty spectrum, the Gram spectrum of a pivoted factor
+        # with no column
         with pytest.raises(NotPSDError):
             numerical_rank(np.array([]))
-        with pytest.raises(NotPSDError):
+        # a hand-built zero matrix is refused before that, by its trace
+        with pytest.raises(NotUnitTraceError):
             fingerprint(DensityMatrix(dims=(2, 2), mat=np.zeros((4, 4), dtype=complex), tol=1e-10))
 
 

