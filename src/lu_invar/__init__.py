@@ -51,7 +51,6 @@ from .invariants import (
     invariant_M,
     invariant_N,
     lambda_poly,
-    realignment,
     realignment_kyfan,
 )
 from .linalg import (
@@ -123,7 +122,6 @@ __all__ = [
     "mix_decomposition",
     "pad_with_zeros",
     "random_density",
-    "realignment",
     "realignment_kyfan",
     "screen",
     "singular_values",

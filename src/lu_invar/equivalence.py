@@ -140,7 +140,7 @@ def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> 
     """The fingerprint of ``rho`` read from ``d``, any pure-state
     decomposition of it, with rank the length of ``d``.
 
-    The Gram matrix, F and, at rank 2, the s=2 hypermatrix are each built
+    The Gram matrix, F and, at rank 2, the hypermatrix are each built
     once. M is the constant term of ``lambda_M``. Ky Fan is read from
     ``rho`` across the bipartition that d's (n, m) shape names. Only that
     shape is checked against ``rho`` (:class:`DimensionMismatchError`).
@@ -154,14 +154,14 @@ def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> 
             )
         bip = merge_cut(rho, cuts.index((d.n, d.m)) + 1)
     f = f_invariants(gram_matrix(d).spectrum)
-    return _fingerprint(rho, f, realignment_kyfan(bip), hypermatrix(d, 2) if len(d) == 2 else None)
+    return _fingerprint(rho, f, realignment_kyfan(bip), hypermatrix(d) if len(d) == 2 else None)
 
 
 def _fingerprint(
     rho: DensityMatrix, f: InvariantVector, kyfan: float, h: Hypermatrix | None
 ) -> Fingerprint:
     """The fingerprint of rank len(f) - 1 from F, Ky Fan and, at rank 2,
-    the s=2 hypermatrix ``h``."""
+    the 2x2x2x2 hypermatrix ``h``."""
     lambdas = {"det": lambda_poly(f, 1, "det")}
     n_value = m_value = None
     if h is not None:

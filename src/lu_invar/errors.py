@@ -61,7 +61,7 @@ class BadShapeError(LuInvarError):
 
 
 class UnsupportedFormatError(BadShapeError):
-    """The requested invariant is not implemented for this hypermatrix format."""
+    """The input is not of the format the requested invariant or hypermatrix reads."""
 
 
 class NotBipartiteError(LuInvarError):

@@ -3,10 +3,11 @@
 The overlap (Gram) matrix Omega with entries tr(A_i A_j^dag) changes only
 by unitary conjugation when the decomposition is rotated, so the
 coefficients of its characteristic polynomial depend on the state alone.
-The same mechanism extends to the order-2s trace hypermatrix with entries
-tr(A_{i1} A_{j1}^dag ... A_{is} A_{js}^dag): every multilinear invariant
-of the matching format, evaluated on it, is both decomposition-independent
-and local-unitary invariant.
+The same mechanism extends to the order-4 trace hypermatrix with entries
+tr(A_i A_j^dag A_k A_l^dag): for a two-member decomposition of a rank-2
+state it has format 2x2x2x2, and every multilinear invariant of that
+format, evaluated on it, is both decomposition-independent and
+local-unitary invariant. That is the one hypermatrix format built here.
 
 Implemented invariant polynomials, each computed in closed form:
 
@@ -15,7 +16,7 @@ Implemented invariant polynomials, each computed in closed form:
   spectrum of the state, which every decomposition's Omega shares,
 * Cayley's 2x2x2 hyperdeterminant,
 * the two degree-4 determinant invariants N and M of format 2x2x2x2,
-  each the determinant of one 4x4 flattening of the s=2 hypermatrix
+  each the determinant of one 4x4 flattening of the hypermatrix
   (see ``N_LAYOUT`` / ``M_LAYOUT`` below for which flattenings and signs),
 * coefficients of the lambda polynomials inv(Omega_s - lambda E): the
   signed F for ``det``, a characteristic polynomial for N and a linear
@@ -40,14 +41,12 @@ from .errors import (
     BadShapeError,
     NotBipartiteError,
     NotUnitTraceError,
-    TooLargeError,
     UnsupportedFormatError,
 )
 from .linalg import as_complex_matrix, char_poly, determinant, singular_values
 from .states import DensityMatrix, PureStateDecomposition
 
 GRAM_TOL = 1e-10
-HYPERMATRIX_MAX_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -146,15 +145,13 @@ def _product_recurrence(xs: list) -> list:
 
 @dataclass(frozen=True)
 class Hypermatrix:
-    """Order-2s trace hypermatrix of a decomposition.
+    """The 2x2x2x2 trace hypermatrix of a two-member decomposition.
 
-    ``entries`` has shape (I,) * (2s) with axes in the trace order
-    (i_1, j_1, i_2, j_2, ...), so that for s = 2 and I = 2 the row-major
+    ``entries`` has shape (2, 2, 2, 2) with axes in the trace order
+    (i, j, k, l) of tr(A_i A_j^dag A_k A_l^dag), so that the row-major
     flat index of entry (i, j, k, l) is exactly r = 8i + 4j + 2k + l.
     """
 
-    s: int
-    side: int
     entries: np.ndarray
 
     def flat(self) -> np.ndarray:
@@ -162,40 +159,30 @@ class Hypermatrix:
         return self.entries.reshape(-1)
 
 
-def hypermatrix(d: PureStateDecomposition, s: int) -> Hypermatrix:
-    """The order-2s hypermatrix tr(A_{i1} A_{j1}^dag ... A_{is} A_{js}^dag).
+def hypermatrix(d: PureStateDecomposition) -> Hypermatrix:
+    """The hypermatrix tr(A_i A_j^dag A_k A_l^dag) of a two-member
+    decomposition, such as the eigen decomposition of a rank-2 state.
 
-    For s = 1 this flattens to the Gram matrix. Two things are checked:
-    the size, refusing formats larger than 2**20 entries
-    (:class:`TooLargeError`), and overflow, raising ``BadShapeError`` when
-    an entry is Inf or NaN. Its conjugate and cyclic symmetries hold by
-    construction, up to rounding, and are not re-checked.
+    A decomposition of any other length raises
+    :class:`UnsupportedFormatError`. Overflow is checked, raising
+    ``BadShapeError`` when an entry is Inf or NaN. Its conjugate and
+    cyclic symmetries hold by construction, up to rounding, and are not
+    re-checked.
     """
-    if s < 1:
-        raise BadShapeError(f"order parameter s must be >= 1, got {s}")
-    i_count = len(d)
-    if i_count ** (2 * s) > HYPERMATRIX_MAX_ENTRIES:
-        raise TooLargeError(
-            f"hypermatrix would have {i_count ** (2 * s)} entries "
-            f"(limit {HYPERMATRIX_MAX_ENTRIES})"
+    if len(d) != 2:
+        raise UnsupportedFormatError(
+            f"the hypermatrix is built for two-member decompositions only, got {len(d)}"
         )
     stack = d.stack
-    # products P[i, j] = A_i A_j^dag, shape (I, I, n, n)
+    # products P[i, j] = A_i A_j^dag, shape (2, 2, n, n)
     prod = np.einsum("iab,jcb->ijac", stack, stack.conj())
-    if s == 1:
-        t = np.einsum("ijaa->ij", prod)
-    else:
-        cur = prod
-        for _ in range(s - 2):
-            cur = np.einsum("...ab,klbc->...klac", cur, prod)
-        # the last factor and the trace in one contraction:
-        # tr(C P[k, l]) = sum_ab C[a, b] P[k, l][b, a]
-        t = np.einsum("...ab,klba->...kl", cur, prod)
+    # tr(P[i, j] P[k, l]) = sum_ab P[i, j][a, b] P[k, l][b, a]
+    t = np.einsum("...ab,klba->...kl", prod, prod)
     if not math.isfinite(float(np.abs(t).max())):  # NaN or Inf when any entry is
         raise BadShapeError("hypermatrix has NaN or Inf entries: its products overflow")
     t = np.ascontiguousarray(t)
     t.setflags(write=False)
-    return Hypermatrix(s=s, side=i_count, entries=t)
+    return Hypermatrix(entries=t)
 
 
 def cayley_det_222(tensor) -> complex:
@@ -226,7 +213,7 @@ def cayley_det_222(tensor) -> complex:
 
 
 # 4x4 index layouts of the two degree-4 invariants of format 2x2x2x2,
-# as flat positions r = 8*i1 + 4*j1 + 2*i2 + j2 into the s=2 hypermatrix
+# as flat positions r = 8*i1 + 4*j1 + 2*i2 + j2 into the hypermatrix
 # a[i1, j1, i2, j2]. A 2x2x2x2 array has three 4x4 flattenings, one per
 # way of pairing axis i1 with another axis for the rows. With D_x the
 # determinant of the row-major flattening whose rows are (i1, x) and whose
@@ -273,24 +260,15 @@ def _layout_matrix(flat: np.ndarray, layout) -> np.ndarray:
     return flat[_layout_index(layout)]
 
 
-def _require_2222(h: Hypermatrix, name: str) -> None:
-    if h.s != 2 or h.side != 2:
-        raise UnsupportedFormatError(
-            f"{name} is defined for format 2x2x2x2 only (s=2, I=2); "
-            f"got s={h.s}, I={h.side}"
-        )
-
-
 def invariant_N(h: Hypermatrix) -> complex:
     """Degree-4 invariant N: det of the (a0 a1 a8 a9 / a2 a3 a10 a11 /
-    a4 a5 a12 a13 / a6 a7 a14 a15) layout of the s=2 hypermatrix."""
-    _require_2222(h, "invariant_N")
+    a4 a5 a12 a13 / a6 a7 a14 a15) layout of the hypermatrix."""
     return determinant(_layout_matrix(h.flat(), N_LAYOUT))
 
 
 def invariant_M(h: Hypermatrix) -> complex:
     """Degree-4 invariant M: det of the (a0 a8 a4 a12 / a1 a9 a5 a13 /
-    a2 a10 a6 a14 / a3 a11 a7 a15) layout of the s=2 hypermatrix.
+    a2 a10 a6 a14 / a3 a11 a7 a15) layout of the hypermatrix.
 
     This is minus the determinant of the flattening with rows (i1, j1)
     and columns (i2, j2), signed so that M(sigma1) = +1/6561 as in the
@@ -298,7 +276,6 @@ def invariant_M(h: Hypermatrix) -> complex:
     (a0 a8 a2 a10 / a1 a9 a3 a11 / a4 a12 a6 a14 / a5 a13 a7 a15) layout,
     by Luque and Thibon's identity L + M + N = 0 (see ``M_LAYOUT``).
     """
-    _require_2222(h, "invariant_M")
     return determinant(_layout_matrix(h.flat(), M_LAYOUT))
 
 
@@ -314,11 +291,11 @@ def lambda_poly(x: InvariantVector | Hypermatrix, s: int, inv: str) -> np.ndarra
       normalization (-1)**I det(Omega - lambda E) = det(lambda E - Omega),
       under which zero-padding the decomposition multiplies it by exactly
       lambda**(J-r);
-    * ``"N"`` / ``"M"`` (s = 2): the s=2 :class:`Hypermatrix` of format
-      2x2x2x2, from :func:`hypermatrix` of a two-member decomposition.
+    * ``"N"`` / ``"M"`` (s = 2): the 2x2x2x2 :class:`Hypermatrix`, from
+      :func:`hypermatrix` of a two-member decomposition.
 
-    Nothing is built here: any other ``x``, a decomposition included, or
-    another format raises :class:`UnsupportedFormatError`.
+    Nothing is built here: any other ``x``, a decomposition included,
+    raises :class:`UnsupportedFormatError`.
 
     Each polynomial has a closed form. ``"det"`` gives
     sum_i (-1)**i F_i lambda**(I-i), the signed F of :func:`f_invariants`
@@ -343,7 +320,6 @@ def lambda_poly(x: InvariantVector | Hypermatrix, s: int, inv: str) -> np.ndarra
         coeffs[-2::-2] *= -1.0  # F_1, F_3, ..., at reversed positions I-1, I-3, ...
         coeffs.setflags(write=False)
         return coeffs
-    _require_2222(x, f"lambda_poly(inv={inv!r})")
     if inv == "N":
         return char_poly(_layout_matrix(x.flat(), N_LAYOUT))
     mat = as_complex_matrix(_layout_matrix(x.flat(), M_LAYOUT))
@@ -356,25 +332,6 @@ def _read_only(coeffs) -> np.ndarray:
     c = np.array(coeffs, dtype=complex)
     c.setflags(write=False)
     return c
-
-
-def _bipartite_dims(rho: DensityMatrix) -> tuple[int, int]:
-    if len(rho.dims) != 2:
-        raise NotBipartiteError(
-            f"realignment needs a bipartite state, got {len(rho.dims)} subsystems"
-        )
-    return rho.dims
-
-
-def realignment(rho: DensityMatrix) -> np.ndarray:
-    """The realigned matrix R of a bipartite state.
-
-    R has shape n^2 x m^2 with R[(i,j),(k,l)] = rho[(i,k),(j,l)], indices
-    big-endian as everywhere in this package.
-    """
-    n, m = _bipartite_dims(rho)
-    four = rho.mat.reshape(n, m, n, m)  # axes (i, k, j, l)
-    return four.transpose(0, 2, 1, 3).reshape(n * n, m * m)
 
 
 _DIAG, _SYM, _ANTI = 0, 1, 2
@@ -435,7 +392,11 @@ def _real_realignment(rho: DensityMatrix) -> np.ndarray:
     """The real matrix Q_n^dag R Q_m, with Q_n the unitary whose columns
     are the basis of :func:`_swap_basis`, gathered from rho's entries by a
     plan cached per (n, m)."""
-    n, m = _bipartite_dims(rho)
+    if len(rho.dims) != 2:
+        raise NotBipartiteError(
+            f"realignment needs a bipartite state, got {len(rho.dims)} subsystems"
+        )
+    n, m = rho.dims
     index, weight = _real_realignment_plan(n, m)
     x = np.ascontiguousarray(rho.mat, dtype=complex).view(float).ravel()
     return (weight * x[index]).sum(axis=0)

@@ -56,12 +56,12 @@ def unitarity_residual(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(n)).max())
 
 
-def require_unitary(u, *, tol: float = UNITARITY_TOL, what: str = "matrix") -> np.ndarray:
+def require_unitary(u, *, what: str = "matrix") -> np.ndarray:
     u = _require_square(as_complex_matrix(u))
     res = unitarity_residual(u)
-    if res > tol:
+    if res > UNITARITY_TOL:
         raise NotUnitaryError(
-            f"NotUnitary: {what} has max |U^dag U - E| = {res:.3e} > tol {tol:.3e}"
+            f"NotUnitary: {what} has max |U^dag U - E| = {res:.3e} > tol {UNITARITY_TOL:.3e}"
         )
     return u
 

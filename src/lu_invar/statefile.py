@@ -77,10 +77,10 @@ def parse_state(doc) -> DensityMatrix:
     dims = doc["dims"]
     if (
         not isinstance(dims, list)
-        or not dims
+        or len(dims) < 2
         or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 2 for d in dims)
     ):
-        raise StateFormatError("'dims' must be a list of integers >= 2")
+        raise StateFormatError("'dims' must list at least two integers >= 2")
     n = math.prod(dims)
     rows = doc["matrix"]
     if not isinstance(rows, list) or len(rows) != n:

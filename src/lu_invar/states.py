@@ -82,8 +82,10 @@ def validate_density(mat, dims, tol: float = DENSITY_TOL) -> DensityMatrix:
     Hermitian part, are kept as the state's ``spectrum``.
     """
     dims = tuple(int(d) for d in dims)
-    if len(dims) < 1 or any(d < 2 for d in dims):
-        raise DimensionMismatchError(f"subsystem dimensions must all be >= 2, got {dims}")
+    if len(dims) < 2 or any(d < 2 for d in dims):
+        raise DimensionMismatchError(
+            f"a state needs at least two subsystems, each of dimension >= 2, got {dims}"
+        )
     mat = as_complex_matrix(mat)
     n = math.prod(dims)
     if mat.shape != (n, n):
@@ -170,8 +172,6 @@ def _cut_sizes(dims: tuple[int, ...], cut: int) -> tuple[int, int]:
 def merge_cut(rho: DensityMatrix, cut: int = 1) -> DensityMatrix:
     """View a multipartite state as bipartite across the given cut; a
     bipartite state at cut 1 is returned itself."""
-    if len(rho.dims) == 1:
-        raise BadCutError("cannot bipartition a single-subsystem state")
     if len(rho.dims) == 2 and cut == 1:
         return rho
     return _density(_cut_sizes(rho.dims, cut), rho.mat, rho.tol, vars(rho).get("spectrum"))

@@ -104,6 +104,16 @@ class TestCompute:
         path = write_state(tmp_path, "schema.json", {"dims": [2, 2]})
         assert main(["compute", path]) == 2
 
+    def test_single_subsystem_exit_2(self, tmp_path, capsys):
+        # refused when the file is parsed, below full rank and at it
+        for k, diag in enumerate(([0.5, 0.5, 0.0, 0.0], [0.25] * 4)):
+            doc = {"dims": [4], "matrix": [[[diag[i] if i == j else 0.0, 0.0]
+                                            for j in range(4)] for i in range(4)]}
+            path = write_state(tmp_path, f"one{k}.json", doc)
+            for argv in (["compute", path], ["compare", path, path], ["mix", path]):
+                assert main(argv) == 2, (argv, diag)
+                assert "'dims' must list at least two" in capsys.readouterr().err
+
     def test_entry_too_large_for_float_exit_2(self, tmp_path, capsys):
         # a 401-digit integer parses as JSON but has no float value; Python's
         # JSON reader also accepts NaN and Infinity, and reads 1e400 as inf

@@ -11,7 +11,6 @@ from lu_invar.errors import (
     BadShapeError,
     NotBipartiteError,
     NotUnitTraceError,
-    TooLargeError,
     UnsupportedFormatError,
 )
 from lu_invar.invariants import (
@@ -25,7 +24,6 @@ from lu_invar.invariants import (
     invariant_N,
     lambda_poly,
     _real_realignment,
-    realignment,
     realignment_kyfan,
 )
 from lu_invar.linalg import char_poly, haar_unitary
@@ -168,19 +166,20 @@ class TestFInvariants:
             assert abs(f[i] - elementary_symmetric(list(w), i)) < 1e-9
 
 
-class TestHypermatrix:
-    def test_s1_flattens_to_gram(self, rho1_decomp):
-        h = hypermatrix(rho1_decomp, 1)
-        assert np.abs(h.entries - gram_matrix(rho1_decomp).omega).max() < 1e-12
+# (dims, cut) of the hypermatrix oracle test, each at rank 2; the
+# three-party state is decomposed across its cut
+HYPERMATRIX_CASES = [((2, 3), 1), ((3, 3), 1), ((4, 4), 1), ((2, 2, 2), 2)]
 
+
+class TestHypermatrix:
     def test_rho1_first_entry(self, rho1_decomp):
-        h = hypermatrix(rho1_decomp, 2)
+        h = hypermatrix(rho1_decomp)
         assert abs(h.flat()[0] - 0.25) < 1e-12
 
     def test_entries_match_direct_trace_products(self):
         rho = random_density((2, 2), 2, seed=63)
         d = eigen_decomposition(rho)
-        h = hypermatrix(d, 2)
+        h = hypermatrix(d)
         for i, j, k, l in itertools.product(range(2), repeat=4):
             direct = hyper_entry(list(d.stack), (i, k), (j, l))
             assert abs(h.entries[i, j, k, l] - direct) < 1e-12
@@ -188,47 +187,33 @@ class TestHypermatrix:
             assert abs(h.flat()[8 * i + 4 * j + 2 * k + l] - direct) < 1e-12
 
     @pytest.mark.parametrize(
-        "s, dims, rank", [(1, (2, 2), 2), (3, (2, 2), 2), (2, (2, 3), 3)]
+        "dims, cut", HYPERMATRIX_CASES,
+        ids=[f"{'x'.join(map(str, dims))}-cut{cut}" for dims, cut in HYPERMATRIX_CASES],
     )
-    def test_entries_match_oracle(self, s, dims, rank):
-        # every entry, axes (i1, j1, ..., is, js), against explicit products;
-        # s=2 at rank 2 is test_entries_match_direct_trace_products
-        d = eigen_decomposition(random_density(dims, rank, seed=160 + 10 * s + rank))
+    def test_entries_match_oracle(self, dims, cut):
+        # every entry, axes (i, j, k, l), against explicit products
+        rho = random_density(dims, 2, seed=160 + math.prod(dims))
+        d = eigen_decomposition(rho, cut=cut)
         mats = list(d.stack)
-        h = hypermatrix(d, s)
-        assert h.entries.shape == (rank,) * (2 * s)
-        for idx in itertools.product(range(rank), repeat=2 * s):
+        h = hypermatrix(d)
+        assert h.entries.shape == (2, 2, 2, 2)
+        for idx in itertools.product(range(2), repeat=4):
             direct = hyper_entry(mats, idx[0::2], idx[1::2])
             assert abs(h.entries[idx] - direct) < 1e-12
 
-    def test_pure_state_single_entry(self):
-        rho = validate_density(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
-        d = eigen_decomposition(rho)
-        h = hypermatrix(d, 2)
-        assert h.entries.shape == (1, 1, 1, 1)
-        a = d.stack[0]
-        expected = np.trace(np.linalg.matrix_power(a @ a.conj().T, 2))
-        assert abs(h.flat()[0] - expected) < 1e-12
-
     def test_conjugate_and_cyclic_symmetry(self):
-        # the trace of the dagger, conj T[i1, j1, ..., is, js] =
-        # T[js, is, ..., j1, i1], and the cyclic shift of the (i, j) pairs,
-        # on eigen and mixed decompositions; hypermatrix does not check them
-        cases = [(2, (2, 3), 3, 64, False), (2, (4, 4), 2, 65, False),
-                 (2, (4, 4), 2, 65, True), (3, (2, 2), 2, 66, False)]
-        for s, dims, rank, seed, mixed in cases:
-            d = eigen_decomposition(random_density(dims, rank, seed=seed))
+        # the trace of the dagger, conj T[i, j, k, l] = T[l, k, j, i], and
+        # the cyclic shift of the (i, j) pairs, on eigen and mixed
+        # decompositions; hypermatrix does not check them
+        for mixed in (False, True):
+            d = eigen_decomposition(random_density((4, 4), 2, seed=65))
             if mixed:
-                d = mix_decomposition(d, haar_unitary(rank, np.random.default_rng(seed)))
-            t = hypermatrix(d, s).entries
+                d = mix_decomposition(d, haar_unitary(2, np.random.default_rng(65)))
+            t = hypermatrix(d).entries
             bound = 1e-14 * np.abs(t).max()
-            for idx in itertools.product(range(rank), repeat=2 * s):
-                assert abs(np.conj(t[idx]) - t[idx[::-1]]) <= bound, (s, dims, mixed, idx)
-                assert abs(t[idx] - t[idx[2:] + idx[:2]]) <= bound, (s, dims, mixed, idx)
-
-    def test_too_large_rejected(self, rho1_decomp):
-        with pytest.raises(TooLargeError):
-            hypermatrix(rho1_decomp, 11)
+            for idx in itertools.product(range(2), repeat=4):
+                assert abs(np.conj(t[idx]) - t[idx[::-1]]) <= bound, (mixed, idx)
+                assert abs(t[idx] - t[idx[2:] + idx[:2]]) <= bound, (mixed, idx)
 
     def test_overflow_refused(self):
         # finite coefficient matrices whose fourfold products overflow
@@ -236,7 +221,7 @@ class TestHypermatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BadShapeError, match="hypermatrix has NaN or Inf"):
-                hypermatrix(d, 2)
+                hypermatrix(d)
 
 
 class TestCayley:
@@ -297,30 +282,30 @@ class TestCayley:
 
 class TestDegree4Invariants:
     def test_rho_pair_N(self, rho1_decomp, rho2_decomp):
-        assert invariant_N(hypermatrix(rho1_decomp, 2)) == pytest.approx(1.0 / 256.0, abs=1e-15)
-        assert invariant_N(hypermatrix(rho2_decomp, 2)) == pytest.approx(0.0, abs=1e-15)
+        assert invariant_N(hypermatrix(rho1_decomp)) == pytest.approx(1.0 / 256.0, abs=1e-15)
+        assert invariant_N(hypermatrix(rho2_decomp)) == pytest.approx(0.0, abs=1e-15)
 
     def test_sigma_pair_N(self, sigma1_decomp, sigma2_decomp):
-        assert invariant_N(hypermatrix(sigma1_decomp, 2)) == pytest.approx(1.0 / 6561.0, abs=1e-15)
-        assert invariant_N(hypermatrix(sigma2_decomp, 2)) == pytest.approx(0.0, abs=1e-15)
+        assert invariant_N(hypermatrix(sigma1_decomp)) == pytest.approx(1.0 / 6561.0, abs=1e-15)
+        assert invariant_N(hypermatrix(sigma2_decomp)) == pytest.approx(0.0, abs=1e-15)
 
     def test_rho_pair_M(self, rho1_decomp, rho2_decomp):
         # M = N + D, with D the determinant of the (a0 a8 a2 a10 / ...)
         # layout: D(rho1) = -1/256 and D(rho2) = 1/256 (L + M + N = 0)
-        assert invariant_M(hypermatrix(rho1_decomp, 2)) == pytest.approx(0.0, abs=1e-15)
-        assert invariant_M(hypermatrix(rho2_decomp, 2)) == pytest.approx(1.0 / 256.0, abs=1e-15)
+        assert invariant_M(hypermatrix(rho1_decomp)) == pytest.approx(0.0, abs=1e-15)
+        assert invariant_M(hypermatrix(rho2_decomp)) == pytest.approx(1.0 / 256.0, abs=1e-15)
 
     def test_sigma_pair_M(self, sigma1_decomp, sigma2_decomp):
         # the paper's Example 2: M separates this pair as N does. D has
         # two equal rows on sigma1's hypermatrix, so M = N + 0 there
-        assert invariant_M(hypermatrix(sigma1_decomp, 2)) == pytest.approx(1.0 / 6561.0, abs=1e-15)
-        assert invariant_M(hypermatrix(sigma2_decomp, 2)) == pytest.approx(0.0, abs=1e-15)
+        assert invariant_M(hypermatrix(sigma1_decomp)) == pytest.approx(1.0 / 6561.0, abs=1e-15)
+        assert invariant_M(hypermatrix(sigma2_decomp)) == pytest.approx(0.0, abs=1e-15)
 
     def test_layouts_against_permutation_sum(self):
         for seed in (69, 169, 269):
             rho = random_density((2, 3), 2, seed=seed)
             d = eigen_decomposition(rho)
-            h = hypermatrix(d, 2)
+            h = hypermatrix(d)
             flat = h.flat()
             for layout, fn in ((N_LAYOUT, invariant_N), (M_LAYOUT, invariant_M)):
                 mat = np.array([[flat[r] for r in row] for row in layout])
@@ -351,18 +336,17 @@ class TestDegree4Invariants:
     def test_zero_padded_pure_product_state_gives_zero(self):
         pure = validate_density(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
         d = pad_with_zeros(eigen_decomposition(pure), 2)
-        h = hypermatrix(d, 2)
+        h = hypermatrix(d)
         assert abs(invariant_N(h)) < 1e-15
         assert abs(invariant_M(h)) < 1e-15
 
     def test_wrong_format_rejected(self):
-        rho = random_density((2, 2), 3, seed=70)
-        h3 = hypermatrix(eigen_decomposition(rho), 2)
-        with pytest.raises(UnsupportedFormatError):
-            invariant_N(h3)
-        h1 = hypermatrix(eigen_decomposition(random_density((2, 2), 2, seed=71)), 1)
-        with pytest.raises(UnsupportedFormatError):
-            invariant_M(h1)
+        # N and M read only the 2x2x2x2 format, the hypermatrix of a
+        # two-member decomposition: any other length is refused when built
+        for rank in (1, 3):
+            d = eigen_decomposition(random_density((2, 2), rank, seed=70 + rank))
+            with pytest.raises(UnsupportedFormatError, match=f"got {rank}$"):
+                hypermatrix(d)
 
 
 def det_poly(d):
@@ -372,7 +356,7 @@ def det_poly(d):
 
 def nm_poly(d, inv):
     """lambda_N or lambda_M of a two-member decomposition."""
-    return lambda_poly(hypermatrix(d, 2), 2, inv)
+    return lambda_poly(hypermatrix(d), 2, inv)
 
 
 class TestLambdaPoly:
@@ -392,10 +376,10 @@ class TestLambdaPoly:
     def test_constant_term_is_the_invariant(self, sigma2_decomp, sigma1_decomp):
         assert abs(nm_poly(sigma2_decomp, "N")[0]) < 1e-12
         p = nm_poly(sigma1_decomp, "N")
-        assert abs(p[0] - invariant_N(hypermatrix(sigma1_decomp, 2))) < 1e-12
+        assert abs(p[0] - invariant_N(hypermatrix(sigma1_decomp))) < 1e-12
 
     def test_lambda_n_matches_direct_shift_evaluation(self, sigma1_decomp):
-        flat = hypermatrix(sigma1_decomp, 2).flat()
+        flat = hypermatrix(sigma1_decomp).flat()
         # the identity hypermatrix: 1 where i1 == j1 and i2 == j2
         eye = np.zeros(16)
         eye[[0, 3, 12, 15]] = 1.0
@@ -420,20 +404,15 @@ class TestLambdaPoly:
 
     def test_built_object_of_wrong_kind_or_format_rejected(self, rho1_decomp):
         with pytest.raises(UnsupportedFormatError):
-            lambda_poly(hypermatrix(rho1_decomp, 2), 1, "det")
-        with pytest.raises(UnsupportedFormatError):
-            lambda_poly(hypermatrix(rho1_decomp, 1), 1, "det")
+            lambda_poly(hypermatrix(rho1_decomp), 1, "det")
         with pytest.raises(UnsupportedFormatError):
             lambda_poly(gram_matrix(rho1_decomp), 2, "N")
         with pytest.raises(UnsupportedFormatError):
             lambda_poly(gram_matrix(rho1_decomp), 1, "det")
-        rank3 = eigen_decomposition(random_density((2, 2), 3, seed=73))
-        with pytest.raises(UnsupportedFormatError):
-            lambda_poly(hypermatrix(rank3, 2), 2, "M")
 
     def test_unsupported_combinations(self, rho1_decomp):
         f = f_invariants(gram_matrix(rho1_decomp).spectrum)
-        h = hypermatrix(rho1_decomp, 2)
+        h = hypermatrix(rho1_decomp)
         with pytest.raises(UnsupportedFormatError):
             lambda_poly(f, 2, "det")
         with pytest.raises(UnsupportedFormatError):
@@ -470,12 +449,6 @@ class TestRealignment:
     def test_maximally_mixed(self):
         rho = validate_density(np.eye(4) / 4.0, (2, 2))
         assert abs(realignment_kyfan(rho) - 0.5) < 1e-12
-
-    def test_matrix_matches_loop_oracle(self):
-        rho = random_density((2, 3), 4, seed=74)
-        r = realignment(rho)
-        assert r.shape == (4, 9)
-        assert np.abs(r - realign_loops(rho.mat, 2, 3)).max() < 1e-15
 
     @pytest.mark.parametrize("dims, cut", REALIGNMENT_CASES, ids=REALIGNMENT_IDS)
     @pytest.mark.parametrize("rank", [1, 2, "full"], ids=lambda r: f"rank{r}")
@@ -538,8 +511,8 @@ class TestDecompositionIndependence:
         rho = random_density((2, 2), 2, seed=79)
         d = eigen_decomposition(rho)
         moved = apply_local_unitary(d, haar_unitary(2, seed=80), haar_unitary(2, seed=81))
-        before = hypermatrix(d, 2).entries
-        after = hypermatrix(moved, 2).entries
+        before = hypermatrix(d).entries
+        after = hypermatrix(moved).entries
         assert np.abs(before - after).max() < 1e-10
 
     def test_degeneracy_robustness(self, rho1):
@@ -547,8 +520,8 @@ class TestDecompositionIndependence:
         # degenerate eigenspace is another valid eigen decomposition
         d = eigen_decomposition(rho1)
         base_f = f_invariants(gram_matrix(d).spectrum).F
-        base_n = invariant_N(hypermatrix(d, 2))
+        base_n = invariant_N(hypermatrix(d))
         for k in range(10):
             rotated = mix_decomposition(d, haar_unitary(2, seed=1000 + k))
             assert np.abs(f_invariants(gram_matrix(rotated).spectrum).F - base_f).max() < 1e-9
-            assert abs(invariant_N(hypermatrix(rotated, 2)) - base_n) < 1e-9
+            assert abs(invariant_N(hypermatrix(rotated)) - base_n) < 1e-9

@@ -41,12 +41,12 @@ class TestValidateDensity:
         assert rho.mat.shape[0] == 4
 
     def test_stores_tolerance(self):
-        rho = validate_density(np.diag([0.5, 0.5]), (2,), tol=1e-9)
+        rho = validate_density(np.diag([0.5, 0.5, 0.0, 0.0]), (2, 2), tol=1e-9)
         assert rho.tol == 1e-9
 
     def test_trace_two_rejected(self):
         with pytest.raises(NotUnitTraceError, match="NotUnitTrace"):
-            validate_density(np.diag([1.0, 1.0]), (2,))
+            validate_density(np.diag([0.5, 0.5, 0.5, 0.5]), (2, 2))
 
     def test_non_hermitian_rejected(self):
         mat = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
@@ -74,6 +74,13 @@ class TestValidateDensity:
     def test_subsystem_dimension_one_rejected(self):
         with pytest.raises(DimensionMismatchError):
             validate_density(np.eye(2) / 2.0, (2, 1))
+
+    def test_single_subsystem_rejected(self):
+        # a state is split into at least two parties, or no cut exists
+        with pytest.raises(DimensionMismatchError, match="at least two subsystems"):
+            validate_density(np.eye(4) / 4.0, (4,))
+        with pytest.raises(DimensionMismatchError, match="at least two subsystems"):
+            DensityMatrix(dims=(4,), mat=np.eye(4) / 4.0, tol=1e-10).spectrum
 
 
 class TestSpectrum:
