@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadToleranceError, DimensionMismatchError
+from .errors import BadToleranceError, DimensionMismatchError, NotUnitTraceError
 from .invariants import (
     Hypermatrix,
     InvariantVector,
@@ -42,14 +42,12 @@ from .invariants import (
     invariant_N,
     lambda_poly,
     realignment_kyfan,
-    require_unit_gram_trace,
 )
 from .states import (
     DensityMatrix,
     PureStateDecomposition,
     eigen_decomposition,
     merge_cut,
-    numerical_rank,
 )
 
 
@@ -142,8 +140,10 @@ def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> 
 
     The Gram matrix, F and, at rank 2, the hypermatrix are each built
     once. M is the constant term of ``lambda_M``. Ky Fan is read from
-    ``rho`` across the bipartition that d's (n, m) shape names. Only that
-    shape is checked against ``rho`` (:class:`DimensionMismatchError`).
+    ``rho`` across the bipartition that d's (n, m) shape names. That shape
+    is checked against ``rho`` (:class:`DimensionMismatchError`), and so
+    is the Gram trace, counting the mass of rho's eigenvalues below its
+    top len(d) that a rank rule dropped (:func:`_require_unit_mass`).
     """
     bip = rho
     if (d.n, d.m) != rho.dims:
@@ -153,7 +153,9 @@ def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> 
                 f"{d.n}x{d.m} coefficient matrices fit no bipartition of dims {rho.dims}"
             )
         bip = merge_cut(rho, cuts.index((d.n, d.m)) + 1)
-    f = f_invariants(gram_matrix(d).spectrum)
+    g = gram_matrix(d)
+    _require_unit_mass(float(g.omega.trace().real), float(rho.spectrum[:-len(d)].sum()))
+    f = f_invariants(g.spectrum)
     return _fingerprint(rho, f, realignment_kyfan(bip), hypermatrix(d) if len(d) == 2 else None)
 
 
@@ -181,19 +183,20 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
     The Gram spectrum of every decomposition of rho is rho's nonzero
     spectrum, so at full rank F is read from ``rho.spectrum``, the
     eigenvalues validation computed, with no factorization, Gram matrix or
-    eigen-solve. Full rank means every eigenvalue exceeds both
-    ``cfg.rank_tol`` (by ``states.numerical_rank``) and the noise floor
-    n eps lambda_max, where the pivoted factor of ``eigen_decomposition``
-    stops too: an eigenvalue at the rounding level of rho is no evidence
-    of rank, whatever the ``rank_tol``. The Gram trace check runs on that
-    spectrum, and Ky Fan is read from rho across ``cfg.cut``. Below full
-    rank the fingerprint is read from the eigenvector decomposition, which
-    has exactly rank(rho) members (:func:`decomposition_fingerprint`).
+    eigen-solve. Full rank means the smallest eigenvalue exceeds both
+    ``cfg.rank_tol`` (default as in ``states.numerical_rank``) and the
+    noise floor n eps lambda_max, where the pivoted factor of
+    ``eigen_decomposition`` stops too: an eigenvalue at the rounding level
+    of rho is no evidence of rank, whatever the ``rank_tol``. The Gram
+    trace check runs on that spectrum, and Ky Fan is read from rho across
+    ``cfg.cut``. Below full rank the fingerprint is read from the
+    eigenvector decomposition, which has exactly rank(rho) members
+    (:func:`decomposition_fingerprint`).
     """
     cfg = cfg or _DEFAULT_CONFIG
     w = rho.spectrum
     if _full_rank(w, cfg.rank_tol):
-        require_unit_gram_trace(float(w.sum()))
+        _require_unit_mass(float(w.sum()), 0.0)
         kyfan = realignment_kyfan(merge_cut(rho, cfg.cut))
         return _fingerprint(rho, f_invariants(w), kyfan, None)
     d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut)
@@ -201,13 +204,24 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
 
 
 _EPS = float(np.finfo(float).eps)
+GRAM_TOL = 1e-10
 
 
 def _full_rank(w: np.ndarray, rank_tol: float | None) -> bool:
     """Whether every eigenvalue of the ascending ``w`` exceeds both
-    ``rank_tol`` and the noise floor len(w) eps max(w)."""
-    floor = len(w) * _EPS * w[-1]
-    return w[0] > floor and numerical_rank(w, rank_tol) == len(w)
+    ``rank_tol`` (default 1e-10 max(w), as in ``states.numerical_rank``)
+    and the noise floor len(w) eps max(w); the smallest one decides."""
+    low, top = float(w[0]), float(w[-1])
+    return low > max(len(w) * _EPS * top, 1e-10 * top if rank_tol is None else rank_tol)
+
+
+def _require_unit_mass(kept: float, dropped: float) -> None:
+    """The Gram trace check: the Gram trace ``kept`` of a decomposition of
+    a unit-trace state, plus the mass ``dropped`` of the state's eigenvalues
+    it leaves out, is 1 within ``GRAM_TOL`` (else :class:`NotUnitTraceError`)."""
+    if abs(kept + dropped - 1.0) > GRAM_TOL:
+        raise NotUnitTraceError(f"NotUnitTrace: Gram trace {kept!r} plus dropped mass "
+                                f"{dropped:.3e} differs from 1 by {abs(kept + dropped - 1.0):.3e}")
 
 
 # Compared lambda coefficients: indices 1 up to, not including, the stop.

@@ -19,8 +19,9 @@ Implemented invariant polynomials, each computed in closed form:
   each the determinant of one 4x4 flattening of the hypermatrix
   (see ``N_LAYOUT`` / ``M_LAYOUT`` below for which flattenings and signs),
 * coefficients of the lambda polynomials inv(Omega_s - lambda E): the
-  signed F for ``det``, a characteristic polynomial for N and a linear
-  polynomial for M,
+  signed F for ``det``; for N and M, sums of the minors of the same
+  4x4 flattening, on Python scalars (the characteristic polynomial for N,
+  a linear polynomial for M),
 * the Ky Fan (trace) norm of the realignment matrix, the classical
   comparison baseline. For Hermitian rho the realigned R satisfies
   R = S_n conj(R) S_m, with S the swap (i,j) -> (j,i), so in the
@@ -39,14 +40,11 @@ import numpy as np
 
 from .errors import (
     BadShapeError,
+    NoConvergenceError,
     NotBipartiteError,
-    NotUnitTraceError,
     UnsupportedFormatError,
 )
-from .linalg import as_complex_matrix, char_poly, determinant, singular_values
 from .states import DensityMatrix, PureStateDecomposition
-
-GRAM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -67,28 +65,17 @@ def gram_matrix(d: PureStateDecomposition) -> GramMatrix:
     """Overlap matrix of a decomposition: Omega = V V^dag, one matrix
     product, with row i of V the flattened A_i, then (Omega + Omega^dag)/2.
 
-    Only the trace is checked, before the eigen-solve
-    (:func:`require_unit_gram_trace`): it is a property of the input
-    decomposition, while Hermiticity and semidefiniteness hold for any
-    decomposition up to rounding."""
+    Nothing is checked: Hermiticity and semidefiniteness hold for any
+    decomposition up to rounding, and the trace is a property of the state
+    the decomposition is read against, which
+    ``equivalence.decomposition_fingerprint`` checks."""
     vecs = d.stack.reshape(len(d), d.n * d.m)
     omega = vecs @ vecs.conj().T
     omega = (omega + omega.conj().T) / 2.0
-    require_unit_gram_trace(float(omega.trace().real))
     w = np.linalg.eigvalsh(omega)
     omega.setflags(write=False)
     w.setflags(write=False)
     return GramMatrix(omega=omega, spectrum=w)
-
-
-def require_unit_gram_trace(trace: float) -> None:
-    """The Gram trace check: the Gram matrix of a decomposition of a
-    unit-trace state has trace 1 within ``GRAM_TOL``
-    (:class:`NotUnitTraceError` otherwise)."""
-    if abs(trace - 1.0) > GRAM_TOL:
-        raise NotUnitTraceError(
-            f"NotUnitTrace: Gram trace {trace!r} differs from 1 by {abs(trace - 1.0):.3e}"
-        )
 
 
 @dataclass(frozen=True)
@@ -243,32 +230,39 @@ def cayley_det_222(tensor) -> complex:
 # values and N the Example 1 values.
 N_LAYOUT = ((0, 1, 8, 9), (2, 3, 10, 11), (4, 5, 12, 13), (6, 7, 14, 15))
 M_LAYOUT = ((0, 8, 4, 12), (1, 9, 5, 13), (2, 10, 6, 14), (3, 11, 7, 15))
-# the identity hypermatrix in the M layout: u u^T with u = (1, 0, 0, 1)
-_M_IDENTITY = np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0])
 
 
-@functools.lru_cache(maxsize=4)
-def _layout_index(layout) -> np.ndarray:
-    """The index array of a layout, built once per layout. Keyed by the
-    layout itself, so the module constants are read at every call."""
-    index = np.array(layout)
-    index.setflags(write=False)
-    return index
+def _gather(h: Hypermatrix, layout) -> list:
+    """The 4x4 ``layout`` of the hypermatrix, row-major, as 16 Python
+    complex scalars, from one read of its entries."""
+    flat = h.entries.ravel().tolist()
+    return [flat[r] for row in layout for r in row]
 
 
-def _layout_matrix(flat: np.ndarray, layout) -> np.ndarray:
-    return flat[_layout_index(layout)]
+# column pairs (j, k), j < k, in the order the 2x2 minors are listed
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _det4(x: list) -> tuple[complex, list, list]:
+    """det of the row-major 4x4 ``x`` of Python scalars, and the 2x2 minors
+    ``s`` of rows (0, 1) and ``c`` of rows (2, 3) in ``_PAIRS`` order. By
+    Laplace expansion along rows (0, 1), det = sum (-1)**(1 + j + k) s_jk c_lm
+    over the column pairs, (l, m) the complement of (j, k)."""
+    s = [x[j] * x[4 + k] - x[k] * x[4 + j] for j, k in _PAIRS]
+    c = [x[8 + j] * x[12 + k] - x[8 + k] * x[12 + j] for j, k in _PAIRS]
+    det = s[0] * c[5] - s[1] * c[4] + s[2] * c[3] + s[3] * c[2] - s[4] * c[1] + s[5] * c[0]
+    return det, s, c
 
 
 def invariant_N(h: Hypermatrix) -> complex:
     """Degree-4 invariant N: det of the (a0 a1 a8 a9 / a2 a3 a10 a11 /
-    a4 a5 a12 a13 / a6 a7 a14 a15) layout of the hypermatrix."""
-    return determinant(_layout_matrix(h.flat(), N_LAYOUT))
+    a4 a5 a12 a13 / a6 a7 a14 a15) layout, expanded over 2x2 minors."""
+    return complex(_det4(_gather(h, N_LAYOUT))[0])
 
 
 def invariant_M(h: Hypermatrix) -> complex:
     """Degree-4 invariant M: det of the (a0 a8 a4 a12 / a1 a9 a5 a13 /
-    a2 a10 a6 a14 / a3 a11 a7 a15) layout of the hypermatrix.
+    a2 a10 a6 a14 / a3 a11 a7 a15) layout, expanded over 2x2 minors.
 
     This is minus the determinant of the flattening with rows (i1, j1)
     and columns (i2, j2), signed so that M(sigma1) = +1/6561 as in the
@@ -276,7 +270,7 @@ def invariant_M(h: Hypermatrix) -> complex:
     (a0 a8 a2 a10 / a1 a9 a3 a11 / a4 a12 a6 a14 / a5 a13 a7 a15) layout,
     by Luque and Thibon's identity L + M + N = 0 (see ``M_LAYOUT``).
     """
-    return determinant(_layout_matrix(h.flat(), M_LAYOUT))
+    return complex(_det4(_gather(h, M_LAYOUT))[0])
 
 
 def lambda_poly(x: InvariantVector | Hypermatrix, s: int, inv: str) -> np.ndarray:
@@ -299,11 +293,15 @@ def lambda_poly(x: InvariantVector | Hypermatrix, s: int, inv: str) -> np.ndarra
 
     Each polynomial has a closed form. ``"det"`` gives
     sum_i (-1)**i F_i lambda**(I-i), the signed F of :func:`f_invariants`
-    in reverse order. In the N layout the identity hypermatrix E is the
-    4x4 identity, so ``"N"`` is the characteristic polynomial of that
-    flattening X. In the M layout E = u u^T with u = (1, 0, 0, 1), so
-    ``"M"`` is linear: det X - lambda u^T adj(X) u, whose slope is
-    det(X - u u^T) - det X.
+    in reverse order. ``"N"`` and ``"M"`` are sums of minors of their 4x4
+    flattening X on Python scalars, det X being that of :func:`invariant_N`
+    / :func:`invariant_M` bit for bit. In the N layout the identity
+    hypermatrix E is the 4x4 identity, so ``"N"`` is det(lambda E - X):
+    [det X, -sum of the principal 3x3 minors, sum of the principal 2x2
+    minors, -tr X, 1]. In the M layout E = u u^T with u = (1, 0, 0, 1), so
+    ``"M"`` is linear: det X - lambda u^T adj(X) u, with u^T adj(X) u =
+    C_00 + C_03 + C_30 + C_33 from the 3x3 cofactors C_ij (Horn and
+    Johnson, *Matrix Analysis*: principal-minor sums, Cauchy expansion).
 
     The coefficient array has the fixed length of its format, zeros
     included: I + 1 for ``"det"``, 5 for ``"N"`` and 2 for ``"M"``.
@@ -320,12 +318,22 @@ def lambda_poly(x: InvariantVector | Hypermatrix, s: int, inv: str) -> np.ndarra
         coeffs[-2::-2] *= -1.0  # F_1, F_3, ..., at reversed positions I-1, I-3, ...
         coeffs.setflags(write=False)
         return coeffs
-    if inv == "N":
-        return char_poly(_layout_matrix(x.flat(), N_LAYOUT))
-    mat = as_complex_matrix(_layout_matrix(x.flat(), M_LAYOUT))
-    # det X and det(X - u u^T) from one batched LU factorization
-    det_x, det_shifted = np.linalg.det(np.stack((mat, mat - _M_IDENTITY)))
-    return _read_only([det_x, det_shifted - det_x])
+    a = _gather(x, N_LAYOUT if inv == "N" else M_LAYOUT)
+    det, s, c = _det4(a)
+    # the 3x3 minors m_ij of X without row i and column j, each expanded
+    # along the remaining row of one row pair over the other pair's minors
+    m00 = a[5] * c[5] - a[6] * c[4] + a[7] * c[3]
+    m33 = a[8] * s[3] - a[9] * s[1] + a[10] * s[0]
+    if inv == "M":
+        # C_ij = (-1)**(i + j) m_ij
+        m03 = a[4] * c[3] - a[5] * c[1] + a[6] * c[0]
+        m30 = a[9] * s[5] - a[10] * s[4] + a[11] * s[3]
+        return _read_only([det, m03 + m30 - m00 - m33])
+    m11 = a[0] * c[5] - a[2] * c[2] + a[3] * c[1]
+    m22 = a[12] * s[4] - a[13] * s[2] + a[15] * s[0]
+    e2 = (s[0] + c[5] + a[0] * a[10] - a[2] * a[8] + a[0] * a[15] - a[3] * a[12]
+          + a[5] * a[10] - a[6] * a[9] + a[5] * a[15] - a[7] * a[13])
+    return _read_only([det, -(m00 + m11 + m22 + m33), e2, -(a[0] + a[5] + a[10] + a[15]), 1.0])
 
 
 def _read_only(coeffs) -> np.ndarray:
@@ -413,4 +421,8 @@ def realignment_kyfan(rho: DensityMatrix) -> float:
     its upper triangle and the real part of its diagonal, from which a
     validated state differs by at most its tolerance.
     """
-    return float(singular_values(_real_realignment(rho)).sum())
+    try:
+        sv = np.linalg.svd(_real_realignment(rho), compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(f"NoConvergence: svd failed: {exc}") from exc
+    return float(sv.sum())

@@ -176,8 +176,8 @@ def char_poly(m) -> np.ndarray:
     coefficient of lambda**(I-i) is exactly (-1)**i times the i-th
     elementary symmetric polynomial of the eigenvalues. The recursion
     loses relative accuracy on coefficients much smaller than the matrix
-    norm; the package uses it only for the 4x4 N flattening of
-    ``invariants.lambda_poly``, while F comes from the Gram spectrum.
+    norm. The package does not call it; it is the tests' reference for
+    the closed-form lambda_N of ``invariants.lambda_poly``.
     """
     m = _require_square(as_complex_matrix(m))
     n = m.shape[0]

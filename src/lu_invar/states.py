@@ -240,7 +240,9 @@ def eigen_decomposition(
     w, u = eigh_descending(rows.conj() @ rows.T)
     rank = numerical_rank(w, rank_tol)
     members = u[:, :rank].T @ rows  # row i is L u_i
-    return make_decomposition(flatten_multipartite(members, rho.dims, cut))
+    stack = flatten_multipartite(members, rho.dims, cut)  # fresh and finite: no copy or check
+    stack.setflags(write=False)
+    return PureStateDecomposition(*stack.shape[1:], stack)
 
 
 def mix_decomposition(d: PureStateDecomposition, u) -> PureStateDecomposition:

@@ -8,12 +8,14 @@ import lu_invar.invariants
 from lu_invar.cli import _config_from, _sci, build_parser, main
 from lu_invar.equivalence import ScreenConfig, compare_fingerprints, fingerprint
 from lu_invar.fixtures import fixture_path
+from lu_invar.linalg import haar_unitary
 from lu_invar.states import (
     DensityMatrix,
     apply_local_unitary_density,
     merge_cut,
     random_density,
     random_local_unitaries,
+    validate_density,
 )
 from lu_invar.statefile import dumps, load_state, save_state
 
@@ -99,6 +101,23 @@ class TestCompute:
             assert main(["compute", path]) == code
         assert "NotUnitTrace" in capsys.readouterr().err
         assert load_state(tmp_path / "trace0.json").tol == 1e-10
+
+    def test_mass_dropped_by_rank_rule_exit_0(self, tmp_path, capsys):
+        # 62 eigenvalues of 4e-11, below the default rank_tol of 5e-11, and
+        # a rank-3 state at a rank_tol between its two smallest nonzero
+        # eigenvalues: the Gram trace check counts the mass the rank rule
+        # dropped, so both compute and mix at rank 2
+        w = np.array([0.5, 0.5 - 62 * 4e-11] + [4e-11] * 62)
+        u = haar_unitary(64, seed=95)
+        tail, path3 = str(tmp_path / "tail.json"), str(tmp_path / "rank3.json")
+        save_state(validate_density((u * w) @ u.conj().T, (8, 8)), tail)
+        rank3 = random_density((2, 2), 3, seed=96)
+        save_state(rank3, path3)
+        cut = repr(float(rank3.spectrum[1] + rank3.spectrum[2]) / 2)
+        for path, extra in ((tail, []), (path3, ["--rank-tol", cut])):
+            assert main(["compute", path, *extra]) == 0
+            assert "rank: 2" in capsys.readouterr().out
+            assert main(["mix", path, "--count", "2", *extra]) == 0
 
     def test_wrong_schema_exit_2(self, tmp_path):
         path = write_state(tmp_path, "schema.json", {"dims": [2, 2]})

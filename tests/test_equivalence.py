@@ -145,8 +145,9 @@ class TestFingerprint:
         # spectrum validation computed, so one real SVD for Ky Fan is the
         # only LAPACK call. Rank 2: one eigh of the r' x r' Gram matrix of
         # the pivoted factor (r' = 2 here), one eigvalsh of the members'
-        # 2 x 2 Gram matrix, one SVD, one det for N and one batched det for
-        # lambda_M; no cholesky, and no eigen-solve sees an n x n matrix
+        # 2 x 2 Gram matrix and one SVD; N, M and the lambda polynomials
+        # are sums of minors on Python scalars, so no det. No cholesky,
+        # and no eigen-solve sees an n x n matrix
         names = ("cholesky", "eigh", "eigvalsh", "svd", "det")
         calls = {name: [] for name in names}
         for name, record in calls.items():
@@ -160,7 +161,7 @@ class TestFingerprint:
             monkeypatch.setattr(np.linalg, name, counted)
         full = random_density((3, 3), 9, seed=82)
         big = random_density((8, 8), 2, seed=83)
-        cases = ((rho1, (0, 1, 1, 1, 2)), (big, (0, 1, 1, 1, 2)), (full, (0, 0, 0, 1, 0)))
+        cases = ((rho1, (0, 1, 1, 1, 0)), (big, (0, 1, 1, 1, 0)), (full, (0, 0, 0, 1, 0)))
         for rho, expected in cases:
             for record in calls.values():
                 record.clear()
@@ -287,6 +288,26 @@ class TestCholeskyPath:
                     rho, random_local_unitaries((2, 2), seed=100 * seed + k)
                 )
                 assert screen(rho, moved, cfg).verdict == "Inconclusive"
+
+    def test_rank_tol_keeping_nothing_refused(self, rho1):
+        # the full-rank test reads only the spectrum's two ends; the rule
+        # that refuses a rank_tol above lambda_max is then
+        # eigen_decomposition's, at full rank as below it
+        for rho in (rho1, random_density((2, 2), 4, seed=94)):
+            for tol in (float(rho.spectrum[-1]) * (1 + 1e-9), 1.0):
+                with pytest.raises(BadToleranceError, match="keeps no eigenvalue"):
+                    fingerprint(rho, ScreenConfig(rank_tol=tol))
+
+    @pytest.mark.parametrize("dims", [(3, 3), (8, 8)])
+    def test_tail_below_rank_tol_counts_in_gram_trace(self, dims):
+        # n - 2 eigenvalues of 4e-11, below the default rank_tol of 5e-11:
+        # the rank rule drops their mass, 2.8e-10 at (3, 3), above the Gram
+        # trace check's 1e-10, so the check must count it
+        t = math.prod(dims) - 2
+        rho = state_with_spectrum([0.5, 0.5 - 4e-11 * t] + [4e-11] * t, dims, seed=92)
+        assert fingerprint(rho).rank == 2
+        moved = apply_local_unitary_density(rho, random_local_unitaries(dims, seed=93))
+        assert screen(rho, moved).verdict == "Inconclusive"
 
     @pytest.mark.parametrize("rank", [2, 4])
     def test_hermiticity_checked_once(self, rank, monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
+from lu_invar.equivalence import decomposition_fingerprint
 from lu_invar.errors import (
     BadShapeError,
     NotBipartiteError,
@@ -16,6 +17,7 @@ from lu_invar.errors import (
 from lu_invar.invariants import (
     M_LAYOUT,
     N_LAYOUT,
+    Hypermatrix,
     cayley_det_222,
     f_invariants,
     gram_matrix,
@@ -26,7 +28,7 @@ from lu_invar.invariants import (
     _real_realignment,
     realignment_kyfan,
 )
-from lu_invar.linalg import char_poly, haar_unitary
+from lu_invar.linalg import char_poly, determinant, haar_unitary
 from lu_invar.selftest import _cayley_contraction
 from lu_invar.states import (
     apply_local_unitary,
@@ -89,16 +91,19 @@ class TestGramMatrix:
         off = omega - np.diag(np.diag(omega))
         assert np.abs(off).max() < 1e-10
 
-    def test_unnormalized_decomposition_rejected(self):
+    def test_unnormalized_decomposition_rejected(self, rho1):
+        # the Gram matrix is built as given; the decomposition is refused
+        # when read against the state it claims to decompose
         half = make_decomposition([np.array([[2.0, 0.0], [0.0, 0.0]])])
-        with pytest.raises(NotUnitTraceError):
-            gram_matrix(half)
+        assert gram_matrix(half).omega.trace() == 4.0
+        with pytest.raises(NotUnitTraceError, match="Gram trace 4.0"):
+            decomposition_fingerprint(half, rho1)
         # Gram trace 1e12: its rounding is far above any unit-scale
         # tolerance, and the trace is what the error names
         rng = np.random.default_rng(93)
         a = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         with pytest.raises(NotUnitTraceError):
-            gram_matrix(make_decomposition(1e6 * a / np.linalg.norm(a)))
+            decomposition_fingerprint(make_decomposition(1e6 * a / np.linalg.norm(a)), rho1)
 
 
 class TestFInvariants:
@@ -383,8 +388,8 @@ class TestLambdaPoly:
         # the identity hypermatrix: 1 where i1 == j1 and i2 == j2
         eye = np.zeros(16)
         eye[[0, 3, 12, 15]] = 1.0
-        # lambda_N comes from char_poly and lambda_M from two determinants;
-        # the direct evaluation at arbitrary lambda checks both closed forms
+        # lambda_N and lambda_M are sums of minors; the direct evaluation
+        # at arbitrary lambda checks both closed forms
         for inv, layout in (("N", N_LAYOUT), ("M", M_LAYOUT)):
             p = nm_poly(sigma1_decomp, inv)
             for lam in (0.5, 2.5, -1.0):
@@ -423,6 +428,67 @@ class TestLambdaPoly:
         for s, inv in ((1, "det"), (2, "N"), (2, "M")):
             with pytest.raises(UnsupportedFormatError, match="PureStateDecomposition"):
                 lambda_poly(rho1_decomp, s, inv)
+
+
+def layout_matrix(h, layout) -> np.ndarray:
+    flat = h.flat()
+    return np.array([[flat[r] for r in row] for row in layout])
+
+
+def cofactor(x, i, j) -> complex:
+    return (-1) ** (i + j) * determinant(np.delete(np.delete(x, i, axis=0), j, axis=1))
+
+
+def random_hypermatrix(rng, kind) -> Hypermatrix:
+    """A hand-built 2x2x2x2 hypermatrix of complex Gaussian entries:
+    ``"well-scaled"``; ``"singular-N"`` / ``"singular-M"``, whose N or M
+    layout has rank 2; or ``"tiny"``, entries of about 1e-8."""
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    flat = gauss(16)
+    if kind.startswith("singular"):
+        layout = N_LAYOUT if kind == "singular-N" else M_LAYOUT
+        flat[np.array(layout)] = gauss(4, 2) @ gauss(2, 4)
+    return Hypermatrix(entries=(1e-8 if kind == "tiny" else 1.0) * flat.reshape(2, 2, 2, 2))
+
+
+class TestClosedForms:
+    """N, M, lambda_N and lambda_M are sums of 4x4 minors on Python
+    scalars; ``linalg.determinant`` (LU) and ``char_poly``
+    (Faddeev-LeVerrier) are the oracles."""
+
+    @pytest.mark.parametrize("kind", ["well-scaled", "singular-N", "singular-M", "tiny"])
+    def test_minors_match_lu_and_trace_recursion(self, kind):
+        rng = np.random.default_rng(["well-scaled", "singular-N", "singular-M", "tiny"].index(kind))
+        for _ in range(20):
+            h = random_hypermatrix(rng, kind)
+            xn, xm = layout_matrix(h, N_LAYOUT), layout_matrix(h, M_LAYOUT)
+            det_m = determinant(xm)
+            # -u^T adj(X) u by 3x3 cofactors: det(X - u u^T) - det X by LU
+            # loses the relative accuracy of a slope of 1e-24 to the unit
+            # entries of u u^T
+            slope = -sum(cofactor(xm, i, j) for i in (0, 3) for j in (0, 3))
+            cases = (
+                (lambda_poly(h, 2, "N"), char_poly(xn), np.abs(xn).max()),
+                (lambda_poly(h, 2, "M"), [det_m, slope], np.abs(xm).max()),
+            )
+            for got, want, scale in cases:
+                # coefficient k is a sum of minors of order 4 - k, each a
+                # sum of at most 24 products, so its rounding scales as
+                # scale**(4 - k)
+                for k, (g, w) in enumerate(zip(got, want)):
+                    assert abs(g - w) <= 1e-13 * scale ** (4 - k), (k, g, w)
+            assert abs(invariant_N(h) - determinant(xn)) <= 1e-13 * np.abs(xn).max() ** 4
+            assert abs(invariant_M(h) - det_m) <= 1e-13 * np.abs(xm).max() ** 4
+
+    def test_constant_terms_are_the_invariants_exactly(self, sigma1_decomp):
+        rng = np.random.default_rng(98)
+        for h in [hypermatrix(sigma1_decomp)] + [
+            random_hypermatrix(rng, kind) for kind in ("well-scaled", "singular-N", "tiny")
+        ]:
+            assert lambda_poly(h, 2, "N")[0] == invariant_N(h)
+            assert lambda_poly(h, 2, "M")[0] == invariant_M(h)
 
 
 class TestPaddingLaw:
