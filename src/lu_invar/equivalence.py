@@ -11,10 +11,14 @@ diagonally pivoted Cholesky factor: rho = L L^dag + E with r' >= rank
 columns in O(n^2 r') work, stopped once the largest remaining diagonal
 entry is at most tau (1e-12 max diag(rho) / n, never below n eps
 max diag(rho), whatever the ``rank_tol``), so tr E <= n tau, and then
-rotated by the eigenvectors of the r' x r' Gram matrix L^dag L. Any two
-decompositions of equal length differ by a unitary mixing, which only
-conjugates the Gram matrix, so all give the same invariants, and no
-eigen-solve of the n x n state runs on either path.
+rotated by the eigenvectors of the r' x r' Gram matrix L^dag L. The
+eigenvalues of that Gram matrix that decide the rank are the
+decomposition's Gram spectrum, so F and the Gram trace check read them,
+and at rank 2 the hypermatrix entries are read to Python once for N, M
+and the lambda polynomials. Any two decompositions of equal length
+differ by a unitary mixing, which only conjugates the Gram matrix, so
+all give the same invariants, and no eigen-solve of the n x n state runs
+on either path.
 
 Every invariant here is a necessary condition for local unitary
 equivalence, so the verdict is one-sided: ``NotEquivalent`` with a named
@@ -43,6 +47,7 @@ from .invariants import (
     lambda_poly,
     realignment_kyfan,
 )
+from .linalg import EPS
 from .states import (
     DensityMatrix,
     PureStateDecomposition,
@@ -138,12 +143,13 @@ def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> 
     """The fingerprint of ``rho`` read from ``d``, any pure-state
     decomposition of it, with rank the length of ``d``.
 
-    The Gram matrix, F and, at rank 2, the hypermatrix are each built
-    once. M is the constant term of ``lambda_M``. Ky Fan is read from
-    ``rho`` across the bipartition that d's (n, m) shape names. That shape
-    is checked against ``rho`` (:class:`DimensionMismatchError`), and so
-    is the Gram trace, counting the mass of rho's eigenvalues below its
-    top len(d) that a rank rule dropped (:func:`_require_unit_mass`).
+    F and the Gram trace are read from ``d.gram_spectrum``, which an
+    eigen decomposition already holds. F and, at rank 2, the hypermatrix
+    are each built once. M is the constant term of ``lambda_M``. Ky Fan is
+    read from ``rho`` across the bipartition that d's (n, m) shape names.
+    That shape is checked against ``rho`` (:class:`DimensionMismatchError`),
+    and so is the Gram trace, counting the mass of rho's eigenvalues below
+    its top len(d) that a rank rule dropped (:func:`_require_unit_mass`).
     """
     bip = rho
     if (d.n, d.m) != rho.dims:
@@ -153,9 +159,9 @@ def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> 
                 f"{d.n}x{d.m} coefficient matrices fit no bipartition of dims {rho.dims}"
             )
         bip = merge_cut(rho, cuts.index((d.n, d.m)) + 1)
-    g = gram_matrix(d)
-    _require_unit_mass(float(g.omega.trace().real), float(rho.spectrum[:-len(d)].sum()))
-    f = f_invariants(g.spectrum)
+    w = gram_matrix(d).spectrum
+    _require_unit_mass(float(w.sum()), float(rho.spectrum[:-len(d)].sum()), rho.tol)
+    f = f_invariants(w)
     return _fingerprint(rho, f, realignment_kyfan(bip), hypermatrix(d) if len(d) == 2 else None)
 
 
@@ -196,14 +202,13 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
     cfg = cfg or _DEFAULT_CONFIG
     w = rho.spectrum
     if _full_rank(w, cfg.rank_tol):
-        _require_unit_mass(float(w.sum()), 0.0)
+        _require_unit_mass(float(w.sum()), 0.0, rho.tol)
         kyfan = realignment_kyfan(merge_cut(rho, cfg.cut))
         return _fingerprint(rho, f_invariants(w), kyfan, None)
     d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut)
     return decomposition_fingerprint(d, rho)
 
 
-_EPS = float(np.finfo(float).eps)
 GRAM_TOL = 1e-10
 
 
@@ -212,14 +217,16 @@ def _full_rank(w: np.ndarray, rank_tol: float | None) -> bool:
     ``rank_tol`` (default 1e-10 max(w), as in ``states.numerical_rank``)
     and the noise floor len(w) eps max(w); the smallest one decides."""
     low, top = float(w[0]), float(w[-1])
-    return low > max(len(w) * _EPS * top, 1e-10 * top if rank_tol is None else rank_tol)
+    return low > max(len(w) * EPS * top, 1e-10 * top if rank_tol is None else rank_tol)
 
 
-def _require_unit_mass(kept: float, dropped: float) -> None:
+def _require_unit_mass(kept: float, dropped: float, tol: float) -> None:
     """The Gram trace check: the Gram trace ``kept`` of a decomposition of
     a unit-trace state, plus the mass ``dropped`` of the state's eigenvalues
-    it leaves out, is 1 within ``GRAM_TOL`` (else :class:`NotUnitTraceError`)."""
-    if abs(kept + dropped - 1.0) > GRAM_TOL:
+    it leaves out, is 1 within ``GRAM_TOL``, or within the state's own
+    validation tolerance ``tol`` when that is looser, since validation
+    accepted its trace at ``tol`` (else :class:`NotUnitTraceError`)."""
+    if abs(kept + dropped - 1.0) > max(GRAM_TOL, tol):
         raise NotUnitTraceError(f"NotUnitTrace: Gram trace {kept!r} plus dropped mass "
                                 f"{dropped:.3e} differs from 1 by {abs(kept + dropped - 1.0):.3e}")
 

@@ -32,8 +32,8 @@ Implemented invariant polynomials, each computed in closed form:
 
 from __future__ import annotations
 
+import cmath
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,33 +49,39 @@ from .states import DensityMatrix, PureStateDecomposition
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """The I x I overlap matrix Omega_ij = tr(A_i A_j^dag).
+    """The I x I overlap matrix Omega_ij = tr(A_i A_j^dag) of a
+    decomposition, read from the decomposition itself.
 
-    Hermitian and positive semidefinite by construction, so neither is
-    checked; its trace equals the trace of the reconstructed state (1 for
-    a density matrix). ``spectrum`` holds its eigenvalues in ascending
-    order.
+    ``spectrum`` is its ``gram_spectrum``, the eigenvalues of Omega in
+    ascending order, and ``omega`` its ``gram``, Omega itself, built only
+    when read. Hermitian and positive semidefinite by construction, so
+    neither is checked; its trace equals the trace of the reconstructed
+    state (1 for a density matrix).
     """
 
-    omega: np.ndarray
-    spectrum: np.ndarray
+    decomposition: PureStateDecomposition
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self.decomposition.gram
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        return self.decomposition.gram_spectrum
 
 
 def gram_matrix(d: PureStateDecomposition) -> GramMatrix:
-    """Overlap matrix of a decomposition: Omega = V V^dag, one matrix
-    product, with row i of V the flattened A_i, then (Omega + Omega^dag)/2.
+    """The overlap matrix of a decomposition. Its spectrum is the one
+    ``d`` holds: for an eigen decomposition, the factor's Gram eigenvalues
+    that decided the rank, so no eigen-solve runs here; for any other
+    decomposition, one ``eigvalsh`` of V V^dag on first use, row i of V
+    the flattened A_i.
 
     Nothing is checked: Hermiticity and semidefiniteness hold for any
     decomposition up to rounding, and the trace is a property of the state
     the decomposition is read against, which
     ``equivalence.decomposition_fingerprint`` checks."""
-    vecs = d.stack.reshape(len(d), d.n * d.m)
-    omega = vecs @ vecs.conj().T
-    omega = (omega + omega.conj().T) / 2.0
-    w = np.linalg.eigvalsh(omega)
-    omega.setflags(write=False)
-    w.setflags(write=False)
-    return GramMatrix(omega=omega, spectrum=w)
+    return GramMatrix(decomposition=d)
 
 
 @dataclass(frozen=True)
@@ -137,6 +143,11 @@ class Hypermatrix:
     ``entries`` has shape (2, 2, 2, 2) with axes in the trace order
     (i, j, k, l) of tr(A_i A_j^dag A_k A_l^dag), so that the row-major
     flat index of entry (i, j, k, l) is exactly r = 8i + 4j + 2k + l.
+
+    The entries are read to Python complex scalars once, and the 4x4 N
+    and M layouts are each expanded once, on first use: ``invariant_N``
+    and ``lambda_poly(h, 2, "N")`` share one expansion, as do
+    ``invariant_M`` and ``lambda_poly(h, 2, "M")``.
     """
 
     entries: np.ndarray
@@ -144,6 +155,18 @@ class Hypermatrix:
     def flat(self) -> np.ndarray:
         """Row-major flattening; matches the r = 8i+4j+2k+l convention."""
         return self.entries.reshape(-1)
+
+    @functools.cached_property
+    def _scalars(self) -> list:
+        return self.entries.ravel().tolist()
+
+    @functools.cached_property
+    def _n_expansion(self) -> tuple:
+        return _expand(self._scalars, N_LAYOUT)
+
+    @functools.cached_property
+    def _m_expansion(self) -> tuple:
+        return _expand(self._scalars, M_LAYOUT)
 
 
 def hypermatrix(d: PureStateDecomposition) -> Hypermatrix:
@@ -164,12 +187,12 @@ def hypermatrix(d: PureStateDecomposition) -> Hypermatrix:
     # products P[i, j] = A_i A_j^dag, shape (2, 2, n, n)
     prod = np.einsum("iab,jcb->ijac", stack, stack.conj())
     # tr(P[i, j] P[k, l]) = sum_ab P[i, j][a, b] P[k, l][b, a]
-    t = np.einsum("...ab,klba->...kl", prod, prod)
-    if not math.isfinite(float(np.abs(t).max())):  # NaN or Inf when any entry is
-        raise BadShapeError("hypermatrix has NaN or Inf entries: its products overflow")
-    t = np.ascontiguousarray(t)
+    t = np.ascontiguousarray(np.einsum("...ab,klba->...kl", prod, prod))
     t.setflags(write=False)
-    return Hypermatrix(entries=t)
+    h = Hypermatrix(entries=t)
+    if not all(map(cmath.isfinite, h._scalars)):
+        raise BadShapeError("hypermatrix has NaN or Inf entries: its products overflow")
+    return h
 
 
 def cayley_det_222(tensor) -> complex:
@@ -232,32 +255,27 @@ N_LAYOUT = ((0, 1, 8, 9), (2, 3, 10, 11), (4, 5, 12, 13), (6, 7, 14, 15))
 M_LAYOUT = ((0, 8, 4, 12), (1, 9, 5, 13), (2, 10, 6, 14), (3, 11, 7, 15))
 
 
-def _gather(h: Hypermatrix, layout) -> list:
-    """The 4x4 ``layout`` of the hypermatrix, row-major, as 16 Python
-    complex scalars, from one read of its entries."""
-    flat = h.entries.ravel().tolist()
-    return [flat[r] for row in layout for r in row]
-
-
 # column pairs (j, k), j < k, in the order the 2x2 minors are listed
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _det4(x: list) -> tuple[complex, list, list]:
-    """det of the row-major 4x4 ``x`` of Python scalars, and the 2x2 minors
-    ``s`` of rows (0, 1) and ``c`` of rows (2, 3) in ``_PAIRS`` order. By
-    Laplace expansion along rows (0, 1), det = sum (-1)**(1 + j + k) s_jk c_lm
-    over the column pairs, (l, m) the complement of (j, k)."""
+def _expand(flat: list, layout) -> tuple[list, complex, list, list]:
+    """The 4x4 ``layout`` x of the 16 scalars ``flat``, row-major, its det,
+    and the 2x2 minors ``s`` of rows (0, 1) and ``c`` of rows (2, 3) in
+    ``_PAIRS`` order. By Laplace expansion along rows (0, 1),
+    det = sum (-1)**(1 + j + k) s_jk c_lm over the column pairs, (l, m) the
+    complement of (j, k)."""
+    x = [flat[r] for row in layout for r in row]
     s = [x[j] * x[4 + k] - x[k] * x[4 + j] for j, k in _PAIRS]
     c = [x[8 + j] * x[12 + k] - x[8 + k] * x[12 + j] for j, k in _PAIRS]
     det = s[0] * c[5] - s[1] * c[4] + s[2] * c[3] + s[3] * c[2] - s[4] * c[1] + s[5] * c[0]
-    return det, s, c
+    return x, det, s, c
 
 
 def invariant_N(h: Hypermatrix) -> complex:
     """Degree-4 invariant N: det of the (a0 a1 a8 a9 / a2 a3 a10 a11 /
     a4 a5 a12 a13 / a6 a7 a14 a15) layout, expanded over 2x2 minors."""
-    return complex(_det4(_gather(h, N_LAYOUT))[0])
+    return complex(h._n_expansion[1])
 
 
 def invariant_M(h: Hypermatrix) -> complex:
@@ -270,7 +288,7 @@ def invariant_M(h: Hypermatrix) -> complex:
     (a0 a8 a2 a10 / a1 a9 a3 a11 / a4 a12 a6 a14 / a5 a13 a7 a15) layout,
     by Luque and Thibon's identity L + M + N = 0 (see ``M_LAYOUT``).
     """
-    return complex(_det4(_gather(h, M_LAYOUT))[0])
+    return complex(h._m_expansion[1])
 
 
 def lambda_poly(x: InvariantVector | Hypermatrix, s: int, inv: str) -> np.ndarray:
@@ -314,12 +332,9 @@ def lambda_poly(x: InvariantVector | Hypermatrix, s: int, inv: str) -> np.ndarra
     if not isinstance(x, want_type):
         raise UnsupportedFormatError(f"inv={inv!r} cannot be read from a {type(x).__name__}")
     if inv == "det":
-        coeffs = np.array(x.F[::-1], dtype=complex)
-        coeffs[-2::-2] *= -1.0  # F_1, F_3, ..., at reversed positions I-1, I-3, ...
-        coeffs.setflags(write=False)
-        return coeffs
-    a = _gather(x, N_LAYOUT if inv == "N" else M_LAYOUT)
-    det, s, c = _det4(a)
+        signed = [-f if i % 2 else f for i, f in enumerate(x.F.tolist())]  # (-1)**i F_i
+        return _read_only(signed[::-1])
+    a, det, s, c = x._n_expansion if inv == "N" else x._m_expansion
     # the 3x3 minors m_ij of X without row i and column j, each expanded
     # along the remaining row of one row pair over the other pair's minors
     m00 = a[5] * c[5] - a[6] * c[4] + a[7] * c[3]

@@ -24,6 +24,7 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
+EPS = float(np.finfo(float).eps)
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -115,7 +116,9 @@ def pivoted_cholesky(m: np.ndarray, tol: float) -> np.ndarray:
         pivot = diag[p]
         if pivot <= tol:
             break
-        col = (m[:, p] + m[p].conj()) / 2.0 - rows[:r, p].conj() @ rows[:r]
+        col = (m[:, p] + m[p].conj()) / 2.0
+        if r:  # the first column has no earlier ones to subtract
+            col -= rows[:r, p].conj() @ rows[:r]
         col /= math.sqrt(pivot)
         diag -= (col * col.conj()).real
         diag[p] = 0.0  # eliminated; rounding can leave a residue there

@@ -8,8 +8,11 @@ with coefficient c at basis ket |k l> becomes matrix entry (A_i)[k, l].
 
 Basis enumeration is big-endian over the listed dimension order, i.e.
 row-major: the composite index of (k_1, ..., k_m) is the mixed-radix
-number with k_1 most significant. This convention is fixed here once and
-every reshape in the package goes through :func:`flatten_multipartite`.
+number with k_1 most significant. This convention is fixed here once:
+every reshape across a cut is a row-major reshape to the (N1, N2) sizes
+of ``_cut_sizes``, done by :func:`flatten_multipartite` for vectors from
+outside and directly in :func:`eigen_decomposition` for the members it
+has just computed.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .errors import (
     NotUnitTraceError,
 )
 from .linalg import (
+    EPS,
     as_complex_matrix,
     eigh_descending,
     haar_unitary,
@@ -115,6 +119,15 @@ class PureStateDecomposition:
     array; summing vec(A_i) vec(A_i)^dag over i reproduces the source
     density matrix, and sum_i tr(A_i A_i^dag) is the total probability (1
     for a unit-trace state). Build it with :func:`make_decomposition`.
+
+    ``gram`` is the I x I Gram matrix Omega_ij = tr(A_i A_j^dag), built on
+    first use as V V^dag with row i of V the flattened A_i, then made
+    exactly Hermitian. ``gram_spectrum`` holds its eigenvalues, ascending
+    and read-only, computed once per decomposition:
+    :func:`eigen_decomposition` keeps the eigenvalues of its factor's Gram
+    matrix that decided the rank, and any other decomposition, built by
+    hand or mixed, computes them on first use by one ``eigvalsh`` of
+    ``gram``.
     """
 
     n: int
@@ -123,6 +136,20 @@ class PureStateDecomposition:
 
     def __len__(self) -> int:
         return len(self.stack)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        vecs = self.stack.reshape(len(self), self.n * self.m)
+        omega = vecs @ vecs.conj().T
+        omega = (omega + omega.conj().T) / 2.0
+        omega.setflags(write=False)
+        return omega
+
+    @cached_property
+    def gram_spectrum(self) -> np.ndarray:
+        w = np.linalg.eigvalsh(self.gram)
+        w.setflags(write=False)
+        return w
 
 
 def make_decomposition(mats) -> PureStateDecomposition:
@@ -177,7 +204,7 @@ def merge_cut(rho: DensityMatrix, cut: int = 1) -> DensityMatrix:
     return _density(_cut_sizes(rho.dims, cut), rho.mat, rho.tol, vars(rho).get("spectrum"))
 
 
-def numerical_rank(w: np.ndarray, rank_tol: float | None = None) -> int:
+def numerical_rank(w, rank_tol: float | None = None) -> int:
     """How many of the eigenvalues ``w`` of a state exceed ``rank_tol``.
 
     The rule every decomposition of the package decides its rank by.
@@ -185,12 +212,14 @@ def numerical_rank(w: np.ndarray, rank_tol: float | None = None) -> int:
     default threshold is scale-aware, 1e-10 times the largest eigenvalue.
     A rank of 0 raises :class:`BadToleranceError` when the largest
     eigenvalue is positive, so a given ``rank_tol`` dropped it, and
-    :class:`NotPSDError` when no eigenvalue is positive.
+    :class:`NotPSDError` when no eigenvalue is positive. The few values
+    are compared as Python floats.
     """
-    top = float(w.max(initial=0.0))  # a zero matrix has an empty Gram spectrum
+    ws = np.asarray(w, dtype=float).tolist()
+    top = max(ws, default=0.0)  # a zero matrix has an empty Gram spectrum
     if rank_tol is None:
         rank_tol = 1e-10 * max(top, 0.0)
-    rank = int(np.count_nonzero(w > rank_tol))
+    rank = sum(x > rank_tol for x in ws)
     if rank == 0 and top > 0.0:
         raise BadToleranceError(
             f"rank_tol {rank_tol!r} is at or above the largest eigenvalue {top!r}; "
@@ -224,25 +253,33 @@ def eigen_decomposition(
     sqrt(w_i) times an eigenvector of L L^dag, exact when E = 0.
 
     There are exactly rank(rho) members, the rank by
-    :func:`numerical_rank` of w at ``rank_tol``. For more than two
-    subsystems the coefficient vectors are flattened across ``cut`` (first
-    ``cut`` subsystems versus the rest). The factor reads the Hermitian
-    part of ``rho.mat`` column by column, so rho is never symmetrized as a
-    whole; a state built by hand is checked first, on its ``spectrum``.
+    :func:`numerical_rank` of w at ``rank_tol``. The kept w, ascending,
+    are the decomposition's ``gram_spectrum``: the rank and F come from one
+    spectrum, and no second eigen-solve runs on the members. For more than
+    two subsystems the coefficient vectors are flattened across ``cut``
+    (first ``cut`` subsystems versus the rest). The factor reads the
+    Hermitian part of ``rho.mat`` column by column, so rho is never
+    symmetrized as a whole; a state built by hand is checked first, on its
+    ``spectrum``.
     """
     rho.spectrum  # computes, and so checks, the spectrum of a hand-built state
-    n = rho.mat.shape[0]
+    n1, n2 = _cut_sizes(rho.dims, cut)
+    n = n1 * n2
     top = max(float(rho.mat.diagonal().real.max()), 0.0)
     # never below LAPACK xPSTRF's default n eps max diag(rho): a pivot at
     # the rounding level of the Schur complement is a column of noise
-    tau = max(1e-12 / n, n * np.finfo(float).eps) * top
+    tau = max(1e-12 / n, n * EPS) * top
     rows = pivoted_cholesky(rho.mat, tau)  # row k is column k of L
     w, u = eigh_descending(rows.conj() @ rows.T)
     rank = numerical_rank(w, rank_tol)
     members = u[:, :rank].T @ rows  # row i is L u_i
-    stack = flatten_multipartite(members, rho.dims, cut)  # fresh and finite: no copy or check
+    stack = members.reshape(rank, n1, n2)  # fresh and finite: no copy or check
     stack.setflags(write=False)
-    return PureStateDecomposition(*stack.shape[1:], stack)
+    d = PureStateDecomposition(n1, n2, stack)
+    kept = w[rank - 1::-1]  # w is descending
+    kept.setflags(write=False)
+    vars(d)["gram_spectrum"] = kept  # fills the cached property
+    return d
 
 
 def mix_decomposition(d: PureStateDecomposition, u) -> PureStateDecomposition:

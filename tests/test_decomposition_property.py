@@ -18,6 +18,7 @@ from lu_invar.states import (
     apply_local_unitary_density,
     eigen_decomposition,
     make_decomposition,
+    mix_decomposition,
     random_density,
     random_local_unitaries,
     validate_density,
@@ -31,6 +32,8 @@ CASES = [
     for rank in sorted({1, 2, math.prod(dims) // 2, math.prod(dims) - 1, math.prod(dims)})
 ]
 over_grid = pytest.mark.parametrize("dims, rank", CASES, ids=[f"{d}-rank{r}" for d, r in CASES])
+LOW = [(dims, rank) for dims, rank in CASES if rank < math.prod(dims)]
+below_full_rank = pytest.mark.parametrize("dims, rank", LOW, ids=[f"{d}-rank{r}" for d, r in LOW])
 
 
 def fingerprint_values(fp) -> np.ndarray:
@@ -63,6 +66,30 @@ def test_factor_decomposition_matches_eigh_oracle(dims, rank, seed):
 
     moved = apply_local_unitary_density(rho, random_local_unitaries(dims, seed=seed + 1))
     assert screen(rho, moved).verdict == "Inconclusive"
+
+
+@below_full_rank
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_gram_spectrum_is_the_members_gram_spectrum(dims, rank, seed):
+    # below full rank, where fingerprints read it, the factor's kept Gram
+    # eigenvalues, which decided the rank, stand in for an eigvalsh of the
+    # members' own Gram matrix; a mixed copy of the decomposition computes
+    # its own and gives the same fingerprint
+    rho = random_density(dims, rank, seed=seed)
+    d = eigen_decomposition(rho)
+    kept = d.gram_spectrum
+    assert not kept.flags.writeable
+    vecs = d.stack.reshape(len(d), -1)
+    fresh = np.linalg.eigvalsh(vecs @ vecs.conj().T)
+    n = math.prod(dims)
+    assert np.abs(kept - fresh).max() <= n * np.finfo(float).eps * fresh[-1]
+
+    mixed = mix_decomposition(d, haar_unitary(len(d), seed=seed))
+    want = decomposition_fingerprint(d, rho)
+    got = decomposition_fingerprint(mixed, rho)
+    assert np.abs(got.F - want.F).max() <= 1e-9
+    assert np.abs(fingerprint_values(got) - fingerprint_values(want)).max() <= 1e-8
 
 
 @over_grid

@@ -143,11 +143,12 @@ class TestFingerprint:
     def test_lapack_calls_per_fingerprint(self, rho1, monkeypatch):
         # full rank: F, the rank and the Gram trace check come from the
         # spectrum validation computed, so one real SVD for Ky Fan is the
-        # only LAPACK call. Rank 2: one eigh of the r' x r' Gram matrix of
-        # the pivoted factor (r' = 2 here), one eigvalsh of the members'
-        # 2 x 2 Gram matrix and one SVD; N, M and the lambda polynomials
-        # are sums of minors on Python scalars, so no det. No cholesky,
-        # and no eigen-solve sees an n x n matrix
+        # only LAPACK call. Below full rank: one eigh of the r' x r' Gram
+        # matrix of the pivoted factor, whose kept eigenvalues decide the
+        # rank and give F and the Gram trace, and one SVD; no eigvalsh of
+        # the members' Gram matrix. At rank 2, N, M and the lambda
+        # polynomials are sums of minors on Python scalars, so no det. No
+        # cholesky, and no eigen-solve sees an n x n matrix
         names = ("cholesky", "eigh", "eigvalsh", "svd", "det")
         calls = {name: [] for name in names}
         for name, record in calls.items():
@@ -161,7 +162,13 @@ class TestFingerprint:
             monkeypatch.setattr(np.linalg, name, counted)
         full = random_density((3, 3), 9, seed=82)
         big = random_density((8, 8), 2, seed=83)
-        cases = ((rho1, (0, 1, 1, 1, 0)), (big, (0, 1, 1, 1, 0)), (full, (0, 0, 0, 1, 0)))
+        mid = random_density((3, 3), 4, seed=84)
+        cases = (
+            (rho1, (0, 1, 0, 1, 0)),
+            (big, (0, 1, 0, 1, 0)),
+            (mid, (0, 1, 0, 1, 0)),
+            (full, (0, 0, 0, 1, 0)),
+        )
         for rho, expected in cases:
             for record in calls.values():
                 record.clear()
@@ -170,7 +177,7 @@ class TestFingerprint:
             assert counts == dict(zip(names, expected))
             assert [dtype for _, dtype in calls["svd"]] == [np.float64]
             gram_side = (fp.rank, fp.rank)
-            assert all(shape == gram_side for shape, _ in calls["eigh"] + calls["eigvalsh"])
+            assert all(shape == gram_side for shape, _ in calls["eigh"])
 
     def test_full_rank_pair_screened_twice_runs_no_eigvalsh(self, monkeypatch):
         # validation computed each state's spectrum once; screens reuse it
@@ -307,6 +314,17 @@ class TestCholeskyPath:
         rho = state_with_spectrum([0.5, 0.5 - 4e-11 * t] + [4e-11] * t, dims, seed=92)
         assert fingerprint(rho).rank == 2
         moved = apply_local_unitary_density(rho, random_local_unitaries(dims, seed=93))
+        assert screen(rho, moved).verdict == "Inconclusive"
+
+    @pytest.mark.parametrize("rank", [4, 2])
+    def test_gram_trace_checked_at_the_state_tolerance(self, rank):
+        # validated at tol 1e-9 with a trace off by 5e-10, above GRAM_TOL:
+        # the Gram trace check accepts what validation accepted, on the
+        # full-rank path and on the decomposition path alike
+        mat = random_density((2, 2), rank, seed=1).mat * (1 + 5e-10)
+        rho = validate_density(mat, (2, 2), tol=1e-9)
+        assert fingerprint(rho).rank == rank
+        moved = apply_local_unitary_density(rho, random_local_unitaries((2, 2), seed=2))
         assert screen(rho, moved).verdict == "Inconclusive"
 
     @pytest.mark.parametrize("rank", [2, 4])

@@ -238,6 +238,50 @@ class TestEigenDecomposition:
                 eigen_decomposition(rho, cut=cut)
 
 
+class TestGramSpectrum:
+    def test_eigen_decomposition_keeps_its_rank_eigenvalues(self, monkeypatch):
+        # ascending, read-only, and filled without an eigvalsh: the factor's
+        # Gram eigenvalues that decided the rank, rho's top ones
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+        for dims, rank in (((2, 2), 1), ((2, 2), 2), ((3, 3), 4), ((2, 2, 2), 7)):
+            rho = random_density(dims, rank, seed=40 + rank)
+            calls.clear()  # validation's eigvalsh
+            d = eigen_decomposition(rho)
+            w = d.gram_spectrum
+            assert calls == []
+            assert "gram_spectrum" in vars(d)
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0] = 0.0
+            assert len(w) == rank
+            assert np.all(np.diff(w) >= 0.0)
+            assert np.abs(w - rho.spectrum[-rank:]).max() <= 1e-13
+
+    def test_other_decompositions_compute_it_once_on_first_use(self, monkeypatch):
+        d = eigen_decomposition(random_density((2, 3), 3, seed=44))
+        built = (
+            make_decomposition(d.stack),
+            mix_decomposition(d, haar_unitary(3, seed=45)),
+            pad_with_zeros(d, 4),
+        )
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+        for other in built:
+            calls.clear()
+            assert "gram_spectrum" not in vars(other)
+            w = other.gram_spectrum
+            assert calls == [1]
+            assert not w.flags.writeable
+            assert other.gram_spectrum is w
+            assert gram_matrix(other).spectrum is w
+            assert calls == [1]
+            assert np.abs(w - np.linalg.eigvalsh(other.gram)).max() == 0.0
+            assert np.abs(w[-3:] - d.gram_spectrum).max() <= 1e-13
+
+
 class TestMakeDecomposition:
     def test_copies_once_into_a_stack(self):
         mats = [np.eye(2), np.ones((2, 2))]
