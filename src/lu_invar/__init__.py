@@ -10,6 +10,10 @@ hyperdeterminant, and the realignment Ky Fan norm. On top of these, the
 ``equivalence`` module screens pairs of states for local-unitary
 non-equivalence, and the ``cli`` module exposes everything as the
 ``lu-invar`` command.
+
+``__all__`` is the public API: the paper's quantities, the screen, and
+what the command line reaches. The tests' references in
+``lu_invar.linalg`` are not part of it.
 """
 
 from ._version import __version__
@@ -53,20 +57,13 @@ from .invariants import (
     lambda_poly,
     realignment_kyfan,
 )
-from .linalg import (
-    char_poly,
-    determinant,
-    haar_unitary,
-    hermitian_eig,
-    singular_values,
-)
+from .linalg import haar_unitary
 from .states import (
     DensityMatrix,
     PureStateDecomposition,
     apply_local_unitary,
     apply_local_unitary_density,
     eigen_decomposition,
-    flatten_multipartite,
     make_decomposition,
     mix_decomposition,
     pad_with_zeros,
@@ -103,17 +100,13 @@ __all__ = [
     "apply_local_unitary",
     "apply_local_unitary_density",
     "cayley_det_222",
-    "char_poly",
     "compare_fingerprints",
     "decomposition_fingerprint",
-    "determinant",
     "eigen_decomposition",
     "f_invariants",
     "fingerprint",
-    "flatten_multipartite",
     "gram_matrix",
     "haar_unitary",
-    "hermitian_eig",
     "hypermatrix",
     "invariant_M",
     "invariant_N",
@@ -124,6 +117,5 @@ __all__ = [
     "random_density",
     "realignment_kyfan",
     "screen",
-    "singular_values",
     "validate_density",
 ]

@@ -193,16 +193,16 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
     ``cfg.rank_tol`` (default as in ``states.numerical_rank``) and the
     noise floor n eps lambda_max, where the pivoted factor of
     ``eigen_decomposition`` stops too: an eigenvalue at the rounding level
-    of rho is no evidence of rank, whatever the ``rank_tol``. The Gram
-    trace check runs on that spectrum, and Ky Fan is read from rho across
-    ``cfg.cut``. Below full rank the fingerprint is read from the
+    of rho is no evidence of rank, whatever the ``rank_tol``. That
+    spectrum sums to the trace that validation checked at the state's own
+    ``tol``, so no Gram trace check runs on it. Ky Fan is read from rho
+    across ``cfg.cut``. Below full rank the fingerprint is read from the
     eigenvector decomposition, which has exactly rank(rho) members
     (:func:`decomposition_fingerprint`).
     """
     cfg = cfg or _DEFAULT_CONFIG
     w = rho.spectrum
     if _full_rank(w, cfg.rank_tol):
-        _require_unit_mass(float(w.sum()), 0.0, rho.tol)
         kyfan = realignment_kyfan(merge_cut(rho, cfg.cut))
         return _fingerprint(rho, f_invariants(w), kyfan, None)
     d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut)

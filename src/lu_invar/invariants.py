@@ -152,10 +152,6 @@ class Hypermatrix:
 
     entries: np.ndarray
 
-    def flat(self) -> np.ndarray:
-        """Row-major flattening; matches the r = 8i+4j+2k+l convention."""
-        return self.entries.reshape(-1)
-
     @functools.cached_property
     def _scalars(self) -> list:
         return self.entries.ravel().tolist()

@@ -7,6 +7,10 @@ pure; randomness enters only through explicit seeds.
 Default tolerances: 1e-10 absolute for structure checks (Hermiticity,
 unitarity), 1e-9 relative for algebraic identities verified in the test
 suite.
+
+``hermitian_eig``, ``singular_values``, ``determinant`` and ``char_poly``
+are the tests' references; the package does not call them, and they are
+not exported from ``lu_invar``.
 """
 
 from __future__ import annotations
@@ -179,8 +183,8 @@ def char_poly(m) -> np.ndarray:
     coefficient of lambda**(I-i) is exactly (-1)**i times the i-th
     elementary symmetric polynomial of the eigenvalues. The recursion
     loses relative accuracy on coefficients much smaller than the matrix
-    norm. The package does not call it; it is the tests' reference for
-    the closed-form lambda_N of ``invariants.lambda_poly``.
+    norm. It is the tests' reference for the closed-form lambda_N of
+    ``invariants.lambda_poly``.
     """
     m = _require_square(as_complex_matrix(m))
     n = m.shape[0]

@@ -9,10 +9,8 @@ with coefficient c at basis ket |k l> becomes matrix entry (A_i)[k, l].
 Basis enumeration is big-endian over the listed dimension order, i.e.
 row-major: the composite index of (k_1, ..., k_m) is the mixed-radix
 number with k_1 most significant. This convention is fixed here once:
-every reshape across a cut is a row-major reshape to the (N1, N2) sizes
-of ``_cut_sizes``, done by :func:`flatten_multipartite` for vectors from
-outside and directly in :func:`eigen_decomposition` for the members it
-has just computed.
+the one reshape across a cut, in :func:`eigen_decomposition`, is a
+row-major reshape of each member to the (N1, N2) sizes of ``_cut_sizes``.
 """
 
 from __future__ import annotations
@@ -168,25 +166,6 @@ def make_decomposition(mats) -> PureStateDecomposition:
         raise BadShapeError("coefficient matrices contain NaN or Inf entries")
     stack.setflags(write=False)
     return PureStateDecomposition(n=stack.shape[1], m=stack.shape[2], stack=stack)
-
-
-def flatten_multipartite(coeffs, dims, cut: int) -> np.ndarray:
-    """Reshape coefficient vectors over (k_1, ..., k_m) to N1 x N2 matrices.
-
-    The vectors run along the last axis, so one vector gives one matrix
-    and an (I, N) stack an (I, N1, N2) stack. The row index is the
-    big-endian mixed-radix number of (k_1, ..., k_cut), the column index
-    that of the remaining indices. For two subsystems and cut 1 this is
-    the plain n x m reshape.
-    """
-    dims = tuple(int(x) for x in dims)
-    c = np.asarray(coeffs, dtype=complex)
-    if c.shape[-1:] != (math.prod(dims),):
-        raise BadLengthError(
-            f"coefficient vectors have shape {c.shape}, expected length "
-            f"prod{dims} = {math.prod(dims)} along the last axis"
-        )
-    return c.reshape(c.shape[:-1] + _cut_sizes(dims, cut))
 
 
 def _cut_sizes(dims: tuple[int, ...], cut: int) -> tuple[int, int]:

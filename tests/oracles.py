@@ -4,12 +4,14 @@ Everything here deliberately avoids the code paths of the package under
 test: determinants come from the Leibniz permutation sum, trace products
 and realignments from explicit Python loops, symmetric polynomials from
 direct enumeration over subsets. The reconstruction of a state from a
-decomposition, which the package never needs, lives only here.
+decomposition and the flattening of a multipartite coefficient vector,
+which the package never needs, live only here.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -59,6 +61,21 @@ def reconstruct(d) -> np.ndarray:
     decomposition ``d``, as one product of its flattened members."""
     vecs = d.stack.reshape(len(d), d.n * d.m)
     return np.einsum("ia,ib->ab", vecs, vecs.conj())
+
+
+def flatten_multipartite(coeffs, dims, cut: int) -> np.ndarray:
+    """One coefficient vector over (k_1, ..., k_m) as an N1 x N2 matrix,
+    entry by entry: the row index is the big-endian mixed-radix number of
+    (k_1, ..., k_cut), the column index that of the remaining indices."""
+    out = np.zeros((math.prod(dims[:cut]), math.prod(dims[cut:])), dtype=complex)
+    for flat, ks in enumerate(itertools.product(*map(range, dims))):
+        row = col = 0
+        for k, d in zip(ks[:cut], dims[:cut]):
+            row = row * d + k
+        for k, d in zip(ks[cut:], dims[cut:]):
+            col = col * d + k
+        out[row, col] = coeffs[flat]
+    return out
 
 
 def hyper_entry(mats, i_idx, j_idx) -> complex:

@@ -141,8 +141,8 @@ class TestFingerprint:
         assert calls == {"gram_matrix": 1, "hypermatrix": 1}
 
     def test_lapack_calls_per_fingerprint(self, rho1, monkeypatch):
-        # full rank: F, the rank and the Gram trace check come from the
-        # spectrum validation computed, so one real SVD for Ky Fan is the
+        # full rank: F and the rank come from the spectrum validation
+        # computed, whose trace it checked, so one real SVD for Ky Fan is the
         # only LAPACK call. Below full rank: one eigh of the r' x r' Gram
         # matrix of the pivoted factor, whose kept eigenvalues decide the
         # rank and give F and the Gram trace, and one SVD; no eigvalsh of
@@ -319,8 +319,8 @@ class TestCholeskyPath:
     @pytest.mark.parametrize("rank", [4, 2])
     def test_gram_trace_checked_at_the_state_tolerance(self, rank):
         # validated at tol 1e-9 with a trace off by 5e-10, above GRAM_TOL:
-        # the Gram trace check accepts what validation accepted, on the
-        # full-rank path and on the decomposition path alike
+        # the decomposition path's Gram trace check accepts what validation
+        # accepted, and the full-rank path runs no check of its own
         mat = random_density((2, 2), rank, seed=1).mat * (1 + 5e-10)
         rho = validate_density(mat, (2, 2), tol=1e-9)
         assert fingerprint(rho).rank == rank

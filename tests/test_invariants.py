@@ -179,7 +179,7 @@ HYPERMATRIX_CASES = [((2, 3), 1), ((3, 3), 1), ((4, 4), 1), ((2, 2, 2), 2)]
 class TestHypermatrix:
     def test_rho1_first_entry(self, rho1_decomp):
         h = hypermatrix(rho1_decomp)
-        assert abs(h.flat()[0] - 0.25) < 1e-12
+        assert abs(h.entries[0, 0, 0, 0] - 0.25) < 1e-12
 
     def test_entries_match_direct_trace_products(self):
         rho = random_density((2, 2), 2, seed=63)
@@ -189,7 +189,7 @@ class TestHypermatrix:
             direct = hyper_entry(list(d.stack), (i, k), (j, l))
             assert abs(h.entries[i, j, k, l] - direct) < 1e-12
             # flat ordering convention r = 8i + 4j + 2k + l
-            assert abs(h.flat()[8 * i + 4 * j + 2 * k + l] - direct) < 1e-12
+            assert abs(h.entries.ravel()[8 * i + 4 * j + 2 * k + l] - direct) < 1e-12
 
     @pytest.mark.parametrize(
         "dims, cut", HYPERMATRIX_CASES,
@@ -311,7 +311,7 @@ class TestDegree4Invariants:
             rho = random_density((2, 3), 2, seed=seed)
             d = eigen_decomposition(rho)
             h = hypermatrix(d)
-            flat = h.flat()
+            flat = h.entries.ravel()
             for layout, fn in ((N_LAYOUT, invariant_N), (M_LAYOUT, invariant_M)):
                 mat = np.array([[flat[r] for r in row] for row in layout])
                 assert abs(fn(h) - leibniz_det(mat)) < 1e-12
@@ -384,7 +384,7 @@ class TestLambdaPoly:
         assert abs(p[0] - invariant_N(hypermatrix(sigma1_decomp))) < 1e-12
 
     def test_lambda_n_matches_direct_shift_evaluation(self, sigma1_decomp):
-        flat = hypermatrix(sigma1_decomp).flat()
+        flat = hypermatrix(sigma1_decomp).entries.ravel()
         # the identity hypermatrix: 1 where i1 == j1 and i2 == j2
         eye = np.zeros(16)
         eye[[0, 3, 12, 15]] = 1.0
@@ -431,7 +431,7 @@ class TestLambdaPoly:
 
 
 def layout_matrix(h, layout) -> np.ndarray:
-    flat = h.flat()
+    flat = h.entries.ravel()
     return np.array([[flat[r] for r in row] for row in layout])
 
 

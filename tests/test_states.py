@@ -20,7 +20,6 @@ from lu_invar.states import (
     apply_local_unitary,
     apply_local_unitary_density,
     eigen_decomposition,
-    flatten_multipartite,
     make_decomposition,
     merge_cut,
     mix_decomposition,
@@ -29,7 +28,7 @@ from lu_invar.states import (
     random_local_unitaries,
     validate_density,
 )
-from oracles import reconstruct
+from oracles import flatten_multipartite, reconstruct
 
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -437,6 +436,7 @@ class TestApplyLocalUnitaryDensity:
 
 
 class TestFlattenMultipartite:
+    # the oracle of the row-major reshape across a cut in eigen_decomposition
     def test_bipartite_matches_plain_reshape(self):
         coeffs = np.arange(6, dtype=complex)
         out = flatten_multipartite(coeffs, (2, 3), 1)
@@ -457,11 +457,3 @@ class TestFlattenMultipartite:
         for cut in (1, 2):
             out = flatten_multipartite(coeffs, (2, 3, 2), cut)
             assert np.linalg.matrix_rank(out) == 1
-
-    def test_bad_cut(self):
-        with pytest.raises(BadCutError):
-            flatten_multipartite(np.zeros(4), (2, 2), 2)
-
-    def test_bad_length(self):
-        with pytest.raises(BadLengthError):
-            flatten_multipartite(np.zeros(5), (2, 2), 1)
