@@ -17,7 +17,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -82,10 +82,7 @@ def _seed_from(args) -> int:
 
 
 def _config_from(args) -> ScreenConfig:
-    """The command's options that are ScreenConfig fields; the fields a
-    command has no option for keep their defaults."""
-    given = vars(args)
-    return ScreenConfig(**{f.name: given[f.name] for f in fields(ScreenConfig) if f.name in given})
+    return ScreenConfig(rank_tol=args.rank_tol, cut=args.cut)
 
 
 def _render_fingerprint_text(path: str, fp, out) -> None:
@@ -135,10 +132,10 @@ def cmd_compare(args) -> int:
         print("checks:")
         for c in report.checks:
             flag = "pass" if c.passed else "FAIL"
-            extra = " marginal" if c.marginal else ""
             print(
-                f"  [{flag}]{extra} {c.name}: {_fmt(c.value_a)} vs {_fmt(c.value_b)}"
-                f" (delta {_sci(c.delta) if math.isfinite(c.delta) else 'inf'})"
+                f"  [{flag}] {c.name}: {_fmt(c.value_a)} vs {_fmt(c.value_b)}"
+                f" (delta {_sci(c.delta) if math.isfinite(c.delta) else 'inf'},"
+                f" threshold {_sci(c.threshold)})"
             )
     return EXIT_OK if report.verdict == "Inconclusive" else EXIT_DIFFER
 
@@ -160,7 +157,7 @@ def cmd_mix(args) -> int:
         return EXIT_OK
     # column t holds the value_b side of mixing t compared with mixing 0;
     # Ky Fan is read from rho, not from the decomposition, so it gets no row
-    reports = [compare_fingerprints(fps[0], fp, cfg) for fp in fps]
+    reports = [compare_fingerprints(fps[0], fp) for fp in fps]
     rows = [k for k, c in enumerate(reports[0].checks) if c.name != "kyfan"]
     width = max(len(reports[0].checks[k].name) for k in rows)
     header = " ".join(f"mix{t}".rjust(28) for t in range(len(fps)))
@@ -213,11 +210,6 @@ def _add_common(parser) -> None:
                         help="bipartition cut for multipartite states (default %(default)s)")
 
 
-def _add_tolerances(parser) -> None:
-    parser.add_argument("--atol", type=float, default=ScreenConfig.atol)
-    parser.add_argument("--rtol", type=float, default=ScreenConfig.rtol)
-
-
 def _non_negative(text: str) -> int:
     """The argument type of ``--count`` and ``--seed``."""
     try:
@@ -250,11 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("compare", help="screen a pair of states")
+    p = sub.add_parser("compare", help="screen a pair of states", description=(
+        "Screen a pair of states. States are compared as given: a copy off by more than "
+        "rounding, such as one rounded to 13 or fewer significant digits, reads NotEquivalent."))
     p.add_argument("state_a")
     p.add_argument("state_b")
     _add_common(p)
-    _add_tolerances(p)
     _add_format(p)
     p.set_defaults(func=cmd_compare)
 
@@ -263,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_seed(p)
     p.add_argument("--count", type=_non_negative, default=5, help="number of random mixings")
-    _add_tolerances(p)
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("random-lu", help="write a locally rotated copy of a state")

@@ -1,24 +1,19 @@
 """Local-unitary equivalence screening.
 
-The screen computes an invariant fingerprint of each state and compares
-the two fingerprints within tolerance. The Gram spectrum of every
+The screen computes an invariant fingerprint of each state, with an
+absolute error bound for each compared value, and compares the two
+fingerprints value by value: a check fails only when the values differ
+by more than the sum of their bounds. The Gram spectrum of every
 pure-state decomposition of a state is its nonzero spectrum, so at
 numerical full rank F is read from ``DensityMatrix.spectrum``, the
 eigenvalues that validation computed, and no decomposition is built.
 Below full rank the fingerprint is read from the eigenvector
-decomposition, which ``states.eigen_decomposition`` reads from a
-diagonally pivoted Cholesky factor: rho = L L^dag + E with r' >= rank
-columns in O(n^2 r') work, stopped once the largest remaining diagonal
-entry is at most tau (1e-12 max diag(rho) / n, never below n eps
-max diag(rho), whatever the ``rank_tol``), so tr E <= n tau, and then
-rotated by the eigenvectors of the r' x r' Gram matrix L^dag L. The
-eigenvalues of that Gram matrix that decide the rank are the
-decomposition's Gram spectrum, so F and the Gram trace check read them,
-and at rank 2 the hypermatrix entries are read to Python once for N, M
-and the lambda polynomials. Any two decompositions of equal length
-differ by a unitary mixing, which only conjugates the Gram matrix, so
-all give the same invariants, and no eigen-solve of the n x n state runs
-on either path.
+decomposition that ``states.eigen_decomposition`` reads from a pivoted
+Cholesky factor: the eigenvalues of its small Gram matrix that decide
+the rank give F, and at rank 2 its hypermatrix entries are read to
+Python once for N, M and the lambda polynomials. Any two decompositions
+of equal length differ by a unitary mixing, which only conjugates the
+Gram matrix, so all give the same invariants.
 
 Every invariant here is a necessary condition for local unitary
 equivalence, so the verdict is one-sided: ``NotEquivalent`` with a named
@@ -28,7 +23,6 @@ is deliberately no ``Equivalent`` verdict.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -39,7 +33,6 @@ import numpy as np
 from .errors import BadToleranceError, DimensionMismatchError, NotUnitTraceError
 from .invariants import (
     Hypermatrix,
-    InvariantVector,
     f_invariants,
     gram_matrix,
     hypermatrix,
@@ -58,27 +51,23 @@ from .states import (
 
 @dataclass(frozen=True)
 class ScreenConfig:
-    """Tolerances and the bipartition for fingerprinting and comparison.
+    """The rank threshold and the bipartition for fingerprinting.
 
-    A check fails when |delta| > atol + rtol * max(|a|, |b|). ``rank_tol``
-    of None means the scale-aware default (1e-10 times the largest
-    eigenvalue). ``cut`` selects the bipartition for states with more than
-    two subsystems. Fingerprints are deterministic, so there is no seed.
-    ``atol``, ``rtol`` and a given ``rank_tol`` must be finite and >= 0,
-    else :class:`BadToleranceError`: a negative or NaN tolerance would
-    fail every check, even of a state against itself.
+    ``rank_tol`` of None means the scale-aware default (1e-10 times the
+    largest eigenvalue); a given one must be finite and >= 0, else
+    :class:`BadToleranceError`. ``cut`` selects the bipartition for states
+    with more than two subsystems. There is no seed, as fingerprints are
+    deterministic, and no comparison tolerance: each check's threshold
+    follows from the fingerprints (:func:`compare_fingerprints`).
     """
 
-    atol: float = 1e-8
-    rtol: float = 1e-8
     rank_tol: float | None = None
     cut: int = 1
 
     def __post_init__(self) -> None:
-        tols = {"atol": self.atol, "rtol": self.rtol, "rank_tol": self.rank_tol or 0.0}
-        for name, value in tols.items():
-            if not (math.isfinite(value) and value >= 0.0):
-                raise BadToleranceError(f"{name} must be finite and >= 0, got {value!r}")
+        value = self.rank_tol or 0.0
+        if not (math.isfinite(value) and value >= 0.0):
+            raise BadToleranceError(f"rank_tol must be finite and >= 0, got {value!r}")
 
 
 _DEFAULT_CONFIG = ScreenConfig()
@@ -86,23 +75,32 @@ _DEFAULT_CONFIG = ScreenConfig()
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """All implemented invariants of one state.
+    """All implemented invariants of one state, with what its error bounds
+    need beyond rounding (the bounds themselves: :func:`_bounds`).
+
+    ``spectrum`` holds the ``rank`` descending eigenvalues that F is built
+    from; together they sit within ``deviation`` of rho's top ``rank``
+    eigenvalues. ``dropped`` is the largest eigenvalue of rho that the
+    rank rule dropped (0 at full rank).
 
     ``N_value``, ``M_value`` and the matching lambda coefficient arrays are
     present only when the state has rank 2 (the format the degree-4
     invariants are defined for). ``lambda_coeffs`` maps an invariant name
     to ascending polynomial coefficients at the fixed length of its
     format, trailing zeros included: rank + 1 for ``"det"``, 5 for
-    ``"N"`` and 2 for ``"M"``. All of them are reported. Only the
-    coefficients that repeat no other value are compared: not ``"det"``
-    (the signed, reversed F), not ``lambda_N[0]`` (N) or ``lambda_N[4]``
-    (the monic leading 1), and not ``lambda_M[0]`` (M).
+    ``"N"`` and 2 for ``"M"``. All of them are reported. Only those that
+    repeat no other value are compared: not ``"det"`` (the signed,
+    reversed F), not ``lambda_N[0]`` (N) or ``lambda_N[4]`` (the monic
+    leading 1), and not ``lambda_M[0]`` (M). Nor are F and the rank.
     """
 
     dims: tuple[int, ...]
     rank: int
     F: np.ndarray
+    spectrum: np.ndarray
     kyfan: float
+    deviation: float
+    dropped: float
     N_value: complex | None = None
     M_value: complex | None = None
     lambda_coeffs: dict = field(default_factory=dict)
@@ -110,16 +108,15 @@ class Fingerprint:
 
 class Check(NamedTuple):
     """One compared quantity of a pair: its name, the value of each state,
-    |value_a - value_b| as ``delta``, whether it passed, and whether delta
-    lies within a factor 10 of the threshold on either side
-    (``marginal``, informational only)."""
+    |value_a - value_b| as ``delta``, whether it passed (delta <= threshold)
+    and its ``threshold``, the sum of the two fingerprints' error bounds."""
 
     name: str
     value_a: complex
     value_b: complex
     delta: float
     passed: bool
-    marginal: bool
+    threshold: float
 
 
 @dataclass(frozen=True)
@@ -128,9 +125,8 @@ class EquivalenceReport:
 
     ``verdict`` is NotEquivalent exactly when at least one check failed;
     ``witness`` names the first failing check in the fixed evaluation
-    order (rank, F_i, N, M, kyfan, lambda_N[1..3], lambda_M[1]); the
-    lambda checks cover only the coefficients that are not N, M or the
-    constant 1.
+    order (spectrum[1..], invariant_N, invariant_M, kyfan,
+    lambda_N[1..3], lambda_M[1]).
     """
 
     verdict: str
@@ -150,6 +146,14 @@ def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> 
     That shape is checked against ``rho`` (:class:`DimensionMismatchError`),
     and so is the Gram trace, counting the mass of rho's eigenvalues below
     its top len(d) that a rank rule dropped (:func:`_require_unit_mass`).
+
+    The ``deviation`` is measured: sum_k |w_k - lambda_k| between the
+    descending Gram spectrum w and rho's top len(d) eigenvalues, plus rho's
+    negative mass. With rho = L L^dag + E, a negative eigenvalue of rho
+    (validation accepts them down to -tol) leaves one in E, which lifts w
+    above rho's spectrum by a basis-dependent amount and turns its
+    eigenvectors: the sum shows the lift, the negative mass stands in for
+    the turn.
     """
     bip = rho
     if (d.n, d.m) != rho.dims:
@@ -160,16 +164,23 @@ def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> 
             )
         bip = merge_cut(rho, cuts.index((d.n, d.m)) + 1)
     w = gram_matrix(d).spectrum
-    _require_unit_mass(float(w.sum()), float(rho.spectrum[:-len(d)].sum()), rho.tol)
-    f = f_invariants(w)
-    return _fingerprint(rho, f, realignment_kyfan(bip), hypermatrix(d) if len(d) == 2 else None)
+    lam = rho.spectrum.tolist()[::-1]
+    kept = w.tolist()[::-1]
+    negative = -sum(x for x in lam if x < 0.0)
+    lift = sum(abs(a - b) for a, b in zip_longest(kept, lam[:len(kept)], fillvalue=0.0))
+    _require_unit_mass(sum(kept), sum(lam[len(kept):]), rho.tol + len(lam) * len(kept) * negative)
+    h = hypermatrix(d) if len(d) == 2 else None
+    return _fingerprint(rho, w, realignment_kyfan(bip), h, lift + negative)
 
 
 def _fingerprint(
-    rho: DensityMatrix, f: InvariantVector, kyfan: float, h: Hypermatrix | None
+    rho: DensityMatrix, w: np.ndarray, kyfan: float, h: Hypermatrix | None, deviation: float = 0.0
 ) -> Fingerprint:
-    """The fingerprint of rank len(f) - 1 from F, Ky Fan and, at rank 2,
-    the 2x2x2x2 hypermatrix ``h``."""
+    """The fingerprint of rank r = len(w) from the ascending kept spectrum
+    ``w``, Ky Fan and, at rank 2, the 2x2x2x2 hypermatrix ``h``; w is
+    within ``deviation`` of rho's top r eigenvalues (0 when w is rho's
+    own spectrum)."""
+    f = f_invariants(w)
     lambdas = {"det": lambda_poly(f, 1, "det")}
     n_value = m_value = None
     if h is not None:
@@ -177,8 +188,10 @@ def _fingerprint(
         lambdas["N"] = lambda_poly(h, 2, "N")
         lambdas["M"] = lambda_poly(h, 2, "M")
         m_value = complex(lambdas["M"][0])
+    dropped = max(float(rho.spectrum[-len(w) - 1]) if len(w) < len(rho.spectrum) else 0.0, 0.0)
     return Fingerprint(
-        dims=rho.dims, rank=len(f) - 1, F=f.F, kyfan=kyfan,
+        dims=rho.dims, rank=len(w), F=f.F, spectrum=w[::-1], kyfan=kyfan,
+        deviation=deviation, dropped=dropped,
         N_value=n_value, M_value=m_value, lambda_coeffs=lambdas,
     )
 
@@ -203,8 +216,7 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
     cfg = cfg or _DEFAULT_CONFIG
     w = rho.spectrum
     if _full_rank(w, cfg.rank_tol):
-        kyfan = realignment_kyfan(merge_cut(rho, cfg.cut))
-        return _fingerprint(rho, f_invariants(w), kyfan, None)
+        return _fingerprint(rho, w, realignment_kyfan(merge_cut(rho, cfg.cut)), None)
     d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut)
     return decomposition_fingerprint(d, rho)
 
@@ -223,73 +235,93 @@ def _full_rank(w: np.ndarray, rank_tol: float | None) -> bool:
 def _require_unit_mass(kept: float, dropped: float, tol: float) -> None:
     """The Gram trace check: the Gram trace ``kept`` of a decomposition of
     a unit-trace state, plus the mass ``dropped`` of the state's eigenvalues
-    it leaves out, is 1 within ``GRAM_TOL``, or within the state's own
-    validation tolerance ``tol`` when that is looser, since validation
-    accepted its trace at ``tol`` (else :class:`NotUnitTraceError`)."""
+    it leaves out, is 1 within ``GRAM_TOL``, or within ``tol`` when looser
+    (else :class:`NotUnitTraceError`): the state's validation tolerance
+    plus n r times its negative mass, which lifts the trace of r pivoted
+    columns by 1 + ||L11^-1 L21^dag||^2 times that mass, at most n at r = 1
+    and below 1.4 n in sweeps of ranks 1 to 4 (Higham's worst case: 4^r)."""
     if abs(kept + dropped - 1.0) > max(GRAM_TOL, tol):
         raise NotUnitTraceError(f"NotUnitTrace: Gram trace {kept!r} plus dropped mass "
                                 f"{dropped:.3e} differs from 1 by {abs(kept + dropped - 1.0):.3e}")
 
 
-# Compared lambda coefficients: indices 1 up to, not including, the stop.
-# lambda_N[0] is N and lambda_M[0] is M, both checked as invariant_N/M,
-# and lambda_N[4] is the monic leading 1.
-_LAMBDA_CHECKED = (("N", 4), ("M", 2))
+# c in the rounding bound c N eps (see _bounds)
+ROUNDING_C = 16.0
+
+# Terms x degree of each compared degree-4 value, a sum of +-1 products
+# of hypermatrix entries, so it moves by at most that times their bound:
+# N and M (4x4 determinants) 24 x 4; lambda_N[1] and lambda_M[1] (four
+# 3x3 minors) 24 x 3; lambda_N[2] (six 2x2 minors) 12 x 2; lambda_N[3]
+# (a trace) 4 x 1, the compared lambda coefficients starting at index 1.
+_DEGREE4_WEIGHT = 96.0
+_LAMBDA_CHECKED = (("N", (72.0, 24.0, 4.0)), ("M", (72.0,)))
 
 
-@functools.lru_cache(maxsize=32)
-def _f_names(top: int) -> tuple[str, ...]:
-    return tuple(f"F_{i}" for i in range(1, top))
+def _bounds(fp: Fingerprint) -> tuple[float, float, float, float]:
+    """The absolute error bounds of one fingerprint's compared values:
+    (kept eigenvalue, padded zero, Ky Fan, hypermatrix entry). With
+    rounding = c N eps (``ROUNDING_C``, N = prod(dims)), noise = rounding
+    lambda_1 and lambda_1 >= ... >= lambda_r > lambda_(r+1) the spectrum:
+
+    * a kept eigenvalue: noise plus the ``deviation`` of the spectrum from
+      rho's (:func:`decomposition_fingerprint`). A backward-stable
+      Hermitian eigen-solve returns the eigenvalues of rho + E with ||E||
+      at most p(N) eps ||rho||, p(N) a modestly growing function of N, and
+      each eigenvalue then moves by at most ||E|| (Weyl; Demmel, *Applied
+      Numerical Linear Algebra*, section 5.2). The LAPACK Users' Guide
+      (section 4.7) takes p(N) = 1 in its error bounds; c N is that
+      times 16N;
+    * a dropped eigenvalue, compared as zero: lambda_(r+1) plus noise;
+    * Ky Fan, a sum of singular values from a backward-stable SVD:
+      rounding * max(kyfan, 1);
+    * a hypermatrix entry: rounding + deviation + noise lambda_r / gap.
+      The solve turns the kept eigenvectors toward the dropped ones by up
+      to noise / gap, gap = lambda_r - lambda_(r+1) >= noise (Davis-Kahan),
+      which moves the kept state by noise lambda_r / gap. Every entry has
+      modulus at most (tr rho)^2 = 1, so a product of k entries moves by at
+      most k times the bound, to first order (see ``_DEGREE4_WEIGHT``).
+    """
+    rounding = ROUNDING_C * math.prod(fp.dims) * EPS
+    noise = rounding * float(fp.spectrum[0])
+    low = max(float(fp.spectrum[-1]), 0.0)
+    turn = noise * low / max(low - fp.dropped, noise)
+    return (noise + fp.deviation, fp.dropped + noise,
+            rounding * max(fp.kyfan, 1.0), rounding + fp.deviation + turn)
 
 
-def _compared_values(fa: Fingerprint, fb: Fingerprint) -> tuple[list, list, list]:
-    """The names and the two sides' values, as Python scalars, of every
-    check after ``rank``, in the fixed order.
-
-    F_i beyond a state's own rank is an elementary symmetric polynomial
-    with more factors than nonzero eigenvalues, hence exactly zero, so the
-    shorter F is padded with zeros."""
-    top = max(len(fa.F), len(fb.F))
-    names = [*_f_names(top)]
-    va = fa.F[1:].tolist() + [0j] * (top - len(fa.F))
-    vb = fb.F[1:].tolist() + [0j] * (top - len(fb.F))
-    if fa.N_value is not None and fb.N_value is not None:
-        names.append("invariant_N")
-        va.append(complex(fa.N_value))
-        vb.append(complex(fb.N_value))
-    if fa.M_value is not None and fb.M_value is not None:
-        names.append("invariant_M")
-        va.append(complex(fa.M_value))
-        vb.append(complex(fb.M_value))
-    names.append("kyfan")
-    va.append(complex(fa.kyfan))
-    vb.append(complex(fb.kyfan))
-    for key, stop in _LAMBDA_CHECKED:
-        if key in fa.lambda_coeffs and key in fb.lambda_coeffs:
-            names += [f"lambda_{key}[{k}]" for k in range(1, stop)]
-            va += fa.lambda_coeffs[key][1:stop].tolist()
-            vb += fb.lambda_coeffs[key][1:stop].tolist()
-    return names, va, vb
-
-
-def compare_fingerprints(
-    fa: Fingerprint, fb: Fingerprint, cfg: ScreenConfig | None = None
-) -> EquivalenceReport:
+def compare_fingerprints(fa: Fingerprint, fb: Fingerprint) -> EquivalenceReport:
     """Compare two fingerprints check by check, in the fixed order.
 
-    The rank check passes on equal ranks. Every other check fails when
-    |delta| > atol + rtol * max(|a|, |b|), and is marginal when delta lies
-    above a tenth and at most ten times that threshold."""
-    cfg = cfg or _DEFAULT_CONFIG
-    atol, rtol = cfg.atol, cfg.rtol
-    delta = float(abs(fa.rank - fb.rank))
-    checks = [Check("rank", complex(fa.rank), complex(fb.rank), delta, delta == 0.0, False)]
-    for name, a, b in zip(*_compared_values(fa, fb)):
+    A check fails exactly when |a - b| exceeds its threshold, the sum of
+    the two fingerprints' error bounds for that value (:func:`_bounds`),
+    so no difference that rounding can explain fails one. The shorter
+    spectrum is padded with zeros, each within its side's padded-zero
+    bound, and the rank is not compared: when one side keeps an
+    eigenvalue x that the other drops as x', x' is at most the dropped
+    side's bound, and x exceeds x' by more than the two bounds only if
+    the states' spectra differ."""
+    (kept_a, pad_a, kyfan_a, entry_a), (kept_b, pad_b, kyfan_b, entry_b) = _bounds(fa), _bounds(fb)
+    sa, sb = fa.spectrum.tolist(), fb.spectrum.tolist()
+    top = max(len(sa), len(sb))
+    va, vb = sa + [0.0] * (top - len(sa)), sb + [0.0] * (top - len(sb))
+    ta = [kept_a] * len(sa) + [pad_a] * (top - len(sa))
+    tb = [kept_b] * len(sb) + [pad_b] * (top - len(sb))
+    rows = [(f"spectrum[{k + 1}]", va[k], vb[k], ta[k] + tb[k]) for k in range(top)]
+    entry = entry_a + entry_b
+    for name, a, b in (("invariant_N", fa.N_value, fb.N_value),
+                       ("invariant_M", fa.M_value, fb.M_value)):
+        if a is not None and b is not None:
+            rows.append((name, complex(a), complex(b), _DEGREE4_WEIGHT * entry))
+    rows.append(("kyfan", fa.kyfan, fb.kyfan, kyfan_a + kyfan_b))
+    for key, weights in _LAMBDA_CHECKED:
+        if key in fa.lambda_coeffs and key in fb.lambda_coeffs:
+            ca, cb = fa.lambda_coeffs[key].tolist(), fb.lambda_coeffs[key].tolist()
+            rows += [(f"lambda_{key}[{k}]", ca[k], cb[k], weight * entry)
+                     for k, weight in enumerate(weights, 1)]
+    checks = []
+    for name, a, b, threshold in rows:
         delta = abs(a - b)
-        threshold = atol + rtol * max(abs(a), abs(b))
-        checks.append(Check(
-            name, a, b, delta, delta <= threshold, 0.1 * threshold < delta <= 10.0 * threshold
-        ))
+        checks.append(Check(name, a, b, delta, delta <= threshold, threshold))
 
     first = next((c for c in checks if not c.passed), None)
     if first is None:
@@ -311,14 +343,14 @@ def screen_with_fingerprints(
         a, b = next(
             (x, y) for x, y in zip_longest(rho_a.dims, rho_b.dims, fillvalue=0) if x != y
         )
-        check = Check("dimension signature", complex(a), complex(b), math.inf, False, False)
+        check = Check("dimension signature", complex(a), complex(b), math.inf, False, 0.0)
         report = EquivalenceReport(
             "NotEquivalent", check.name, (rho_a.dims, rho_b.dims, None), (check,)
         )
         return report, None, None
     fa = fingerprint(rho_a, cfg)
     fb = fingerprint(rho_b, cfg)
-    return compare_fingerprints(fa, fb, cfg), fa, fb
+    return compare_fingerprints(fa, fb), fa, fb
 
 
 def screen(

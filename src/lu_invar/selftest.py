@@ -10,18 +10,19 @@ seed. An entry names its report rows with each row's bound, says whether
 it runs only in the full profile, and gives a ``trial(rng)`` that draws
 one random case and returns one deviation per row. A row passes when its
 largest deviation is below its bound; a NaN deviation fails it. Random
-states are drawn on (2,2) and (2,3) at every rank from 1 to 4. The
-properties: decomposition mixings and local-unitary transforms leave
-every invariant unchanged, degenerate eigenbases leave F, N, M and the
-lambda coefficients unchanged, locally rotated pairs are never flagged,
-and, in the full profile only, zero-padding shifts the determinant
-polynomial by a power of lambda and the 2x2x2 hyperdeterminant obeys its
-group covariance and agrees with a Levi-Civita contraction, kept here as
-its reference. The mixing, degree-4, degeneracy and padding properties
-read their invariants through ``decomposition_fingerprint``, the one
-path that ``fingerprint`` and ``lu-invar mix`` take too below full rank;
-the local-unitary F row compares the F that ``fingerprint`` reports, so
-at full rank it covers the F read from the state's spectrum as well.
+states are drawn on (2,2) and (2,3) at every rank from 1 to 4, and on
+(3,3) from 1 to 9. The properties: decomposition mixings and
+local-unitary transforms leave every invariant unchanged, degenerate
+eigenbases leave F, N, M and the lambda coefficients unchanged, locally
+rotated pairs are never flagged, and, in the full profile only,
+zero-padding shifts the determinant polynomial by a power of lambda and
+the 2x2x2 hyperdeterminant obeys its group covariance and agrees with a
+Levi-Civita contraction, kept here as its reference. The mixing,
+degree-4, degeneracy and padding properties read their invariants
+through ``decomposition_fingerprint``, the one path that ``fingerprint``
+and ``lu-invar mix`` take too below full rank; the local-unitary F row
+compares the F that ``fingerprint`` reports, so at full rank it covers
+the F read from the state's spectrum as well.
 """
 
 from __future__ import annotations
@@ -114,10 +115,10 @@ def _dev(a, b) -> float:
 
 
 def _random_state(rng: np.random.Generator) -> DensityMatrix:
-    """A state on (2,2) or (2,3) with rank drawn from 1 to 4, so full
-    rank on (2,2) is drawn too."""
-    dims = (2, 2) if rng.integers(2) else (2, 3)
-    return random_density(dims, int(rng.integers(1, 5)), seed=int(rng.integers(2**62)))
+    """A state on (2,2) or (2,3) with rank drawn from 1 to 4, or on (3,3)
+    from 1 to 9, so full rank and, on (3,3), mid ranks are drawn too."""
+    dims, top = (((2, 2), 4), ((2, 3), 4), ((3, 3), 9))[rng.integers(3)]
+    return random_density(dims, int(rng.integers(1, top + 1)), seed=int(rng.integers(2**62)))
 
 
 def _values(fp) -> np.ndarray:

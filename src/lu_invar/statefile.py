@@ -5,7 +5,7 @@ Two document kinds are exchanged on disk:
 * StateFile: ``{"dims": [n1, ...], "matrix": [[[re, im], ...], ...]}``
   with a row-major N x N complex matrix, N the product of dims.
 * ReportFile: an ``EquivalenceReport`` plus both fingerprints, the tool
-  version and tolerances used.
+  version and the rank tolerance used.
 
 Serialization is deterministic: keys are emitted in alphabetical order
 and numbers with 17 significant digits, every zero as ``0`` whatever its
@@ -181,16 +181,12 @@ def report_to_doc(
                 "value_b": _pair(c.value_b),
                 "delta": None if math.isinf(c.delta) else float(c.delta),
                 "passed": c.passed,
-                "marginal": c.marginal,
+                "threshold": float(c.threshold),
             }
             for c in report.checks
         ],
         "fingerprint_a": None if fp_a is None else fingerprint_to_doc(fp_a),
         "fingerprint_b": None if fp_b is None else fingerprint_to_doc(fp_b),
-        "tolerances": {
-            "atol": float(cfg.atol),
-            "rtol": float(cfg.rtol),
-            "rank_tol": None if cfg.rank_tol is None else float(cfg.rank_tol),
-        },
+        "tolerances": {"rank_tol": None if cfg.rank_tol is None else float(cfg.rank_tol)},
         "tool_version": __version__,
     }

@@ -146,38 +146,67 @@ def f_invariants_loop(w) -> np.ndarray:
     return f.astype(complex)
 
 
-def make_check(name: str, a, b, atol: float, rtol: float) -> tuple:
-    """(name, value_a, value_b, delta, passed, marginal) of one compared
-    value: it fails when |a - b| > atol + rtol * max(|a|, |b|), and is
-    marginal when |a - b| lies above a tenth and at most ten times that
-    threshold."""
-    a = complex(a)
-    b = complex(b)
+def make_check(name: str, a, b, threshold: float) -> tuple:
+    """(name, value_a, value_b, delta, passed, threshold) of one compared
+    value: it passes when |a - b| <= threshold."""
     delta = abs(a - b)
-    threshold = atol + rtol * max(abs(a), abs(b))
-    passed = delta <= threshold
-    marginal = 0.1 * threshold < delta <= 10.0 * threshold
-    return (name, a, b, delta, passed, marginal)
+    return (name, a, b, delta, delta <= threshold, threshold)
 
 
-def reference_checks(fa, fb, atol: float, rtol: float) -> list:
-    """The check table of two fingerprints, value by value: rank, F_i with
-    the shorter F padded by zeros, N and M when both states have them,
-    Ky Fan, then lambda_N[1..3] and lambda_M[1] when both have them."""
-    delta = float(abs(fa.rank - fb.rank))
-    checks = [("rank", complex(fa.rank), complex(fb.rank), delta, delta == 0.0, False)]
-    for i in range(1, max(len(fa.F), len(fb.F))):
-        a = fa.F[i] if i < len(fa.F) else 0.0
-        b = fb.F[i] if i < len(fb.F) else 0.0
-        checks.append(make_check(f"F_{i}", a, b, atol, rtol))
+# terms x degree of each degree-4 check as a polynomial in the entries of
+# the hypermatrix: 4x4 determinants, sums of 3x3 and of 2x2 minors, a trace
+DEGREE4_WEIGHTS = {
+    "invariant_N": 96.0, "invariant_M": 96.0,
+    "lambda_N[1]": 72.0, "lambda_N[2]": 24.0, "lambda_N[3]": 4.0, "lambda_M[1]": 72.0,
+}
+
+
+def reference_bounds(fp) -> dict:
+    """The error bounds of a fingerprint's compared values, from its fields:
+    with rounding = 16 N eps and noise = rounding times the top eigenvalue,
+    a kept eigenvalue is within noise plus the deviation, a padded zero
+    within the dropped eigenvalue plus noise, Ky Fan within rounding times
+    max(kyfan, 1), and a hypermatrix entry within rounding plus the
+    deviation plus noise times the smallest kept eigenvalue over its gap
+    to the dropped one (at least noise)."""
+    rounding = 16 * math.prod(fp.dims) * np.finfo(float).eps
+    noise = rounding * float(fp.spectrum[0])
+    low = max(float(fp.spectrum[-1]), 0.0)
+    gap = max(low - fp.dropped, noise)
+    return {"kept": noise + fp.deviation, "pad": fp.dropped + noise,
+            "kyfan": rounding * max(fp.kyfan, 1.0),
+            "entry": rounding + fp.deviation + noise * low / gap}
+
+
+def reference_checks(fa, fb) -> list:
+    """The check table of two fingerprints, value by value, each threshold
+    the sum of the two sides' bounds: spectrum[i], the shorter spectrum
+    padded by zeros within their side's pad bound; N and M when both
+    states have them; Ky Fan; then lambda_N[1..3] and lambda_M[1] when
+    both have them, each degree-4 value within its weight times the
+    entries' bound."""
+    ba, bb = reference_bounds(fa), reference_bounds(fb)
+    checks = []
+    for i in range(max(len(fa.spectrum), len(fb.spectrum))):
+        (a, bound_a), (b, bound_b) = (
+            (float(fp.spectrum[i]), bounds["kept"]) if i < len(fp.spectrum) else (0.0, bounds["pad"])
+            for fp, bounds in ((fa, ba), (fb, bb))
+        )
+        checks.append(make_check(f"spectrum[{i + 1}]", a, b, bound_a + bound_b))
+    entry = ba["entry"] + bb["entry"]
+    values = {}
     if fa.N_value is not None and fb.N_value is not None:
-        checks.append(make_check("invariant_N", fa.N_value, fb.N_value, atol, rtol))
+        values["invariant_N"] = (fa.N_value, fb.N_value)
     if fa.M_value is not None and fb.M_value is not None:
-        checks.append(make_check("invariant_M", fa.M_value, fb.M_value, atol, rtol))
-    checks.append(make_check("kyfan", fa.kyfan, fb.kyfan, atol, rtol))
+        values["invariant_M"] = (fa.M_value, fb.M_value)
+    for name, (a, b) in values.items():
+        checks.append(make_check(name, complex(a), complex(b), DEGREE4_WEIGHTS[name] * entry))
+    checks.append(make_check("kyfan", fa.kyfan, fb.kyfan, ba["kyfan"] + bb["kyfan"]))
     for key, stop in (("N", 4), ("M", 2)):
         if key in fa.lambda_coeffs and key in fb.lambda_coeffs:
             ca, cb = fa.lambda_coeffs[key], fb.lambda_coeffs[key]
             for k in range(1, stop):
-                checks.append(make_check(f"lambda_{key}[{k}]", ca[k], cb[k], atol, rtol))
+                name = f"lambda_{key}[{k}]"
+                checks.append(make_check(name, complex(ca[k]), complex(cb[k]),
+                                         DEGREE4_WEIGHTS[name] * entry))
     return checks

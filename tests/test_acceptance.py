@@ -9,7 +9,8 @@ fixture rows, with those rows' bounds, and add their own CLI clauses.
 Criteria 4-10 are randomized: each runs one ``selftest`` property through
 the ``selftest`` driver at the criterion's own trial count, seed and
 bounds. Their random states cover (2,2) and (2,3) at every rank from 1
-to 4, and a NaN deviation fails the criterion.
+to 4 and (3,3) at every rank from 1 to 9, and a NaN deviation fails the
+criterion.
 """
 
 import json

@@ -183,8 +183,12 @@ class TestCompare:
         assert doc["witness_values"]["value_a"][0] == pytest.approx(1 / 256)
         assert doc["witness_values"]["delta"] == pytest.approx(1 / 256)
         assert doc["tool_version"]
-        assert doc["tolerances"]["atol"] == pytest.approx(1e-8)
+        assert doc["tolerances"] == {"rank_tol": None}
         assert any(c["name"] == "invariant_N" and not c["passed"] for c in doc["checks"])
+        # one rule: each check passes exactly when its delta is within its threshold
+        for c in doc["checks"]:
+            assert "marginal" not in c
+            assert c["passed"] == (c["delta"] <= c["threshold"])
 
     def test_json_deterministic(self, capsys):
         assert main(["compare", SIGMA1, SIGMA2, "--json"]) == 1
@@ -207,18 +211,22 @@ class TestCompare:
         (check,) = doc["checks"]
         assert (check["value_a"], check["value_b"]) == ([2, 0], [3, 0])
         assert main(["compare", RHO1, path]) == 1
-        assert "[FAIL] dimension signature: 2 vs 3 (delta inf)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[FAIL] dimension signature: 2 vs 3 (delta inf, threshold 0)" in out
 
-    def test_loose_tolerance_changes_verdict(self, capsys):
-        assert main(["compare", RHO1, RHO2, "--atol", "1.0", "--rtol", "1.0"]) == 0
+    @pytest.mark.parametrize(
+        "command", [["compare", RHO1, RHO2], ["mix", RHO1]], ids=["compare", "mix"]
+    )
+    @pytest.mark.parametrize("option", ["--atol", "--rtol"])
+    def test_comparison_tolerances_are_not_options(self, capsys, command, option):
+        # each check's threshold follows from the fingerprints' error bounds
+        assert main([*command, option, "1"]) == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "option",
-        [
-            ["--atol", "-1"], ["--rtol", "nan"], ["--rank-tol", "nan"], ["--rank-tol", "-1"],
-            ["--rank-tol", "0.6"],
-        ],
-        ids=["atol-negative", "rtol-nan", "rank-tol-nan", "rank-tol-negative", "rank-tol-above-top"],
+        [["--rank-tol", "nan"], ["--rank-tol", "-1"], ["--rank-tol", "0.6"]],
+        ids=["rank-tol-nan", "rank-tol-negative", "rank-tol-above-top"],
     )
     def test_out_of_range_tolerance_is_usage_error(self, capsys, option):
         # a state against itself was NotEquivalent (exit 1), or rank 0 (exit 3);
@@ -226,8 +234,8 @@ class TestCompare:
         assert main(["compare", RHO1, RHO1, *option]) == 2
         assert "usage error: " in capsys.readouterr().err
 
-    def test_zero_tolerances_stay_inconclusive(self, capsys):
-        assert main(["compare", RHO1, RHO1, "--atol", "0", "--rtol", "0"]) == 0
+    def test_zero_rank_tol_stays_inconclusive(self, capsys):
+        assert main(["compare", RHO1, RHO1, "--rank-tol", "0"]) == 0
         assert "verdict: Inconclusive" in capsys.readouterr().out
 
 
@@ -263,7 +271,7 @@ class TestMix:
         assert main(["mix", RHO1, "--count", "5", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "mix0" in out and "mix4" in out
-        assert "F_1" in out and "N" in out
+        assert "spectrum[1]" in out and "invariant_N" in out
 
     def test_zero_mixings(self, capsys):
         assert main(["mix", RHO1, "--count", "0"]) == 0
@@ -315,22 +323,20 @@ class TestMix:
         }
         path = write_state(tmp_path, "pure.json", doc)
         assert main(["mix", path, "--count", "3"]) == 0
-        # F_0 is the constant 1, which no comparison checks, so no row shows it
         names = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
-        assert names == ["rank", "F_1"]
+        assert names == ["spectrum[1]"]
 
     def test_disagreement_exits_1(self, capsys, monkeypatch):
-        # inject a per-call drift into the F that every fingerprint reads,
-        # so the mixed columns stop agreeing
-        real = lu_invar.equivalence.f_invariants
+        # inject a per-call drift into the N that every rank-2 fingerprint
+        # reads, so the mixed columns stop agreeing
+        real = lu_invar.equivalence.invariant_N
         calls = {"n": 0}
 
-        def drifting(g):
+        def drifting(h):
             calls["n"] += 1
-            iv = real(g)
-            return type(iv)(F=iv.F + 1e-3 * calls["n"])
+            return real(h) + 1e-3 * calls["n"]
 
-        monkeypatch.setattr(lu_invar.equivalence, "f_invariants", drifting)
+        monkeypatch.setattr(lu_invar.equivalence, "invariant_N", drifting)
         assert main(["mix", RHO1, "--count", "3", "--seed", "1"]) == 1
         assert "self-consistency FAILED" in capsys.readouterr().err
 
@@ -435,13 +441,28 @@ class TestSelftest:
             ("GramSpectrum: F invariants independent of decomposition mixing", "1e-09"),
             ("GramSpectrum: F invariants match under local unitaries", "1e-09"),
             ("Degeneracy: invariants stable across degenerate eigenbases", "1e-09"),
-            # the screen reads the same F, so it flags rotated pairs too
-            ("Soundness: locally-unitary-equivalent pairs are never flagged", "1e+00"),
             ("Example1: F invariants agree on the pair", "1e-10"),
             ("Example2: F invariants agree on the pair", "1e-10"),
         ):
             line = next(x for x in lines if x.startswith(row))
             assert " FAIL  (max " in line and f"bound {bound}" in line
+
+    def test_flagged_rotated_pair_detected(self, capsys, monkeypatch):
+        # a per-call drift in the Ky Fan norm that the screen compares makes
+        # it flag locally rotated pairs, which the soundness row must name
+        real = lu_invar.equivalence.realignment_kyfan
+        calls = {"n": 0}
+
+        def drifting(rho):
+            calls["n"] += 1
+            return real(rho) + 1e-3 * calls["n"]
+
+        monkeypatch.setattr(lu_invar.equivalence, "realignment_kyfan", drifting)
+        assert main(["selftest", "--quick"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        row = "Soundness: locally-unitary-equivalent pairs are never flagged"
+        line = next(x for x in lines if x.startswith(row))
+        assert " FAIL  (max 1.00e+00 " in line and "bound 1e+00" in line
 
 
 class TestUsage:
@@ -450,7 +471,7 @@ class TestUsage:
     )
     def test_defaults_are_screen_config_defaults(self, argv):
         args = build_parser().parse_args(argv)
-        for name in ("atol", "rtol", "rank_tol", "cut"):
+        for name in ("rank_tol", "cut"):
             if hasattr(args, name):
                 assert getattr(args, name) == getattr(ScreenConfig, name)
         assert _config_from(args) == ScreenConfig()

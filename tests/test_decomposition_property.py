@@ -2,9 +2,13 @@
 Cholesky factor, across the accepted grid of dims and ranks, against a
 full eigen-solve of the state (``oracles.eigh_decomposition_stack``),
 and of the screen of a state against a locally rotated copy at the
-default and at a zero ``rank_tol``, on near-degenerate spectra, and with
-an eigenvalue within rounding of the default ``rank_tol``."""
+default and at a zero ``rank_tol``, on near-degenerate spectra, with an
+eigenvalue within rounding of the default ``rank_tol``, and at rank 2
+with a second eigenvalue just above it and a dropped tail or a dropped
+third eigenvalue just below it, and with a negative eigenvalue that
+validation accepts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lu_invar.equivalence import ScreenConfig, decomposition_fingerprint, fingerprint, screen
+from lu_invar.equivalence import (
+    ScreenConfig,
+    compare_fingerprints,
+    decomposition_fingerprint,
+    fingerprint,
+    screen,
+    screen_with_fingerprints,
+)
 from lu_invar.invariants import gram_matrix
 from lu_invar.linalg import haar_unitary
 from lu_invar.states import (
@@ -48,6 +59,33 @@ def haar_basis_state(w, dims, rng):
 def rotated_copy(rho, rng):
     """rho under one Haar-random local unitary per subsystem, from ``rng``."""
     return apply_local_unitary_density(rho, [haar_unitary(d, rng) for d in rho.dims])
+
+
+# the largest share of its rounding allowance that a rotated copy may use
+# on any check: half, so that an erosion of the rounding bounds' margin
+# fails a test before it makes a false NotEquivalent
+MARGIN = 0.5
+
+
+def screen_margin(rho, copy):
+    """The report of ``rho`` against ``copy`` and the largest share of a
+    threshold's rounding part that any check uses: (delta - measured) /
+    rounding, where the measured part of a threshold is what the two
+    fingerprints' deviations add to it. Left out are the spectrum entries
+    where one side keeps an eigenvalue and the other pads a zero: that
+    zero's bound is the dropped eigenvalue itself, so such an entry sits
+    near 1 by construction."""
+    report, fa, fb = screen_with_fingerprints(rho, copy)
+    rounding = compare_fingerprints(
+        dataclasses.replace(fa, deviation=0.0), dataclasses.replace(fb, deviation=0.0)
+    ).checks
+    low, high = sorted((fa.rank, fb.rank))
+    shares = [
+        (c.delta - (c.threshold - r.threshold)) / r.threshold
+        for k, (c, r) in enumerate(zip(report.checks, rounding))
+        if not low <= k < high
+    ]
+    return report, max(shares)
 
 
 def fingerprint_values(fp) -> np.ndarray:
@@ -158,25 +196,98 @@ def test_near_degenerate_spectrum_rotated_copy_inconclusive(dims, rank, seed):
     assert report.verdict == "Inconclusive", report.witness
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: an eigenvalue within rounding of rank_tol lands on either "
-    "side of it, and the hard rank compare reads NotEquivalent; item 10 stops "
-    "comparing the rank",
-)
-def test_near_threshold_rotated_copies_never_not_equivalent():
-    # (2,2) spectra with an eigenvalue x within 1e-6 relative of the default
-    # rank_tol, 1e-10 times the largest eigenvalue 0.6; about a quarter of
-    # these pairs read NotEquivalent with witness rank
+@pytest.mark.parametrize("band", [1e-6, 1e-5, 1e-4, 1e-3])
+def test_near_threshold_rotated_copies_never_not_equivalent(band):
+    # (2,2) spectra with an eigenvalue x within +-band relative of the
+    # default rank_tol, 1e-10 times the largest eigenvalue 0.6: x lands on
+    # either side of rank_tol in a state and its rotated copy, so their
+    # ranks differ, and x against a padded zero must stay within the bounds
     rng = np.random.default_rng(2026)
     rank_tol = 1e-10 * 0.6
     spectra = (lambda x: [0.6, 0.4 - x, x, 0.0], lambda x: [0.6, 0.3, 0.1 - x, x])
-    false = []
+    false, worst = [], 0.0
     for spectrum in spectra:
         for _ in range(100):
-            x = rank_tol * (1.0 + rng.uniform(-1e-6, 1e-6))
+            x = rank_tol * (1.0 + rng.uniform(-band, band))
             rho = haar_basis_state(np.array(spectrum(x)), (2, 2), rng)
-            report = screen(rho, rotated_copy(rho, rng))
+            report, margin = screen_margin(rho, rotated_copy(rho, rng))
+            worst = max(worst, margin)
             if report.verdict == "NotEquivalent":
                 false.append((spectrum(x), report.witness))
     assert not false, f"{len(false)}/200 false NotEquivalent, first {false[0]}"
+    assert worst <= MARGIN
+
+
+TAIL_DIMS = ((2, 2), (4, 4), (8, 8))
+
+
+@pytest.mark.parametrize("dims", TAIL_DIMS, ids=[f"{d}" for d in TAIL_DIMS])
+@pytest.mark.parametrize("tail", [0.0, 1e-14, 1e-13, 1e-12])
+def test_rank2_small_second_eigenvalue_rotated_copies_never_not_equivalent(dims, tail):
+    # rank 2 with the second eigenvalue just above the default rank_tol and
+    # the dropped ones at 1e-14 to 1e-12, around where the pivoted factor
+    # stops: the factor's kept eigenvalues then sit below rho's by their
+    # measured deviation, which every compared value's bound counts
+    rng = np.random.default_rng([math.prod(dims), round(tail * 1e16)])
+    false, worst = [], 0.0
+    for second in (1.02e-10, 3e-10, 1e-9):
+        for _ in range(4):
+            w = np.full(math.prod(dims), tail)
+            w[:2] = 1.0, second
+            rho = haar_basis_state(w, dims, rng)
+            assert fingerprint(rho).rank == 2
+            report, margin = screen_margin(rho, rotated_copy(rho, rng))
+            worst = max(worst, margin)
+            if report.verdict == "NotEquivalent":
+                false.append((second, report.witness))
+    assert not false, f"{len(false)}/12 false NotEquivalent, first {false[0]}"
+    assert worst <= MARGIN
+
+
+STRADDLE_DIMS = ((2, 2), (3, 3), (4, 4))
+
+
+@pytest.mark.parametrize("dims", STRADDLE_DIMS, ids=[f"{d}" for d in STRADDLE_DIMS])
+@pytest.mark.parametrize("gap", [1e-4, 1e-3, 1e-2])
+def test_kept_and_dropped_eigenvalues_straddling_rank_tol_never_not_equivalent(dims, gap):
+    # the second and third eigenvalues at (1 +- gap) times the default
+    # rank_tol: both states are rank 2, and the kept second eigenvector
+    # turns toward the dropped third by up to rounding / gap, which moves
+    # N, M and the lambda coefficients beyond rounding alone
+    rng = np.random.default_rng([math.prod(dims), round(1 / gap)])
+    false, worst = [], 0.0
+    for _ in range(20):
+        w = np.zeros(math.prod(dims))
+        w[:3] = 1.0, 1e-10 * (1.0 + gap), 1e-10 * (1.0 - gap)
+        rho = haar_basis_state(w, dims, rng)
+        assert fingerprint(rho).rank == 2
+        report, margin = screen_margin(rho, rotated_copy(rho, rng))
+        worst = max(worst, margin)
+        if report.verdict == "NotEquivalent":
+            false.append(report.witness)
+    assert not false, f"{len(false)}/20 false NotEquivalent, first {false[0]}"
+    assert worst <= MARGIN
+
+
+NEGATIVE_CASES = (((2, 2), (0.6, 0.4)), ((2, 2), (1.0,)), ((2, 3), (0.5, 0.3, 0.2)),
+                  ((3, 3), (0.7, 0.3)), ((4, 4), (0.4, 0.3, 0.2, 0.1)))
+
+
+@pytest.mark.parametrize("dims, kept", NEGATIVE_CASES, ids=[f"{d}-rank{len(k)}" for d, k in NEGATIVE_CASES])
+def test_negative_dropped_eigenvalue_rotated_copies_never_not_equivalent(dims, kept):
+    # validation accepts eigenvalues down to -1e-10; one there leaves a
+    # negative eigenvalue in the pivoted factor's residual, which lifts the
+    # kept Gram spectrum above rho's by a basis-dependent amount: the
+    # measured deviation bounds it, and the Gram trace check allows it
+    rng = np.random.default_rng([math.prod(dims), len(kept)])
+    false = []
+    for _ in range(20):
+        w = np.zeros(math.prod(dims))
+        w[:len(kept)] = kept
+        w[-1] = -10 ** rng.uniform(-11, -10)
+        rho = haar_basis_state(w, dims, rng)
+        assert rho.spectrum[0] < -9e-12
+        report = screen(rho, rotated_copy(rho, rng))
+        if report.verdict == "NotEquivalent":
+            false.append(report.witness)
+    assert not false, f"{len(false)}/20 false NotEquivalent, first {false[0]}"

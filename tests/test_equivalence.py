@@ -1,10 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from lu_invar.equivalence import (
-    Fingerprint,
     ScreenConfig,
     compare_fingerprints,
     decomposition_fingerprint,
@@ -30,7 +30,7 @@ from lu_invar.states import (
     random_local_unitaries,
     validate_density,
 )
-from oracles import elementary_symmetric, reference_checks
+from oracles import elementary_symmetric, reference_bounds, reference_checks
 
 
 def count_calls(monkeypatch, names):
@@ -129,7 +129,7 @@ class TestFingerprint:
             assert fa.rank == fb.rank
             assert np.abs(fa.F - fb.F).max() < 1e-9
             assert abs(fa.kyfan - fb.kyfan) < 1e-9
-            report = compare_fingerprints(fa, fb, cfg)
+            report = compare_fingerprints(fa, fb)
             assert report.verdict == "Inconclusive"
 
     def test_one_build_per_fingerprint(self, rho1, monkeypatch):
@@ -269,9 +269,9 @@ class TestCholeskyPath:
         # on a full-rank path, while rho itself read rank 2
         rho = random_density((2, 2), 2, seed=1024)
         moved = apply_local_unitary_density(rho, random_local_unitaries((2, 2), seed=1034))
-        report = screen(rho, moved, ScreenConfig(rank_tol=0.0))
-        assert report.verdict == "Inconclusive"
-        assert report.checks[0].value_a == report.checks[0].value_b == 2
+        zero = ScreenConfig(rank_tol=0.0)
+        assert screen(rho, moved, zero).verdict == "Inconclusive"
+        assert [fingerprint(s, zero).rank for s in (rho, moved)] == [2, 2]
 
     @pytest.mark.parametrize("factor, rank", [(0.5, 3), (2.0, 4)])
     def test_rank_near_rank_tol_matches_eigenvector_path(self, factor, rank):
@@ -414,23 +414,19 @@ class TestDecompositionFingerprint:
 class TestScreenConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [
-            {"atol": -1.0},
-            {"rtol": math.nan},
-            {"atol": math.inf},
-            {"rank_tol": math.nan},
-            {"rank_tol": -1.0},
-        ],
-        ids=["atol-negative", "rtol-nan", "atol-inf", "rank_tol-nan", "rank_tol-negative"],
+        [{"rank_tol": math.nan}, {"rank_tol": -1.0}, {"rank_tol": math.inf}],
+        ids=["rank_tol-nan", "rank_tol-negative", "rank_tol-inf"],
     )
     def test_out_of_range_tolerance_refused(self, kwargs):
-        # a negative or NaN tolerance would flag a state against itself
         with pytest.raises(BadToleranceError, match=next(iter(kwargs))):
             ScreenConfig(**kwargs)
 
-    def test_zero_tolerances_keep_a_state_inconclusive(self, rho1):
-        cfg = ScreenConfig(atol=0.0, rtol=0.0, rank_tol=0.0)
-        assert screen(rho1, rho1, cfg).verdict == "Inconclusive"
+    def test_only_the_rank_threshold_and_the_cut(self):
+        # no comparison tolerance: thresholds follow from the fingerprints
+        assert [f.name for f in dataclasses.fields(ScreenConfig)] == ["rank_tol", "cut"]
+
+    def test_zero_rank_tol_keeps_a_state_inconclusive(self, rho1):
+        assert screen(rho1, rho1, ScreenConfig(rank_tol=0.0)).verdict == "Inconclusive"
 
 
 class TestScreen:
@@ -461,12 +457,18 @@ class TestScreen:
         report = screen(rho, moved)
         assert report.verdict == "Inconclusive"
 
-    def test_rank_gate(self):
-        a = random_density((2, 2), 2, seed=92)
-        b = random_density((2, 2), 3, seed=93)
+    def test_rank_difference_shows_in_the_spectrum(self):
+        # the rank is reported, not compared: the eigenvalue that one side
+        # keeps and the other drops differs from zero beyond both bounds
+        a = state_with_spectrum([0.5, 0.3, 0.2, 0.0], (2, 2), seed=92)
+        b = state_with_spectrum([0.5, 0.3, 0.1, 0.1], (2, 2), seed=93)
         report = screen(a, b)
+        assert (fingerprint(a).rank, fingerprint(b).rank) == (3, 4)
         assert report.verdict == "NotEquivalent"
-        assert report.witness == "rank"
+        assert report.witness == "spectrum[3]"
+        assert [c.name for c in report.checks if not c.passed] == [
+            "spectrum[3]", "spectrum[4]", "kyfan"
+        ]
 
     def test_dimension_signature_gate(self):
         # the check holds the entries at the first position where the
@@ -497,13 +499,12 @@ class TestScreen:
         # list does not depend on that
         for other in (rho2, sigma2):
             names = [c.name for c in screen(rho1, other).checks]
-            assert names[0] == "rank"
-            assert names[1:3] == ["F_1", "F_2"]
-            assert names[3:5] == ["invariant_N", "invariant_M"]
-            assert names[5] == "kyfan"
+            assert names[:2] == ["spectrum[1]", "spectrum[2]"]
+            assert names[2:4] == ["invariant_N", "invariant_M"]
+            assert names[4] == "kyfan"
             # lambda_N[0], lambda_N[4] and lambda_M[0] repeat N, the
             # constant 1 and M, so only the other coefficients are checks
-            assert names[6:] == ["lambda_N[1]", "lambda_N[2]", "lambda_N[3]", "lambda_M[1]"]
+            assert names[5:] == ["lambda_N[1]", "lambda_N[2]", "lambda_N[3]", "lambda_M[1]"]
 
     def test_verdict_iff_some_check_fails(self):
         for trial in range(6):
@@ -513,82 +514,105 @@ class TestScreen:
             any_fail = any(not c.passed for c in report.checks)
             assert (report.verdict == "NotEquivalent") == any_fail
 
-    def test_tolerance_config_respected(self, rho1, rho2):
-        loose = ScreenConfig(atol=1.0, rtol=1.0)
-        report = screen(rho1, rho2, loose)
-        assert report.verdict == "Inconclusive"
-
 
 class TestCompareFingerprints:
-    def _fingerprint_with_f2(self, base, f2):
-        f = base.F.copy()
-        f[2] = f2
-        return Fingerprint(
-            dims=base.dims,
-            rank=base.rank,
-            F=f,
-            kyfan=base.kyfan,
-            N_value=base.N_value,
-            M_value=base.M_value,
-            lambda_coeffs=base.lambda_coeffs,
-        )
+    def _shift_spectrum(self, base, k, shift):
+        # the largest float within shift of the old value, so a shift of
+        # exactly the threshold lands on it, not one rounding above it
+        spectrum = base.spectrum.copy()
+        value = spectrum[k] + shift
+        while value - spectrum[k] > shift:
+            value = np.nextafter(value, -np.inf)
+        spectrum[k] = value
+        return dataclasses.replace(base, spectrum=spectrum)
 
-    def test_marginal_flag_both_sides_of_threshold(self, rho1):
+    def test_check_passes_iff_delta_within_threshold(self, rho1):
         base = fingerprint(rho1)
-        cfg = ScreenConfig(atol=1e-8, rtol=0.0)
-
-        # failing but within 10x of the threshold: marginal, verdict flips
-        close_fail = self._fingerprint_with_f2(base, base.F[2] + 3e-8)
-        report = compare_fingerprints(base, close_fail, cfg)
-        check = next(c for c in report.checks if c.name == "F_2")
-        assert not check.passed and check.marginal
-        assert report.verdict == "NotEquivalent"
-
-        # passing but within 10x below the threshold: marginal, verdict holds
-        close_pass = self._fingerprint_with_f2(base, base.F[2] + 3e-9)
-        report = compare_fingerprints(base, close_pass, cfg)
-        check = next(c for c in report.checks if c.name == "F_2")
-        assert check.passed and check.marginal
-        assert report.verdict == "Inconclusive"
-
-        # far beyond the threshold: failing, not marginal
-        far_fail = self._fingerprint_with_f2(base, base.F[2] + 1e-3)
-        report = compare_fingerprints(base, far_fail, cfg)
-        check = next(c for c in report.checks if c.name == "F_2")
-        assert not check.passed and not check.marginal
+        threshold = 2 * reference_bounds(base)["kept"]
+        for factor, passed in ((0.5, True), (1.0, True), (2.0, False)):
+            report = compare_fingerprints(base, self._shift_spectrum(base, 1, factor * threshold))
+            check = next(c for c in report.checks if c.name == "spectrum[2]")
+            assert check.threshold == threshold
+            assert check.passed is passed
+            assert report.verdict == ("Inconclusive" if passed else "NotEquivalent")
 
     def test_check_table_follows_the_rule_value_by_value(self, rho1, rho2, sigma1, sigma2):
         full = random_density((8, 8), 64, seed=98)
         full_lu = apply_local_unitary_density(full, random_local_unitaries((8, 8), seed=99))
         base = fingerprint(rho1)
-        strict = ScreenConfig(atol=1e-8, rtol=0.0)
         cases = [
-            (fingerprint(full), fingerprint(full_lu), ScreenConfig()),
-            # F padded: rank 2 against rank 4
+            (fingerprint(full), fingerprint(full_lu)),
+            # spectrum padded: rank 2 against rank 4
             (fingerprint(random_density((2, 2), 2, seed=96)),
-             fingerprint(random_density((2, 2), 4, seed=97)), ScreenConfig()),
-            (base, fingerprint(rho2), ScreenConfig()),
-            (fingerprint(sigma1), fingerprint(sigma2), ScreenConfig()),
+             fingerprint(random_density((2, 2), 4, seed=97))),
+            (base, fingerprint(rho2)),
+            (fingerprint(sigma1), fingerprint(sigma2)),
         ]
-        # the three cases of test_marginal_flag_both_sides_of_threshold
-        for shift in (3e-8, 3e-9, 1e-3):
-            cases.append((base, self._fingerprint_with_f2(base, base.F[2] + shift), strict))
-        for fa, fb, cfg in cases:
-            report = compare_fingerprints(fa, fb, cfg)
-            want = reference_checks(fa, fb, cfg.atol, cfg.rtol)
+        # the three cases of test_check_passes_iff_delta_within_threshold
+        for factor in (0.5, 1.0, 2.0):
+            cases.append((base, self._shift_spectrum(
+                base, 1, factor * 2 * reference_bounds(base)["kept"])))
+        for fa, fb in cases:
+            report = compare_fingerprints(fa, fb)
+            want = reference_checks(fa, fb)
             assert [tuple(c) for c in report.checks] == want
             first = next((c for c in want if not c[4]), None)
             assert report.witness == (None if first is None else first[0])
 
-    def test_padding_f_comparison_across_ranks(self):
-        # different ranks: rank check fails, F entries beyond the shorter
-        # fingerprint compare against exact zeros
+    def test_padded_spectrum_across_ranks(self):
+        # a rank-2 state against a rank-4 one: entries beyond the shorter
+        # spectrum compare as zeros within that side's pad bound
         a = fingerprint(random_density((2, 2), 2, seed=96))
         b = fingerprint(random_density((2, 2), 4, seed=97))
         report = compare_fingerprints(a, b)
-        names = [c.name for c in report.checks]
-        assert "F_4" in names
-        assert report.witness == "rank"
+        check = report.checks[3]
+        assert check.name == "spectrum[4]"
+        assert check.value_a == 0.0
+        assert check.threshold == reference_bounds(a)["pad"] + reference_bounds(b)["kept"]
+        assert report.witness == "spectrum[1]"
+
+
+class TestErrorBounds:
+    def test_full_rank_bounds_are_rounding_only(self):
+        rho = random_density((3, 3), 9, seed=88)
+        fp = fingerprint(rho)
+        rounding = 16 * 9 * np.finfo(float).eps
+        top = float(rho.spectrum[-1])
+        assert np.array_equal(fp.spectrum, rho.spectrum[::-1])
+        assert fp.deviation == fp.dropped == 0.0
+        bounds = reference_bounds(fp)
+        assert bounds["kept"] == bounds["pad"] == rounding * top
+        assert bounds["entry"] == rounding + rounding * top
+        assert bounds["kyfan"] == rounding * max(fp.kyfan, 1.0)
+
+    def test_kept_and_dropped_eigenvalues_within_their_bounds(self):
+        # rank 2 with two eigenvalues of 3e-14 below the factor's stopping
+        # threshold: the kept Gram eigenvalues sit below rho's by up to
+        # their measured deviation, here well beyond rounding, which the
+        # kept bound counts; the pad bound covers the dropped eigenvalues
+        exact = np.array([1.0, 3e-10, 3e-14, 3e-14])
+        exact /= exact.sum()
+        errors = []
+        for seed in range(6):
+            fp = fingerprint(state_with_spectrum(exact, (2, 2), seed))
+            bounds = reference_bounds(fp)
+            assert fp.rank == 2
+            errors.append(np.abs(fp.spectrum - exact[:2]).max())
+            assert errors[-1] <= bounds["kept"]
+            assert exact[2:].max() <= bounds["pad"]
+        assert max(errors) > 16 * 4 * np.finfo(float).eps * exact[0]
+
+    def test_deviation_measured_against_the_spectrum(self):
+        # below full rank the deviation is the summed distance of the kept
+        # Gram spectrum from rho's top eigenvalues plus rho's negative mass
+        rho = state_with_spectrum(np.array([0.6, 0.4, 0.0, -5e-11]) / (1 - 5e-11), (2, 2), 7)
+        fp = fingerprint(rho)
+        top = rho.spectrum[::-1][:fp.rank]
+        negative = -rho.spectrum[rho.spectrum < 0].sum()
+        assert fp.rank == 2
+        assert fp.deviation == pytest.approx(np.abs(fp.spectrum - top).sum() + negative, rel=1e-12)
+        assert fp.deviation >= 5e-11
+        assert fp.dropped == max(float(rho.spectrum[-3]), 0.0)
 
 
 class TestSoundness:
