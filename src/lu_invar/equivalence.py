@@ -3,17 +3,14 @@
 The screen computes an invariant fingerprint of each state, with an
 absolute error bound for each compared value, and compares the two
 fingerprints value by value: a check fails only when the values differ
-by more than the sum of their bounds. The Gram spectrum of every
-pure-state decomposition of a state is its nonzero spectrum, so at
-numerical full rank F is read from ``DensityMatrix.spectrum``, the
-eigenvalues that validation computed, and no decomposition is built.
-Below full rank the fingerprint is read from the eigenvector
+by more than the sum of their bounds. The rank is decided once, on the
+eigenvalues validation computed, whose nonzero part is the Gram
+spectrum of every decomposition, so F is read from them at every rank
+but 2. At rank 2 the degree-4 invariants read the eigenvector
 decomposition that ``states.eigen_decomposition`` reads from a pivoted
-Cholesky factor: the eigenvalues of its small Gram matrix that decide
-the rank give F, and at rank 2 its hypermatrix entries are read to
-Python once for N, M and the lambda polynomials. Any two decompositions
-of equal length differ by a unitary mixing, which only conjugates the
-Gram matrix, so all give the same invariants.
+Cholesky factor. Any two decompositions of equal length differ by a
+unitary mixing, which only conjugates the Gram matrix, so all give the
+same invariants.
 
 Every invariant here is a necessary condition for local unitary
 equivalence, so the verdict is one-sided: ``NotEquivalent`` with a named
@@ -46,6 +43,7 @@ from .states import (
     PureStateDecomposition,
     eigen_decomposition,
     merge_cut,
+    numerical_rank,
 )
 
 
@@ -80,8 +78,9 @@ class Fingerprint:
 
     ``spectrum`` holds the ``rank`` descending eigenvalues that F is built
     from; together they sit within ``deviation`` of rho's top ``rank``
-    eigenvalues. ``dropped`` is the largest eigenvalue of rho that the
-    rank rule dropped (0 at full rank).
+    eigenvalues, a deviation that is 0 except on the decomposition path:
+    rank 2, and decompositions the caller builds. ``dropped`` is the
+    largest eigenvalue of rho that the rank rule dropped (0 at full rank).
 
     ``N_value``, ``M_value`` and the matching lambda coefficient arrays are
     present only when the state has rank 2 (the format the degree-4
@@ -137,7 +136,8 @@ class EquivalenceReport:
 
 def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> Fingerprint:
     """The fingerprint of ``rho`` read from ``d``, any pure-state
-    decomposition of it, with rank the length of ``d``.
+    decomposition of it, with rank the length of ``d``; :func:`fingerprint`
+    takes this path at rank 2.
 
     F and the Gram trace are read from ``d.gram_spectrum``, which an
     eigen decomposition already holds. F and, at rank 2, the hypermatrix
@@ -199,37 +199,25 @@ def _fingerprint(
 def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerprint:
     """The fingerprint of a state across ``cfg.cut``, deterministic.
 
-    The Gram spectrum of every decomposition of rho is rho's nonzero
-    spectrum, so at full rank F is read from ``rho.spectrum``, the
-    eigenvalues validation computed, with no factorization, Gram matrix or
-    eigen-solve. Full rank means the smallest eigenvalue exceeds both
-    ``cfg.rank_tol`` (default as in ``states.numerical_rank``) and the
-    noise floor n eps lambda_max, where the pivoted factor of
-    ``eigen_decomposition`` stops too: an eigenvalue at the rounding level
-    of rho is no evidence of rank, whatever the ``rank_tol``. That
-    spectrum sums to the trace that validation checked at the state's own
-    ``tol``, so no Gram trace check runs on it. Ky Fan is read from rho
-    across ``cfg.cut``. Below full rank the fingerprint is read from the
-    eigenvector decomposition, which has exactly rank(rho) members
-    (:func:`decomposition_fingerprint`).
+    The rank is decided once, by ``states.numerical_rank`` on
+    ``rho.spectrum``, whose nonzero part is every decomposition's Gram
+    spectrum. At every rank but 2, F is read from its top ``rank``
+    eigenvalues, with no factorization, Gram matrix, eigen-solve or Gram
+    trace check (the spectrum sums to the trace validation checked), and
+    Ky Fan from rho across ``cfg.cut``. The rank-2 degree-4 invariants
+    need coefficient matrices: :func:`decomposition_fingerprint` of the
+    eigenvector decomposition.
     """
     cfg = cfg or _DEFAULT_CONFIG
     w = rho.spectrum
-    if _full_rank(w, cfg.rank_tol):
-        return _fingerprint(rho, w, realignment_kyfan(merge_cut(rho, cfg.cut)), None)
+    rank = numerical_rank(w, cfg.rank_tol)
+    if rank != 2:
+        return _fingerprint(rho, w[-rank:], realignment_kyfan(merge_cut(rho, cfg.cut)), None)
     d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut)
     return decomposition_fingerprint(d, rho)
 
 
 GRAM_TOL = 1e-10
-
-
-def _full_rank(w: np.ndarray, rank_tol: float | None) -> bool:
-    """Whether every eigenvalue of the ascending ``w`` exceeds both
-    ``rank_tol`` (default 1e-10 max(w), as in ``states.numerical_rank``)
-    and the noise floor len(w) eps max(w); the smallest one decides."""
-    low, top = float(w[0]), float(w[-1])
-    return low > max(len(w) * EPS * top, 1e-10 * top if rank_tol is None else rank_tol)
 
 
 def _require_unit_mass(kept: float, dropped: float, tol: float) -> None:

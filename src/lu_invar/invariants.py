@@ -73,7 +73,7 @@ class GramMatrix:
 def gram_matrix(d: PureStateDecomposition) -> GramMatrix:
     """The overlap matrix of a decomposition. Its spectrum is the one
     ``d`` holds: for an eigen decomposition, the factor's Gram eigenvalues
-    that decided the rank, so no eigen-solve runs here; for any other
+    of its members, so no eigen-solve runs here; for any other
     decomposition, one ``eigvalsh`` of V V^dag on first use, row i of V
     the flattened A_i.
 

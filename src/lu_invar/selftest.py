@@ -19,10 +19,11 @@ zero-padding shifts the determinant polynomial by a power of lambda and
 the 2x2x2 hyperdeterminant obeys its group covariance and agrees with a
 Levi-Civita contraction, kept here as its reference. The mixing,
 degree-4, degeneracy and padding properties read their invariants
-through ``decomposition_fingerprint``, the one path that ``fingerprint``
-and ``lu-invar mix`` take too below full rank; the local-unitary F row
-compares the F that ``fingerprint`` reports, so at full rank it covers
-the F read from the state's spectrum as well.
+through ``decomposition_fingerprint``, the path that ``lu-invar mix``
+takes and that ``fingerprint`` takes at rank 2; the deviation is
+non-zero only on that path. The local-unitary F row compares the F that
+``fingerprint`` reports, so at every other rank it covers the F read
+from the state's spectrum as well.
 """
 
 from __future__ import annotations

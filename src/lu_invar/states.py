@@ -123,7 +123,7 @@ class PureStateDecomposition:
     exactly Hermitian. ``gram_spectrum`` holds its eigenvalues, ascending
     and read-only, computed once per decomposition:
     :func:`eigen_decomposition` keeps the eigenvalues of its factor's Gram
-    matrix that decided the rank, and any other decomposition, built by
+    matrix for its members, and any other decomposition, built by
     hand or mixed, computes them on first use by one ``eigvalsh`` of
     ``gram``.
     """
@@ -184,21 +184,24 @@ def merge_cut(rho: DensityMatrix, cut: int = 1) -> DensityMatrix:
 
 
 def numerical_rank(w, rank_tol: float | None = None) -> int:
-    """How many of the eigenvalues ``w`` of a state exceed ``rank_tol``.
+    """How many of a state's eigenvalues, the ascending array ``w``, are kept.
 
-    The rule every decomposition of the package decides its rank by.
-    Eigenvalues at or below ``rank_tol`` are treated as exact zeros; the
-    default threshold is scale-aware, 1e-10 times the largest eigenvalue.
-    A rank of 0 raises :class:`BadToleranceError` when the largest
+    The one rule the package decides a rank by, applied to a state's
+    ``spectrum``. An eigenvalue is kept when it exceeds both ``rank_tol``
+    and the noise floor len(w) eps lambda_max; the default ``rank_tol`` is
+    scale-aware, 1e-10 times the largest eigenvalue. An eigenvalue at the
+    rounding level of rho is no evidence of rank, whatever the
+    ``rank_tol``. At full rank only the smallest eigenvalue is read. A
+    rank of 0 raises :class:`BadToleranceError` when the largest
     eigenvalue is positive, so a given ``rank_tol`` dropped it, and
-    :class:`NotPSDError` when no eigenvalue is positive. The few values
-    are compared as Python floats.
+    :class:`NotPSDError` when no eigenvalue is positive.
     """
-    ws = np.asarray(w, dtype=float).tolist()
-    top = max(ws, default=0.0)  # a zero matrix has an empty Gram spectrum
-    if rank_tol is None:
-        rank_tol = 1e-10 * max(top, 0.0)
-    rank = sum(x > rank_tol for x in ws)
+    n = len(w)
+    top = float(w[-1]) if n else 0.0
+    floor = max(n * EPS * top, 1e-10 * top if rank_tol is None else rank_tol)
+    if n and float(w[0]) > floor:
+        return n
+    rank = n - int(w.searchsorted(floor, "right"))
     if rank == 0 and top > 0.0:
         raise BadToleranceError(
             f"rank_tol {rank_tol!r} is at or above the largest eigenvalue {top!r}; "
@@ -217,31 +220,30 @@ def eigen_decomposition(
 
     A diagonally pivoted Cholesky factorization (:func:`pivoted_cholesky`)
     stops once the largest remaining diagonal entry is at most tau, giving
-    rho = L L^dag + E with r' >= rank(rho) columns in O(n^2 r') work for an
-    n x n rho, and E positive semidefinite with tr E <= n tau. tau is
+    rho = L L^dag + E with r' columns in O(n^2 r') work for an n x n rho,
+    and E positive semidefinite with tr E <= n tau. tau is
     1e-12 * max diag(rho) / n, never below n * eps * max diag(rho),
     LAPACK ``xPSTRF``'s default, where a pivot would be rounding noise
     (that floor binds for n > 67). As the largest eigenvalue is at least
     max diag(rho), ||E|| <= n tau is at most 1e-12 times it, 1% of the
     default ``rank_tol``. tau does not depend on a given ``rank_tol``: the
     w below are then within ||E|| of the top eigenvalues of rho in any
-    basis rho is written in, and a given ``rank_tol`` below about n tau
-    counts no eigenvalue the factor dropped. The r' x r' Gram matrix
-    L^dag L = U W U^dag then gives the members L u_i, of Gram matrix
-    diag(w), descending: Rayleigh-Ritz on the range of L, so member i is
-    sqrt(w_i) times an eigenvector of L L^dag, exact when E = 0.
+    basis rho is written in. The r' x r' Gram matrix L^dag L = U W U^dag
+    then gives the members L u_i, of Gram matrix diag(w), descending:
+    Rayleigh-Ritz on the range of L, so member i is sqrt(w_i) times an
+    eigenvector of L L^dag, exact when E = 0.
 
-    There are exactly rank(rho) members, the rank by
-    :func:`numerical_rank` of w at ``rank_tol``. The kept w, ascending,
-    are the decomposition's ``gram_spectrum``: the rank and F come from one
-    spectrum, and no second eigen-solve runs on the members. For more than
-    two subsystems the coefficient vectors are flattened across ``cut``
-    (first ``cut`` subsystems versus the rest). The factor reads the
-    Hermitian part of ``rho.mat`` column by column, so rho is never
-    symmetrized as a whole; a state built by hand is checked first, on its
-    ``spectrum``.
+    The first rank(rho) of them are kept, at most r': the rank that
+    :func:`numerical_rank` reads from ``rho.spectrum`` at ``rank_tol``, as
+    ``equivalence.fingerprint`` does. Their w, ascending, are the
+    decomposition's ``gram_spectrum``, so no second eigen-solve runs on
+    the members. For more than two subsystems the coefficient vectors are
+    flattened across ``cut`` (first ``cut`` subsystems versus the rest).
+    The factor reads the Hermitian part of ``rho.mat`` column by column,
+    so rho is never symmetrized as a whole; a state built by hand is
+    checked first, on its ``spectrum``.
     """
-    rho.spectrum  # computes, and so checks, the spectrum of a hand-built state
+    lam = rho.spectrum  # computes, and so checks, the spectrum of a hand-built state
     n1, n2 = _cut_sizes(rho.dims, cut)
     n = n1 * n2
     top = max(float(rho.mat.diagonal().real.max()), 0.0)
@@ -250,7 +252,7 @@ def eigen_decomposition(
     tau = max(1e-12 / n, n * EPS) * top
     rows = pivoted_cholesky(rho.mat, tau)  # row k is column k of L
     w, u = eigh_descending(rows.conj() @ rows.T)
-    rank = numerical_rank(w, rank_tol)
+    rank = min(numerical_rank(lam, rank_tol), len(w))
     members = u[:, :rank].T @ rows  # row i is L u_i
     stack = members.reshape(rank, n1, n2)  # fresh and finite: no copy or check
     stack.setflags(write=False)

@@ -124,10 +124,10 @@ def test_factor_decomposition_matches_eigh_oracle(dims, rank, seed):
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_gram_spectrum_is_the_members_gram_spectrum(dims, rank, seed):
-    # below full rank, where fingerprints read it, the factor's kept Gram
-    # eigenvalues, which decided the rank, stand in for an eigvalsh of the
-    # members' own Gram matrix; a mixed copy of the decomposition computes
-    # its own and gives the same fingerprint
+    # the factor's kept Gram eigenvalues, which rank-2 fingerprints and
+    # lu-invar mix read, stand in for an eigvalsh of the members' own Gram
+    # matrix; a mixed copy of the decomposition computes its own and gives
+    # the same fingerprint
     rho = random_density(dims, rank, seed=seed)
     d = eigen_decomposition(rho)
     kept = d.gram_spectrum

@@ -141,14 +141,14 @@ class TestFingerprint:
         assert calls == {"gram_matrix": 1, "hypermatrix": 1}
 
     def test_lapack_calls_per_fingerprint(self, rho1, monkeypatch):
-        # full rank: F and the rank come from the spectrum validation
-        # computed, whose trace it checked, so one real SVD for Ky Fan is the
-        # only LAPACK call. Below full rank: one eigh of the r' x r' Gram
-        # matrix of the pivoted factor, whose kept eigenvalues decide the
-        # rank and give F and the Gram trace, and one SVD; no eigvalsh of
-        # the members' Gram matrix. At rank 2, N, M and the lambda
-        # polynomials are sums of minors on Python scalars, so no det. No
-        # cholesky, and no eigen-solve sees an n x n matrix
+        # the rank and F come from the spectrum validation computed, whose
+        # trace it checked, so at every rank but 2 (full, mid and 1) one
+        # real SVD for Ky Fan is the only LAPACK call. At rank 2: one eigh
+        # of the r' x r' Gram matrix of the pivoted factor, whose kept
+        # eigenvalues give F and the Gram trace, and one SVD; no eigvalsh
+        # of the members' Gram matrix. N, M and the lambda polynomials are
+        # sums of minors on Python scalars, so no det. No cholesky, and no
+        # eigen-solve sees an n x n matrix
         names = ("cholesky", "eigh", "eigvalsh", "svd", "det")
         calls = {name: [] for name in names}
         for name, record in calls.items():
@@ -163,10 +163,12 @@ class TestFingerprint:
         full = random_density((3, 3), 9, seed=82)
         big = random_density((8, 8), 2, seed=83)
         mid = random_density((3, 3), 4, seed=84)
+        pure = random_density((3, 3), 1, seed=85)
         cases = (
             (rho1, (0, 1, 0, 1, 0)),
             (big, (0, 1, 0, 1, 0)),
-            (mid, (0, 1, 0, 1, 0)),
+            (mid, (0, 0, 0, 1, 0)),
+            (pure, (0, 0, 0, 1, 0)),
             (full, (0, 0, 0, 1, 0)),
         )
         for rho, expected in cases:
@@ -208,8 +210,8 @@ def state_with_spectrum(w, dims, seed):
 
 
 class TestCholeskyPath:
-    """At numerical full rank the fingerprint is read from the state's
-    spectrum; below it, from the eigenvector decomposition that
+    """At every rank but 2 the fingerprint is read from the state's
+    spectrum; at rank 2, from the eigenvector decomposition that
     ``eigen_decomposition`` reads from a pivoted Cholesky factor."""
 
     @pytest.mark.parametrize(
@@ -217,27 +219,34 @@ class TestCholeskyPath:
         [((2, 2), 1), ((2, 3), 1), ((3, 3), 1), ((2, 2, 2), 1), ((2, 2, 2), 2), ((4, 4), 1)],
     )
     def test_full_rank_agrees_with_eigenvector_path(self, dims, cut, monkeypatch):
+        # at full rank and at ranks 1, n/2 and n - 1; rank 2, n/2 on
+        # (2, 2), is the decomposition path
         import lu_invar.equivalence
 
         cfg = ScreenConfig(cut=cut)
-        for seed in range(4):
-            rho = random_density(dims, math.prod(dims), seed=1000 + seed)
-            want = decomposition_fingerprint(eigen_decomposition(rho, cut=cut), rho)
-            with monkeypatch.context() as m:
-                # the full-rank path builds no decomposition or Gram matrix
-                m.setattr(lu_invar.equivalence, "eigen_decomposition", None)
-                m.setattr(lu_invar.equivalence, "gram_matrix", None)
-                got = fingerprint(rho, cfg)
-            assert got.rank == want.rank == math.prod(dims)
-            assert np.abs(got.F - want.F).max() <= 1e-12
-            assert got.kyfan == want.kyfan
+        n = math.prod(dims)
+        for rank in sorted({1, n // 2, n - 1, n} - {2}):
+            for seed in range(4):
+                rho = random_density(dims, rank, seed=1000 + seed)
+                want = decomposition_fingerprint(eigen_decomposition(rho, cut=cut), rho)
+                with monkeypatch.context() as m:
+                    # the spectrum path builds no decomposition or Gram matrix
+                    m.setattr(lu_invar.equivalence, "eigen_decomposition", None)
+                    m.setattr(lu_invar.equivalence, "gram_matrix", None)
+                    got = fingerprint(rho, cfg)
+                assert got.rank == want.rank == rank
+                assert np.abs(got.F - want.F).max() <= 1e-12
+                assert got.kyfan == want.kyfan
+                assert compare_fingerprints(got, want).verdict == "Inconclusive"
 
     def test_spectrum_rule_decides_full_rank(self, monkeypatch):
-        # two eigenvalues of 1e-14: below the default rank_tol, so the
-        # eigenvector path gives rank 2; above the noise floor n eps
-        # lambda_max (5e-16 here), so rank_tol=0 reads full rank from the
-        # spectrum. Eigenvalues at the rounding level of rho are below that
-        # floor, so at rank_tol=0 the eigenvector path decides them.
+        # two eigenvalues of 1e-14: below the default rank_tol, so the rank
+        # is 2 and the eigenvector path gives the fingerprint; above the
+        # noise floor n eps lambda_max (5e-16 here), so rank_tol=0 reads
+        # full rank from the spectrum. Eigenvalues at the rounding level of
+        # rho are below that floor, so rank_tol=0 drops them too. The same
+        # at rank 3 of 6, where every one of these ranks is read from the
+        # spectrum
         import lu_invar.equivalence
 
         zero = ScreenConfig(rank_tol=0.0)
@@ -263,6 +272,19 @@ class TestCholeskyPath:
             noise = state_with_spectrum([0.6, 0.4, 0.0, 0.0], (2, 2), seed)
             assert noise.spectrum[0] <= 4 * np.finfo(float).eps * noise.spectrum[-1]
             assert fingerprint(noise, zero).rank == 2
+
+            rho = state_with_spectrum([0.5, 0.3, 0.2 - 3e-14] + [1e-14] * 3, (2, 3), seed)
+            noise = state_with_spectrum([0.5, 0.3, 0.2, 0.0, 0.0, 0.0], (2, 3), seed)
+            with monkeypatch.context() as m:
+                m.setattr(lu_invar.equivalence, "eigen_decomposition", None)
+                m.setattr(lu_invar.equivalence, "gram_matrix", None)
+                cases = ((fingerprint(rho), rho, 3), (fingerprint(rho, zero), rho, 6),
+                         (fingerprint(noise, zero), noise, 3))
+            for fp, state, rank in cases:
+                assert fp.rank == rank and fp.deviation == 0.0
+                top = list(state.spectrum[-rank:])
+                exact = [elementary_symmetric(top, k) for k in range(rank + 1)]
+                assert np.abs(fp.F - exact).max() <= 1e-15
 
     def test_rank_tol_zero_keeps_rotated_copy_inconclusive(self):
         # the rotated copy's rounding-level eigenvalues once read as rank 4
@@ -297,9 +319,8 @@ class TestCholeskyPath:
                 assert screen(rho, moved, cfg).verdict == "Inconclusive"
 
     def test_rank_tol_keeping_nothing_refused(self, rho1):
-        # the full-rank test reads only the spectrum's two ends; the rule
-        # that refuses a rank_tol above lambda_max is then
-        # eigen_decomposition's, at full rank as below it
+        # numerical_rank on rho's spectrum refuses a rank_tol at or above
+        # lambda_max, at rank 2 as at full rank
         for rho in (rho1, random_density((2, 2), 4, seed=94)):
             for tol in (float(rho.spectrum[-1]) * (1 + 1e-9), 1.0):
                 with pytest.raises(BadToleranceError, match="keeps no eigenvalue"):
@@ -359,9 +380,12 @@ class TestCholeskyPath:
             fingerprint(DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10))
 
     def test_numerical_rank(self):
-        w = np.array([0.5, 0.5, 4e-11, 6e-11])
+        w = np.array([4e-11, 6e-11, 0.5, 0.5])
         assert numerical_rank(w) == 3
         assert numerical_rank(w, rank_tol=0.0) == 4
+        # at rank_tol=0 the noise floor 4 eps lambda_max (4.4e-16) still
+        # drops an eigenvalue at the rounding level of rho
+        assert numerical_rank(np.array([1e-17, 1e-15, 0.5, 0.5]), rank_tol=0.0) == 3
         # a rank_tol at or above the largest eigenvalue keeps none
         for tol in (0.5, 1.0):
             with pytest.raises(BadToleranceError, match=r"rank_tol .* largest eigenvalue 0\.5"):
@@ -369,9 +393,8 @@ class TestCholeskyPath:
         # a spectrum with no positive eigenvalue is no state at any tolerance
         for tol in (None, 0.0, 1.0):
             with pytest.raises(NotPSDError):
-                numerical_rank(np.array([0.0, -1e-12]), rank_tol=tol)
-        # nor is an empty spectrum, the Gram spectrum of a pivoted factor
-        # with no column
+                numerical_rank(np.array([-1e-12, 0.0]), rank_tol=tol)
+        # nor is an empty spectrum
         with pytest.raises(NotPSDError):
             numerical_rank(np.array([]))
         # a hand-built zero matrix is refused before that, by its trace
@@ -603,8 +626,9 @@ class TestErrorBounds:
         assert max(errors) > 16 * 4 * np.finfo(float).eps * exact[0]
 
     def test_deviation_measured_against_the_spectrum(self):
-        # below full rank the deviation is the summed distance of the kept
-        # Gram spectrum from rho's top eigenvalues plus rho's negative mass
+        # on the decomposition path the deviation is the summed distance of
+        # the kept Gram spectrum from rho's top eigenvalues plus rho's
+        # negative mass
         rho = state_with_spectrum(np.array([0.6, 0.4, 0.0, -5e-11]) / (1 - 5e-11), (2, 2), 7)
         fp = fingerprint(rho)
         top = rho.spectrum[::-1][:fp.rank]

@@ -23,6 +23,7 @@ from lu_invar.states import (
     make_decomposition,
     merge_cut,
     mix_decomposition,
+    numerical_rank,
     pad_with_zeros,
     random_density,
     random_local_unitaries,
@@ -204,6 +205,20 @@ class TestEigenDecomposition:
                 assert len(d) == 2
                 assert np.abs(reconstruct(d) - rho.mat).max() <= 1e-12
 
+    def test_rank_capped_at_the_factor_columns(self):
+        # at rank_tol 0 an eigenvalue of 1e-14 counts in rho's rank, above
+        # the noise floor 4 eps lambda_max, but sits below the factor's
+        # stopping threshold of about 1e-13, so the factor has two columns
+        # and the decomposition keeps two members
+        w = [0.6, 0.4 - 1e-14, 1e-14, 0.0]
+        for seed in range(4):
+            u = haar_unitary(4, seed=1060 + seed)
+            rho = validate_density((u * np.asarray(w)) @ u.conj().T, (2, 2))
+            assert numerical_rank(rho.spectrum, rank_tol=0.0) == 3
+            d = eigen_decomposition(rho, rank_tol=0.0)
+            assert len(d) == len(d.gram_spectrum) == 2
+            assert np.abs(reconstruct(d) - rho.mat).max() <= 1e-12
+
     def test_given_rank_tol_keeps_top_eigenvalues_in_any_basis(self):
         # noise eigenvalues near 1e-7 sit far below rank_tol 1e-4 but far
         # above the factor's stopping threshold, so the factor keeps them
@@ -240,7 +255,7 @@ class TestEigenDecomposition:
 class TestGramSpectrum:
     def test_eigen_decomposition_keeps_its_rank_eigenvalues(self, monkeypatch):
         # ascending, read-only, and filled without an eigvalsh: the factor's
-        # Gram eigenvalues that decided the rank, rho's top ones
+        # Gram eigenvalues of the kept members, rho's top ones
         calls = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
