@@ -65,6 +65,7 @@ from .states import (
     apply_local_unitary_density,
     eigen_decomposition,
     make_decomposition,
+    merge_cut,
     mix_decomposition,
     pad_with_zeros,
     random_density,
@@ -112,6 +113,7 @@ __all__ = [
     "invariant_N",
     "lambda_poly",
     "make_decomposition",
+    "merge_cut",
     "mix_decomposition",
     "pad_with_zeros",
     "random_density",

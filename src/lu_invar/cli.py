@@ -17,8 +17,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
-
 import numpy as np
 
 from ._version import __version__
@@ -141,12 +139,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    """Fingerprint random mixings of the eigenvector decomposition and
-    compare each with the first, printing one row per compared check that
-    reads the decomposition (every check but ``kyfan``)."""
+    """Fingerprint random mixings of the eigenvector decomposition across
+    ``--cut`` and compare each with the first, printing one row per
+    compared check (a decomposition fingerprint has no Ky Fan)."""
     cfg = _config_from(args)
     rho = load_state(args.state)
-    d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut)
+    d = eigen_decomposition(merge_cut(rho, cfg.cut), cfg.rank_tol)
     rng = np.random.default_rng(_seed_from(args))
     fps = [
         decomposition_fingerprint(mix_decomposition(d, haar_unitary(len(d), rng)), rho)
@@ -155,16 +153,14 @@ def cmd_mix(args) -> int:
     if not fps:
         print("no mixings requested; nothing to compare")
         return EXIT_OK
-    # column t holds the value_b side of mixing t compared with mixing 0;
-    # Ky Fan is read from rho, not from the decomposition, so it gets no row
+    # column t holds the value_b side of mixing t compared with mixing 0
     reports = [compare_fingerprints(fps[0], fp) for fp in fps]
-    rows = [k for k, c in enumerate(reports[0].checks) if c.name != "kyfan"]
-    width = max(len(reports[0].checks[k].name) for k in rows)
+    width = max(len(c.name) for c in reports[0].checks)
     header = " ".join(f"mix{t}".rjust(28) for t in range(len(fps)))
     print(f"{'invariant'.ljust(width)} {header}")
-    for k in rows:
+    for k, check in enumerate(reports[0].checks):
         row = " ".join(_fmt(r.checks[k].value_b).rjust(28) for r in reports)
-        print(f"{reports[0].checks[k].name.ljust(width)} {row}")
+        print(f"{check.name.ljust(width)} {row}")
     if any(r.verdict != "Inconclusive" for r in reports):
         print("self-consistency FAILED: mixed decompositions disagree", file=sys.stderr)
         return EXIT_DIFFER
@@ -173,13 +169,8 @@ def cmd_mix(args) -> int:
 
 def cmd_random_lu(args) -> int:
     rho = load_state(args.state)
-    if len(rho.dims) > 2 and args.cut is None:
-        raise BadCutError(
-            "multipartite state: pass --cut to choose the bipartition for the local pair"
-        )
-    bip = merge_cut(rho, 1 if args.cut is None else args.cut)
-    moved = apply_local_unitary_density(bip, random_local_unitaries(bip.dims, _seed_from(args)))
-    save_state(replace(moved, dims=rho.dims), args.out)
+    moved = apply_local_unitary_density(rho, random_local_unitaries(rho.dims, _seed_from(args)))
+    save_state(moved, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -261,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random-lu", help="write a locally rotated copy of a state")
     p.add_argument("state")
     _add_seed(p)
-    p.add_argument("--cut", type=int, default=None,
-                   help="bipartition cut (required for multipartite input)")
     p.add_argument("--out", required=True, help="output StateFile path")
     p.set_defaults(func=cmd_random_lu)
 

@@ -3,14 +3,16 @@
 The screen computes an invariant fingerprint of each state, with an
 absolute error bound for each compared value, and compares the two
 fingerprints value by value: a check fails only when the values differ
-by more than the sum of their bounds. The rank is decided once, on the
-eigenvalues validation computed, whose nonzero part is the Gram
-spectrum of every decomposition, so F is read from them at every rank
-but 2. At rank 2 the degree-4 invariants read the eigenvector
-decomposition that ``states.eigen_decomposition`` reads from a pivoted
-Cholesky factor. Any two decompositions of equal length differ by a
-unitary mixing, which only conjugates the Gram matrix, so all give the
-same invariants.
+by more than the sum of their bounds. The bipartition is resolved once,
+by ``states.merge_cut`` of the state across ``cut``: Ky Fan is read
+from that view of rho, and at rank 2 so is the decomposition. The rank
+is decided once, on the eigenvalues validation computed, whose nonzero
+part is the Gram spectrum of every decomposition, so F is read from
+them at every rank but 2. At rank 2 the degree-4 invariants read the
+eigenvector decomposition that ``states.eigen_decomposition`` reads
+from a pivoted Cholesky factor. Any two decompositions of equal length
+differ by a unitary mixing, which only conjugates the Gram matrix, so
+all give the same invariants.
 
 Every invariant here is a necessary condition for local unitary
 equivalence, so the verdict is one-sided: ``NotEquivalent`` with a named
@@ -81,6 +83,9 @@ class Fingerprint:
     eigenvalues, a deviation that is 0 except on the decomposition path:
     rank 2, and decompositions the caller builds. ``dropped`` is the
     largest eigenvalue of rho that the rank rule dropped (0 at full rank).
+    ``kyfan`` is the realignment Ky Fan norm of rho across the cut, read
+    from rho itself, so a fingerprint read from a decomposition the
+    caller built (:func:`decomposition_fingerprint`) has None.
 
     ``N_value``, ``M_value`` and the matching lambda coefficient arrays are
     present only when the state has rank 2 (the format the degree-4
@@ -97,7 +102,7 @@ class Fingerprint:
     rank: int
     F: np.ndarray
     spectrum: np.ndarray
-    kyfan: float
+    kyfan: float | None
     deviation: float
     dropped: float
     N_value: complex | None = None
@@ -125,7 +130,8 @@ class EquivalenceReport:
     ``verdict`` is NotEquivalent exactly when at least one check failed;
     ``witness`` names the first failing check in the fixed evaluation
     order (spectrum[1..], invariant_N, invariant_M, kyfan,
-    lambda_N[1..3], lambda_M[1]).
+    lambda_N[1..3], lambda_M[1]), each present when both fingerprints
+    have its value.
     """
 
     verdict: str
@@ -137,15 +143,16 @@ class EquivalenceReport:
 def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> Fingerprint:
     """The fingerprint of ``rho`` read from ``d``, any pure-state
     decomposition of it, with rank the length of ``d``; :func:`fingerprint`
-    takes this path at rank 2.
+    shares this path at rank 2.
 
     F and the Gram trace are read from ``d.gram_spectrum``, which an
     eigen decomposition already holds. F and, at rank 2, the hypermatrix
     are each built once. M is the constant term of ``lambda_M``. Ky Fan is
-    read from ``rho`` across the bipartition that d's (n, m) shape names.
-    That shape is checked against ``rho`` (:class:`DimensionMismatchError`),
-    and so is the Gram trace, counting the mass of rho's eigenvalues below
-    its top len(d) that a rank rule dropped (:func:`_require_unit_mass`).
+    a value of rho, not of a decomposition, so ``kyfan`` is None here and
+    a comparison with this fingerprint has no Ky Fan check. d's (n, m)
+    shape must name a bipartition of ``rho`` (:class:`DimensionMismatchError`),
+    and the Gram trace is checked, counting the mass of rho's eigenvalues
+    below its top len(d) that a rank rule dropped (:func:`_require_unit_mass`).
 
     The ``deviation`` is measured: sum_k |w_k - lambda_k| between the
     descending Gram spectrum w and rho's top len(d) eigenvalues, plus rho's
@@ -155,14 +162,18 @@ def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> 
     eigenvectors: the sum shows the lift, the negative mass stands in for
     the turn.
     """
-    bip = rho
-    if (d.n, d.m) != rho.dims:
-        cuts = [(math.prod(rho.dims[:c]), math.prod(rho.dims[c:])) for c in range(1, len(rho.dims))]
-        if (d.n, d.m) not in cuts:
-            raise DimensionMismatchError(
-                f"{d.n}x{d.m} coefficient matrices fit no bipartition of dims {rho.dims}"
-            )
-        bip = merge_cut(rho, cuts.index((d.n, d.m)) + 1)
+    if (d.n, d.m) not in [merge_cut(rho, c).dims for c in range(1, len(rho.dims))]:
+        raise DimensionMismatchError(
+            f"{d.n}x{d.m} coefficient matrices fit no bipartition of dims {rho.dims}"
+        )
+    return _decomposition_fingerprint(d, rho, None)
+
+
+def _decomposition_fingerprint(
+    d: PureStateDecomposition, rho: DensityMatrix, kyfan: float | None
+) -> Fingerprint:
+    """:func:`decomposition_fingerprint` with its shape check done and
+    ``kyfan`` given."""
     w = gram_matrix(d).spectrum
     lam = rho.spectrum.tolist()[::-1]
     kept = w.tolist()[::-1]
@@ -170,23 +181,24 @@ def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> 
     lift = sum(abs(a - b) for a, b in zip_longest(kept, lam[:len(kept)], fillvalue=0.0))
     _require_unit_mass(sum(kept), sum(lam[len(kept):]), rho.tol + len(lam) * len(kept) * negative)
     h = hypermatrix(d) if len(d) == 2 else None
-    return _fingerprint(rho, w, realignment_kyfan(bip), h, lift + negative)
+    return _fingerprint(rho, w, kyfan, h, lift + negative)
 
 
 def _fingerprint(
-    rho: DensityMatrix, w: np.ndarray, kyfan: float, h: Hypermatrix | None, deviation: float = 0.0
+    rho: DensityMatrix, w: np.ndarray, kyfan: float | None, h: Hypermatrix | None,
+    deviation: float = 0.0,
 ) -> Fingerprint:
     """The fingerprint of rank r = len(w) from the ascending kept spectrum
-    ``w``, Ky Fan and, at rank 2, the 2x2x2x2 hypermatrix ``h``; w is
-    within ``deviation`` of rho's top r eigenvalues (0 when w is rho's
-    own spectrum)."""
+    ``w``, Ky Fan (or None) and, at rank 2, the 2x2x2x2 hypermatrix
+    ``h``; w is within ``deviation`` of rho's top r eigenvalues (0 when w
+    is rho's own spectrum)."""
     f = f_invariants(w)
-    lambdas = {"det": lambda_poly(f, 1, "det")}
+    lambdas = {"det": lambda_poly(f, inv="det")}
     n_value = m_value = None
     if h is not None:
         n_value = invariant_N(h)
-        lambdas["N"] = lambda_poly(h, 2, "N")
-        lambdas["M"] = lambda_poly(h, 2, "M")
+        lambdas["N"] = lambda_poly(h, inv="N")
+        lambdas["M"] = lambda_poly(h, inv="M")
         m_value = complex(lambdas["M"][0])
     dropped = max(float(rho.spectrum[-len(w) - 1]) if len(w) < len(rho.spectrum) else 0.0, 0.0)
     return Fingerprint(
@@ -201,20 +213,22 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
 
     The rank is decided once, by ``states.numerical_rank`` on
     ``rho.spectrum``, whose nonzero part is every decomposition's Gram
-    spectrum. At every rank but 2, F is read from its top ``rank``
-    eigenvalues, with no factorization, Gram matrix, eigen-solve or Gram
-    trace check (the spectrum sums to the trace validation checked), and
-    Ky Fan from rho across ``cfg.cut``. The rank-2 degree-4 invariants
-    need coefficient matrices: :func:`decomposition_fingerprint` of the
-    eigenvector decomposition.
+    spectrum, and the bipartition once, by ``merge_cut(rho, cfg.cut)``,
+    whose Ky Fan norm is read at every rank. At every rank but 2, F is
+    read from the top ``rank`` eigenvalues, with no factorization, Gram
+    matrix, eigen-solve or Gram trace check (the spectrum sums to the
+    trace validation checked). The rank-2 degree-4 invariants need
+    coefficient matrices: those of the eigenvector decomposition of the
+    bipartite view, read as in :func:`decomposition_fingerprint`.
     """
     cfg = cfg or _DEFAULT_CONFIG
     w = rho.spectrum
     rank = numerical_rank(w, cfg.rank_tol)
+    bip = merge_cut(rho, cfg.cut)
+    kyfan = realignment_kyfan(bip)
     if rank != 2:
-        return _fingerprint(rho, w[-rank:], realignment_kyfan(merge_cut(rho, cfg.cut)), None)
-    d = eigen_decomposition(rho, rank_tol=cfg.rank_tol, cut=cfg.cut)
-    return decomposition_fingerprint(d, rho)
+        return _fingerprint(rho, w[-rank:], kyfan, None)
+    return _decomposition_fingerprint(eigen_decomposition(bip, cfg.rank_tol), rho, kyfan)
 
 
 GRAM_TOL = 1e-10
@@ -261,7 +275,7 @@ def _bounds(fp: Fingerprint) -> tuple[float, float, float, float]:
       times 16N;
     * a dropped eigenvalue, compared as zero: lambda_(r+1) plus noise;
     * Ky Fan, a sum of singular values from a backward-stable SVD:
-      rounding * max(kyfan, 1);
+      rounding * max(kyfan, 1) (rounding when there is none);
     * a hypermatrix entry: rounding + deviation + noise lambda_r / gap.
       The solve turns the kept eigenvectors toward the dropped ones by up
       to noise / gap, gap = lambda_r - lambda_(r+1) >= noise (Davis-Kahan),
@@ -274,7 +288,7 @@ def _bounds(fp: Fingerprint) -> tuple[float, float, float, float]:
     low = max(float(fp.spectrum[-1]), 0.0)
     turn = noise * low / max(low - fp.dropped, noise)
     return (noise + fp.deviation, fp.dropped + noise,
-            rounding * max(fp.kyfan, 1.0), rounding + fp.deviation + turn)
+            rounding * max(fp.kyfan or 0.0, 1.0), rounding + fp.deviation + turn)
 
 
 def compare_fingerprints(fa: Fingerprint, fb: Fingerprint) -> EquivalenceReport:
@@ -287,7 +301,8 @@ def compare_fingerprints(fa: Fingerprint, fb: Fingerprint) -> EquivalenceReport:
     bound, and the rank is not compared: when one side keeps an
     eigenvalue x that the other drops as x', x' is at most the dropped
     side's bound, and x exceeds x' by more than the two bounds only if
-    the states' spectra differ."""
+    the states' spectra differ. N, M and Ky Fan are compared when both
+    fingerprints have them."""
     (kept_a, pad_a, kyfan_a, entry_a), (kept_b, pad_b, kyfan_b, entry_b) = _bounds(fa), _bounds(fb)
     sa, sb = fa.spectrum.tolist(), fb.spectrum.tolist()
     top = max(len(sa), len(sb))
@@ -296,11 +311,11 @@ def compare_fingerprints(fa: Fingerprint, fb: Fingerprint) -> EquivalenceReport:
     tb = [kept_b] * len(sb) + [pad_b] * (top - len(sb))
     rows = [(f"spectrum[{k + 1}]", va[k], vb[k], ta[k] + tb[k]) for k in range(top)]
     entry = entry_a + entry_b
-    for name, a, b in (("invariant_N", fa.N_value, fb.N_value),
-                       ("invariant_M", fa.M_value, fb.M_value)):
+    for name, a, b, threshold in (("invariant_N", fa.N_value, fb.N_value, _DEGREE4_WEIGHT * entry),
+                                  ("invariant_M", fa.M_value, fb.M_value, _DEGREE4_WEIGHT * entry),
+                                  ("kyfan", fa.kyfan, fb.kyfan, kyfan_a + kyfan_b)):
         if a is not None and b is not None:
-            rows.append((name, complex(a), complex(b), _DEGREE4_WEIGHT * entry))
-    rows.append(("kyfan", fa.kyfan, fb.kyfan, kyfan_a + kyfan_b))
+            rows.append((name, a, b, threshold))
     for key, weights in _LAMBDA_CHECKED:
         if key in fa.lambda_coeffs and key in fb.lambda_coeffs:
             ca, cb = fa.lambda_coeffs[key].tolist(), fb.lambda_coeffs[key].tolist()

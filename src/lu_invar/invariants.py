@@ -146,8 +146,8 @@ class Hypermatrix:
 
     The entries are read to Python complex scalars once, and the 4x4 N
     and M layouts are each expanded once, on first use: ``invariant_N``
-    and ``lambda_poly(h, 2, "N")`` share one expansion, as do
-    ``invariant_M`` and ``lambda_poly(h, 2, "M")``.
+    and ``lambda_poly(h, inv="N")`` share one expansion, as do
+    ``invariant_M`` and ``lambda_poly(h, inv="M")``.
     """
 
     entries: np.ndarray
@@ -233,7 +233,7 @@ def cayley_det_222(tensor) -> complex:
 # * M is -D_j1: rows (i2, j2), columns (i1, j1) taken in the order
 #   (0,0), (1,0), (0,1), (1,1). The sign is fixed so that the paper's
 #   Example 2 gives M(sigma1) = +1/6561. The identity hypermatrix is
-#   u u^T with u = (1, 0, 0, 1) in this layout, so lambda_poly(..., "M")
+#   u u^T with u = (1, 0, 0, 1) in this layout, so lambda_poly(h, inv="M")
 #   has degree <= 1.
 #
 # By the identity, M = N + D where D = -D_i2 is the determinant of the
@@ -287,12 +287,12 @@ def invariant_M(h: Hypermatrix) -> complex:
     return complex(h._m_expansion[1])
 
 
-def lambda_poly(x: InvariantVector | Hypermatrix, s: int, inv: str) -> np.ndarray:
+def lambda_poly(x: InvariantVector | Hypermatrix, *, inv: str) -> np.ndarray:
     """Coefficients of inv(Omega_s - lambda E) as a polynomial in lambda,
     in ascending powers, as a read-only complex array.
 
     ``inv`` selects the invariant polynomial applied to the shifted
-    hypermatrix, and with it what ``x`` must be:
+    hypermatrix, and with it the order s and what ``x`` must be:
 
     * ``"det"`` (s = 1): the :class:`InvariantVector` of a Gram spectrum,
       from :func:`f_invariants`. The polynomial is returned in the monic
@@ -322,9 +322,7 @@ def lambda_poly(x: InvariantVector | Hypermatrix, s: int, inv: str) -> np.ndarra
     """
     if inv not in ("det", "N", "M"):
         raise UnsupportedFormatError(f"unknown invariant {inv!r}; use 'det', 'N' or 'M'")
-    want_s, want_type = (1, InvariantVector) if inv == "det" else (2, Hypermatrix)
-    if s != want_s:
-        raise UnsupportedFormatError(f"inv={inv!r} requires s={want_s}, got s={s}")
+    want_type = InvariantVector if inv == "det" else Hypermatrix
     if not isinstance(x, want_type):
         raise UnsupportedFormatError(f"inv={inv!r} cannot be read from a {type(x).__name__}")
     if inv == "det":

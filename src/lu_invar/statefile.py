@@ -139,7 +139,7 @@ def fingerprint_to_doc(fp: Fingerprint) -> dict:
         "dims": [int(d) for d in fp.dims],
         "rank": int(fp.rank),
         "F": [_pair(z) for z in fp.F],
-        "kyfan": float(fp.kyfan),
+        "kyfan": None if fp.kyfan is None else float(fp.kyfan),
         "N": None if fp.N_value is None else _pair(fp.N_value),
         "M": None if fp.M_value is None else _pair(fp.M_value),
         "lambda": {

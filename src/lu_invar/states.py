@@ -9,8 +9,10 @@ with coefficient c at basis ket |k l> becomes matrix entry (A_i)[k, l].
 Basis enumeration is big-endian over the listed dimension order, i.e.
 row-major: the composite index of (k_1, ..., k_m) is the mixed-radix
 number with k_1 most significant. This convention is fixed here once:
-the one reshape across a cut, in :func:`eigen_decomposition`, is a
-row-major reshape of each member to the (N1, N2) sizes of ``_cut_sizes``.
+the one reshape of a member into its coefficient matrix, in
+:func:`eigen_decomposition`, is a row-major reshape to the sizes of the
+first subsystem and of the rest, the bipartition that :func:`merge_cut`
+makes by default.
 """
 
 from __future__ import annotations
@@ -168,19 +170,17 @@ def make_decomposition(mats) -> PureStateDecomposition:
     return PureStateDecomposition(n=stack.shape[1], m=stack.shape[2], stack=stack)
 
 
-def _cut_sizes(dims: tuple[int, ...], cut: int) -> tuple[int, int]:
-    """(N1, N2): the sizes of the first ``cut`` subsystems and of the rest."""
-    if not 1 <= cut < len(dims):
-        raise BadCutError(f"cut must satisfy 1 <= cut < {len(dims)}, got {cut}")
-    return math.prod(dims[:cut]), math.prod(dims[cut:])
-
-
 def merge_cut(rho: DensityMatrix, cut: int = 1) -> DensityMatrix:
-    """View a multipartite state as bipartite across the given cut; a
-    bipartite state at cut 1 is returned itself."""
-    if len(rho.dims) == 2 and cut == 1:
+    """View a state as bipartite across the given cut, the first ``cut``
+    subsystems against the rest (:class:`BadCutError` unless 1 <= cut <
+    len(dims)); a bipartite state is returned itself. The one place a
+    bipartition is decided."""
+    if not 1 <= cut < len(rho.dims):
+        raise BadCutError(f"cut must satisfy 1 <= cut < {len(rho.dims)}, got {cut}")
+    if len(rho.dims) == 2:
         return rho
-    return _density(_cut_sizes(rho.dims, cut), rho.mat, rho.tol, vars(rho).get("spectrum"))
+    dims = (math.prod(rho.dims[:cut]), math.prod(rho.dims[cut:]))
+    return _density(dims, rho.mat, rho.tol, vars(rho).get("spectrum"))
 
 
 def numerical_rank(w, rank_tol: float | None = None) -> int:
@@ -213,7 +213,7 @@ def numerical_rank(w, rank_tol: float | None = None) -> int:
 
 
 def eigen_decomposition(
-    rho: DensityMatrix, rank_tol: float | None = None, cut: int = 1
+    rho: DensityMatrix, rank_tol: float | None = None
 ) -> PureStateDecomposition:
     """The eigenvector decomposition of a density matrix, read from a
     rank-revealing factor.
@@ -237,15 +237,15 @@ def eigen_decomposition(
     :func:`numerical_rank` reads from ``rho.spectrum`` at ``rank_tol``, as
     ``equivalence.fingerprint`` does. Their w, ascending, are the
     decomposition's ``gram_spectrum``, so no second eigen-solve runs on
-    the members. For more than two subsystems the coefficient vectors are
-    flattened across ``cut`` (first ``cut`` subsystems versus the rest).
+    the members. Each member is an N1 x N2 coefficient matrix, N1 the
+    first subsystem's dimension and N2 that of the rest: to split a
+    multipartite state elsewhere, decompose ``merge_cut(rho, cut)``.
     The factor reads the Hermitian part of ``rho.mat`` column by column,
     so rho is never symmetrized as a whole; a state built by hand is
     checked first, on its ``spectrum``.
     """
     lam = rho.spectrum  # computes, and so checks, the spectrum of a hand-built state
-    n1, n2 = _cut_sizes(rho.dims, cut)
-    n = n1 * n2
+    n = len(lam)
     top = max(float(rho.mat.diagonal().real.max()), 0.0)
     # never below LAPACK xPSTRF's default n eps max diag(rho): a pivot at
     # the rounding level of the Schur complement is a column of noise
@@ -254,9 +254,10 @@ def eigen_decomposition(
     w, u = eigh_descending(rows.conj() @ rows.T)
     rank = min(numerical_rank(lam, rank_tol), len(w))
     members = u[:, :rank].T @ rows  # row i is L u_i
-    stack = members.reshape(rank, n1, n2)  # fresh and finite: no copy or check
+    # fresh and finite: no copy or check
+    stack = members.reshape(rank, rho.dims[0], n // rho.dims[0])
     stack.setflags(write=False)
-    d = PureStateDecomposition(n1, n2, stack)
+    d = PureStateDecomposition(*stack.shape[1:], stack)
     kept = w[rank - 1::-1]  # w is descending
     kept.setflags(write=False)
     vars(d)["gram_spectrum"] = kept  # fills the cached property

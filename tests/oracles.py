@@ -165,24 +165,24 @@ def reference_bounds(fp) -> dict:
     """The error bounds of a fingerprint's compared values, from its fields:
     with rounding = 16 N eps and noise = rounding times the top eigenvalue,
     a kept eigenvalue is within noise plus the deviation, a padded zero
-    within the dropped eigenvalue plus noise, Ky Fan within rounding times
-    max(kyfan, 1), and a hypermatrix entry within rounding plus the
-    deviation plus noise times the smallest kept eigenvalue over its gap
-    to the dropped one (at least noise)."""
+    within the dropped eigenvalue plus noise, Ky Fan, when the fingerprint
+    has one, within rounding times max(kyfan, 1), and a hypermatrix entry
+    within rounding plus the deviation plus noise times the smallest kept
+    eigenvalue over its gap to the dropped one (at least noise)."""
     rounding = 16 * math.prod(fp.dims) * np.finfo(float).eps
     noise = rounding * float(fp.spectrum[0])
     low = max(float(fp.spectrum[-1]), 0.0)
     gap = max(low - fp.dropped, noise)
     return {"kept": noise + fp.deviation, "pad": fp.dropped + noise,
-            "kyfan": rounding * max(fp.kyfan, 1.0),
+            "kyfan": None if fp.kyfan is None else rounding * max(fp.kyfan, 1.0),
             "entry": rounding + fp.deviation + noise * low / gap}
 
 
 def reference_checks(fa, fb) -> list:
     """The check table of two fingerprints, value by value, each threshold
     the sum of the two sides' bounds: spectrum[i], the shorter spectrum
-    padded by zeros within their side's pad bound; N and M when both
-    states have them; Ky Fan; then lambda_N[1..3] and lambda_M[1] when
+    padded by zeros within their side's pad bound; N, M and Ky Fan when
+    both fingerprints have them; then lambda_N[1..3] and lambda_M[1] when
     both have them, each degree-4 value within its weight times the
     entries' bound."""
     ba, bb = reference_bounds(fa), reference_bounds(fb)
@@ -201,7 +201,8 @@ def reference_checks(fa, fb) -> list:
         values["invariant_M"] = (fa.M_value, fb.M_value)
     for name, (a, b) in values.items():
         checks.append(make_check(name, complex(a), complex(b), DEGREE4_WEIGHTS[name] * entry))
-    checks.append(make_check("kyfan", fa.kyfan, fb.kyfan, ba["kyfan"] + bb["kyfan"]))
+    if fa.kyfan is not None and fb.kyfan is not None:
+        checks.append(make_check("kyfan", fa.kyfan, fb.kyfan, ba["kyfan"] + bb["kyfan"]))
     for key, stop in (("N", 4), ("M", 2)):
         if key in fa.lambda_coeffs and key in fb.lambda_coeffs:
             ca, cb = fa.lambda_coeffs[key], fb.lambda_coeffs[key]

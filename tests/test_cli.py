@@ -10,9 +10,7 @@ from lu_invar.equivalence import ScreenConfig, compare_fingerprints, fingerprint
 from lu_invar.fixtures import fixture_path
 from lu_invar.linalg import haar_unitary
 from lu_invar.states import (
-    DensityMatrix,
     apply_local_unitary_density,
-    merge_cut,
     random_density,
     random_local_unitaries,
     validate_density,
@@ -306,8 +304,8 @@ class TestMix:
         assert main(["mix", path, "--count", "2", "--seed", "4"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         fp = fingerprint(rho)
-        # every compared check but kyfan, which is read from rho and not
-        # from the mixed decomposition
+        # every compared check but kyfan, which is read from rho, so a
+        # decomposition fingerprint has none
         checks = [c.name for c in compare_fingerprints(fp, fp).checks if c.name != "kyfan"]
         assert [r.split()[0] for r in rows] == checks
 
@@ -326,6 +324,21 @@ class TestMix:
         names = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
         assert names == ["spectrum[1]"]
 
+    def test_runs_no_svd(self, tmp_path, capsys, monkeypatch):
+        # the Ky Fan SVD is the only one on the path, and mix has no Ky Fan
+        path = str(tmp_path / "state.json")
+        save_state(random_density((8, 8), 64, seed=5), path)
+        calls = []
+        real = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert main(["mix", path, "--count", "5", "--seed", "1"]) == 0
+        assert calls == []
+
     def test_disagreement_exits_1(self, capsys, monkeypatch):
         # inject a per-call drift into the N that every rank-2 fingerprint
         # reads, so the mixed columns stop agreeing
@@ -343,20 +356,20 @@ class TestMix:
 
 class TestRandomLu:
     @pytest.mark.parametrize(
-        "rho, cut",
-        [(load_state(RHO1), None), (random_density((2, 2, 3), 3, seed=8), 1),
-         (random_density((2, 2, 3), 3, seed=8), 2)],
-        ids=["rho1", "223-cut1", "223-cut2"],
+        "rho",
+        [load_state(RHO1), random_density((2, 2, 2), 2, seed=4),
+         random_density((2, 2, 3), 5, seed=8)],
+        ids=["rho1", "222-rank2", "223-rank5"],
     )
-    def test_output_is_the_library_composition(self, tmp_path, rho, cut):
+    def test_output_is_the_library_composition(self, tmp_path, rho):
+        # one unitary per subsystem, so the copy is local across every cut
         src, out, expected = (str(tmp_path / name) for name in ("in.json", "out.json", "lib.json"))
         save_state(rho, src)
-        cut_args = [] if cut is None else ["--cut", str(cut)]
-        assert main(["random-lu", src, "--seed", "9", *cut_args, "--out", out]) == 0
-        bip = merge_cut(rho, cut or 1)
-        moved = apply_local_unitary_density(bip, random_local_unitaries(bip.dims, seed=9))
-        save_state(DensityMatrix(dims=rho.dims, mat=moved.mat, tol=moved.tol), expected)
+        assert main(["random-lu", src, "--seed", "9", "--out", out]) == 0
+        save_state(apply_local_unitary_density(rho, random_local_unitaries(rho.dims, 9)), expected)
         assert (tmp_path / "out.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
+        for cut in range(1, len(rho.dims)):
+            assert main(["compare", src, out, "--cut", str(cut)]) == 0
 
     def test_output_compares_inconclusive(self, tmp_path, capsys):
         out = str(tmp_path / "moved.json")
@@ -369,19 +382,6 @@ class TestRandomLu:
         main(["random-lu", SIGMA1, "--seed", "9", "--out", str(out1)])
         main(["random-lu", SIGMA1, "--seed", "9", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_multipartite_needs_cut(self, tmp_path, capsys):
-        from lu_invar.states import random_density
-        from lu_invar.statefile import save_state
-
-        rho = random_density((2, 2, 2), 2, seed=4)
-        src = tmp_path / "tri.json"
-        save_state(rho, src)
-        out = str(tmp_path / "moved.json")
-        assert main(["random-lu", str(src), "--out", out]) == 2
-        assert "--cut" in capsys.readouterr().err
-        assert main(["random-lu", str(src), "--cut", "1", "--out", out]) == 0
-        assert main(["compare", str(src), out]) == 0
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         out1 = tmp_path / "env.json"

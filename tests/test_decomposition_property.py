@@ -89,8 +89,9 @@ def screen_margin(rho, copy):
 
 
 def fingerprint_values(fp) -> np.ndarray:
-    """Every number of a fingerprint but its rank, in one flat array."""
-    values = [fp.F, [fp.kyfan]]
+    """Every number of a fingerprint but its rank and Ky Fan, which a
+    decomposition fingerprint does not have, in one flat array."""
+    values = [fp.F]
     values += [[fp.N_value, fp.M_value]] if fp.rank == 2 else []
     values += [fp.lambda_coeffs[key] for key in sorted(fp.lambda_coeffs)]
     return np.concatenate([np.asarray(v, dtype=complex) for v in values])
@@ -291,3 +292,38 @@ def test_negative_dropped_eigenvalue_rotated_copies_never_not_equivalent(dims, k
         if report.verdict == "NotEquivalent":
             false.append(report.witness)
     assert not false, f"{len(false)}/20 false NotEquivalent, first {false[0]}"
+
+
+GRAM_TRACE_CASES = [(dims, rank) for dims in ((2, 2), (2, 3), (3, 3))
+                    for rank in range(2, min(4, math.prod(dims) - 1) + 1)]
+
+
+@pytest.mark.parametrize("dims, rank", GRAM_TRACE_CASES,
+                         ids=[f"{d}-rank{r}" for d, r in GRAM_TRACE_CASES])
+def test_gram_trace_allowance_holds_above_rank_1(dims, rank):
+    # the Gram trace check allows rho.tol plus n r times rho's negative
+    # mass, a bound proven only at rank 1: with one eigenvalue in
+    # [-1e-10, -1e-11], the excess of the trace error over rho.tol must
+    # stay within that allowance at ranks 2 to 4 too
+    n = math.prod(dims)
+    rng = np.random.default_rng([n, rank])
+    worst, false = 0.0, []
+    for _ in range(50):
+        x = 10 ** rng.uniform(-11, -10)
+        w = np.zeros(n)
+        w[:rank] = rng.uniform(0.1, 1.0, rank)
+        w[:rank] *= (1.0 + x) / w[:rank].sum()
+        w[rank] = -x
+        rho = haar_basis_state(w, dims, rng)
+        d = eigen_decomposition(rho)
+        decomposition_fingerprint(d, rho)
+        lam = rho.spectrum[::-1]
+        negative = -lam[lam < 0.0].sum()
+        assert len(d) == rank and negative >= 9e-12
+        excess = abs(d.gram_spectrum.sum() + lam[rank:].sum() - 1.0) - rho.tol
+        worst = max(worst, excess / (n * rank * negative))
+        report = screen(rho, rotated_copy(rho, rng))
+        if report.verdict == "NotEquivalent":
+            false.append(report.witness)
+    assert not false, f"{len(false)}/50 false NotEquivalent, first {false[0]}"
+    assert worst <= 1.0

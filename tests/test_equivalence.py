@@ -18,6 +18,7 @@ from lu_invar.errors import (
     NotPSDError,
     NotUnitTraceError,
 )
+from lu_invar.invariants import realignment_kyfan
 from lu_invar.linalg import haar_unitary
 from lu_invar.states import (
     DensityMatrix,
@@ -228,7 +229,7 @@ class TestCholeskyPath:
         for rank in sorted({1, n // 2, n - 1, n} - {2}):
             for seed in range(4):
                 rho = random_density(dims, rank, seed=1000 + seed)
-                want = decomposition_fingerprint(eigen_decomposition(rho, cut=cut), rho)
+                want = decomposition_fingerprint(eigen_decomposition(merge_cut(rho, cut)), rho)
                 with monkeypatch.context() as m:
                     # the spectrum path builds no decomposition or Gram matrix
                     m.setattr(lu_invar.equivalence, "eigen_decomposition", None)
@@ -236,7 +237,6 @@ class TestCholeskyPath:
                     got = fingerprint(rho, cfg)
                 assert got.rank == want.rank == rank
                 assert np.abs(got.F - want.F).max() <= 1e-12
-                assert got.kyfan == want.kyfan
                 assert compare_fingerprints(got, want).verdict == "Inconclusive"
 
     def test_spectrum_rule_decides_full_rank(self, monkeypatch):
@@ -257,9 +257,7 @@ class TestCholeskyPath:
             assert got.rank == 2
             assert got.N_value is not None and got.M_value is not None
             assert np.array_equal(got.F, want.F)
-            assert (got.N_value, got.M_value, got.kyfan) == (
-                want.N_value, want.M_value, want.kyfan
-            )
+            assert (got.N_value, got.M_value) == (want.N_value, want.M_value)
             for key, coeffs in want.lambda_coeffs.items():
                 assert np.array_equal(got.lambda_coeffs[key], coeffs)
             with monkeypatch.context() as m:
@@ -407,9 +405,7 @@ class TestDecompositionFingerprint:
         fa = fingerprint(sigma1)
         fb = decomposition_fingerprint(eigen_decomposition(sigma1), sigma1)
         assert np.array_equal(fa.F, fb.F)
-        assert (fa.rank, fa.N_value, fa.M_value, fa.kyfan) == (
-            fb.rank, fb.N_value, fb.M_value, fb.kyfan
-        )
+        assert (fa.rank, fa.N_value, fa.M_value) == (fb.rank, fb.N_value, fb.M_value)
 
     def test_mixed_decomposition_compares_inconclusive(self, rho1):
         d = eigen_decomposition(rho1)
@@ -417,15 +413,21 @@ class TestDecompositionFingerprint:
         report = compare_fingerprints(fingerprint(rho1), decomposition_fingerprint(mixed, rho1))
         assert report.verdict == "Inconclusive"
 
-    def test_kyfan_across_the_decomposition_cut(self):
-        # (2,2,3) at cut 2 gives 4x3 matrices, and Ky Fan is read there
+    def test_kyfan_read_from_rho_across_the_cut(self):
+        # Ky Fan is a value of rho, read by fingerprint across its cut; a
+        # decomposition fingerprint has none, so its comparisons skip it
         rho = random_density((2, 2, 3), 3, seed=84)
-        d = eigen_decomposition(rho, cut=2)
-        assert (d.n, d.m) == (4, 3)
-        fp = decomposition_fingerprint(d, rho)
-        assert fp.kyfan == fingerprint(rho, ScreenConfig(cut=2)).kyfan
-        assert fp.kyfan != fingerprint(rho, ScreenConfig(cut=1)).kyfan
-        assert fp.dims == (2, 2, 3)
+        for cut in (1, 2):
+            fp = fingerprint(rho, ScreenConfig(cut=cut))
+            assert fp.kyfan == realignment_kyfan(merge_cut(rho, cut))
+            d = eigen_decomposition(merge_cut(rho, cut))
+            bare = decomposition_fingerprint(d, rho)
+            assert bare.kyfan is None and bare.dims == (2, 2, 3)
+            for fa, fb in ((fp, bare), (bare, fp), (bare, bare)):
+                report = compare_fingerprints(fa, fb)
+                assert "kyfan" not in [c.name for c in report.checks]
+                assert report.verdict == "Inconclusive"
+            assert "kyfan" in [c.name for c in compare_fingerprints(fp, fp).checks]
 
     def test_shape_must_name_a_bipartition(self):
         rho = random_density((2, 3), 2, seed=85)

@@ -198,7 +198,7 @@ class TestHypermatrix:
     def test_entries_match_oracle(self, dims, cut):
         # every entry, axes (i, j, k, l), against explicit products
         rho = random_density(dims, 2, seed=160 + math.prod(dims))
-        d = eigen_decomposition(rho, cut=cut)
+        d = eigen_decomposition(merge_cut(rho, cut))
         mats = list(d.stack)
         h = hypermatrix(d)
         assert h.entries.shape == (2, 2, 2, 2)
@@ -356,12 +356,12 @@ class TestDegree4Invariants:
 
 def det_poly(d):
     """lambda_det of a decomposition, from the F of its Gram spectrum."""
-    return lambda_poly(f_invariants(gram_matrix(d).spectrum), 1, "det")
+    return lambda_poly(f_invariants(gram_matrix(d).spectrum), inv="det")
 
 
 def nm_poly(d, inv):
     """lambda_N or lambda_M of a two-member decomposition."""
-    return lambda_poly(hypermatrix(d), 2, inv)
+    return lambda_poly(hypermatrix(d), inv=inv)
 
 
 class TestLambdaPoly:
@@ -409,25 +409,23 @@ class TestLambdaPoly:
 
     def test_built_object_of_wrong_kind_or_format_rejected(self, rho1_decomp):
         with pytest.raises(UnsupportedFormatError):
-            lambda_poly(hypermatrix(rho1_decomp), 1, "det")
+            lambda_poly(hypermatrix(rho1_decomp), inv="det")
         with pytest.raises(UnsupportedFormatError):
-            lambda_poly(gram_matrix(rho1_decomp), 2, "N")
+            lambda_poly(gram_matrix(rho1_decomp), inv="N")
         with pytest.raises(UnsupportedFormatError):
-            lambda_poly(gram_matrix(rho1_decomp), 1, "det")
+            lambda_poly(gram_matrix(rho1_decomp), inv="det")
 
     def test_unsupported_combinations(self, rho1_decomp):
-        f = f_invariants(gram_matrix(rho1_decomp).spectrum)
         h = hypermatrix(rho1_decomp)
         with pytest.raises(UnsupportedFormatError):
-            lambda_poly(f, 2, "det")
-        with pytest.raises(UnsupportedFormatError):
-            lambda_poly(h, 1, "N")
-        with pytest.raises(UnsupportedFormatError):
-            lambda_poly(h, 2, "Q")
+            lambda_poly(h, inv="Q")
+        # the order follows from inv, which is passed by keyword only
+        with pytest.raises(TypeError):
+            lambda_poly(h, 2, "N")
         # a decomposition is not evaluated: nothing is built from it
-        for s, inv in ((1, "det"), (2, "N"), (2, "M")):
+        for inv in ("det", "N", "M"):
             with pytest.raises(UnsupportedFormatError, match="PureStateDecomposition"):
-                lambda_poly(rho1_decomp, s, inv)
+                lambda_poly(rho1_decomp, inv=inv)
 
 
 def layout_matrix(h, layout) -> np.ndarray:
@@ -470,8 +468,8 @@ class TestClosedForms:
             # entries of u u^T
             slope = -sum(cofactor(xm, i, j) for i in (0, 3) for j in (0, 3))
             cases = (
-                (lambda_poly(h, 2, "N"), char_poly(xn), np.abs(xn).max()),
-                (lambda_poly(h, 2, "M"), [det_m, slope], np.abs(xm).max()),
+                (lambda_poly(h, inv="N"), char_poly(xn), np.abs(xn).max()),
+                (lambda_poly(h, inv="M"), [det_m, slope], np.abs(xm).max()),
             )
             for got, want, scale in cases:
                 # coefficient k is a sum of minors of order 4 - k, each a
@@ -487,8 +485,8 @@ class TestClosedForms:
         for h in [hypermatrix(sigma1_decomp)] + [
             random_hypermatrix(rng, kind) for kind in ("well-scaled", "singular-N", "tiny")
         ]:
-            assert lambda_poly(h, 2, "N")[0] == invariant_N(h)
-            assert lambda_poly(h, 2, "M")[0] == invariant_M(h)
+            assert lambda_poly(h, inv="N")[0] == invariant_N(h)
+            assert lambda_poly(h, inv="M")[0] == invariant_M(h)
 
 
 class TestPaddingLaw:

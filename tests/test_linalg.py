@@ -225,6 +225,6 @@ class TestPolynomial:
 
     def test_zero_polynomial(self, rho1_decomp):
         # the zero polynomial keeps its length too; there is no [0] special case
-        p = lambda_poly(hypermatrix(rho1_decomp), 2, "M")
+        p = lambda_poly(hypermatrix(rho1_decomp), inv="M")
         assert p.dtype == complex and not p.flags.writeable
         assert np.array_equal(p, [0.0, 0.0])

@@ -177,15 +177,18 @@ class TestEigenDecomposition:
     def test_multipartite_stack_matches_per_member_oracle(self):
         # oracle: member i built on its own as sqrt(w_i) * flatten(v_i);
         # an eigenvector carries an arbitrary phase, so each member may
-        # differ from its oracle by one unit-modulus factor
+        # differ from its oracle by one unit-modulus factor. A state not
+        # viewed across a cut splits after its first subsystem
         for dims in ((2, 2, 2), (2, 3, 2)):
             size = math.prod(dims)
             for cut in (1, 2):
                 for rank in (1, 2, size):
                     rho = random_density(dims, rank, seed=10 * size + rank + cut)
-                    d = eigen_decomposition(rho, cut=cut)
+                    d = eigen_decomposition(merge_cut(rho, cut))
                     assert (d.n, d.m) == (math.prod(dims[:cut]), math.prod(dims[cut:]))
                     assert len(d) == rank
+                    if cut == 1:
+                        assert np.array_equal(eigen_decomposition(rho).stack, d.stack)
                     assert np.abs(reconstruct(d) - rho.mat).max() < 1e-10
                     w, v = hermitian_eig(rho.mat, tol=max(rho.tol, 1e-10))
                     for i, a in enumerate(d.stack):
@@ -249,7 +252,7 @@ class TestEigenDecomposition:
         rho = random_density((2, 2, 2), 2, seed=8)
         for cut in (0, 3):
             with pytest.raises(BadCutError):
-                eigen_decomposition(rho, cut=cut)
+                eigen_decomposition(merge_cut(rho, cut))
 
 
 class TestGramSpectrum:
