@@ -7,12 +7,13 @@ by more than the sum of their bounds. The bipartition is resolved once,
 by ``states.merge_cut`` of the state across ``cut``: Ky Fan is read
 from that view of rho, and at rank 2 so is the decomposition. The rank
 is decided once, on the eigenvalues validation computed, whose nonzero
-part is the Gram spectrum of every decomposition, so F is read from
-them at every rank but 2. At rank 2 the degree-4 invariants read the
-eigenvector decomposition that ``states.eigen_decomposition`` reads
-from a pivoted Cholesky factor. Any two decompositions of equal length
-differ by a unitary mixing, which only conjugates the Gram matrix, so
-all give the same invariants.
+part is the Gram spectrum of every decomposition, so the reported
+spectrum and F are read from them at every rank. Only the rank-2
+degree-4 invariants (N, M and their lambda polynomials) read a
+decomposition: the eigenvector decomposition that
+``states.eigen_decomposition`` reads from a pivoted Cholesky factor.
+Any two decompositions of equal length differ by a unitary mixing,
+which only conjugates the Gram matrix, so all give the same invariants.
 
 Every invariant here is a necessary condition for local unitary
 equivalence, so the verdict is one-sided: ``NotEquivalent`` with a named
@@ -31,7 +32,6 @@ import numpy as np
 
 from .errors import BadToleranceError, DimensionMismatchError, NotUnitTraceError
 from .invariants import (
-    Hypermatrix,
     f_invariants,
     gram_matrix,
     hypermatrix,
@@ -78,28 +78,34 @@ class Fingerprint:
     """All implemented invariants of one state, with what its error bounds
     need beyond rounding (the bounds themselves: :func:`_bounds`).
 
-    ``spectrum`` holds the ``rank`` descending eigenvalues that F is built
-    from; together they sit within ``deviation`` of rho's top ``rank``
-    eigenvalues, a deviation that is 0 except on the decomposition path:
-    rank 2, and decompositions the caller builds. ``dropped`` is the
-    largest eigenvalue of rho that the rank rule dropped (0 at full rank).
-    ``kyfan`` is the realignment Ky Fan norm of rho across the cut, read
-    from rho itself, so a fingerprint read from a decomposition the
-    caller built (:func:`decomposition_fingerprint`) has None.
+    ``spectrum`` holds the descending eigenvalues that F is built from,
+    and ``rank`` is their number: rho's top ``rank`` eigenvalues, or the
+    Gram spectrum of a decomposition the caller built
+    (:func:`decomposition_fingerprint`). ``deviation`` is 0 unless a
+    decomposition was read (rank 2, and that function): then it is the
+    distance of the decomposition's Gram spectrum from rho's top
+    eigenvalues plus rho's negative mass (:func:`_fingerprint`), which
+    bounds the error of that spectrum and of the degree-4 invariants read
+    from the decomposition. ``dropped`` is the largest eigenvalue of rho
+    that the rank rule dropped (0 at full rank). ``kyfan`` is the
+    realignment Ky Fan norm of rho across the cut, read from rho itself,
+    so a fingerprint read from a decomposition the caller built has None.
 
     ``N_value``, ``M_value`` and the matching lambda coefficient arrays are
-    present only when the state has rank 2 (the format the degree-4
-    invariants are defined for). ``lambda_coeffs`` maps an invariant name
-    to ascending polynomial coefficients at the fixed length of its
-    format, trailing zeros included: rank + 1 for ``"det"``, 5 for
-    ``"N"`` and 2 for ``"M"``. All of them are reported. Only those that
-    repeat no other value are compared: not ``"det"`` (the signed,
-    reversed F), not ``lambda_N[0]`` (N) or ``lambda_N[4]`` (the monic
-    leading 1), and not ``lambda_M[0]`` (M). Nor are F and the rank.
+    present only when the decomposition read has two members (the format
+    the degree-4 invariants are defined for): at rank 2, unless a
+    ``rank_tol`` below the pivoted factor's stopping threshold keeps an
+    eigenvalue that the factor does not reach. ``lambda_coeffs`` maps an
+    invariant name to ascending polynomial coefficients at the fixed
+    length of its format, trailing zeros included: rank + 1 for
+    ``"det"``, 5 for ``"N"`` and 2 for ``"M"``. All of them are
+    reported. Only those that repeat no other value are compared: not
+    ``"det"`` (the signed, reversed F), not ``lambda_N[0]`` (N) or
+    ``lambda_N[4]`` (the monic leading 1), and not ``lambda_M[0]`` (M).
+    Nor are F and the rank.
     """
 
     dims: tuple[int, ...]
-    rank: int
     F: np.ndarray
     spectrum: np.ndarray
     kyfan: float | None
@@ -108,6 +114,10 @@ class Fingerprint:
     N_value: complex | None = None
     M_value: complex | None = None
     lambda_coeffs: dict = field(default_factory=dict)
+
+    @property
+    def rank(self) -> int:
+        return len(self.spectrum)
 
 
 class Check(NamedTuple):
@@ -142,67 +152,59 @@ class EquivalenceReport:
 
 def decomposition_fingerprint(d: PureStateDecomposition, rho: DensityMatrix) -> Fingerprint:
     """The fingerprint of ``rho`` read from ``d``, any pure-state
-    decomposition of it, with rank the length of ``d``; :func:`fingerprint`
-    shares this path at rank 2.
+    decomposition of it, with rank the length of ``d``, for ``lu-invar
+    mix`` and the library: :func:`fingerprint` reads F from rho itself.
 
-    F and the Gram trace are read from ``d.gram_spectrum``, which an
-    eigen decomposition already holds. F and, at rank 2, the hypermatrix
-    are each built once. M is the constant term of ``lambda_M``. Ky Fan is
-    a value of rho, not of a decomposition, so ``kyfan`` is None here and
-    a comparison with this fingerprint has no Ky Fan check. d's (n, m)
-    shape must name a bipartition of ``rho`` (:class:`DimensionMismatchError`),
-    and the Gram trace is checked, counting the mass of rho's eigenvalues
-    below its top len(d) that a rank rule dropped (:func:`_require_unit_mass`).
-
-    The ``deviation`` is measured: sum_k |w_k - lambda_k| between the
-    descending Gram spectrum w and rho's top len(d) eigenvalues, plus rho's
-    negative mass. With rho = L L^dag + E, a negative eigenvalue of rho
-    (validation accepts them down to -tol) leaves one in E, which lifts w
-    above rho's spectrum by a basis-dependent amount and turns its
-    eigenvectors: the sum shows the lift, the negative mass stands in for
-    the turn.
+    F is read from ``d``'s Gram spectrum, which an eigen decomposition
+    already holds, and at rank 2 the degree-4 invariants from d's
+    hypermatrix, built once; M is the constant term of ``lambda_M``. Ky
+    Fan is a value of rho, not of a decomposition, so ``kyfan`` is None
+    here and a comparison with this fingerprint has no Ky Fan check. d's
+    (n, m) shape must name a bipartition of ``rho``
+    (:class:`DimensionMismatchError`). As d comes from the caller, its
+    Gram trace is checked, counting the mass of rho's eigenvalues below
+    its top len(d) that a rank rule dropped (:func:`_require_unit_mass`).
     """
     if (d.n, d.m) not in [merge_cut(rho, c).dims for c in range(1, len(rho.dims))]:
         raise DimensionMismatchError(
             f"{d.n}x{d.m} coefficient matrices fit no bipartition of dims {rho.dims}"
         )
-    return _decomposition_fingerprint(d, rho, None)
-
-
-def _decomposition_fingerprint(
-    d: PureStateDecomposition, rho: DensityMatrix, kyfan: float | None
-) -> Fingerprint:
-    """:func:`decomposition_fingerprint` with its shape check done and
-    ``kyfan`` given."""
     w = gram_matrix(d).spectrum
-    lam = rho.spectrum.tolist()[::-1]
-    kept = w.tolist()[::-1]
-    negative = -sum(x for x in lam if x < 0.0)
-    lift = sum(abs(a - b) for a, b in zip_longest(kept, lam[:len(kept)], fillvalue=0.0))
-    _require_unit_mass(sum(kept), sum(lam[len(kept):]), rho.tol + len(lam) * len(kept) * negative)
-    h = hypermatrix(d) if len(d) == 2 else None
-    return _fingerprint(rho, w, kyfan, h, lift + negative)
+    _require_unit_mass(rho, w)
+    return _fingerprint(rho, w, None, d)
 
 
 def _fingerprint(
-    rho: DensityMatrix, w: np.ndarray, kyfan: float | None, h: Hypermatrix | None,
-    deviation: float = 0.0,
+    rho: DensityMatrix, w: np.ndarray, kyfan: float | None, d: PureStateDecomposition | None
 ) -> Fingerprint:
     """The fingerprint of rank r = len(w) from the ascending kept spectrum
-    ``w``, Ky Fan (or None) and, at rank 2, the 2x2x2x2 hypermatrix
-    ``h``; w is within ``deviation`` of rho's top r eigenvalues (0 when w
-    is rho's own spectrum)."""
+    ``w`` and Ky Fan (or None). Given a decomposition ``d`` of rho, the
+    degree-4 invariants are read from its hypermatrix when len(d) is 2,
+    and the ``deviation`` is measured: sum_k |g_k - lambda_k| between d's
+    descending Gram spectrum g and rho's top len(d) eigenvalues, plus
+    rho's negative mass. With rho = L L^dag + E, a negative eigenvalue of
+    rho (validation accepts them down to -tol) leaves one in E, which
+    lifts g above rho's spectrum by a basis-dependent amount and turns
+    its eigenvectors: the sum shows the lift, the negative mass stands in
+    for the turn."""
     f = f_invariants(w)
     lambdas = {"det": lambda_poly(f, inv="det")}
     n_value = m_value = None
-    if h is not None:
-        n_value = invariant_N(h)
-        lambdas["N"] = lambda_poly(h, inv="N")
-        lambdas["M"] = lambda_poly(h, inv="M")
-        m_value = complex(lambdas["M"][0])
+    deviation = 0.0
+    if d is not None:
+        lam = rho.spectrum.tolist()[::-1]
+        kept = gram_matrix(d).spectrum.tolist()[::-1]
+        deviation = (sum(abs(a - b) for a, b in zip_longest(kept, lam[:len(kept)], fillvalue=0.0))
+                     - sum(x for x in lam if x < 0.0))
+        if len(d) == 2:
+            h = hypermatrix(d)
+            n_value = invariant_N(h)
+            lambdas["N"] = lambda_poly(h, inv="N")
+            lambdas["M"] = lambda_poly(h, inv="M")
+            m_value = complex(lambdas["M"][0])
     dropped = max(float(rho.spectrum[-len(w) - 1]) if len(w) < len(rho.spectrum) else 0.0, 0.0)
     return Fingerprint(
-        dims=rho.dims, rank=len(w), F=f.F, spectrum=w[::-1], kyfan=kyfan,
+        dims=rho.dims, F=f.F, spectrum=w[::-1], kyfan=kyfan,
         deviation=deviation, dropped=dropped,
         N_value=n_value, M_value=m_value, lambda_coeffs=lambdas,
     )
@@ -212,36 +214,38 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
     """The fingerprint of a state across ``cfg.cut``, deterministic.
 
     The rank is decided once, by ``states.numerical_rank`` on
-    ``rho.spectrum``, whose nonzero part is every decomposition's Gram
-    spectrum, and the bipartition once, by ``merge_cut(rho, cfg.cut)``,
-    whose Ky Fan norm is read at every rank. At every rank but 2, F is
-    read from the top ``rank`` eigenvalues, with no factorization, Gram
-    matrix, eigen-solve or Gram trace check (the spectrum sums to the
-    trace validation checked). The rank-2 degree-4 invariants need
-    coefficient matrices: those of the eigenvector decomposition of the
-    bipartite view, read as in :func:`decomposition_fingerprint`.
+    ``rho.spectrum``, and the bipartition once, by ``merge_cut(rho,
+    cfg.cut)``, whose Ky Fan norm is read at every rank. At every rank,
+    F and the spectrum are the top ``rank`` eigenvalues of rho, the
+    nonzero spectrum of every decomposition's Gram matrix, and no Gram
+    trace check runs (they sum to the trace validation checked). Only
+    the rank-2 degree-4 invariants need coefficient matrices: those of
+    the eigenvector decomposition of the bipartite view, whose
+    ``deviation`` from rho's spectrum their error bounds count.
     """
     cfg = cfg or _DEFAULT_CONFIG
     w = rho.spectrum
     rank = numerical_rank(w, cfg.rank_tol)
     bip = merge_cut(rho, cfg.cut)
-    kyfan = realignment_kyfan(bip)
-    if rank != 2:
-        return _fingerprint(rho, w[-rank:], kyfan, None)
-    return _decomposition_fingerprint(eigen_decomposition(bip, cfg.rank_tol), rho, kyfan)
+    d = eigen_decomposition(bip, cfg.rank_tol) if rank == 2 else None
+    return _fingerprint(rho, w[-rank:], realignment_kyfan(bip), d)
 
 
 GRAM_TOL = 1e-10
 
 
-def _require_unit_mass(kept: float, dropped: float, tol: float) -> None:
-    """The Gram trace check: the Gram trace ``kept`` of a decomposition of
-    a unit-trace state, plus the mass ``dropped`` of the state's eigenvalues
-    it leaves out, is 1 within ``GRAM_TOL``, or within ``tol`` when looser
-    (else :class:`NotUnitTraceError`): the state's validation tolerance
-    plus n r times its negative mass, which lifts the trace of r pivoted
+def _require_unit_mass(rho: DensityMatrix, w: np.ndarray) -> None:
+    """The Gram trace check of a decomposition of ``rho`` with ascending
+    Gram spectrum ``w``: its trace, plus the mass of rho's eigenvalues
+    below its top len(w) that a rank rule dropped, is 1 within
+    ``GRAM_TOL``, or within a looser tolerance (else
+    :class:`NotUnitTraceError`): the state's validation tolerance plus
+    n r times its negative mass, which lifts the trace of r pivoted
     columns by 1 + ||L11^-1 L21^dag||^2 times that mass, at most n at r = 1
     and below 1.4 n in sweeps of ranks 1 to 4 (Higham's worst case: 4^r)."""
+    lam = rho.spectrum.tolist()[::-1]
+    kept, dropped = sum(w.tolist()[::-1]), sum(lam[len(w):])
+    tol = rho.tol - len(lam) * len(w) * sum(x for x in lam if x < 0.0)
     if abs(kept + dropped - 1.0) > max(GRAM_TOL, tol):
         raise NotUnitTraceError(f"NotUnitTrace: Gram trace {kept!r} plus dropped mass "
                                 f"{dropped:.3e} differs from 1 by {abs(kept + dropped - 1.0):.3e}")
@@ -265,8 +269,10 @@ def _bounds(fp: Fingerprint) -> tuple[float, float, float, float]:
     rounding = c N eps (``ROUNDING_C``, N = prod(dims)), noise = rounding
     lambda_1 and lambda_1 >= ... >= lambda_r > lambda_(r+1) the spectrum:
 
-    * a kept eigenvalue: noise plus the ``deviation`` of the spectrum from
-      rho's (:func:`decomposition_fingerprint`). A backward-stable
+    * a kept eigenvalue: noise plus the ``deviation``, that of a Gram
+      spectrum from rho's (:func:`decomposition_fingerprint`; at rank 2
+      in :func:`fingerprint`, where the spectrum is rho's own, it only
+      widens the bound). A backward-stable
       Hermitian eigen-solve returns the eigenvalues of rho + E with ||E||
       at most p(N) eps ||rho||, p(N) a modestly growing function of N, and
       each eigenvalue then moves by at most ||E|| (Weyl; Demmel, *Applied

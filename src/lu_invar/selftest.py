@@ -20,10 +20,10 @@ the 2x2x2 hyperdeterminant obeys its group covariance and agrees with a
 Levi-Civita contraction, kept here as its reference. The mixing,
 degree-4, degeneracy and padding properties read their invariants
 through ``decomposition_fingerprint``, the path that ``lu-invar mix``
-takes and that ``fingerprint`` shares at rank 2; the deviation is
-non-zero only on that path. The local-unitary F row compares the F that
-``fingerprint`` reports, so at every other rank it covers the F read
-from the state's spectrum as well.
+takes: F from each decomposition's Gram spectrum, after its Gram trace
+check, and at rank 2 the degree-4 block that ``fingerprint`` shares.
+The local-unitary F row compares the F that ``fingerprint`` reports,
+read from the state's spectrum at every rank.
 """
 
 from __future__ import annotations

@@ -234,13 +234,19 @@ def eigen_decomposition(
     eigenvector of L L^dag, exact when E = 0.
 
     The first rank(rho) of them are kept, at most r': the rank that
-    :func:`numerical_rank` reads from ``rho.spectrum`` at ``rank_tol``, as
-    ``equivalence.fingerprint`` does. Their w, ascending, are the
-    decomposition's ``gram_spectrum``, so no second eigen-solve runs on
-    the members. Each member is an N1 x N2 coefficient matrix, N1 the
-    first subsystem's dimension and N2 that of the rest: to split a
-    multipartite state elsewhere, decompose ``merge_cut(rho, cut)``.
-    The factor reads the Hermitian part of ``rho.mat`` column by column,
+    :func:`numerical_rank` reads from ``rho.spectrum`` at ``rank_tol``.
+    ``equivalence.fingerprint`` reports that rank and F from
+    ``rho.spectrum`` itself, so the cap at r' (below that rank only when
+    a ``rank_tol`` under tau keeps an eigenvalue the factor does not
+    reach) shortens the decomposition, never the reported rank. Their w,
+    ascending, are the decomposition's ``gram_spectrum``, so no second
+    eigen-solve runs on the members. ``equivalence.fingerprint`` reads
+    them only to measure the members' deviation from rho;
+    ``decomposition_fingerprint`` reads F and the Gram trace from them.
+    Each member is an N1 x N2 coefficient matrix, N1 the first
+    subsystem's dimension and N2 that of the rest: to split a
+    multipartite state elsewhere, decompose ``merge_cut(rho, cut)``. The
+    factor reads the Hermitian part of ``rho.mat`` column by column,
     so rho is never symmetrized as a whole; a state built by hand is
     checked first, on its ``spectrum``.
     """

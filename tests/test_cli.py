@@ -103,8 +103,9 @@ class TestCompute:
     def test_mass_dropped_by_rank_rule_exit_0(self, tmp_path, capsys):
         # 62 eigenvalues of 4e-11, below the default rank_tol of 5e-11, and
         # a rank-3 state at a rank_tol between its two smallest nonzero
-        # eigenvalues: the Gram trace check counts the mass the rank rule
-        # dropped, so both compute and mix at rank 2
+        # eigenvalues: compute reads the rank from the spectrum, and mix's
+        # Gram trace check counts the mass the rank rule dropped, so both
+        # run at rank 2
         w = np.array([0.5, 0.5 - 62 * 4e-11] + [4e-11] * 62)
         u = haar_unitary(64, seed=95)
         tail, path3 = str(tmp_path / "tail.json"), str(tmp_path / "rank3.json")

@@ -279,7 +279,8 @@ def test_negative_dropped_eigenvalue_rotated_copies_never_not_equivalent(dims, k
     # validation accepts eigenvalues down to -1e-10; one there leaves a
     # negative eigenvalue in the pivoted factor's residual, which lifts the
     # kept Gram spectrum above rho's by a basis-dependent amount: the
-    # measured deviation bounds it, and the Gram trace check allows it
+    # measured deviation bounds it (decomposition_fingerprint's Gram trace
+    # check allows it: test_gram_trace_allowance_holds_above_rank_1)
     rng = np.random.default_rng([math.prod(dims), len(kept)])
     false = []
     for _ in range(20):

@@ -18,7 +18,7 @@ from lu_invar.errors import (
     NotPSDError,
     NotUnitTraceError,
 )
-from lu_invar.invariants import realignment_kyfan
+from lu_invar.invariants import f_invariants, gram_matrix, lambda_poly, realignment_kyfan
 from lu_invar.linalg import haar_unitary
 from lu_invar.states import (
     DensityMatrix,
@@ -146,7 +146,7 @@ class TestFingerprint:
         # trace it checked, so at every rank but 2 (full, mid and 1) one
         # real SVD for Ky Fan is the only LAPACK call. At rank 2: one eigh
         # of the r' x r' Gram matrix of the pivoted factor, whose kept
-        # eigenvalues give F and the Gram trace, and one SVD; no eigvalsh
+        # eigenvalues measure the members' deviation, and one SVD; no eigvalsh
         # of the members' Gram matrix. N, M and the lambda polynomials are
         # sums of minors on Python scalars, so no det. No cholesky, and no
         # eigen-solve sees an n x n matrix
@@ -211,9 +211,10 @@ def state_with_spectrum(w, dims, seed):
 
 
 class TestCholeskyPath:
-    """At every rank but 2 the fingerprint is read from the state's
-    spectrum; at rank 2, from the eigenvector decomposition that
-    ``eigen_decomposition`` reads from a pivoted Cholesky factor."""
+    """At every rank the rank, F and the spectrum are read from the
+    state's spectrum; at rank 2 the degree-4 invariants are read from the
+    eigenvector decomposition that ``eigen_decomposition`` reads from a
+    pivoted Cholesky factor."""
 
     @pytest.mark.parametrize(
         "dims, cut",
@@ -241,7 +242,8 @@ class TestCholeskyPath:
 
     def test_spectrum_rule_decides_full_rank(self, monkeypatch):
         # two eigenvalues of 1e-14: below the default rank_tol, so the rank
-        # is 2 and the eigenvector path gives the fingerprint; above the
+        # is 2, F is read from rho's top two eigenvalues and the degree-4
+        # invariants from the eigenvector decomposition; above the
         # noise floor n eps lambda_max (5e-16 here), so rank_tol=0 reads
         # full rank from the spectrum. Eigenvalues at the rounding level of
         # rho are below that floor, so rank_tol=0 drops them too. The same
@@ -256,10 +258,12 @@ class TestCholeskyPath:
             want = decomposition_fingerprint(eigen_decomposition(rho), rho)
             assert got.rank == 2
             assert got.N_value is not None and got.M_value is not None
-            assert np.array_equal(got.F, want.F)
+            f = f_invariants(rho.spectrum[-2:])
+            assert np.array_equal(got.F, f.F)
+            assert np.array_equal(got.lambda_coeffs["det"], lambda_poly(f, inv="det"))
             assert (got.N_value, got.M_value) == (want.N_value, want.M_value)
-            for key, coeffs in want.lambda_coeffs.items():
-                assert np.array_equal(got.lambda_coeffs[key], coeffs)
+            for key in ("N", "M"):
+                assert np.array_equal(got.lambda_coeffs[key], want.lambda_coeffs[key])
             with monkeypatch.context() as m:
                 m.setattr(lu_invar.equivalence, "eigen_decomposition", None)
                 full = fingerprint(rho, zero)
@@ -284,6 +288,30 @@ class TestCholeskyPath:
                 exact = [elementary_symmetric(top, k) for k in range(rank + 1)]
                 assert np.abs(fp.F - exact).max() <= 1e-15
 
+    @pytest.mark.parametrize("spectrum", [[1.0, 3e-10, 3e-14, 3e-14], [0.6, 0.4, 0.0, -5e-11]])
+    def test_rank_two_reads_f_from_the_spectrum(self, spectrum):
+        # a dropped tail below the factor's stopping threshold, or a
+        # negative eigenvalue, moves the factor's Gram eigenvalues off
+        # rho's by more than rounding: the spectrum and F are rho's own
+        exact = np.array(spectrum) / sum(spectrum)
+        for seed in range(6):
+            rho = state_with_spectrum(exact, (2, 2), seed)
+            fp = fingerprint(rho)
+            assert np.array_equal(fp.spectrum, rho.spectrum[::-1][:2])
+            assert np.array_equal(fp.F, f_invariants(rho.spectrum[-2:]).F)
+
+    @pytest.mark.parametrize("low", [3e-15, 1e-14, 3e-14, 1e-13])
+    def test_rank_tol_zero_reads_the_rank_from_the_spectrum(self, low):
+        # lambda_2 above the noise floor n eps lambda_max but below the
+        # factor's stopping threshold: the rank is the spectrum's, whatever
+        # the number of columns the factor keeps in the state's basis
+        zero = ScreenConfig(rank_tol=0.0)
+        for seed in range(6):
+            rho = state_with_spectrum([1.0 - low, low, 0.0, 0.0], (2, 2), seed)
+            assert fingerprint(rho, zero).rank == numerical_rank(rho.spectrum, 0.0) == 2
+            moved = apply_local_unitary_density(rho, random_local_unitaries((2, 2), seed=seed))
+            assert screen(rho, moved, zero).verdict == "Inconclusive"
+
     def test_rank_tol_zero_keeps_rotated_copy_inconclusive(self):
         # the rotated copy's rounding-level eigenvalues once read as rank 4
         # on a full-rank path, while rho itself read rank 2
@@ -305,16 +333,20 @@ class TestCholeskyPath:
         # two noise eigenvalues far below a given rank_tol of 1e-4, their
         # mass 8e-11 within the Gram trace check's 1e-10: the kept members
         # must not depend on the basis the state is written in, so a
-        # locally rotated copy passes that check and is never NotEquivalent
+        # locally rotated copy passes that check, which
+        # decomposition_fingerprint runs, and is never NotEquivalent
         cfg = ScreenConfig(rank_tol=1e-4)
         for seed in range(8):
             rho = state_with_spectrum([0.6, 0.4 - 8e-11, 4e-11, 4e-11], (2, 2), seed)
             assert fingerprint(rho, cfg).rank == 2
+            base = decomposition_fingerprint(eigen_decomposition(rho, 1e-4), rho)
             for k in range(4):
                 moved = apply_local_unitary_density(
                     rho, random_local_unitaries((2, 2), seed=100 * seed + k)
                 )
                 assert screen(rho, moved, cfg).verdict == "Inconclusive"
+                other = decomposition_fingerprint(eigen_decomposition(moved, 1e-4), moved)
+                assert compare_fingerprints(base, other).verdict == "Inconclusive"
 
     def test_rank_tol_keeping_nothing_refused(self, rho1):
         # numerical_rank on rho's spectrum refuses a rank_tol at or above
@@ -328,23 +360,30 @@ class TestCholeskyPath:
     def test_tail_below_rank_tol_counts_in_gram_trace(self, dims):
         # n - 2 eigenvalues of 4e-11, below the default rank_tol of 5e-11:
         # the rank rule drops their mass, 2.8e-10 at (3, 3), above the Gram
-        # trace check's 1e-10, so the check must count it
+        # trace check's 1e-10, so decomposition_fingerprint's check must
+        # count it
         t = math.prod(dims) - 2
         rho = state_with_spectrum([0.5, 0.5 - 4e-11 * t] + [4e-11] * t, dims, seed=92)
         assert fingerprint(rho).rank == 2
         moved = apply_local_unitary_density(rho, random_local_unitaries(dims, seed=93))
         assert screen(rho, moved).verdict == "Inconclusive"
+        fa, fb = (decomposition_fingerprint(eigen_decomposition(s), s) for s in (rho, moved))
+        assert fa.rank == fb.rank == 2
+        assert compare_fingerprints(fa, fb).verdict == "Inconclusive"
 
     @pytest.mark.parametrize("rank", [4, 2])
     def test_gram_trace_checked_at_the_state_tolerance(self, rank):
         # validated at tol 1e-9 with a trace off by 5e-10, above GRAM_TOL:
-        # the decomposition path's Gram trace check accepts what validation
-        # accepted, and the full-rank path runs no check of its own
+        # decomposition_fingerprint's Gram trace check accepts what
+        # validation accepted, and fingerprint runs no check of its own
         mat = random_density((2, 2), rank, seed=1).mat * (1 + 5e-10)
         rho = validate_density(mat, (2, 2), tol=1e-9)
         assert fingerprint(rho).rank == rank
         moved = apply_local_unitary_density(rho, random_local_unitaries((2, 2), seed=2))
         assert screen(rho, moved).verdict == "Inconclusive"
+        fa, fb = (decomposition_fingerprint(eigen_decomposition(s), s) for s in (rho, moved))
+        assert fa.rank == fb.rank == rank
+        assert compare_fingerprints(fa, fb).verdict == "Inconclusive"
 
     @pytest.mark.parametrize("rank", [2, 4])
     def test_hermiticity_checked_once(self, rank, monkeypatch):
@@ -612,14 +651,16 @@ class TestErrorBounds:
 
     def test_kept_and_dropped_eigenvalues_within_their_bounds(self):
         # rank 2 with two eigenvalues of 3e-14 below the factor's stopping
-        # threshold: the kept Gram eigenvalues sit below rho's by up to
-        # their measured deviation, here well beyond rounding, which the
-        # kept bound counts; the pad bound covers the dropped eigenvalues
+        # threshold: the kept Gram eigenvalues of the eigenvector
+        # decomposition sit below rho's by up to their measured deviation,
+        # here well beyond rounding, which the kept bound counts; the pad
+        # bound covers the dropped eigenvalues
         exact = np.array([1.0, 3e-10, 3e-14, 3e-14])
         exact /= exact.sum()
         errors = []
         for seed in range(6):
-            fp = fingerprint(state_with_spectrum(exact, (2, 2), seed))
+            rho = state_with_spectrum(exact, (2, 2), seed)
+            fp = decomposition_fingerprint(eigen_decomposition(rho), rho)
             bounds = reference_bounds(fp)
             assert fp.rank == 2
             errors.append(np.abs(fp.spectrum - exact[:2]).max())
@@ -628,15 +669,16 @@ class TestErrorBounds:
         assert max(errors) > 16 * 4 * np.finfo(float).eps * exact[0]
 
     def test_deviation_measured_against_the_spectrum(self):
-        # on the decomposition path the deviation is the summed distance of
-        # the kept Gram spectrum from rho's top eigenvalues plus rho's
-        # negative mass
+        # at rank 2 the deviation is the summed distance of the eigenvector
+        # decomposition's kept Gram spectrum from rho's top eigenvalues
+        # plus rho's negative mass
         rho = state_with_spectrum(np.array([0.6, 0.4, 0.0, -5e-11]) / (1 - 5e-11), (2, 2), 7)
         fp = fingerprint(rho)
+        gram = gram_matrix(eigen_decomposition(rho)).spectrum[::-1]
         top = rho.spectrum[::-1][:fp.rank]
         negative = -rho.spectrum[rho.spectrum < 0].sum()
         assert fp.rank == 2
-        assert fp.deviation == pytest.approx(np.abs(fp.spectrum - top).sum() + negative, rel=1e-12)
+        assert fp.deviation == pytest.approx(np.abs(gram - top).sum() + negative, rel=1e-12)
         assert fp.deviation >= 5e-11
         assert fp.dropped == max(float(rho.spectrum[-3]), 0.0)
 
