@@ -41,6 +41,7 @@ from .states import (
     eigen_decomposition,
     merge_cut,
     mix_decomposition,
+    numerical_rank,
     random_local_unitaries,
 )
 from .statefile import dumps, fingerprint_to_doc, load_state, report_to_doc, save_state
@@ -144,7 +145,8 @@ def cmd_mix(args) -> int:
     compared check (a decomposition fingerprint has no Ky Fan)."""
     cfg = _config_from(args)
     rho = load_state(args.state)
-    d = eigen_decomposition(merge_cut(rho, cfg.cut), cfg.rank_tol)
+    bip = merge_cut(rho, cfg.cut)
+    d = eigen_decomposition(bip, numerical_rank(bip.spectrum, cfg.rank_tol))
     rng = np.random.default_rng(_seed_from(args))
     fps = [
         decomposition_fingerprint(mix_decomposition(d, haar_unitary(len(d), rng)), rho)

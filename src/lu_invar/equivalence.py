@@ -23,6 +23,7 @@ is deliberately no ``Equivalent`` verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -227,7 +228,7 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
     w = rho.spectrum
     rank = numerical_rank(w, cfg.rank_tol)
     bip = merge_cut(rho, cfg.cut)
-    d = eigen_decomposition(bip, cfg.rank_tol) if rank == 2 else None
+    d = eigen_decomposition(bip, rank) if rank == 2 else None
     return _fingerprint(rho, w[-rank:], realignment_kyfan(bip), d)
 
 
@@ -258,9 +259,13 @@ ROUNDING_C = 16.0
 # of hypermatrix entries, so it moves by at most that times their bound:
 # N and M (4x4 determinants) 24 x 4; lambda_N[1] and lambda_M[1] (four
 # 3x3 minors) 24 x 3; lambda_N[2] (six 2x2 minors) 12 x 2; lambda_N[3]
-# (a trace) 4 x 1, the compared lambda coefficients starting at index 1.
+# (a trace) 4 x 1, the compared lambda coefficients starting at index 1,
+# each listed as (index, check name, weight).
 _DEGREE4_WEIGHT = 96.0
-_LAMBDA_CHECKED = (("N", (72.0, 24.0, 4.0)), ("M", (72.0,)))
+_LAMBDA_CHECKED = (
+    ("N", ((1, "lambda_N[1]", 72.0), (2, "lambda_N[2]", 24.0), (3, "lambda_N[3]", 4.0))),
+    ("M", ((1, "lambda_M[1]", 72.0),)),
+)
 
 
 def _bounds(fp: Fingerprint) -> tuple[float, float, float, float]:
@@ -297,6 +302,12 @@ def _bounds(fp: Fingerprint) -> tuple[float, float, float, float]:
             rounding * max(fp.kyfan or 0.0, 1.0), rounding + fp.deviation + turn)
 
 
+@functools.lru_cache(maxsize=64)
+def _spectrum_names(top: int) -> tuple[str, ...]:
+    """The names of the first ``top`` spectrum checks, built once per length."""
+    return tuple(f"spectrum[{k}]" for k in range(1, top + 1))
+
+
 def compare_fingerprints(fa: Fingerprint, fb: Fingerprint) -> EquivalenceReport:
     """Compare two fingerprints check by check, in the fixed order.
 
@@ -311,26 +322,29 @@ def compare_fingerprints(fa: Fingerprint, fb: Fingerprint) -> EquivalenceReport:
     fingerprints have them."""
     (kept_a, pad_a, kyfan_a, entry_a), (kept_b, pad_b, kyfan_b, entry_b) = _bounds(fa), _bounds(fb)
     sa, sb = fa.spectrum.tolist(), fb.spectrum.tolist()
-    top = max(len(sa), len(sb))
-    va, vb = sa + [0.0] * (top - len(sa)), sb + [0.0] * (top - len(sb))
-    ta = [kept_a] * len(sa) + [pad_a] * (top - len(sa))
-    tb = [kept_b] * len(sb) + [pad_b] * (top - len(sb))
-    rows = [(f"spectrum[{k + 1}]", va[k], vb[k], ta[k] + tb[k]) for k in range(top)]
+    ra, rb = len(sa), len(sb)
+    make = Check._make
+    checks = []
+    for k, name in enumerate(_spectrum_names(max(ra, rb))):
+        a, ta = (sa[k], kept_a) if k < ra else (0.0, pad_a)
+        b, tb = (sb[k], kept_b) if k < rb else (0.0, pad_b)
+        threshold = ta + tb
+        delta = abs(a - b)
+        checks.append(make((name, a, b, delta, delta <= threshold, threshold)))
     entry = entry_a + entry_b
     for name, a, b, threshold in (("invariant_N", fa.N_value, fb.N_value, _DEGREE4_WEIGHT * entry),
                                   ("invariant_M", fa.M_value, fb.M_value, _DEGREE4_WEIGHT * entry),
                                   ("kyfan", fa.kyfan, fb.kyfan, kyfan_a + kyfan_b)):
         if a is not None and b is not None:
-            rows.append((name, a, b, threshold))
-    for key, weights in _LAMBDA_CHECKED:
+            delta = abs(a - b)
+            checks.append(make((name, a, b, delta, delta <= threshold, threshold)))
+    for key, rows in _LAMBDA_CHECKED:
         if key in fa.lambda_coeffs and key in fb.lambda_coeffs:
             ca, cb = fa.lambda_coeffs[key].tolist(), fb.lambda_coeffs[key].tolist()
-            rows += [(f"lambda_{key}[{k}]", ca[k], cb[k], weight * entry)
-                     for k, weight in enumerate(weights, 1)]
-    checks = []
-    for name, a, b, threshold in rows:
-        delta = abs(a - b)
-        checks.append(Check(name, a, b, delta, delta <= threshold, threshold))
+            for k, name, weight in rows:
+                a, b, threshold = ca[k], cb[k], weight * entry
+                delta = abs(a - b)
+                checks.append(make((name, a, b, delta, delta <= threshold, threshold)))
 
     first = next((c for c in checks if not c.passed), None)
     if first is None:

@@ -326,8 +326,9 @@ def lambda_poly(x: InvariantVector | Hypermatrix, *, inv: str) -> np.ndarray:
     if not isinstance(x, want_type):
         raise UnsupportedFormatError(f"inv={inv!r} cannot be read from a {type(x).__name__}")
     if inv == "det":
-        signed = [-f if i % 2 else f for i, f in enumerate(x.F.tolist())]  # (-1)**i F_i
-        return _read_only(signed[::-1])
+        signed = (_alternating_signs(len(x.F)) * x.F)[::-1]  # (-1)**i F_i, reversed
+        signed.setflags(write=False)
+        return signed
     a, det, s, c = x._n_expansion if inv == "N" else x._m_expansion
     # the 3x3 minors m_ij of X without row i and column j, each expanded
     # along the remaining row of one row pair over the other pair's minors
@@ -343,6 +344,16 @@ def lambda_poly(x: InvariantVector | Hypermatrix, *, inv: str) -> np.ndarray:
     e2 = (s[0] + c[5] + a[0] * a[10] - a[2] * a[8] + a[0] * a[15] - a[3] * a[12]
           + a[5] * a[10] - a[6] * a[9] + a[5] * a[15] - a[7] * a[13])
     return _read_only([det, -(m00 + m11 + m22 + m33), e2, -(a[0] + a[5] + a[10] + a[15]), 1.0])
+
+
+@functools.lru_cache(maxsize=64)
+def _alternating_signs(n: int) -> np.ndarray:
+    """[1, -1, 1, ...] of length n: a sign flip is exact, and a zero it
+    turns into -0.0 is written as 0."""
+    signs = np.ones(n)
+    signs[1::2] = -1.0
+    signs.setflags(write=False)
+    return signs
 
 
 def _read_only(coeffs) -> np.ndarray:

@@ -212,9 +212,7 @@ def numerical_rank(w, rank_tol: float | None = None) -> int:
     return rank
 
 
-def eigen_decomposition(
-    rho: DensityMatrix, rank_tol: float | None = None
-) -> PureStateDecomposition:
+def eigen_decomposition(rho: DensityMatrix, rank: int | None = None) -> PureStateDecomposition:
     """The eigenvector decomposition of a density matrix, read from a
     rank-revealing factor.
 
@@ -233,8 +231,10 @@ def eigen_decomposition(
     Rayleigh-Ritz on the range of L, so member i is sqrt(w_i) times an
     eigenvector of L L^dag, exact when E = 0.
 
-    The first rank(rho) of them are kept, at most r': the rank that
-    :func:`numerical_rank` reads from ``rho.spectrum`` at ``rank_tol``.
+    The first ``rank`` of them are kept, at most r'. ``rank`` is the
+    caller's, decided once by :func:`numerical_rank` on ``rho.spectrum``
+    (:class:`BadLengthError` below 1); None reads it there at the default
+    ``rank_tol``.
     ``equivalence.fingerprint`` reports that rank and F from
     ``rho.spectrum`` itself, so the cap at r' (below that rank only when
     a ``rank_tol`` under tau keeps an eigenvalue the factor does not
@@ -258,7 +258,11 @@ def eigen_decomposition(
     tau = max(1e-12 / n, n * EPS) * top
     rows = pivoted_cholesky(rho.mat, tau)  # row k is column k of L
     w, u = eigh_descending(rows.conj() @ rows.T)
-    rank = min(numerical_rank(lam, rank_tol), len(w))
+    if rank is None:
+        rank = numerical_rank(lam)
+    elif rank < 1:
+        raise BadLengthError(f"a decomposition needs rank >= 1, got {rank}")
+    rank = min(rank, len(w))
     members = u[:, :rank].T @ rows  # row i is L u_i
     # fresh and finite: no copy or check
     stack = members.reshape(rank, rho.dims[0], n // rho.dims[0])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lu_invar.equivalence import (
+    Check,
     ScreenConfig,
     compare_fingerprints,
     decomposition_fingerprint,
@@ -339,13 +340,15 @@ class TestCholeskyPath:
         for seed in range(8):
             rho = state_with_spectrum([0.6, 0.4 - 8e-11, 4e-11, 4e-11], (2, 2), seed)
             assert fingerprint(rho, cfg).rank == 2
-            base = decomposition_fingerprint(eigen_decomposition(rho, 1e-4), rho)
+            d = eigen_decomposition(rho, numerical_rank(rho.spectrum, 1e-4))
+            base = decomposition_fingerprint(d, rho)
             for k in range(4):
                 moved = apply_local_unitary_density(
                     rho, random_local_unitaries((2, 2), seed=100 * seed + k)
                 )
                 assert screen(rho, moved, cfg).verdict == "Inconclusive"
-                other = decomposition_fingerprint(eigen_decomposition(moved, 1e-4), moved)
+                d = eigen_decomposition(moved, numerical_rank(moved.spectrum, 1e-4))
+                other = decomposition_fingerprint(d, moved)
                 assert compare_fingerprints(base, other).verdict == "Inconclusive"
 
     def test_rank_tol_keeping_nothing_refused(self, rho1):
@@ -604,14 +607,26 @@ class TestCompareFingerprints:
         full = random_density((8, 8), 64, seed=98)
         full_lu = apply_local_unitary_density(full, random_local_unitaries((8, 8), seed=99))
         base = fingerprint(rho1)
+        low = fingerprint(random_density((2, 2), 2, seed=96))
+        high = fingerprint(random_density((2, 2), 4, seed=97))
+        tri = random_density((2, 2, 2), 2, seed=94)
+        tri_other = random_density((2, 2, 2), 2, seed=95)
         cases = [
             (fingerprint(full), fingerprint(full_lu)),
-            # spectrum padded: rank 2 against rank 4
-            (fingerprint(random_density((2, 2), 2, seed=96)),
-             fingerprint(random_density((2, 2), 4, seed=97))),
+            # spectrum padded on either side: rank 2 against rank 4 and back
+            (low, high),
+            (high, low),
+            # a mid-rank state against a full-rank one
+            (fingerprint(random_density((3, 3), 5, seed=92)),
+             fingerprint(random_density((3, 3), 9, seed=93))),
+            (fingerprint(random_density((2, 2), 1, seed=90)), low),
             (base, fingerprint(rho2)),
             (fingerprint(sigma1), fingerprint(sigma2)),
         ]
+        # a rank-2 (2,2,2) pair across either cut
+        for cut in (1, 2):
+            cfg = ScreenConfig(cut=cut)
+            cases.append((fingerprint(tri, cfg), fingerprint(tri_other, cfg)))
         # the three cases of test_check_passes_iff_delta_within_threshold
         for factor in (0.5, 1.0, 2.0):
             cases.append((base, self._shift_spectrum(
@@ -619,9 +634,11 @@ class TestCompareFingerprints:
         for fa, fb in cases:
             report = compare_fingerprints(fa, fb)
             want = reference_checks(fa, fb)
+            assert all(type(c) is Check and type(c.passed) is bool for c in report.checks)
             assert [tuple(c) for c in report.checks] == want
             first = next((c for c in want if not c[4]), None)
             assert report.witness == (None if first is None else first[0])
+            assert report.witness_values == (None if first is None else first[1:4])
 
     def test_padded_spectrum_across_ranks(self):
         # a rank-2 state against a rank-4 one: entries beyond the shorter

@@ -5,8 +5,11 @@ files in ``tests/golden``.
 Each file is the output of one command, for example
 ``lu-invar compute src/lu_invar/fixtures/rho1.json --json``. The
 StateFiles are a full-rank 4x4 state (``random_density((4, 4), 16,
-seed=41)``) and its ``lu-invar random-lu --seed 42`` copy, and a rank-2
-and a full-rank 2x2 state (seeds 43 and 44). Keys,
+seed=41)``) and its ``lu-invar random-lu --seed 42`` copy, a rank-2
+and a full-rank 2x2 state (seeds 43 and 44), and a full-rank 4x5 state
+(``random_density((4, 5), 20, seed=45)``) and its ``random-lu --seed 46``
+copy, whose F spans two 16-eigenvalue blocks and whose check table has
+20 spectrum rows. Keys,
 strings, bools and nulls must match exactly, and so must the number and
 order of list items, which fixes the check names and their order.
 Numbers must match within 1e-12 absolute, so integers match exactly while
@@ -35,6 +38,7 @@ CASES = [
     ("compare_rho1_rho2.json", ["compare", "rho1", "rho2"], 1),
     ("compare_sigma1_sigma2.json", ["compare", "sigma1", "sigma2"], 1),
     ("compare_full44_lu.json", ["compare", "full44.json", "full44_lu.json"], 0),
+    ("compare_full45_lu.json", ["compare", "full45.json", "full45_lu.json"], 0),
     ("compare_rank2_full22.json", ["compare", "rank2_22.json", "full22.json"], 1),
 ]
 

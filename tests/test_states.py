@@ -204,9 +204,18 @@ class TestEigenDecomposition:
         for dims in ((2, 2), (3, 3), (8, 8)):
             for seed in range(8):
                 rho = random_density(dims, 2, seed=1020 + seed)
-                d = eigen_decomposition(rho, rank_tol=0.0)
+                d = eigen_decomposition(rho, numerical_rank(rho.spectrum, rank_tol=0.0))
                 assert len(d) == 2
                 assert np.abs(reconstruct(d) - rho.mat).max() <= 1e-12
+
+    def test_given_rank_kept_and_below_one_refused(self):
+        rho = random_density((2, 3), 4, seed=1070)
+        for rank in (1, 2, 3):
+            assert len(eigen_decomposition(rho, rank)) == rank
+        assert len(eigen_decomposition(rho)) == numerical_rank(rho.spectrum) == 4
+        for rank in (0, -1):
+            with pytest.raises(BadLengthError):
+                eigen_decomposition(rho, rank)
 
     def test_rank_capped_at_the_factor_columns(self):
         # at rank_tol 0 an eigenvalue of 1e-14 counts in rho's rank, above
@@ -218,7 +227,7 @@ class TestEigenDecomposition:
             u = haar_unitary(4, seed=1060 + seed)
             rho = validate_density((u * np.asarray(w)) @ u.conj().T, (2, 2))
             assert numerical_rank(rho.spectrum, rank_tol=0.0) == 3
-            d = eigen_decomposition(rho, rank_tol=0.0)
+            d = eigen_decomposition(rho, 3)
             assert len(d) == len(d.gram_spectrum) == 2
             assert np.abs(reconstruct(d) - rho.mat).max() <= 1e-12
 
@@ -235,7 +244,7 @@ class TestEigenDecomposition:
                 moved = apply_local_unitary_density(
                     rho, random_local_unitaries((2, 2), seed=1050 + 10 * seed + k)
                 )
-                d = eigen_decomposition(moved, rank_tol=1e-4)
+                d = eigen_decomposition(moved, numerical_rank(moved.spectrum, rank_tol=1e-4))
                 assert len(d) == 2
                 vecs = d.stack.reshape(len(d), -1)  # gram_matrix refuses trace 1 - 2.5e-7
                 kept = np.linalg.eigvalsh(vecs @ vecs.conj().T)[::-1]
