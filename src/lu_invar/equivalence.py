@@ -23,7 +23,6 @@ is deliberately no ``Equivalent`` verdict.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -77,7 +76,9 @@ _DEFAULT_CONFIG = ScreenConfig()
 @dataclass(frozen=True)
 class Fingerprint:
     """All implemented invariants of one state, with what its error bounds
-    need beyond rounding (the bounds themselves: :func:`_bounds`).
+    need beyond rounding. :func:`_rows` reads the compared quantities and
+    their bounds from these fields, and is the one place that sets the
+    check order.
 
     ``spectrum`` holds the descending eigenvalues that F is built from,
     and ``rank`` is their number: rho's top ``rank`` eigenvalues, or the
@@ -94,11 +95,9 @@ class Fingerprint:
 
     ``N_value``, ``M_value`` and the matching lambda coefficient arrays are
     present only when the decomposition read has two members (the format
-    the degree-4 invariants are defined for): at rank 2, unless a
-    ``rank_tol`` below the pivoted factor's stopping threshold keeps an
-    eigenvalue that the factor does not reach. ``lambda_coeffs`` maps an
-    invariant name to ascending polynomial coefficients at the fixed
-    length of its format, trailing zeros included: rank + 1 for
+    the degree-4 invariants are defined for): at rank 2. ``lambda_coeffs``
+    maps an invariant name to ascending polynomial coefficients at the
+    fixed length of its format, trailing zeros included: rank + 1 for
     ``"det"``, 5 for ``"N"`` and 2 for ``"M"``. All of them are
     reported. Only those that repeat no other value are compared: not
     ``"det"`` (the signed, reversed F), not ``lambda_N[0]`` (N) or
@@ -124,7 +123,8 @@ class Fingerprint:
 class Check(NamedTuple):
     """One compared quantity of a pair: its name, the value of each state,
     |value_a - value_b| as ``delta``, whether it passed (delta <= threshold)
-    and its ``threshold``, the sum of the two fingerprints' error bounds."""
+    and its ``threshold``, the check's weight times the sum of the two
+    fingerprints' error bounds (:func:`_rows`)."""
 
     name: str
     value_a: complex
@@ -139,10 +139,8 @@ class EquivalenceReport:
     """Outcome of screening one pair of states.
 
     ``verdict`` is NotEquivalent exactly when at least one check failed;
-    ``witness`` names the first failing check in the fixed evaluation
-    order (spectrum[1..], invariant_N, invariant_M, kyfan,
-    lambda_N[1..3], lambda_M[1]), each present when both fingerprints
-    have its value.
+    ``witness`` names the first failing check in the fixed order that
+    :func:`_rows` sets, over the quantities both fingerprints have.
     """
 
     verdict: str
@@ -252,99 +250,107 @@ def _require_unit_mass(rho: DensityMatrix, w: np.ndarray) -> None:
                                 f"{dropped:.3e} differs from 1 by {abs(kept + dropped - 1.0):.3e}")
 
 
-# c in the rounding bound c N eps (see _bounds)
+# c in the rounding bound c N eps (see _rows)
 ROUNDING_C = 16.0
 
-# Terms x degree of each compared degree-4 value, a sum of +-1 products
-# of hypermatrix entries, so it moves by at most that times their bound:
-# N and M (4x4 determinants) 24 x 4; lambda_N[1] and lambda_M[1] (four
-# 3x3 minors) 24 x 3; lambda_N[2] (six 2x2 minors) 12 x 2; lambda_N[3]
-# (a trace) 4 x 1, the compared lambda coefficients starting at index 1,
-# each listed as (index, check name, weight).
-_DEGREE4_WEIGHT = 96.0
-_LAMBDA_CHECKED = (
-    ("N", ((1, "lambda_N[1]", 72.0), (2, "lambda_N[2]", 24.0), (3, "lambda_N[3]", 4.0))),
-    ("M", ((1, "lambda_M[1]", 72.0),)),
-)
+
+class _SpectrumLabels(dict):
+    """The (name, weight) of spectrum check k, made once on first use: a
+    spectrum is as long as its state's rank, or a padded decomposition."""
+
+    def __missing__(self, k: int) -> tuple[str, float]:
+        return self.setdefault(k, (f"spectrum[{k + 1}]", 1.0))
 
 
-def _bounds(fp: Fingerprint) -> tuple[float, float, float, float]:
-    """The absolute error bounds of one fingerprint's compared values:
-    (kept eigenvalue, padded zero, Ky Fan, hypermatrix entry). With
-    rounding = c N eps (``ROUNDING_C``, N = prod(dims)), noise = rounding
-    lambda_1 and lambda_1 >= ... >= lambda_r > lambda_(r+1) the spectrum:
+# The (name, weight) of each check of a compared quantity, by index. A
+# degree-4 value is a sum of +-1 products of hypermatrix entries, so it
+# moves by at most terms x degree times their bound, its weight: N and M
+# (4x4 determinants) 24 x 4; lambda_N[1] and lambda_M[1] (four 3x3
+# minors) 24 x 3; lambda_N[2] (six 2x2 minors) 12 x 2; lambda_N[3] (a
+# trace) 4 x 1.
+_SPECTRUM = _SpectrumLabels()
+_N, _M, _KYFAN = (("invariant_N", 96.0),), (("invariant_M", 96.0),), (("kyfan", 1.0),)
+_LAMBDA_N = (("lambda_N[1]", 72.0), ("lambda_N[2]", 24.0), ("lambda_N[3]", 4.0))
+_LAMBDA_M = (("lambda_M[1]", 72.0),)
 
-    * a kept eigenvalue: noise plus the ``deviation``, that of a Gram
-      spectrum from rho's (:func:`decomposition_fingerprint`; at rank 2
-      in :func:`fingerprint`, where the spectrum is rho's own, it only
-      widens the bound). A backward-stable
-      Hermitian eigen-solve returns the eigenvalues of rho + E with ||E||
-      at most p(N) eps ||rho||, p(N) a modestly growing function of N, and
-      each eigenvalue then moves by at most ||E|| (Weyl; Demmel, *Applied
-      Numerical Linear Algebra*, section 5.2). The LAPACK Users' Guide
-      (section 4.7) takes p(N) = 1 in its error bounds; c N is that
-      times 16N;
-    * a dropped eigenvalue, compared as zero: lambda_(r+1) plus noise;
-    * Ky Fan, a sum of singular values from a backward-stable SVD:
-      rounding * max(kyfan, 1) (rounding when there is none);
-    * a hypermatrix entry: rounding + deviation + noise lambda_r / gap.
-      The solve turns the kept eigenvectors toward the dropped ones by up
-      to noise / gap, gap = lambda_r - lambda_(r+1) >= noise (Davis-Kahan),
-      which moves the kept state by noise lambda_r / gap. Every entry has
-      modulus at most (tr rho)^2 = 1, so a product of k entries moves by at
-      most k times the bound, to first order (see ``_DEGREE4_WEIGHT``).
+
+def _rows(fp: Fingerprint) -> dict:
+    """The compared quantities of one fingerprint, each one it has, in the
+    fixed check order (spectrum, N, M, kyfan, lambda_N, lambda_M):
+    ``key -> (labels, values, bound, pad)``. ``labels[k]`` is the name
+    and weight of check k, ``bound`` the absolute error bound of each of
+    ``values`` and ``pad`` that of an entry past their end, compared as
+    zero. Only ``lambda_N[1..3]`` and ``lambda_M[1]`` are compared (see
+    :class:`Fingerprint`). Each bound follows from the value's own
+    numerical error, with rounding = c N eps (``ROUNDING_C``, N =
+    prod(dims)), noise = rounding lambda_1 and lambda_1 >= ... >=
+    lambda_r > lambda_(r+1) the spectrum.
     """
     rounding = ROUNDING_C * math.prod(fp.dims) * EPS
-    noise = rounding * float(fp.spectrum[0])
-    low = max(float(fp.spectrum[-1]), 0.0)
-    turn = noise * low / max(low - fp.dropped, noise)
-    return (noise + fp.deviation, fp.dropped + noise,
-            rounding * max(fp.kyfan or 0.0, 1.0), rounding + fp.deviation + turn)
-
-
-@functools.lru_cache(maxsize=64)
-def _spectrum_names(top: int) -> tuple[str, ...]:
-    """The names of the first ``top`` spectrum checks, built once per length."""
-    return tuple(f"spectrum[{k}]" for k in range(1, top + 1))
+    spectrum = fp.spectrum.tolist()
+    noise = rounding * spectrum[0]
+    # A kept eigenvalue: noise plus the deviation, that of a Gram spectrum
+    # from rho's (decomposition_fingerprint; at rank 2 in fingerprint,
+    # where the spectrum is rho's own, it only widens the bound). A
+    # backward-stable Hermitian eigen-solve returns the eigenvalues of
+    # rho + E with ||E|| at most p(N) eps ||rho||, p(N) a modestly growing
+    # function of N, and each eigenvalue then moves by at most ||E|| (Weyl;
+    # Demmel, Applied Numerical Linear Algebra, section 5.2). The LAPACK
+    # Users' Guide (section 4.7) takes p(N) = 1 in its error bounds; c N is
+    # that times 16N. A dropped eigenvalue, compared as zero:
+    # lambda_(r+1) plus noise.
+    rows = {"spectrum": (_SPECTRUM, spectrum, noise + fp.deviation, fp.dropped + noise)}
+    # A hypermatrix entry: rounding + deviation + noise lambda_r / gap. The
+    # solve turns the kept eigenvectors toward the dropped ones by up to
+    # noise / gap, gap = lambda_r - lambda_(r+1) >= noise (Davis-Kahan),
+    # which moves the kept state by noise lambda_r / gap. Every entry has
+    # modulus at most (tr rho)^2 = 1, so a product of k entries moves by at
+    # most k times the bound, to first order (the weights above).
+    low = max(spectrum[-1], 0.0)
+    entry = rounding + fp.deviation + noise * low / max(low - fp.dropped, noise)
+    if fp.N_value is not None:
+        rows["N"] = (_N, (fp.N_value,), entry, entry)
+    if fp.M_value is not None:
+        rows["M"] = (_M, (fp.M_value,), entry, entry)
+    # Ky Fan, a sum of singular values from a backward-stable SVD
+    if fp.kyfan is not None:
+        kyfan = rounding * max(fp.kyfan, 1.0)
+        rows["kyfan"] = (_KYFAN, (fp.kyfan,), kyfan, kyfan)
+    if "N" in fp.lambda_coeffs:
+        rows["lambda_N"] = (_LAMBDA_N, fp.lambda_coeffs["N"].tolist()[1:4], entry, entry)
+    if "M" in fp.lambda_coeffs:
+        rows["lambda_M"] = (_LAMBDA_M, fp.lambda_coeffs["M"].tolist()[1:2], entry, entry)
+    return rows
 
 
 def compare_fingerprints(fa: Fingerprint, fb: Fingerprint) -> EquivalenceReport:
-    """Compare two fingerprints check by check, in the fixed order.
+    """Compare two fingerprints check by check, in the fixed order of
+    :func:`_rows`, over the quantities both have.
 
-    A check fails exactly when |a - b| exceeds its threshold, the sum of
-    the two fingerprints' error bounds for that value (:func:`_bounds`),
-    so no difference that rounding can explain fails one. The shorter
-    spectrum is padded with zeros, each within its side's padded-zero
-    bound, and the rank is not compared: when one side keeps an
-    eigenvalue x that the other drops as x', x' is at most the dropped
-    side's bound, and x exceeds x' by more than the two bounds only if
-    the states' spectra differ. N, M and Ky Fan are compared when both
-    fingerprints have them."""
-    (kept_a, pad_a, kyfan_a, entry_a), (kept_b, pad_b, kyfan_b, entry_b) = _bounds(fa), _bounds(fb)
-    sa, sb = fa.spectrum.tolist(), fb.spectrum.tolist()
-    ra, rb = len(sa), len(sb)
+    A check fails exactly when |a - b| exceeds its threshold, its weight
+    times the sum of the two fingerprints' error bounds for that value,
+    so no difference that rounding can explain fails one. Past the end of
+    the shorter side, an entry is compared as zero within that side's
+    ``pad`` bound: the shorter spectrum is padded with zeros, and the
+    rank is not compared. When one side keeps an eigenvalue x that the
+    other drops as x', x' is at most the dropped side's bound, and x
+    exceeds x' by more than the two bounds only if the states' spectra
+    differ."""
+    rows_b = _rows(fb)
     make = Check._make
     checks = []
-    for k, name in enumerate(_spectrum_names(max(ra, rb))):
-        a, ta = (sa[k], kept_a) if k < ra else (0.0, pad_a)
-        b, tb = (sb[k], kept_b) if k < rb else (0.0, pad_b)
-        threshold = ta + tb
-        delta = abs(a - b)
-        checks.append(make((name, a, b, delta, delta <= threshold, threshold)))
-    entry = entry_a + entry_b
-    for name, a, b, threshold in (("invariant_N", fa.N_value, fb.N_value, _DEGREE4_WEIGHT * entry),
-                                  ("invariant_M", fa.M_value, fb.M_value, _DEGREE4_WEIGHT * entry),
-                                  ("kyfan", fa.kyfan, fb.kyfan, kyfan_a + kyfan_b)):
-        if a is not None and b is not None:
+    for key, (labels, va, bound_a, pad_a) in _rows(fa).items():
+        if key not in rows_b:
+            continue
+        _, vb, bound_b, pad_b = rows_b[key]
+        na, nb = len(va), len(vb)
+        for k in range(max(na, nb)):
+            name, weight = labels[k]
+            a, ta = (va[k], bound_a) if k < na else (0.0, pad_a)
+            b, tb = (vb[k], bound_b) if k < nb else (0.0, pad_b)
+            threshold = weight * (ta + tb)
             delta = abs(a - b)
             checks.append(make((name, a, b, delta, delta <= threshold, threshold)))
-    for key, rows in _LAMBDA_CHECKED:
-        if key in fa.lambda_coeffs and key in fb.lambda_coeffs:
-            ca, cb = fa.lambda_coeffs[key].tolist(), fb.lambda_coeffs[key].tolist()
-            for k, name, weight in rows:
-                a, b, threshold = ca[k], cb[k], weight * entry
-                delta = abs(a - b)
-                checks.append(make((name, a, b, delta, delta <= threshold, threshold)))
 
     first = next((c for c in checks if not c.passed), None)
     if first is None:

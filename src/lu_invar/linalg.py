@@ -96,7 +96,7 @@ def eigh_descending(h: np.ndarray):
     return w[::-1], v[:, ::-1]
 
 
-def pivoted_cholesky(m: np.ndarray, tol: float) -> np.ndarray:
+def pivoted_cholesky(m: np.ndarray, tol: float, floor: int = 0) -> np.ndarray:
     """The rows of a diagonally pivoted Cholesky factor of the Hermitian
     part H = (M + M^dag) / 2 of a square complex matrix M, H positive
     semidefinite: an (r, n) array whose transpose L gives H = L L^dag + E.
@@ -104,10 +104,11 @@ def pivoted_cholesky(m: np.ndarray, tol: float) -> np.ndarray:
     Only what the factor reads of H is formed: the real diagonal of M,
     and each pivot column p as (M[:, p] + conj(M[p, :])) / 2. Each step
     pivots on the largest remaining diagonal entry of the Schur
-    complement and stops once that entry is at most ``tol``. The
-    residual E is then positive semidefinite with diag(E) <= tol, so
-    ||E||_2 <= tr E <= n * tol, and r is at least the number of
-    eigenvalues of H above n * tol. Like LAPACK ``xPSTF2``, column k is
+    complement. It stops once that entry is at most ``tol`` and the
+    factor has ``floor`` columns, and at a nonpositive entry whatever the
+    ``floor``. The residual E is then positive semidefinite with diag(E)
+    <= tol, so ||E||_2 <= tr E <= n * tol, and r is at least the number
+    of eigenvalues of H above n * tol. Like LAPACK ``xPSTF2``, column k is
     computed from the k columns before it and the remaining diagonal by
     one rank-1 update, O(n r) work per pivot and O(n r^2) in all.
     """
@@ -118,7 +119,7 @@ def pivoted_cholesky(m: np.ndarray, tol: float) -> np.ndarray:
     while r < n:
         p = diag.argmax()
         pivot = diag[p]
-        if pivot <= tol:
+        if pivot <= (tol if r >= floor else 0.0):
             break
         col = (m[:, p] + m[p].conj()) / 2.0
         if r:  # the first column has no earlier ones to subtract

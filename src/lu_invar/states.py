@@ -231,15 +231,15 @@ def eigen_decomposition(rho: DensityMatrix, rank: int | None = None) -> PureStat
     Rayleigh-Ritz on the range of L, so member i is sqrt(w_i) times an
     eigenvector of L L^dag, exact when E = 0.
 
-    The first ``rank`` of them are kept, at most r'. ``rank`` is the
-    caller's, decided once by :func:`numerical_rank` on ``rho.spectrum``
+    The first ``rank`` of them are kept. ``rank`` is the caller's,
+    decided once by :func:`numerical_rank` on ``rho.spectrum``
     (:class:`BadLengthError` below 1); None reads it there at the default
-    ``rank_tol``.
-    ``equivalence.fingerprint`` reports that rank and F from
-    ``rho.spectrum`` itself, so the cap at r' (below that rank only when
-    a ``rank_tol`` under tau keeps an eigenvalue the factor does not
-    reach) shortens the decomposition, never the reported rank. Their w,
-    ascending, are the decomposition's ``gram_spectrum``, so no second
+    ``rank_tol``. The factor runs to at least ``rank`` columns: a
+    ``rank_tol`` under tau keeps an eigenvalue below the factor's
+    threshold, and the factor then takes its column too, in every basis,
+    which only shrinks E. Only a nonpositive pivot stops the factor
+    short, and the decomposition then has r' < ``rank`` members. Their
+    w, ascending, are the decomposition's ``gram_spectrum``, so no second
     eigen-solve runs on the members. ``equivalence.fingerprint`` reads
     them only to measure the members' deviation from rho;
     ``decomposition_fingerprint`` reads F and the Gram trace from them.
@@ -256,12 +256,12 @@ def eigen_decomposition(rho: DensityMatrix, rank: int | None = None) -> PureStat
     # never below LAPACK xPSTRF's default n eps max diag(rho): a pivot at
     # the rounding level of the Schur complement is a column of noise
     tau = max(1e-12 / n, n * EPS) * top
-    rows = pivoted_cholesky(rho.mat, tau)  # row k is column k of L
-    w, u = eigh_descending(rows.conj() @ rows.T)
     if rank is None:
         rank = numerical_rank(lam)
     elif rank < 1:
         raise BadLengthError(f"a decomposition needs rank >= 1, got {rank}")
+    rows = pivoted_cholesky(rho.mat, tau, rank)  # row k is column k of L
+    w, u = eigh_descending(rows.conj() @ rows.T)
     rank = min(rank, len(w))
     members = u[:, :rank].T @ rows  # row i is L u_i
     # fresh and finite: no copy or check

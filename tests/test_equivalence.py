@@ -301,17 +301,29 @@ class TestCholeskyPath:
             assert np.array_equal(fp.spectrum, rho.spectrum[::-1][:2])
             assert np.array_equal(fp.F, f_invariants(rho.spectrum[-2:]).F)
 
-    @pytest.mark.parametrize("low", [3e-15, 1e-14, 3e-14, 1e-13])
+    @pytest.mark.parametrize("low", [3e-15, 1e-14, 3e-14, 1e-13, 3e-13, 1e-12])
     def test_rank_tol_zero_reads_the_rank_from_the_spectrum(self, low):
-        # lambda_2 above the noise floor n eps lambda_max but below the
-        # factor's stopping threshold: the rank is the spectrum's, whatever
-        # the number of columns the factor keeps in the state's basis
+        # lambda_2 above the noise floor n eps lambda_max but at or below
+        # n tau = 1e-12, where a factor stopping at tau need not reach it:
+        # the rank is the spectrum's, and the factor runs to it whatever
+        # the basis, so every fingerprint carries N, M and their lambda
+        # coefficients, and every locally rotated copy compares them and
+        # stays Inconclusive, far inside each threshold
         zero = ScreenConfig(rank_tol=0.0)
-        for seed in range(6):
+        degree4 = ["invariant_N", "invariant_M", "lambda_N[1]", "lambda_N[2]", "lambda_N[3]",
+                   "lambda_M[1]"]
+        for seed in range(20):
             rho = state_with_spectrum([1.0 - low, low, 0.0, 0.0], (2, 2), seed)
-            assert fingerprint(rho, zero).rank == numerical_rank(rho.spectrum, 0.0) == 2
-            moved = apply_local_unitary_density(rho, random_local_unitaries((2, 2), seed=seed))
-            assert screen(rho, moved, zero).verdict == "Inconclusive"
+            fp = fingerprint(rho, zero)
+            assert fp.rank == numerical_rank(rho.spectrum, 0.0) == 2
+            assert fp.N_value is not None and fp.M_value is not None
+            assert set(fp.lambda_coeffs) == {"det", "N", "M"}
+            for k in range(5):
+                lu = random_local_unitaries((2, 2), seed=100 * seed + k)
+                report = screen(rho, apply_local_unitary_density(rho, lu), zero)
+                assert report.verdict == "Inconclusive"
+                assert [c.name for c in report.checks if c.name in degree4] == degree4
+                assert max(c.delta / c.threshold for c in report.checks) <= 0.1
 
     def test_rank_tol_zero_keeps_rotated_copy_inconclusive(self):
         # the rotated copy's rounding-level eigenvalues once read as rank 4
@@ -627,6 +639,19 @@ class TestCompareFingerprints:
         for cut in (1, 2):
             cfg = ScreenConfig(cut=cut)
             cases.append((fingerprint(tri, cfg), fingerprint(tri_other, cfg)))
+        # a quantity absent on one side: a decomposition's fingerprint
+        # (no Ky Fan) against the state's own, a one-member decomposition
+        # (no N, M or lambda_N/M, the dropped eigenvalue padded) against a
+        # two-member one, and a mixing of that decomposition
+        two = random_density((2, 2), 2, seed=96)
+        d = eigen_decomposition(two)
+        from_d = decomposition_fingerprint(d, two)
+        cases += [
+            (from_d, low),
+            (low, from_d),
+            (decomposition_fingerprint(eigen_decomposition(two, 1), two), from_d),
+            (decomposition_fingerprint(mix_decomposition(d, haar_unitary(2, seed=91)), two), low),
+        ]
         # the three cases of test_check_passes_iff_delta_within_threshold
         for factor in (0.5, 1.0, 2.0):
             cases.append((base, self._shift_spectrum(

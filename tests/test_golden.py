@@ -9,7 +9,9 @@ seed=41)``) and its ``lu-invar random-lu --seed 42`` copy, a rank-2
 and a full-rank 2x2 state (seeds 43 and 44), and a full-rank 4x5 state
 (``random_density((4, 5), 20, seed=45)``) and its ``random-lu --seed 46``
 copy, whose F spans two 16-eigenvalue blocks and whose check table has
-20 spectrum rows. Keys,
+20 spectrum rows, and a rank-2 (2,2,2) state (``random_density((2, 2,
+2), 2, seed=47)``) and its ``random-lu --seed 48`` copy, compared across
+the default cut with every check of the table. Keys,
 strings, bools and nulls must match exactly, and so must the number and
 order of list items, which fixes the check names and their order.
 Numbers must match within 1e-12 absolute, so integers match exactly while
@@ -40,6 +42,7 @@ CASES = [
     ("compare_full44_lu.json", ["compare", "full44.json", "full44_lu.json"], 0),
     ("compare_full45_lu.json", ["compare", "full45.json", "full45_lu.json"], 0),
     ("compare_rank2_full22.json", ["compare", "rank2_22.json", "full22.json"], 1),
+    ("compare_tri222_lu.json", ["compare", "tri222.json", "tri222_lu.json"], 0),
 ]
 
 

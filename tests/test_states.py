@@ -217,19 +217,25 @@ class TestEigenDecomposition:
             with pytest.raises(BadLengthError):
                 eigen_decomposition(rho, rank)
 
-    def test_rank_capped_at_the_factor_columns(self):
+    def test_factor_runs_to_the_given_rank(self):
         # at rank_tol 0 an eigenvalue of 1e-14 counts in rho's rank, above
         # the noise floor 4 eps lambda_max, but sits below the factor's
-        # stopping threshold of about 1e-13, so the factor has two columns
-        # and the decomposition keeps two members
+        # stopping threshold of about 1e-13; the factor still runs to the
+        # given rank, so the decomposition keeps three members in every
+        # basis, the third of Gram eigenvalue 1e-14 within rounding
         w = [0.6, 0.4 - 1e-14, 1e-14, 0.0]
         for seed in range(4):
             u = haar_unitary(4, seed=1060 + seed)
             rho = validate_density((u * np.asarray(w)) @ u.conj().T, (2, 2))
             assert numerical_rank(rho.spectrum, rank_tol=0.0) == 3
             d = eigen_decomposition(rho, 3)
-            assert len(d) == len(d.gram_spectrum) == 2
+            assert len(d) == len(d.gram_spectrum) == 3
+            assert np.abs(d.gram_spectrum - rho.spectrum[1:]).max() <= 1e-15
             assert np.abs(reconstruct(d) - rho.mat).max() <= 1e-12
+        # only a nonpositive pivot stops it short of the rank: the Schur
+        # complement of diag(0.5, 0.5, 0, 0) is exactly 0 after two columns
+        rho = validate_density(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), (2, 2))
+        assert len(eigen_decomposition(rho, 4)) == 2
 
     def test_given_rank_tol_keeps_top_eigenvalues_in_any_basis(self):
         # noise eigenvalues near 1e-7 sit far below rank_tol 1e-4 but far
