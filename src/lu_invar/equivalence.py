@@ -11,7 +11,8 @@ part is the Gram spectrum of every decomposition, so the reported
 spectrum and F are read from them at every rank. Only the rank-2
 degree-4 invariants (N, M and their lambda polynomials) read a
 decomposition: the eigenvector decomposition that
-``states.eigen_decomposition`` reads from a pivoted Cholesky factor.
+``states.eigen_decomposition`` reads from one eigh of a small state and
+from a pivoted Cholesky factor of a larger one.
 Any two decompositions of equal length differ by a unitary mixing,
 which only conjugates the Gram matrix, so all give the same invariants.
 
@@ -181,11 +182,12 @@ def _fingerprint(
     degree-4 invariants are read from its hypermatrix when len(d) is 2,
     and the ``deviation`` is measured: sum_k |g_k - lambda_k| between d's
     descending Gram spectrum g and rho's top len(d) eigenvalues, plus
-    rho's negative mass. With rho = L L^dag + E, a negative eigenvalue of
-    rho (validation accepts them down to -tol) leaves one in E, which
-    lifts g above rho's spectrum by a basis-dependent amount and turns
-    its eigenvectors: the sum shows the lift, the negative mass stands in
-    for the turn."""
+    rho's negative mass. With rho = L L^dag + E, E the residual of the
+    pivoted factor that reads the members of a larger state, a negative
+    eigenvalue of rho (validation accepts them down to -tol) leaves one in
+    E, which lifts g above rho's spectrum by a basis-dependent amount and
+    turns its eigenvectors: the sum shows the lift, the negative mass
+    stands in for the turn."""
     f = f_invariants(w)
     lambdas = {"det": lambda_poly(f, inv="det")}
     n_value = m_value = None

@@ -72,8 +72,8 @@ class GramMatrix:
 
 def gram_matrix(d: PureStateDecomposition) -> GramMatrix:
     """The overlap matrix of a decomposition. Its spectrum is the one
-    ``d`` holds: for an eigen decomposition, the factor's Gram eigenvalues
-    of its members, so no eigen-solve runs here; for any other
+    ``d`` holds: for an eigen decomposition, the kept eigenvalues its
+    members were read with, so no eigen-solve runs here; for any other
     decomposition, one ``eigvalsh`` of V V^dag on first use, row i of V
     the flattened A_i.
 
@@ -400,8 +400,8 @@ def _real_realignment_plan(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
       a = sym    sqrt2 Re z1   Re z1 + Re z2   -Im z1 + Im z2
       a = anti   sqrt2 Im z1   Im z1 + Im z2   Re z1 - Re z2
 
-    Both entries lie in rho's upper triangle (row <= column), and a
-    diagonal one only by its real part.
+    Both entries lie in rho's upper triangle (row <= column): rho is
+    exactly Hermitian, so they determine it.
     """
     i, j, kind_a = _swap_basis(n)
     k, l, kind_b = _swap_basis(m)
@@ -424,6 +424,7 @@ def _real_realignment(rho: DensityMatrix) -> np.ndarray:
         raise NotBipartiteError(
             f"realignment needs a bipartite state, got {len(rho.dims)} subsystems"
         )
+    rho.spectrum  # checks a hand-built state, and makes its mat Hermitian, first
     n, m = rho.dims
     index, weight = _real_realignment_plan(n, m)
     x = np.ascontiguousarray(rho.mat, dtype=complex).view(float).ravel()
@@ -437,9 +438,7 @@ def realignment_kyfan(rho: DensityMatrix) -> float:
     The orthonormal basis Q = {e_ii, (e_ij + e_ji)/sqrt(2),
     i(e_ij - e_ji)/sqrt(2)} has S conj(Q) = Q, so Q_n^dag R Q_m is real and,
     Q being unitary, has the singular values of R: the norm is the sum from
-    a real SVD of the same size. rho is read as the Hermitian matrix with
-    its upper triangle and the real part of its diagonal, from which a
-    validated state differs by at most its tolerance.
+    a real SVD of the same size.
     """
     try:
         sv = np.linalg.svd(_real_realignment(rho), compute_uv=False)

@@ -51,14 +51,18 @@ class DensityMatrix:
     """A validated Hermitian, PSD, unit-trace matrix with subsystem dims.
 
     Construct through :func:`validate_density`; the stored ``tol`` is the
-    tolerance the validation was performed at. ``spectrum`` holds the
-    ascending, read-only eigenvalues of the Hermitian part of ``mat``,
-    computed once per state: validation keeps the ones it checks
-    positivity with, and :func:`merge_cut` passes them on. A state built
-    by hand computes them on first use as
+    tolerance the validation was performed at. ``mat`` is the state: the
+    exactly Hermitian part (M + M^dag) / 2 of the matrix M it was given,
+    which differs from M by at most ``tol``, so every quantity of the
+    state reads one Hermitian matrix. ``spectrum`` holds the ascending,
+    read-only eigenvalues of ``mat``, computed once per state: validation
+    keeps the ones it checks positivity with, and :func:`merge_cut` passes
+    them on. A state built by hand computes them on first use as
     ``validate_density(mat, dims, tol).spectrum``, so that first use
     checks it exactly as validation would, at its own ``tol``: shape,
-    Hermiticity, unit trace and positivity.
+    Hermiticity, unit trace and positivity. That first use also replaces
+    its ``mat`` by the Hermitian part validation stores, so a hand-built
+    state reads the same matrix as a validated one once it is checked.
     """
 
     dims: tuple[int, ...]
@@ -67,7 +71,9 @@ class DensityMatrix:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        return validate_density(self.mat, self.dims, self.tol).spectrum
+        valid = validate_density(self.mat, self.dims, self.tol)
+        object.__setattr__(self, "mat", valid.mat)  # frozen: only this check sets it
+        return valid.spectrum
 
 
 def _density(dims, mat: np.ndarray, tol: float, spectrum: np.ndarray | None) -> DensityMatrix:
@@ -81,9 +87,11 @@ def validate_density(mat, dims, tol: float = DENSITY_TOL) -> DensityMatrix:
     """Validate a candidate density matrix against its three invariants.
 
     Raises ``NotHermitianError``, ``NotUnitTraceError`` or ``NotPSDError``
-    naming the violated invariant and the measured residual. The
-    eigenvalues that positivity is checked with, one ``eigvalsh`` of the
-    Hermitian part, are kept as the state's ``spectrum``.
+    naming the violated invariant and the measured residual. The state
+    keeps the Hermitian part (M + M^dag) / 2 of the matrix M as its
+    ``mat``, bitwise M when M is exactly Hermitian, and the eigenvalues
+    that positivity is checked with, one ``eigvalsh`` of that part, as its
+    ``spectrum``.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2 or any(d < 2 for d in dims):
@@ -102,11 +110,11 @@ def validate_density(mat, dims, tol: float = DENSITY_TOL) -> DensityMatrix:
     tr = complex(mat.trace())
     if abs(tr - 1.0) > tol:
         raise NotUnitTraceError(f"NotUnitTrace: |tr(rho) - 1| = {abs(tr - 1.0):.3e} > tol {tol:.3e}")
-    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+    mat = (mat + mat.conj().T) / 2.0  # a fresh array: the input is not kept
+    w = np.linalg.eigvalsh(mat)
     if w[0] < -tol:
         raise NotPSDError(f"NotPSD: min eigenvalue = {w[0]:.3e} < -tol {tol:.3e}")
     w.setflags(write=False)
-    mat = mat.copy()
     mat.setflags(write=False)
     return _density(dims, mat, tol, w)
 
@@ -212,63 +220,82 @@ def numerical_rank(w, rank_tol: float | None = None) -> int:
     return rank
 
 
+# Largest n = prod(dims) at which eigen_decomposition reads its members
+# from one eigh of the n x n state. The eigh costs O(n^3), the pivoted
+# factor O(n^2 r) plus a Python loop per pivot: at rank 2, with BLAS on
+# one thread of a 2-vCPU x86 host, the eigh took 29 us against the
+# factor's 30 us at n = 12, and 38 against 30 us at n = 14
+EIGH_MAX_N = 12
+
+
 def eigen_decomposition(rho: DensityMatrix, rank: int | None = None) -> PureStateDecomposition:
-    """The eigenvector decomposition of a density matrix, read from a
-    rank-revealing factor.
+    """The eigenvector decomposition of a density matrix: member i is
+    sqrt(w_i) v_i for the top ``rank`` eigenpairs (w_i, v_i) of rho,
+    descending.
 
-    A diagonally pivoted Cholesky factorization (:func:`pivoted_cholesky`)
-    stops once the largest remaining diagonal entry is at most tau, giving
-    rho = L L^dag + E with r' columns in O(n^2 r') work for an n x n rho,
-    and E positive semidefinite with tr E <= n tau. tau is
-    1e-12 * max diag(rho) / n, never below n * eps * max diag(rho),
-    LAPACK ``xPSTRF``'s default, where a pivot would be rounding noise
-    (that floor binds for n > 67). As the largest eigenvalue is at least
-    max diag(rho), ||E|| <= n tau is at most 1e-12 times it, 1% of the
-    default ``rank_tol``. tau does not depend on a given ``rank_tol``: the
-    w below are then within ||E|| of the top eigenvalues of rho in any
-    basis rho is written in. The r' x r' Gram matrix L^dag L = U W U^dag
-    then gives the members L u_i, of Gram matrix diag(w), descending:
-    Rayleigh-Ritz on the range of L, so member i is sqrt(w_i) times an
-    eigenvector of L L^dag, exact when E = 0.
-
-    The first ``rank`` of them are kept. ``rank`` is the caller's,
-    decided once by :func:`numerical_rank` on ``rho.spectrum``
-    (:class:`BadLengthError` below 1); None reads it there at the default
-    ``rank_tol``. The factor runs to at least ``rank`` columns: a
-    ``rank_tol`` under tau keeps an eigenvalue below the factor's
-    threshold, and the factor then takes its column too, in every basis,
-    which only shrinks E. Only a nonpositive pivot stops the factor
-    short, and the decomposition then has r' < ``rank`` members. Their
+    ``rank`` is the caller's, decided once by :func:`numerical_rank` on
+    ``rho.spectrum`` (:class:`BadLengthError` below 1); None reads it
+    there at the default ``rank_tol``. At most ``rank`` members are
+    returned, fewer only when rho has fewer positive eigenvalues. Their
     w, ascending, are the decomposition's ``gram_spectrum``, so no second
     eigen-solve runs on the members. ``equivalence.fingerprint`` reads
     them only to measure the members' deviation from rho;
     ``decomposition_fingerprint`` reads F and the Gram trace from them.
     Each member is an N1 x N2 coefficient matrix, N1 the first
     subsystem's dimension and N2 that of the rest: to split a
-    multipartite state elsewhere, decompose ``merge_cut(rho, cut)``. The
-    factor reads the Hermitian part of ``rho.mat`` column by column,
-    so rho is never symmetrized as a whole; a state built by hand is
-    checked first, on its ``spectrum``.
+    multipartite state elsewhere, decompose ``merge_cut(rho, cut)``. A
+    state built by hand is checked first, on its ``spectrum``.
+
+    The eigenpairs come from one of two solvers, by the size n of rho:
+
+    - n <= ``EIGH_MAX_N``: one LAPACK ``eigh`` of ``rho.mat``, which is
+      exactly Hermitian; its positive eigenvalues are the ones kept.
+    - above it: a diagonally pivoted Cholesky factorization
+      (:func:`pivoted_cholesky`) stops once the largest remaining
+      diagonal entry is at most tau, giving rho = L L^dag + E with r'
+      columns in O(n^2 r') work, and E positive semidefinite with tr E
+      <= n tau. tau is 1e-12 * max diag(rho) / n, never below n * eps *
+      max diag(rho), LAPACK ``xPSTRF``'s default, where a pivot would be
+      rounding noise (that floor binds for n > 67). As the largest
+      eigenvalue is at least max diag(rho), ||E|| <= n tau is at most
+      1e-12 times it, 1% of the default ``rank_tol``. tau does not depend
+      on a given ``rank_tol``: the w below are then within ||E|| of the
+      top eigenvalues of rho in any basis rho is written in. The r' x r'
+      Gram matrix L^dag L = U W U^dag then gives the members L u_i, of
+      Gram matrix diag(w), descending: Rayleigh-Ritz on the range of L,
+      so member i is sqrt(w_i) times an eigenvector of L L^dag, exact
+      when E = 0. The factor runs to at least ``rank`` columns: a
+      ``rank_tol`` under tau keeps an eigenvalue below the factor's
+      threshold, and the factor then takes its column too, in every
+      basis, which only shrinks E. Only a nonpositive pivot stops it
+      short of ``rank``.
     """
     lam = rho.spectrum  # computes, and so checks, the spectrum of a hand-built state
     n = len(lam)
-    top = max(float(rho.mat.diagonal().real.max()), 0.0)
-    # never below LAPACK xPSTRF's default n eps max diag(rho): a pivot at
-    # the rounding level of the Schur complement is a column of noise
-    tau = max(1e-12 / n, n * EPS) * top
     if rank is None:
         rank = numerical_rank(lam)
     elif rank < 1:
         raise BadLengthError(f"a decomposition needs rank >= 1, got {rank}")
-    rows = pivoted_cholesky(rho.mat, tau, rank)  # row k is column k of L
-    w, u = eigh_descending(rows.conj() @ rows.T)
-    rank = min(rank, len(w))
-    members = u[:, :rank].T @ rows  # row i is L u_i
+    if n <= EIGH_MAX_N:
+        w, v = eigh_descending(rho.mat)
+        rank = min(rank, n)
+        while rank and w[rank - 1] <= 0.0:  # only positive eigenvalues are kept
+            rank -= 1
+        members = v[:, :rank].T * np.sqrt(w[:rank, None])  # row i is sqrt(w_i) v_i
+    else:
+        top = max(float(rho.mat.diagonal().real.max()), 0.0)
+        # never below LAPACK xPSTRF's default n eps max diag(rho): a pivot at
+        # the rounding level of the Schur complement is a column of noise
+        tau = max(1e-12 / n, n * EPS) * top
+        rows = pivoted_cholesky(rho.mat, tau, rank)  # row k is column k of L
+        w, u = eigh_descending(rows.conj() @ rows.T)
+        rank = min(rank, len(w))
+        members = u[:, :rank].T @ rows  # row i is L u_i
     # fresh and finite: no copy or check
     stack = members.reshape(rank, rho.dims[0], n // rho.dims[0])
     stack.setflags(write=False)
     d = PureStateDecomposition(*stack.shape[1:], stack)
-    kept = w[rank - 1::-1]  # w is descending
+    kept = w[:rank][::-1]  # w is descending
     kept.setflags(write=False)
     vars(d)["gram_spectrum"] = kept  # fills the cached property
     return d

@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
 
+import lu_invar.states
 from lu_invar.fixtures import load_fixture
 from lu_invar.states import make_decomposition
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 SQRT_THIRD = 1.0 / np.sqrt(3.0)
+
+
+@pytest.fixture(params=["eigh", "factor"])
+def solver(request, monkeypatch):
+    """Run ``eigen_decomposition`` by one solver whatever the state's size:
+    one eigh of rho, or the pivoted factor (``states.EIGH_MAX_N``)."""
+    limit = 10**9 if request.param == "eigh" else 0
+    monkeypatch.setattr(lu_invar.states, "EIGH_MAX_N", limit)
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ from lu_invar.errors import (
 from lu_invar.invariants import gram_matrix
 from lu_invar.linalg import char_poly, haar_unitary, hermitian_eig, hermitian_part
 from lu_invar.states import (
+    EIGH_MAX_N,
     DensityMatrix,
     apply_local_unitary,
     apply_local_unitary_density,
@@ -58,6 +59,20 @@ class TestValidateDensity:
         mat = np.diag([0.6, 0.5, -0.1, 0.0])
         with pytest.raises(NotPSDError, match="NotPSD"):
             validate_density(mat, (2, 2))
+
+    def test_stores_the_hermitian_part(self):
+        # the state is the Hermitian part of its matrix, which eigvalsh saw;
+        # an exactly Hermitian matrix is its own Hermitian part, bitwise
+        rho = random_density((2, 3), 2, seed=7)
+        mat = np.array(rho.mat)
+        mat[0, 1] += 2e-11
+        asym = validate_density(mat, (2, 3))
+        assert np.array_equal(asym.mat, hermitian_part(mat))
+        assert np.array_equal(asym.mat, asym.mat.conj().T)
+        assert np.array_equal(validate_density(asym.mat, (2, 3)).mat, asym.mat)
+        assert not asym.mat.flags.writeable
+        mat[0, 1] = 0.0  # the input is not kept
+        assert asym.mat[0, 1] != 0.0
 
     def test_non_contiguous_input_accepted(self, rho1):
         # the transpose of a state is a state; neither it nor a Fortran-order
@@ -116,6 +131,18 @@ class TestSpectrum:
         mat[0, 1] = 1e-6
         with pytest.raises(NotHermitianError):
             DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10).spectrum
+
+    def test_hand_built_state_reads_its_hermitian_part_once_checked(self):
+        # the check that computes the spectrum also gives the state the
+        # matrix validation would store, so both read one Hermitian matrix
+        mat = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        mat[0, 1] = 2e-11
+        by_hand = DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10)
+        assert by_hand.mat is mat
+        valid = validate_density(mat, (2, 2))
+        assert np.array_equal(by_hand.spectrum, valid.spectrum)
+        assert np.array_equal(by_hand.mat, valid.mat)
+        assert np.array_equal(by_hand.mat, hermitian_part(mat))
 
     def test_hand_built_state_checked_as_validation_would(self):
         # the same checks as validate_density, at the state's own tol
@@ -197,10 +224,10 @@ class TestEigenDecomposition:
                         phase = overlap / abs(overlap)
                         assert np.abs(a - phase * oracle).max() <= 1e-12
 
-    def test_zero_rank_tol_counts_no_rounding_noise(self):
-        # rank_tol 0 keeps every eigenvalue above zero, but the pivoted
-        # factor stops at the rounding level of its Schur complement, so a
-        # rank-2 state keeps its two members and no column of noise
+    def test_zero_rank_tol_counts_no_rounding_noise(self, solver):
+        # rank_tol 0 keeps every eigenvalue above the noise floor n eps
+        # lambda_max, and the decomposition keeps no more: a rank-2 state
+        # keeps its two members and no member of noise, by either solver
         for dims in ((2, 2), (3, 3), (8, 8)):
             for seed in range(8):
                 rho = random_density(dims, 2, seed=1020 + seed)
@@ -217,7 +244,7 @@ class TestEigenDecomposition:
             with pytest.raises(BadLengthError):
                 eigen_decomposition(rho, rank)
 
-    def test_factor_runs_to_the_given_rank(self):
+    def test_factor_runs_to_the_given_rank(self, solver):
         # at rank_tol 0 an eigenvalue of 1e-14 counts in rho's rank, above
         # the noise floor 4 eps lambda_max, but sits below the factor's
         # stopping threshold of about 1e-13; the factor still runs to the
@@ -233,15 +260,16 @@ class TestEigenDecomposition:
             assert np.abs(d.gram_spectrum - rho.spectrum[1:]).max() <= 1e-15
             assert np.abs(reconstruct(d) - rho.mat).max() <= 1e-12
         # only a nonpositive pivot stops it short of the rank: the Schur
-        # complement of diag(0.5, 0.5, 0, 0) is exactly 0 after two columns
+        # complement of diag(0.5, 0.5, 0, 0) is exactly 0 after two columns,
+        # and an eigh keeps its two positive eigenvalues
         rho = validate_density(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), (2, 2))
         assert len(eigen_decomposition(rho, 4)) == 2
 
-    def test_given_rank_tol_keeps_top_eigenvalues_in_any_basis(self):
+    def test_given_rank_tol_keeps_top_eigenvalues_in_any_basis(self, solver):
         # noise eigenvalues near 1e-7 sit far below rank_tol 1e-4 but far
         # above the factor's stopping threshold, so the factor keeps them
         # and the two kept Gram eigenvalues are rho's top two, whatever
-        # local basis rho is written in
+        # local basis rho is written in; an eigh reads them directly
         w = [0.6, 0.4 - 2.5e-7, 1.5e-7, 1e-7]
         for seed in range(4):
             u = haar_unitary(4, seed=1040 + seed)
@@ -255,6 +283,36 @@ class TestEigenDecomposition:
                 vecs = d.stack.reshape(len(d), -1)  # gram_matrix refuses trace 1 - 2.5e-7
                 kept = np.linalg.eigvalsh(vecs @ vecs.conj().T)[::-1]
                 assert np.abs(kept - w[:2]).max() <= 1e-13
+
+    @pytest.mark.parametrize("dims", [(2, 2), (4, 4)], ids=str)
+    def test_contract_on_either_side_of_the_solver_switch(self, dims):
+        # n = 4 is read by one eigh and n = 16 by the pivoted factor
+        n = math.prod(dims)
+        assert (n <= EIGH_MAX_N) == (dims == (2, 2))
+        # the members reproduce rho's top-rank part, of diagonal Gram matrix
+        for rank in (2, 3):
+            rho = random_density(dims, n, seed=1080 + rank)
+            d = eigen_decomposition(rho, rank)
+            assert len(d) == len(d.gram_spectrum) == rank
+            w, v = hermitian_eig(rho.mat)
+            top = (v[:, :rank] * w[:rank]) @ v[:, :rank].conj().T
+            assert np.abs(reconstruct(d) - top).max() <= 1e-12
+            assert np.abs(d.gram - np.diag(d.gram_spectrum[::-1])).max() <= 1e-13
+        # lambda_2 = 1e-14, kept at rank_tol 0, keeps two members
+        w = np.zeros(n)
+        w[:2] = 1.0 - 1e-14, 1e-14
+        for seed in range(4):
+            u = haar_unitary(n, seed=1090 + seed)
+            rho = validate_density((u * w) @ u.conj().T, dims)
+            d = eigen_decomposition(rho, numerical_rank(rho.spectrum, rank_tol=0.0))
+            assert len(d) == 2
+            assert np.abs(reconstruct(d) - rho.mat).max() <= 1e-12
+        # a rank beyond rho's positive eigenvalues gives fewer members
+        w[:2] = 0.5
+        rho = validate_density(np.diag(w).astype(complex), dims)
+        d = eigen_decomposition(rho, n)
+        assert len(d) == len(d.gram_spectrum) == 2
+        assert np.abs(d.gram_spectrum - 0.5).max() <= 1e-15
 
     def test_stack_read_only_and_not_copied(self, rho1):
         d = eigen_decomposition(rho1)
@@ -272,8 +330,8 @@ class TestEigenDecomposition:
 
 class TestGramSpectrum:
     def test_eigen_decomposition_keeps_its_rank_eigenvalues(self, monkeypatch):
-        # ascending, read-only, and filled without an eigvalsh: the factor's
-        # Gram eigenvalues of the kept members, rho's top ones
+        # ascending, read-only, and filled without an eigvalsh: the
+        # eigenvalues of the kept members, rho's top ones
         calls = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
