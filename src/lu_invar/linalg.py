@@ -96,14 +96,13 @@ def eigh_descending(h: np.ndarray):
     return w[::-1], v[:, ::-1]
 
 
-def pivoted_cholesky(m: np.ndarray, tol: float, floor: int = 0) -> np.ndarray:
-    """The rows of a diagonally pivoted Cholesky factor of the Hermitian
-    part H = (M + M^dag) / 2 of a square complex matrix M, H positive
-    semidefinite: an (r, n) array whose transpose L gives H = L L^dag + E.
+def pivoted_cholesky(h: np.ndarray, tol: float, floor: int = 0) -> np.ndarray:
+    """The rows of a diagonally pivoted Cholesky factor of an exactly
+    Hermitian positive semidefinite complex matrix H, such as
+    :func:`hermitian_part` returns: an (r, n) array whose transpose L
+    gives H = L L^dag + E.
 
-    Only what the factor reads of H is formed: the real diagonal of M,
-    and each pivot column p as (M[:, p] + conj(M[p, :])) / 2. Each step
-    pivots on the largest remaining diagonal entry of the Schur
+    Each step pivots on the largest remaining diagonal entry of the Schur
     complement. It stops once that entry is at most ``tol`` and the
     factor has ``floor`` columns, and at a nonpositive entry whatever the
     ``floor``. The residual E is then positive semidefinite with diag(E)
@@ -112,8 +111,8 @@ def pivoted_cholesky(m: np.ndarray, tol: float, floor: int = 0) -> np.ndarray:
     computed from the k columns before it and the remaining diagonal by
     one rank-1 update, O(n r) work per pivot and O(n r^2) in all.
     """
-    n = m.shape[0]
-    diag = m.diagonal().real.copy()  # diagonal of the Schur complement
+    n = h.shape[0]
+    diag = h.diagonal().real.copy()  # diagonal of the Schur complement
     rows = np.zeros((n, n), dtype=complex)
     r = 0
     while r < n:
@@ -121,7 +120,7 @@ def pivoted_cholesky(m: np.ndarray, tol: float, floor: int = 0) -> np.ndarray:
         pivot = diag[p]
         if pivot <= (tol if r >= floor else 0.0):
             break
-        col = (m[:, p] + m[p].conj()) / 2.0
+        col = h[:, p].copy()
         if r:  # the first column has no earlier ones to subtract
             col -= rows[:r, p].conj() @ rows[:r]
         col /= math.sqrt(pivot)

@@ -132,10 +132,9 @@ class PureStateDecomposition:
     first use as V V^dag with row i of V the flattened A_i, then made
     exactly Hermitian. ``gram_spectrum`` holds its eigenvalues, ascending
     and read-only, computed once per decomposition:
-    :func:`eigen_decomposition` keeps the eigenvalues of its factor's Gram
-    matrix for its members, and any other decomposition, built by
-    hand or mixed, computes them on first use by one ``eigvalsh`` of
-    ``gram``.
+    :func:`eigen_decomposition` keeps the eigenvalues its members were
+    read with, and any other decomposition, built by hand or mixed,
+    computes them on first use by one ``eigvalsh`` of ``gram``.
     """
 
     n: int
