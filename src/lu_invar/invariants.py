@@ -24,10 +24,10 @@ Implemented invariant polynomials, each computed in closed form:
   a linear polynomial for M),
 * the Ky Fan (trace) norm of the realignment matrix, the classical
   comparison baseline. For Hermitian rho the realigned R satisfies
-  R = S_n conj(R) S_m, with S the swap (i,j) -> (j,i), so in the
-  orthonormal basis {e_ii, (e_ij + e_ji)/sqrt(2), i(e_ij - e_ji)/sqrt(2)}
-  the matrix Q_n^dag R Q_m is real with the same singular values; the
-  norm comes from the real SVD of that matrix.
+  R = S_n conj(R) S_m, with S the swap (i,j) -> (j,i), so for the unitary
+  Q_n = ((1 - i)/2)(I + i S_n) the matrix Q_n^dag R Q_m = Re R + S_n Im R
+  is real with the same singular values; the norm comes from the real SVD
+  of that matrix.
 """
 
 from __future__ import annotations
@@ -362,83 +362,30 @@ def _read_only(coeffs) -> np.ndarray:
     return c
 
 
-_DIAG, _SYM, _ANTI = 0, 1, 2
-# Entry (a, b) of the real realigned matrix is w1 part(z1) + w2 part(z2),
-# tabulated by the kinds of a (row) and b (column); see
-# _real_realignment_plan. _WEIGHT holds w1 and w2, _IMAG whether part is
-# the imaginary part.
-_SQRT2 = np.sqrt(2.0)
-_WEIGHT = np.array([
-    [[1.0, _SQRT2, -_SQRT2], [_SQRT2, 1.0, -1.0], [_SQRT2, 1.0, 1.0]],
-    [[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, -1.0]],
-])
-_IMAG = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
-
-
-def _swap_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, kind) of each vector of the swap-adapted orthonormal basis of
-    C^(n*n), in order: e_ii; (e_ij + e_ji)/sqrt(2) for i < j;
-    i(e_ij - e_ji)/sqrt(2) for i < j."""
-    diag = np.arange(n)
-    iu, ju = np.nonzero(diag[:, None] < diag)
-    kind = np.repeat([_DIAG, _SYM, _ANTI], [n, len(iu), len(iu)])
-    return np.concatenate([diag, iu, iu]), np.concatenate([diag, ju, ju]), kind
-
-
-@functools.lru_cache(maxsize=16)
-def _real_realignment_plan(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index, weight), each (2, n^2, m^2), such that the real realigned
-    matrix is sum_t weight[t] * x[index[t]], x the float view of rho.
-
-    Entry (a, b) of Q_n^dag R Q_m, for a basis vector a on (i, j) and b on
-    (k, l), reads z1 = R[(i,j),(k,l)] and z2 = R[(i,j),(l,k)]. Hermiticity,
-    R[(j,i),(l,k)] = conj R[(i,j),(k,l)], folds the other entries onto
-    these two:
-
-                 b = e_kk      b = sym         b = anti
-      a = e_ii   Re z1         sqrt2 Re z1     -sqrt2 Im z1
-      a = sym    sqrt2 Re z1   Re z1 + Re z2   -Im z1 + Im z2
-      a = anti   sqrt2 Im z1   Im z1 + Im z2   Re z1 - Re z2
-
-    Both entries lie in rho's upper triangle (row <= column): rho is
-    exactly Hermitian, so they determine it.
-    """
-    i, j, kind_a = _swap_basis(n)
-    k, l, kind_b = _swap_basis(m)
-    size = n * m
-    row = (i * m * size + j * m)[:, None]  # R[(i,j),(k,l)] = rho[i*m + k, j*m + l]
-    kinds = (3 * kind_a)[:, None] + kind_b  # positions in the flattened 3x3 tables
-    # the float view holds Re at 2p and Im at 2p + 1
-    index = 2 * np.stack([row + k * size + l, row + l * size + k]) + _IMAG.take(kinds)
-    weight = _WEIGHT.reshape(2, 9).take(kinds, axis=1)
-    index.setflags(write=False)
-    weight.setflags(write=False)
-    return index, weight
-
-
 def _real_realignment(rho: DensityMatrix) -> np.ndarray:
-    """The real matrix Q_n^dag R Q_m, with Q_n the unitary whose columns
-    are the basis of :func:`_swap_basis`, gathered from rho's entries by a
-    plan cached per (n, m)."""
+    """The real matrix Re R + S_n Im R, equal to Q_n^dag R Q_m for the
+    unitary Q_n = ((1 - i)/2)(I + i S_n), read from rho's entries.
+
+    R[(i,j),(k,l)] = rho[i*m + k, j*m + l], and (S_n Im R)[(i,j),(k,l)] =
+    Im R[(j,i),(k,l)].
+    """
     if len(rho.dims) != 2:
         raise NotBipartiteError(
             f"realignment needs a bipartite state, got {len(rho.dims)} subsystems"
         )
     rho.spectrum  # checks a hand-built state, and makes its mat Hermitian, first
     n, m = rho.dims
-    index, weight = _real_realignment_plan(n, m)
-    x = np.ascontiguousarray(rho.mat, dtype=complex).view(float).ravel()
-    return (weight * x[index]).sum(axis=0)
+    x = rho.mat.reshape(n, m, n, m)
+    return (x.real + x.imag.transpose(2, 1, 0, 3)).transpose(0, 2, 1, 3).reshape(n * n, m * m)
 
 
 def realignment_kyfan(rho: DensityMatrix) -> float:
     """Ky Fan norm (sum of all singular values) of the realigned matrix R.
 
     For Hermitian rho, R = S_n conj(R) S_m with S the swap (i,j) -> (j,i).
-    The orthonormal basis Q = {e_ii, (e_ij + e_ji)/sqrt(2),
-    i(e_ij - e_ji)/sqrt(2)} has S conj(Q) = Q, so Q_n^dag R Q_m is real and,
-    Q being unitary, has the singular values of R: the norm is the sum from
-    a real SVD of the same size.
+    The unitary Q_n = ((1 - i)/2)(I + i S_n) has S_n conj(Q_n) = Q_n, so
+    Q_n^dag R Q_m = Re R + S_n Im R is real and has the singular values of
+    R: the norm is the sum from a real SVD of the same size.
     """
     try:
         sv = np.linalg.svd(_real_realignment(rho), compute_uv=False)

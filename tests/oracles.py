@@ -105,22 +105,14 @@ def poly_coeffs_from_roots(roots) -> np.ndarray:
     return coeffs
 
 
-def swap_adapted_basis(n: int) -> np.ndarray:
-    """The n^2 x n^2 unitary whose columns are e_ii, then (e_ij + e_ji)/sqrt2
-    for i < j, then i(e_ij - e_ji)/sqrt2 for i < j, with e_ij at row i*n + j,
+def swap_matrix(n: int) -> np.ndarray:
+    """The n^2 x n^2 permutation S with S e_ij = e_ji, e_ij at row i*n + j,
     written out entry by entry."""
-    q = np.zeros((n * n, n * n), dtype=complex)
-    col = 0
+    s = np.zeros((n * n, n * n))
     for i in range(n):
-        q[i * n + i, col] = 1.0
-        col += 1
-    for phase, sign in ((1.0, 1.0), (1j, -1.0)):
-        for i in range(n):
-            for j in range(i + 1, n):
-                q[i * n + j, col] = phase / np.sqrt(2.0)
-                q[j * n + i, col] = sign * phase / np.sqrt(2.0)
-                col += 1
-    return q
+        for j in range(n):
+            s[j * n + i, i * n + j] = 1.0
+    return s
 
 
 def eigh_decomposition_stack(mat, dims) -> np.ndarray:
