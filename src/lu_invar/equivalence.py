@@ -11,8 +11,9 @@ part is the Gram spectrum of every decomposition, so the reported
 spectrum and F are read from them at every rank. Only the rank-2
 degree-4 invariants (N, M and their lambda polynomials) read a
 decomposition: the eigenvector decomposition that
-``states.eigen_decomposition`` reads from one eigh of a small state and
-from a pivoted Cholesky factor of a larger one.
+``states.eigen_decomposition`` reads from the eigenvectors a small
+state's validation kept and from a pivoted Cholesky factor of a larger
+one.
 Any two decompositions of equal length differ by a unitary mixing,
 which only conjugates the Gram matrix, so all give the same invariants.
 

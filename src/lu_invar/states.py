@@ -45,6 +45,17 @@ from .linalg import (
 
 DENSITY_TOL = 1e-10
 
+# Largest n = prod(dims) at which validation computes the eigenvectors of
+# the state beside its eigenvalues, one eigh in place of one eigvalsh, so
+# that eigen_decomposition reads its members from them with no eigen-solve;
+# above it the members come from the pivoted factor. The eigh's extra cost
+# is paid once per state, whatever its rank, the factor's on every rank-2
+# decomposition. With BLAS on one thread of a 2-vCPU x86 host, the eigh
+# cost 2 to 11 us more than the eigvalsh at n <= 12 and 18 us more at
+# n = 14, 22 at n = 16; the factor cost 28 to 33 us a decomposition, and
+# reading the kept eigenvectors 6 us
+EIGH_MAX_N = 12
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -55,31 +66,43 @@ class DensityMatrix:
     exactly Hermitian part (M + M^dag) / 2 of the matrix M it was given,
     which differs from M by at most ``tol``, so every quantity of the
     state reads one Hermitian matrix. ``spectrum`` holds the ascending,
-    read-only eigenvalues of ``mat``, computed once per state: validation
-    keeps the ones it checks positivity with, and :func:`merge_cut` passes
-    them on. A state built by hand computes them on first use as
-    ``validate_density(mat, dims, tol).spectrum``, so that first use
-    checks it exactly as validation would, at its own ``tol``: shape,
-    Hermiticity, unit trace and positivity. That first use also replaces
-    its ``mat`` by the Hermitian part validation stores, so a hand-built
-    state reads the same matrix as a validated one once it is checked.
+    read-only eigenvalues of ``mat``, computed once per state, and
+    ``eigenvectors`` the read-only matrix of their column eigenvectors, in
+    the same order, when n = prod(dims) is at most ``EIGH_MAX_N`` at
+    validation, else None: validation keeps the ones it checks positivity
+    with, and :func:`merge_cut` passes them on. A state built by hand
+    fills both on first use of either from one ``validate_density(mat,
+    dims, tol)``, so that first use checks it exactly as validation
+    would, at its own ``tol``: shape, Hermiticity, unit trace and
+    positivity. That first use also replaces its ``mat`` by the Hermitian
+    part validation stores, so a hand-built state reads the same matrix as
+    a validated one once it is checked.
     """
 
     dims: tuple[int, ...]
     mat: np.ndarray
     tol: float
 
+    def _validate(self) -> None:
+        valid = validate_density(self.mat, self.dims, self.tol)
+        # frozen: only this check sets them
+        vars(self).update(mat=valid.mat, spectrum=valid.spectrum, eigenvectors=valid.eigenvectors)
+
     @cached_property
     def spectrum(self) -> np.ndarray:
-        valid = validate_density(self.mat, self.dims, self.tol)
-        object.__setattr__(self, "mat", valid.mat)  # frozen: only this check sets it
-        return valid.spectrum
+        self._validate()
+        return vars(self)["spectrum"]
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray | None:
+        self._validate()
+        return vars(self)["eigenvectors"]
 
 
-def _density(dims, mat: np.ndarray, tol: float, spectrum: np.ndarray | None) -> DensityMatrix:
+def _density(dims, mat: np.ndarray, tol: float, eigen: tuple | None) -> DensityMatrix:
     rho = DensityMatrix(dims=dims, mat=mat, tol=tol)
-    if spectrum is not None:
-        vars(rho)["spectrum"] = spectrum  # fills the cached property
+    if eigen is not None:  # fills the cached properties
+        vars(rho).update(spectrum=eigen[0], eigenvectors=eigen[1])
     return rho
 
 
@@ -90,8 +113,10 @@ def validate_density(mat, dims, tol: float = DENSITY_TOL) -> DensityMatrix:
     naming the violated invariant and the measured residual. The state
     keeps the Hermitian part (M + M^dag) / 2 of the matrix M as its
     ``mat``, bitwise M when M is exactly Hermitian, and the eigenvalues
-    that positivity is checked with, one ``eigvalsh`` of that part, as its
-    ``spectrum``.
+    that positivity is checked with as its ``spectrum``: one ``eigh`` of
+    that part when n = prod(dims) is at most ``EIGH_MAX_N``, whose
+    eigenvectors it keeps as ``eigenvectors``, and one ``eigvalsh`` above
+    it, with ``eigenvectors`` None.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2 or any(d < 2 for d in dims):
@@ -111,12 +136,16 @@ def validate_density(mat, dims, tol: float = DENSITY_TOL) -> DensityMatrix:
     if abs(tr - 1.0) > tol:
         raise NotUnitTraceError(f"NotUnitTrace: |tr(rho) - 1| = {abs(tr - 1.0):.3e} > tol {tol:.3e}")
     mat = (mat + mat.conj().T) / 2.0  # a fresh array: the input is not kept
-    w = np.linalg.eigvalsh(mat)
+    if n <= EIGH_MAX_N:
+        w, v = np.linalg.eigh(mat)
+        v.setflags(write=False)
+    else:
+        w, v = np.linalg.eigvalsh(mat), None
     if w[0] < -tol:
         raise NotPSDError(f"NotPSD: min eigenvalue = {w[0]:.3e} < -tol {tol:.3e}")
     w.setflags(write=False)
     mat.setflags(write=False)
-    return _density(dims, mat, tol, w)
+    return _density(dims, mat, tol, (w, v))
 
 
 @dataclass(frozen=True)
@@ -181,13 +210,16 @@ def merge_cut(rho: DensityMatrix, cut: int = 1) -> DensityMatrix:
     """View a state as bipartite across the given cut, the first ``cut``
     subsystems against the rest (:class:`BadCutError` unless 1 <= cut <
     len(dims)); a bipartite state is returned itself. The one place a
-    bipartition is decided."""
+    bipartition is decided. The view is of the same matrix, so it shares
+    the state's ``spectrum`` and ``eigenvectors`` once they are computed
+    and computes neither again."""
     if not 1 <= cut < len(rho.dims):
         raise BadCutError(f"cut must satisfy 1 <= cut < {len(rho.dims)}, got {cut}")
     if len(rho.dims) == 2:
         return rho
     dims = (math.prod(rho.dims[:cut]), math.prod(rho.dims[cut:]))
-    return _density(dims, rho.mat, rho.tol, vars(rho).get("spectrum"))
+    eigen = (rho.spectrum, rho.eigenvectors) if "spectrum" in vars(rho) else None
+    return _density(dims, rho.mat, rho.tol, eigen)
 
 
 def numerical_rank(w, rank_tol: float | None = None) -> int:
@@ -219,14 +251,6 @@ def numerical_rank(w, rank_tol: float | None = None) -> int:
     return rank
 
 
-# Largest n = prod(dims) at which eigen_decomposition reads its members
-# from one eigh of the n x n state. The eigh costs O(n^3), the pivoted
-# factor O(n^2 r) plus a Python loop per pivot: at rank 2, with BLAS on
-# one thread of a 2-vCPU x86 host, the eigh took 29 us against the
-# factor's 30 us at n = 12, and 38 against 30 us at n = 14
-EIGH_MAX_N = 12
-
-
 def eigen_decomposition(rho: DensityMatrix, rank: int | None = None) -> PureStateDecomposition:
     """The eigenvector decomposition of a density matrix: member i is
     sqrt(w_i) v_i for the top ``rank`` eigenpairs (w_i, v_i) of rho,
@@ -245,11 +269,14 @@ def eigen_decomposition(rho: DensityMatrix, rank: int | None = None) -> PureStat
     multipartite state elsewhere, decompose ``merge_cut(rho, cut)``. A
     state built by hand is checked first, on its ``spectrum``.
 
-    The eigenpairs come from one of two solvers, by the size n of rho:
+    The eigenpairs come from one of two sources, decided once, when rho
+    was validated:
 
-    - n <= ``EIGH_MAX_N``: one LAPACK ``eigh`` of ``rho.mat``, which is
-      exactly Hermitian; its positive eigenvalues are the ones kept.
-    - above it: a diagonally pivoted Cholesky factorization
+    - ``rho.eigenvectors``, kept by validation at n <= ``EIGH_MAX_N``
+      with ``rho.spectrum`` from one ``eigh`` of ``rho.mat``: no
+      eigen-solve runs here, and the positive eigenvalues of the
+      spectrum are the ones kept.
+    - when rho has none: a diagonally pivoted Cholesky factorization
       (:func:`pivoted_cholesky`) stops once the largest remaining
       diagonal entry is at most tau, giving rho = L L^dag + E with r'
       columns in O(n^2 r') work, and E positive semidefinite with tr E
@@ -275,8 +302,9 @@ def eigen_decomposition(rho: DensityMatrix, rank: int | None = None) -> PureStat
         rank = numerical_rank(lam)
     elif rank < 1:
         raise BadLengthError(f"a decomposition needs rank >= 1, got {rank}")
-    if n <= EIGH_MAX_N:
-        w, v = eigh_descending(rho.mat)
+    v = rho.eigenvectors
+    if v is not None:
+        w, v = lam[::-1], v[:, ::-1]  # descending views
         rank = min(rank, n)
         while rank and w[rank - 1] <= 0.0:  # only positive eigenvalues are kept
             rank -= 1

@@ -11,11 +11,29 @@ SQRT_THIRD = 1.0 / np.sqrt(3.0)
 
 @pytest.fixture(params=["eigh", "factor"])
 def solver(request, monkeypatch):
-    """Run ``eigen_decomposition`` by one solver whatever the state's size:
-    one eigh of rho, or the pivoted factor (``states.EIGH_MAX_N``)."""
+    """Decompose by one solver whatever the state's size: the eigenvectors
+    of rho's one eigh, or the pivoted factor. It patches
+    ``states.EIGH_MAX_N``, which validation reads, so it acts on the
+    states a test validates itself, not on those of session fixtures."""
     limit = 10**9 if request.param == "eigh" else 0
     monkeypatch.setattr(lu_invar.states, "EIGH_MAX_N", limit)
     return request.param
+
+
+@pytest.fixture
+def eigen_solves(monkeypatch):
+    """Record the shape of every matrix that ``np.linalg.eigh`` and
+    ``np.linalg.eigvalsh`` are given, by name, from here on."""
+    calls = {"eigh": [], "eigvalsh": []}
+    for name, record in calls.items():
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _record=record, **kwargs):
+            _record.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

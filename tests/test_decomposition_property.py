@@ -55,10 +55,11 @@ by_each_solver = pytest.mark.parametrize("solver", ["eigh", "factor"])
 
 
 def solved_by(solver):
-    """Make ``eigen_decomposition`` run one solver whatever the state's
-    size: one eigh of rho, or the pivoted factor. It patches
-    ``states.EIGH_MAX_N`` inside the test, as Hypothesis rejects the
-    function-scoped ``solver`` fixture of ``conftest.py``."""
+    """Decompose by one solver whatever the state's size: the eigenvectors
+    of rho's one eigh, or the pivoted factor. It patches
+    ``states.EIGH_MAX_N``, which validation reads, inside the test, as
+    Hypothesis rejects the function-scoped ``solver`` fixture of
+    ``conftest.py``: the states must be validated under it."""
     return mock.patch.object(lu_invar.states, "EIGH_MAX_N", 10**9 if solver == "eigh" else 0)
 
 

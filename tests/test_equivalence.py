@@ -146,11 +146,12 @@ class TestFingerprint:
     def test_lapack_calls_per_fingerprint(self, rho1, monkeypatch):
         # the rank and F come from the spectrum validation computed, whose
         # trace it checked, so at every rank but 2 (full, mid and 1) one
-        # real SVD for Ky Fan is the only LAPACK call. At rank 2: one eigh,
-        # whose kept eigenvalues measure the members' deviation, and one
-        # SVD; no eigvalsh of the members' Gram matrix. That eigh is of the
-        # n x n state up to EIGH_MAX_N (rho1, n = 4), and above it of the
-        # r' x r' Gram matrix of the pivoted factor (big, n = 64). N, M and
+        # real SVD for Ky Fan is the only LAPACK call. At rank 2 up to
+        # EIGH_MAX_N (rho1, n = 4) the members are read from the
+        # eigenvectors validation kept, so the SVD is still the only call;
+        # above it (big, n = 64) one eigh of the r' x r' Gram matrix of the
+        # pivoted factor, whose kept eigenvalues measure the members'
+        # deviation, and no eigvalsh of the members' Gram matrix. N, M and
         # the lambda polynomials are sums of minors on Python scalars, so
         # no det. No cholesky
         names = ("cholesky", "eigh", "eigvalsh", "svd", "det")
@@ -169,7 +170,7 @@ class TestFingerprint:
         mid = random_density((3, 3), 4, seed=84)
         pure = random_density((3, 3), 1, seed=85)
         cases = (
-            (rho1, (0, 1, 0, 1, 0)),
+            (rho1, (0, 0, 0, 1, 0)),
             (big, (0, 1, 0, 1, 0)),
             (mid, (0, 0, 0, 1, 0)),
             (pure, (0, 0, 0, 1, 0)),
@@ -182,9 +183,8 @@ class TestFingerprint:
             counts = {name: len(record) for name, record in calls.items()}
             assert counts == dict(zip(names, expected))
             assert [dtype for _, dtype in calls["svd"]] == [np.float64]
-            n = math.prod(rho.dims)
-            side = n if n <= EIGH_MAX_N else fp.rank
-            assert all(shape == (side, side) for shape, _ in calls["eigh"])
+            assert all(shape == (fp.rank, fp.rank) for shape, _ in calls["eigh"])
+        assert math.prod(rho1.dims) <= EIGH_MAX_N < math.prod(big.dims)
 
     def test_full_rank_pair_screened_twice_runs_no_eigvalsh(self, monkeypatch):
         # validation computed each state's spectrum once; screens reuse it
@@ -196,6 +196,18 @@ class TestFingerprint:
         for _ in range(2):
             assert screen(rho, moved).verdict == "Inconclusive"
         assert calls == []
+
+    def test_rank_two_screens_of_a_small_state_run_no_eigen_solve(self, eigen_solves):
+        # a validated (2,3) rank-2 state screened against five rotated
+        # copies: every fingerprint reads its members from the eigenvectors
+        # its state's validation kept
+        rho = random_density((2, 3), 2, seed=89)
+        copies = [apply_local_unitary_density(rho, random_local_unitaries((2, 3), seed=90 + k))
+                  for k in range(5)]
+        eigen_solves["eigh"].clear()
+        for moved in copies:
+            assert screen(rho, moved).verdict == "Inconclusive"
+        assert eigen_solves == {"eigh": [], "eigvalsh": []}
 
     def test_f_invariants_once_per_fingerprint(self, rho1, monkeypatch):
         # lambda_det is the signed, reversed F that the fingerprint reports

@@ -99,20 +99,68 @@ class TestValidateDensity:
 
 
 class TestSpectrum:
-    def test_validation_keeps_its_eigvalsh(self):
-        # read-only, ascending, and bitwise the eigvalsh of the Hermitian part
-        for dims, rank in (((2, 2), 4), ((2, 3), 2), ((2, 2, 2), 8)):
+    def test_validation_keeps_its_eigen_solve(self):
+        # read-only and ascending: up to EIGH_MAX_N bitwise the eigenpairs
+        # of one eigh of the Hermitian part, above it bitwise its eigvalsh
+        # and no eigenvectors
+        cases = (((2, 2), 4), ((2, 3), 2), ((2, 2, 2), 8), ((3, 4), 2), ((2, 7), 2), ((4, 4), 3))
+        for dims, rank in cases:
             rho = random_density(dims, rank, seed=30 + rank)
-            w = rho.spectrum
+            w, v = rho.spectrum, rho.eigenvectors
             assert not w.flags.writeable
             with pytest.raises(ValueError):
                 w[0] = 0.0
-            assert np.array_equal(w, np.linalg.eigvalsh(hermitian_part(rho.mat)))
-            assert rho.spectrum is w
+            h = hermitian_part(rho.mat)
+            if math.prod(dims) <= EIGH_MAX_N:
+                want_w, want_v = np.linalg.eigh(h)
+                assert not v.flags.writeable
+                assert np.array_equal(v, want_v)
+            else:
+                want_w = np.linalg.eigvalsh(h)
+                assert v is None
+            assert np.array_equal(w, want_w)
+            assert rho.spectrum is w and rho.eigenvectors is v
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 4), (2, 7), (4, 4)], ids=str)
+    def test_validation_runs_one_eigen_solve(self, dims, eigen_solves):
+        # one eigh up to EIGH_MAX_N and no eigvalsh; one eigvalsh above it
+        # and no eigh
+        n = math.prod(dims)
+        random_density(dims, 2, seed=n)
+        small = n <= EIGH_MAX_N
+        assert eigen_solves == {"eigh": [(n, n)] * small, "eigvalsh": [(n, n)] * (not small)}
+
+    @pytest.mark.parametrize("first", ["spectrum", "eigenvectors"])
+    def test_hand_built_state_fills_both_from_one_validation(self, first, eigen_solves):
+        # whichever is read first, one validation fills the spectrum and
+        # the eigenvectors, and the members are its validated twin's
+        twin = random_density((2, 3), 2, seed=35)
+        by_hand = DensityMatrix(dims=twin.dims, mat=np.array(twin.mat), tol=twin.tol)
+        eigen_solves["eigh"].clear()
+        getattr(by_hand, first)
+        assert {"spectrum", "eigenvectors"} <= set(vars(by_hand))
+        assert eigen_solves == {"eigh": [(6, 6)], "eigvalsh": []}
+        assert np.array_equal(by_hand.spectrum, twin.spectrum)
+        assert np.array_equal(by_hand.eigenvectors, twin.eigenvectors)
+        assert np.array_equal(eigen_decomposition(by_hand).stack, eigen_decomposition(twin).stack)
+        assert eigen_solves == {"eigh": [(6, 6)], "eigvalsh": []}
 
     def test_merge_cut_forwards_it(self):
         rho = random_density((2, 2, 2), 3, seed=33)
         assert merge_cut(rho, 2).spectrum is rho.spectrum
+        assert merge_cut(rho, 2).eigenvectors is rho.eigenvectors
+
+    def test_merge_cut_view_runs_no_eigen_solve(self, eigen_solves):
+        # the view of a validated (2,2,2) state is of the same matrix: its
+        # rank-2 members are read from the state's eigenvectors
+        rho = random_density((2, 2, 2), 2, seed=36)
+        eigen_solves["eigh"].clear()
+        for cut in (1, 2):
+            bip = merge_cut(rho, cut)
+            d = eigen_decomposition(bip, numerical_rank(bip.spectrum))
+            assert len(d) == 2 and (d.n, d.m) == bip.dims
+            assert np.abs(reconstruct(d) - rho.mat).max() <= 1e-12
+        assert eigen_solves == {"eigh": [], "eigvalsh": []}
 
     def test_merge_cut_of_a_bipartite_state_is_the_state(self):
         rho = random_density((2, 3), 2, seed=34)
