@@ -75,7 +75,7 @@ class ScreenConfig:
 _DEFAULT_CONFIG = ScreenConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fingerprint:
     """All implemented invariants of one state, with what its error bounds
     need beyond rounding. :func:`_rows` reads the compared quantities and

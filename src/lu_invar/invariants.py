@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .errors import (
 from .states import DensityMatrix, PureStateDecomposition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """The I x I overlap matrix Omega_ij = tr(A_i A_j^dag) of a
     decomposition, read from the decomposition itself.
@@ -84,7 +84,7 @@ def gram_matrix(d: PureStateDecomposition) -> GramMatrix:
     return GramMatrix(decomposition=d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvariantVector:
     """F_0 .. F_I with F_i the i-th elementary symmetric polynomial of
     the Gram spectrum. F_0 is exactly 1; F_1 equals tr(rho)."""
@@ -136,7 +136,7 @@ def _product_recurrence(xs: list) -> list:
     return e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypermatrix:
     """The 2x2x2x2 trace hypermatrix of a two-member decomposition.
 
@@ -144,25 +144,23 @@ class Hypermatrix:
     (i, j, k, l) of tr(A_i A_j^dag A_k A_l^dag), so that the row-major
     flat index of entry (i, j, k, l) is exactly r = 8i + 4j + 2k + l.
 
-    The entries are read to Python complex scalars once, and the 4x4 N
-    and M layouts are each expanded once, on first use: ``invariant_N``
-    and ``lambda_poly(h, inv="N")`` share one expansion, as do
-    ``invariant_M`` and ``lambda_poly(h, inv="M")``.
+    Construction checks that every entry is finite, raising
+    :class:`BadShapeError` on an Inf or NaN, reads the entries to Python
+    complex scalars once and expands the 4x4 N and M layouts once:
+    ``invariant_N`` and ``lambda_poly(h, inv="N")`` share one expansion,
+    as do ``invariant_M`` and ``lambda_poly(h, inv="M")``.
     """
 
     entries: np.ndarray
+    _n_expansion: tuple = field(init=False, repr=False)
+    _m_expansion: tuple = field(init=False, repr=False)
 
-    @functools.cached_property
-    def _scalars(self) -> list:
-        return self.entries.ravel().tolist()
-
-    @functools.cached_property
-    def _n_expansion(self) -> tuple:
-        return _expand(self._scalars, N_LAYOUT)
-
-    @functools.cached_property
-    def _m_expansion(self) -> tuple:
-        return _expand(self._scalars, M_LAYOUT)
+    def __post_init__(self) -> None:
+        flat = self.entries.ravel().tolist()
+        if not all(map(cmath.isfinite, flat)):
+            raise BadShapeError("hypermatrix has NaN or Inf entries")
+        # frozen: set once here
+        vars(self).update(_n_expansion=_expand(flat, N_LAYOUT), _m_expansion=_expand(flat, M_LAYOUT))
 
 
 def hypermatrix(d: PureStateDecomposition) -> Hypermatrix:
@@ -170,10 +168,10 @@ def hypermatrix(d: PureStateDecomposition) -> Hypermatrix:
     decomposition, such as the eigen decomposition of a rank-2 state.
 
     A decomposition of any other length raises
-    :class:`UnsupportedFormatError`. Overflow is checked, raising
-    ``BadShapeError`` when an entry is Inf or NaN. Its conjugate and
-    cyclic symmetries hold by construction, up to rounding, and are not
-    re-checked.
+    :class:`UnsupportedFormatError`, and an overflowing product raises
+    :class:`BadShapeError` when the :class:`Hypermatrix` is built. Its
+    conjugate and cyclic symmetries hold by construction, up to rounding,
+    and are not re-checked.
     """
     if len(d) != 2:
         raise UnsupportedFormatError(
@@ -185,10 +183,7 @@ def hypermatrix(d: PureStateDecomposition) -> Hypermatrix:
     # tr(P[i, j] P[k, l]) = sum_ab P[i, j][a, b] P[k, l][b, a]
     t = np.ascontiguousarray(np.einsum("...ab,klba->...kl", prod, prod))
     t.setflags(write=False)
-    h = Hypermatrix(entries=t)
-    if not all(map(cmath.isfinite, h._scalars)):
-        raise BadShapeError("hypermatrix has NaN or Inf entries: its products overflow")
-    return h
+    return Hypermatrix(entries=t)
 
 
 def cayley_det_222(tensor) -> complex:
@@ -373,7 +368,6 @@ def _real_realignment(rho: DensityMatrix) -> np.ndarray:
         raise NotBipartiteError(
             f"realignment needs a bipartite state, got {len(rho.dims)} subsystems"
         )
-    rho.spectrum  # checks a hand-built state, and makes its mat Hermitian, first
     n, m = rho.dims
     x = rho.mat.reshape(n, m, n, m)
     return (x.real + x.imag.transpose(2, 1, 0, 3)).transpose(0, 2, 1, 3).reshape(n * n, m * m)

@@ -18,7 +18,7 @@ makes by default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -57,98 +57,79 @@ DENSITY_TOL = 1e-10
 EIGH_MAX_N = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A validated Hermitian, PSD, unit-trace matrix with subsystem dims.
+    """A Hermitian, PSD, unit-trace matrix with subsystem dims, checked
+    when it is built.
 
-    Construct through :func:`validate_density`; the stored ``tol`` is the
-    tolerance the validation was performed at. ``mat`` is the state: the
-    exactly Hermitian part (M + M^dag) / 2 of the matrix M it was given,
-    which differs from M by at most ``tol``, so every quantity of the
-    state reads one Hermitian matrix. ``spectrum`` holds the ascending,
-    read-only eigenvalues of ``mat``, computed once per state, and
-    ``eigenvectors`` the read-only matrix of their column eigenvectors, in
-    the same order, when n = prod(dims) is at most ``EIGH_MAX_N`` at
-    validation, else None: validation keeps the ones it checks positivity
-    with, and :func:`merge_cut` passes them on. A state built by hand
-    fills both on first use of either from one ``validate_density(mat,
-    dims, tol)``, so that first use checks it exactly as validation
-    would, at its own ``tol``: shape, Hermiticity, unit trace and
-    positivity. That first use also replaces its ``mat`` by the Hermitian
-    part validation stores, so a hand-built state reads the same matrix as
-    a validated one once it is checked.
+    Construction checks the matrix M it is given at the state's ``tol``,
+    which must be finite and >= 0 (:class:`BadToleranceError`, before any
+    other check): ``dims`` names at least two subsystems, each of
+    dimension >= 2, whose product n matches the shape of M
+    (:class:`DimensionMismatchError`), and M is Hermitian
+    (:class:`NotHermitianError`), of unit trace
+    (:class:`NotUnitTraceError`) and positive semidefinite
+    (:class:`NotPSDError`), each error naming the measured residual.
+    ``mat`` is then the state: the exactly Hermitian part (M + M^dag) / 2,
+    a fresh read-only array within ``tol`` of M, bitwise M when M is
+    exactly Hermitian, so every quantity of the state reads one Hermitian
+    matrix. ``spectrum`` holds the ascending, read-only eigenvalues of
+    ``mat`` that positivity is checked with, and ``eigenvectors`` the
+    read-only matrix of their column eigenvectors, in the same order:
+    one ``eigh`` when n is at most ``EIGH_MAX_N``, and one ``eigvalsh``
+    above it, with ``eigenvectors`` None. :func:`merge_cut` passes all
+    three on to its view. A state compares and hashes by identity.
     """
 
     dims: tuple[int, ...]
     mat: np.ndarray
     tol: float
+    spectrum: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray | None = field(init=False, repr=False)
 
-    def _validate(self) -> None:
-        valid = validate_density(self.mat, self.dims, self.tol)
-        # frozen: only this check sets them
-        vars(self).update(mat=valid.mat, spectrum=valid.spectrum, eigenvectors=valid.eigenvectors)
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        self._validate()
-        return vars(self)["spectrum"]
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray | None:
-        self._validate()
-        return vars(self)["eigenvectors"]
-
-
-def _density(dims, mat: np.ndarray, tol: float, eigen: tuple | None) -> DensityMatrix:
-    rho = DensityMatrix(dims=dims, mat=mat, tol=tol)
-    if eigen is not None:  # fills the cached properties
-        vars(rho).update(spectrum=eigen[0], eigenvectors=eigen[1])
-    return rho
+    def __post_init__(self) -> None:
+        tol = self.tol
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise BadToleranceError(f"tol must be finite and >= 0, got {tol!r}")
+        dims = tuple(int(d) for d in self.dims)
+        if len(dims) < 2 or any(d < 2 for d in dims):
+            raise DimensionMismatchError(
+                f"a state needs at least two subsystems, each of dimension >= 2, got {dims}"
+            )
+        mat = as_complex_matrix(self.mat)
+        n = math.prod(dims)
+        if mat.shape != (n, n):
+            raise DimensionMismatchError(
+                f"matrix shape {mat.shape} does not match product of dims {dims} = {n}"
+            )
+        herm = hermiticity_residual(mat)
+        if herm > tol:
+            raise NotHermitianError(f"NotHermitian: max |rho - rho^dag| = {herm:.3e} > tol {tol:.3e}")
+        tr = complex(mat.trace())
+        if abs(tr - 1.0) > tol:
+            raise NotUnitTraceError(f"NotUnitTrace: |tr(rho) - 1| = {abs(tr - 1.0):.3e} > tol {tol:.3e}")
+        mat = (mat + mat.conj().T) / 2.0  # a fresh array: the input is not kept
+        if n <= EIGH_MAX_N:
+            w, v = np.linalg.eigh(mat)
+            v.setflags(write=False)
+        else:
+            w, v = np.linalg.eigvalsh(mat), None
+        if w[0] < -tol:
+            raise NotPSDError(f"NotPSD: min eigenvalue = {w[0]:.3e} < -tol {tol:.3e}")
+        w.setflags(write=False)
+        mat.setflags(write=False)
+        vars(self).update(dims=dims, mat=mat, spectrum=w, eigenvectors=v)  # frozen: set once here
 
 
 def validate_density(mat, dims, tol: float = DENSITY_TOL) -> DensityMatrix:
-    """Validate a candidate density matrix against its three invariants.
-
-    Raises ``NotHermitianError``, ``NotUnitTraceError`` or ``NotPSDError``
-    naming the violated invariant and the measured residual. The state
-    keeps the Hermitian part (M + M^dag) / 2 of the matrix M as its
-    ``mat``, bitwise M when M is exactly Hermitian, and the eigenvalues
-    that positivity is checked with as its ``spectrum``: one ``eigh`` of
-    that part when n = prod(dims) is at most ``EIGH_MAX_N``, whose
-    eigenvectors it keeps as ``eigenvectors``, and one ``eigvalsh`` above
-    it, with ``eigenvectors`` None.
-    """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or any(d < 2 for d in dims):
-        raise DimensionMismatchError(
-            f"a state needs at least two subsystems, each of dimension >= 2, got {dims}"
-        )
-    mat = as_complex_matrix(mat)
-    n = math.prod(dims)
-    if mat.shape != (n, n):
-        raise DimensionMismatchError(
-            f"matrix shape {mat.shape} does not match product of dims {dims} = {n}"
-        )
-    herm = hermiticity_residual(mat)
-    if herm > tol:
-        raise NotHermitianError(f"NotHermitian: max |rho - rho^dag| = {herm:.3e} > tol {tol:.3e}")
-    tr = complex(mat.trace())
-    if abs(tr - 1.0) > tol:
-        raise NotUnitTraceError(f"NotUnitTrace: |tr(rho) - 1| = {abs(tr - 1.0):.3e} > tol {tol:.3e}")
-    mat = (mat + mat.conj().T) / 2.0  # a fresh array: the input is not kept
-    if n <= EIGH_MAX_N:
-        w, v = np.linalg.eigh(mat)
-        v.setflags(write=False)
-    else:
-        w, v = np.linalg.eigvalsh(mat), None
-    if w[0] < -tol:
-        raise NotPSDError(f"NotPSD: min eigenvalue = {w[0]:.3e} < -tol {tol:.3e}")
-    w.setflags(write=False)
-    mat.setflags(write=False)
-    return _density(dims, mat, tol, (w, v))
+    """The state ``DensityMatrix(dims, mat, tol)``: construction checks
+    the candidate density matrix, at ``tol``, and keeps its Hermitian part
+    and the eigen-solve positivity is checked with (see
+    :class:`DensityMatrix`)."""
+    return DensityMatrix(dims=dims, mat=mat, tol=tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureStateDecomposition:
     """Coefficient matrices A_i of one pure-state decomposition.
 
@@ -210,16 +191,16 @@ def merge_cut(rho: DensityMatrix, cut: int = 1) -> DensityMatrix:
     """View a state as bipartite across the given cut, the first ``cut``
     subsystems against the rest (:class:`BadCutError` unless 1 <= cut <
     len(dims)); a bipartite state is returned itself. The one place a
-    bipartition is decided. The view is of the same matrix, so it shares
-    the state's ``spectrum`` and ``eigenvectors`` once they are computed
-    and computes neither again."""
+    bipartition is decided. The view is of the same checked matrix: it
+    shares the state's ``mat``, ``tol``, ``spectrum`` and ``eigenvectors``,
+    and neither checks nor decomposes it again."""
     if not 1 <= cut < len(rho.dims):
         raise BadCutError(f"cut must satisfy 1 <= cut < {len(rho.dims)}, got {cut}")
     if len(rho.dims) == 2:
         return rho
-    dims = (math.prod(rho.dims[:cut]), math.prod(rho.dims[cut:]))
-    eigen = (rho.spectrum, rho.eigenvectors) if "spectrum" in vars(rho) else None
-    return _density(dims, rho.mat, rho.tol, eigen)
+    view = object.__new__(DensityMatrix)  # rho's checked fields, with no second check
+    vars(view).update(vars(rho), dims=(math.prod(rho.dims[:cut]), math.prod(rho.dims[cut:])))
+    return view
 
 
 def numerical_rank(w, rank_tol: float | None = None) -> int:
@@ -266,13 +247,12 @@ def eigen_decomposition(rho: DensityMatrix, rank: int | None = None) -> PureStat
     ``decomposition_fingerprint`` reads F and the Gram trace from them.
     Each member is an N1 x N2 coefficient matrix, N1 the first
     subsystem's dimension and N2 that of the rest: to split a
-    multipartite state elsewhere, decompose ``merge_cut(rho, cut)``. A
-    state built by hand is checked first, on its ``spectrum``.
+    multipartite state elsewhere, decompose ``merge_cut(rho, cut)``.
 
     The eigenpairs come from one of two sources, decided once, when rho
-    was validated:
+    was built:
 
-    - ``rho.eigenvectors``, kept by validation at n <= ``EIGH_MAX_N``
+    - ``rho.eigenvectors``, kept by its check at n <= ``EIGH_MAX_N``
       with ``rho.spectrum`` from one ``eigh`` of ``rho.mat``: no
       eigen-solve runs here, and the positive eigenvalues of the
       spectrum are the ones kept.
@@ -296,7 +276,7 @@ def eigen_decomposition(rho: DensityMatrix, rank: int | None = None) -> PureStat
       basis, which only shrinks E. Only a nonpositive pivot stops it
       short of ``rank``.
     """
-    lam = rho.spectrum  # computes, and so checks, the spectrum of a hand-built state
+    lam = rho.spectrum
     n = len(lam)
     if rank is None:
         rank = numerical_rank(lam)

@@ -19,7 +19,13 @@ from lu_invar.errors import (
     NotPSDError,
     NotUnitTraceError,
 )
-from lu_invar.invariants import f_invariants, gram_matrix, lambda_poly, realignment_kyfan
+from lu_invar.invariants import (
+    f_invariants,
+    gram_matrix,
+    hypermatrix,
+    lambda_poly,
+    realignment_kyfan,
+)
 from lu_invar.linalg import haar_unitary, hermitian_part
 from lu_invar.states import (
     EIGH_MAX_N,
@@ -53,6 +59,27 @@ def count_calls(monkeypatch, names):
         monkeypatch.setattr(lu_invar.invariants, name, counted)
         monkeypatch.setattr(lu_invar.equivalence, name, counted)
     return calls
+
+
+def _equal_twin(kind):
+    """The value object of the named type read from a fresh rank-2 state,
+    equal in content to every other one of its kind."""
+    rho = random_density((2, 2), 2, seed=1300)
+    d = eigen_decomposition(rho)
+    twins = (rho, d, gram_matrix(d), f_invariants(rho.spectrum), hypermatrix(d), fingerprint(rho))
+    return next(x for x in twins if type(x).__name__ == kind)
+
+
+@pytest.mark.parametrize("kind", [
+    "DensityMatrix", "PureStateDecomposition", "GramMatrix", "InvariantVector", "Hypermatrix",
+    "Fingerprint",
+])
+def test_value_objects_compare_and_hash_by_identity(kind):
+    # field-wise equality once compared arrays, raising ValueError, and
+    # hashing raised TypeError
+    a, b = _equal_twin(kind), _equal_twin(kind)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 class TestFingerprint:

@@ -230,6 +230,16 @@ class TestHypermatrix:
                 hypermatrix(d)
 
 
+    @pytest.mark.parametrize("entry", [complex("nan"), complex("inf")], ids=["nan", "inf"])
+    def test_hand_built_non_finite_refused(self, entry):
+        # checked when built, not only by hypermatrix(): a hand-built one
+        # with a NaN entry once read invariant_N = nan+nanj
+        entries = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
+        entries[0, 1, 1, 0] = entry
+        with pytest.raises(BadShapeError, match="hypermatrix has NaN or Inf"):
+            Hypermatrix(entries=entries)
+
+
 class TestCayley:
     def test_basis_tensor(self):
         t = np.zeros((2, 2, 2))

@@ -7,6 +7,7 @@ from lu_invar.errors import (
     BadCutError,
     BadLengthError,
     BadShapeError,
+    BadToleranceError,
     DimensionMismatchError,
     NotHermitianError,
     NotPSDError,
@@ -95,7 +96,24 @@ class TestValidateDensity:
         with pytest.raises(DimensionMismatchError, match="at least two subsystems"):
             validate_density(np.eye(4) / 4.0, (4,))
         with pytest.raises(DimensionMismatchError, match="at least two subsystems"):
-            DensityMatrix(dims=(4,), mat=np.eye(4) / 4.0, tol=1e-10).spectrum
+            DensityMatrix(dims=(4,), mat=np.eye(4) / 4.0, tol=1e-10)
+
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0], ids=str)
+    def test_bad_tolerance_refused_first(self, tol):
+        # a NaN tol once accepted this non-Hermitian matrix with eigenvalue
+        # -7.18, an infinite one any finite matrix, and -1 refused
+        # eye(4)/4 as not Hermitian; the shape is not read before the tol
+        bad = np.array([[5, 3j, 0, 0], [0, -7, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+        for mat in (bad, np.eye(4) / 4.0, np.eye(3) / 3.0):
+            with pytest.raises(BadToleranceError, match="tol must be finite and >= 0"):
+                validate_density(mat, (2, 2), tol=tol)
+            with pytest.raises(BadToleranceError, match="tol must be finite and >= 0"):
+                DensityMatrix(dims=(2, 2), mat=mat, tol=tol)
+
+    def test_zero_tolerance_accepted(self):
+        rho = validate_density(np.eye(4) / 4.0, (2, 2), tol=0.0)
+        assert rho.tol == 0.0 and np.array_equal(rho.spectrum, np.full(4, 0.25))
 
 
 class TestSpectrum:
@@ -130,20 +148,26 @@ class TestSpectrum:
         small = n <= EIGH_MAX_N
         assert eigen_solves == {"eigh": [(n, n)] * small, "eigvalsh": [(n, n)] * (not small)}
 
-    @pytest.mark.parametrize("first", ["spectrum", "eigenvectors"])
-    def test_hand_built_state_fills_both_from_one_validation(self, first, eigen_solves):
-        # whichever is read first, one validation fills the spectrum and
-        # the eigenvectors, and the members are its validated twin's
-        twin = random_density((2, 3), 2, seed=35)
-        by_hand = DensityMatrix(dims=twin.dims, mat=np.array(twin.mat), tol=twin.tol)
+    @pytest.mark.parametrize("by_hand", [False, True], ids=["validated", "by-hand"])
+    def test_one_eigen_solve_when_built(self, by_hand, eigen_solves):
+        # construction runs the one eigh, validated or by hand; later
+        # reads, the merge_cut views and the members read from them run
+        # none, and all are those of the validated twin
+        twin = random_density((2, 3, 2), 2, seed=35)
+        mat = np.array(twin.mat)
         eigen_solves["eigh"].clear()
-        getattr(by_hand, first)
-        assert {"spectrum", "eigenvectors"} <= set(vars(by_hand))
-        assert eigen_solves == {"eigh": [(6, 6)], "eigvalsh": []}
-        assert np.array_equal(by_hand.spectrum, twin.spectrum)
-        assert np.array_equal(by_hand.eigenvectors, twin.eigenvectors)
-        assert np.array_equal(eigen_decomposition(by_hand).stack, eigen_decomposition(twin).stack)
-        assert eigen_solves == {"eigh": [(6, 6)], "eigvalsh": []}
+        if by_hand:
+            rho = DensityMatrix(dims=twin.dims, mat=mat, tol=twin.tol)
+        else:
+            rho = validate_density(mat, twin.dims)
+        assert eigen_solves == {"eigh": [(12, 12)], "eigvalsh": []}
+        assert np.array_equal(rho.spectrum, twin.spectrum)
+        assert np.array_equal(rho.eigenvectors, twin.eigenvectors)
+        for cut in (1, 2):
+            bip, twin_bip = merge_cut(rho, cut), merge_cut(twin, cut)
+            assert bip.spectrum is rho.spectrum and bip.eigenvectors is rho.eigenvectors
+            assert np.array_equal(eigen_decomposition(bip).stack, eigen_decomposition(twin_bip).stack)
+        assert eigen_solves == {"eigh": [(12, 12)], "eigvalsh": []}
 
     def test_merge_cut_forwards_it(self):
         rho = random_density((2, 2, 2), 3, seed=33)
@@ -168,25 +192,27 @@ class TestSpectrum:
         with pytest.raises(BadCutError):
             merge_cut(rho, 2)
 
-    def test_hand_built_state_checked_on_first_use(self, rho1):
+    def test_hand_built_state_checked_when_built(self, rho1):
+        # construction raises what validate_density raises, message and all
         by_hand = DensityMatrix(dims=rho1.dims, mat=rho1.mat, tol=rho1.tol)
-        assert "spectrum" not in vars(by_hand)
         assert np.array_equal(by_hand.spectrum, rho1.spectrum)
-        mat = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
-        with pytest.raises(NotPSDError, match="NotPSD"):
-            DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10).spectrum
-        mat = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        mat[0, 1] = 1e-6
-        with pytest.raises(NotHermitianError):
-            DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10).spectrum
+        not_psd = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
+        not_hermitian = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        not_hermitian[0, 1] = 1e-6
+        for mat, error in ((not_psd, NotPSDError), (not_hermitian, NotHermitianError)):
+            with pytest.raises(error) as valid:
+                validate_density(mat, (2, 2))
+            with pytest.raises(error) as built:
+                DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10)
+            assert str(built.value) == str(valid.value)
 
-    def test_hand_built_state_reads_its_hermitian_part_once_checked(self):
-        # the check that computes the spectrum also gives the state the
-        # matrix validation would store, so both read one Hermitian matrix
+    def test_hand_built_state_holds_its_hermitian_part(self):
+        # from construction, a state built by hand reads the matrix
+        # validation stores, so both read one Hermitian matrix
         mat = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         mat[0, 1] = 2e-11
         by_hand = DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10)
-        assert by_hand.mat is mat
+        assert by_hand.mat is not mat and not by_hand.mat.flags.writeable
         valid = validate_density(mat, (2, 2))
         assert np.array_equal(by_hand.spectrum, valid.spectrum)
         assert np.array_equal(by_hand.mat, valid.mat)
@@ -195,17 +221,17 @@ class TestSpectrum:
     def test_hand_built_state_checked_as_validation_would(self):
         # the same checks as validate_density, at the state's own tol
         with pytest.raises(NotUnitTraceError, match="NotUnitTrace"):
-            DensityMatrix(dims=(2, 2), mat=np.zeros((4, 4), dtype=complex), tol=1e-10).spectrum
+            DensityMatrix(dims=(2, 2), mat=np.zeros((4, 4), dtype=complex), tol=1e-10)
         with pytest.raises(NotUnitTraceError):
-            DensityMatrix(dims=(2, 2), mat=np.eye(4, dtype=complex) / 2.0, tol=1e-10).spectrum
+            DensityMatrix(dims=(2, 2), mat=np.eye(4, dtype=complex) / 2.0, tol=1e-10)
         with pytest.raises(DimensionMismatchError):
-            DensityMatrix(dims=(2, 2), mat=np.eye(3, dtype=complex) / 3.0, tol=1e-10).spectrum
+            DensityMatrix(dims=(2, 2), mat=np.eye(3, dtype=complex) / 3.0, tol=1e-10)
         # no 1e-10 floor: a residual of 1e-11 fails a tol of 1e-12
         mat = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         mat[0, 1] = 1e-11
         assert len(DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10).spectrum) == 4
         with pytest.raises(NotHermitianError):
-            DensityMatrix(dims=(2, 2), mat=mat, tol=1e-12).spectrum
+            DensityMatrix(dims=(2, 2), mat=mat, tol=1e-12)
 
 
 class TestEigenDecomposition:
