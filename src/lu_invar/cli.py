@@ -214,13 +214,6 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _add_format(parser) -> None:
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--text", dest="json", action="store_false")
-    parser.set_defaults(json=False)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lu-invar",
@@ -232,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="fingerprint one state")
     p.add_argument("state")
     _add_common(p)
-    _add_format(p)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("compare", help="screen a pair of states", description=(
@@ -241,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state_a")
     p.add_argument("state_b")
     _add_common(p)
-    _add_format(p)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("mix", help="invariants across random decomposition mixings")

@@ -43,6 +43,7 @@ from .invariants import (
 )
 from .linalg import EPS
 from .states import (
+    DENSITY_TOL,
     DensityMatrix,
     PureStateDecomposition,
     eigen_decomposition,
@@ -185,10 +186,10 @@ def _fingerprint(
     descending Gram spectrum g and rho's top len(d) eigenvalues, plus
     rho's negative mass. With rho = L L^dag + E, E the residual of the
     pivoted factor that reads the members of a larger state, a negative
-    eigenvalue of rho (validation accepts them down to -tol) leaves one in
-    E, which lifts g above rho's spectrum by a basis-dependent amount and
-    turns its eigenvectors: the sum shows the lift, the negative mass
-    stands in for the turn."""
+    eigenvalue of rho (validation accepts them down to -DENSITY_TOL)
+    leaves one in E, which lifts g above rho's spectrum by a
+    basis-dependent amount and turns its eigenvectors: the sum shows the
+    lift, the negative mass stands in for the turn."""
     f = f_invariants(w)
     lambdas = {"det": lambda_poly(f, inv="det")}
     n_value = m_value = None
@@ -233,22 +234,18 @@ def fingerprint(rho: DensityMatrix, cfg: ScreenConfig | None = None) -> Fingerpr
     return _fingerprint(rho, w[-rank:], realignment_kyfan(bip), d)
 
 
-GRAM_TOL = 1e-10
-
-
 def _require_unit_mass(rho: DensityMatrix, w: np.ndarray) -> None:
     """The Gram trace check of a decomposition of ``rho`` with ascending
     Gram spectrum ``w``: its trace, plus the mass of rho's eigenvalues
     below its top len(w) that a rank rule dropped, is 1 within
-    ``GRAM_TOL``, or within a looser tolerance (else
-    :class:`NotUnitTraceError`): the state's validation tolerance plus
-    n r times its negative mass, which lifts the trace of r pivoted
-    columns by 1 + ||L11^-1 L21^dag||^2 times that mass, at most n at r = 1
+    ``states.DENSITY_TOL`` plus n r times rho's negative mass (else
+    :class:`NotUnitTraceError`). That mass lifts the trace of r pivoted
+    columns by 1 + ||L11^-1 L21^dag||^2 times itself, at most n at r = 1
     and below 1.4 n in sweeps of ranks 1 to 4 (Higham's worst case: 4^r)."""
     lam = rho.spectrum.tolist()[::-1]
     kept, dropped = sum(w.tolist()[::-1]), sum(lam[len(w):])
-    tol = rho.tol - len(lam) * len(w) * sum(x for x in lam if x < 0.0)
-    if abs(kept + dropped - 1.0) > max(GRAM_TOL, tol):
+    tol = DENSITY_TOL - len(lam) * len(w) * sum(x for x in lam if x < 0.0)
+    if abs(kept + dropped - 1.0) > tol:
         raise NotUnitTraceError(f"NotUnitTrace: Gram trace {kept!r} plus dropped mass "
                                 f"{dropped:.3e} differs from 1 by {abs(kept + dropped - 1.0):.3e}")
 

@@ -33,7 +33,6 @@ Implemented invariant polynomials, each computed in closed form:
 from __future__ import annotations
 
 import cmath
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,7 @@ from .errors import (
     NotBipartiteError,
     UnsupportedFormatError,
 )
-from .states import DensityMatrix, PureStateDecomposition
+from .states import DensityMatrix, PureStateDecomposition, gram_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,17 +52,19 @@ class GramMatrix:
     decomposition, read from the decomposition itself.
 
     ``spectrum`` is its ``gram_spectrum``, the eigenvalues of Omega in
-    ascending order, and ``omega`` its ``gram``, Omega itself, built only
-    when read. Hermitian and positive semidefinite by construction, so
-    neither is checked; its trace equals the trace of the reconstructed
-    state (1 for a density matrix).
+    ascending order, set when the decomposition was built. ``omega`` is
+    Omega itself, V V^dag made exactly Hermitian, row i of V the
+    flattened A_i, built anew each time it is read. Hermitian and
+    positive semidefinite by construction, so neither is checked; its
+    trace equals the trace of the reconstructed state (1 for a density
+    matrix).
     """
 
     decomposition: PureStateDecomposition
 
     @property
     def omega(self) -> np.ndarray:
-        return self.decomposition.gram
+        return gram_of(self.decomposition.stack)
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -72,10 +73,10 @@ class GramMatrix:
 
 def gram_matrix(d: PureStateDecomposition) -> GramMatrix:
     """The overlap matrix of a decomposition. Its spectrum is the one
-    ``d`` holds: for an eigen decomposition, the kept eigenvalues its
-    members were read with, so no eigen-solve runs here; for any other
-    decomposition, one ``eigvalsh`` of V V^dag on first use, row i of V
-    the flattened A_i.
+    ``d`` was built with: for an eigen decomposition, the kept eigenvalues
+    its members were read with, and for any other, the one ``eigvalsh``
+    of V V^dag that :func:`states.make_decomposition` ran, so no
+    eigen-solve runs here.
 
     Nothing is checked: Hermiticity and semidefiniteness hold for any
     decomposition up to rounding, and the trace is a property of the state
@@ -144,11 +145,12 @@ class Hypermatrix:
     (i, j, k, l) of tr(A_i A_j^dag A_k A_l^dag), so that the row-major
     flat index of entry (i, j, k, l) is exactly r = 8i + 4j + 2k + l.
 
-    Construction checks that every entry is finite, raising
-    :class:`BadShapeError` on an Inf or NaN, reads the entries to Python
-    complex scalars once and expands the 4x4 N and M layouts once:
-    ``invariant_N`` and ``lambda_poly(h, inv="N")`` share one expansion,
-    as do ``invariant_M`` and ``lambda_poly(h, inv="M")``.
+    Construction checks the shape and that every entry is finite,
+    raising :class:`BadShapeError` on any other shape or on an Inf or
+    NaN, reads the entries to Python complex scalars once and expands the
+    4x4 N and M layouts once: ``invariant_N`` and ``lambda_poly(h,
+    inv="N")`` share one expansion, as do ``invariant_M`` and
+    ``lambda_poly(h, inv="M")``.
     """
 
     entries: np.ndarray
@@ -156,6 +158,8 @@ class Hypermatrix:
     _m_expansion: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.entries.shape != (2, 2, 2, 2):
+            raise BadShapeError(f"a hypermatrix has shape (2, 2, 2, 2), got {self.entries.shape}")
         flat = self.entries.ravel().tolist()
         if not all(map(cmath.isfinite, flat)):
             raise BadShapeError("hypermatrix has NaN or Inf entries")
@@ -321,7 +325,11 @@ def lambda_poly(x: InvariantVector | Hypermatrix, *, inv: str) -> np.ndarray:
     if not isinstance(x, want_type):
         raise UnsupportedFormatError(f"inv={inv!r} cannot be read from a {type(x).__name__}")
     if inv == "det":
-        signed = (_alternating_signs(len(x.F)) * x.F)[::-1]  # (-1)**i F_i, reversed
+        signed = x.F.copy()
+        # (-1)**i F_i: a sign flip is exact, and a zero it turns into -0.0
+        # is written as 0
+        signed[1::2] *= -1.0
+        signed = signed[::-1]
         signed.setflags(write=False)
         return signed
     a, det, s, c = x._n_expansion if inv == "N" else x._m_expansion
@@ -339,16 +347,6 @@ def lambda_poly(x: InvariantVector | Hypermatrix, *, inv: str) -> np.ndarray:
     e2 = (s[0] + c[5] + a[0] * a[10] - a[2] * a[8] + a[0] * a[15] - a[3] * a[12]
           + a[5] * a[10] - a[6] * a[9] + a[5] * a[15] - a[7] * a[13])
     return _read_only([det, -(m00 + m11 + m22 + m33), e2, -(a[0] + a[5] + a[10] + a[15]), 1.0])
-
-
-@functools.lru_cache(maxsize=64)
-def _alternating_signs(n: int) -> np.ndarray:
-    """[1, -1, 1, ...] of length n: a sign flip is exact, and a zero it
-    turns into -0.0 is written as 0."""
-    signs = np.ones(n)
-    signs[1::2] = -1.0
-    signs.setflags(write=False)
-    return signs
 
 
 def _read_only(coeffs) -> np.ndarray:

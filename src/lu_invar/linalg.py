@@ -96,7 +96,7 @@ def eigh_descending(h: np.ndarray):
     return w[::-1], v[:, ::-1]
 
 
-def pivoted_cholesky(h: np.ndarray, tol: float, floor: int = 0) -> np.ndarray:
+def pivoted_cholesky(h: np.ndarray, tol: float, floor: int) -> np.ndarray:
     """The rows of a diagonally pivoted Cholesky factor of an exactly
     Hermitian positive semidefinite complex matrix H, such as
     :func:`hermitian_part` returns: an (r, n) array whose transpose L

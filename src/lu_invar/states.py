@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -62,35 +62,31 @@ class DensityMatrix:
     """A Hermitian, PSD, unit-trace matrix with subsystem dims, checked
     when it is built.
 
-    Construction checks the matrix M it is given at the state's ``tol``,
-    which must be finite and >= 0 (:class:`BadToleranceError`, before any
-    other check): ``dims`` names at least two subsystems, each of
+    Construction checks the matrix M it is given at the one tolerance
+    ``DENSITY_TOL``: ``dims`` names at least two subsystems, each of
     dimension >= 2, whose product n matches the shape of M
     (:class:`DimensionMismatchError`), and M is Hermitian
     (:class:`NotHermitianError`), of unit trace
     (:class:`NotUnitTraceError`) and positive semidefinite
     (:class:`NotPSDError`), each error naming the measured residual.
     ``mat`` is then the state: the exactly Hermitian part (M + M^dag) / 2,
-    a fresh read-only array within ``tol`` of M, bitwise M when M is
-    exactly Hermitian, so every quantity of the state reads one Hermitian
-    matrix. ``spectrum`` holds the ascending, read-only eigenvalues of
-    ``mat`` that positivity is checked with, and ``eigenvectors`` the
-    read-only matrix of their column eigenvectors, in the same order:
-    one ``eigh`` when n is at most ``EIGH_MAX_N``, and one ``eigvalsh``
-    above it, with ``eigenvectors`` None. :func:`merge_cut` passes all
-    three on to its view. A state compares and hashes by identity.
+    a fresh read-only array within ``DENSITY_TOL`` of M, bitwise M when M
+    is exactly Hermitian, so every quantity of the state reads one
+    Hermitian matrix. ``spectrum`` holds the ascending, read-only
+    eigenvalues of ``mat`` that positivity is checked with, and
+    ``eigenvectors`` the read-only matrix of their column eigenvectors, in
+    the same order: one ``eigh`` when n is at most ``EIGH_MAX_N``, and one
+    ``eigvalsh`` above it, with ``eigenvectors`` None. :func:`merge_cut`
+    passes all three on to its view. A state compares and hashes by
+    identity.
     """
 
     dims: tuple[int, ...]
     mat: np.ndarray
-    tol: float
     spectrum: np.ndarray = field(init=False, repr=False)
     eigenvectors: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        tol = self.tol
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise BadToleranceError(f"tol must be finite and >= 0, got {tol!r}")
         dims = tuple(int(d) for d in self.dims)
         if len(dims) < 2 or any(d < 2 for d in dims):
             raise DimensionMismatchError(
@@ -103,6 +99,7 @@ class DensityMatrix:
                 f"matrix shape {mat.shape} does not match product of dims {dims} = {n}"
             )
         herm = hermiticity_residual(mat)
+        tol = DENSITY_TOL
         if herm > tol:
             raise NotHermitianError(f"NotHermitian: max |rho - rho^dag| = {herm:.3e} > tol {tol:.3e}")
         tr = complex(mat.trace())
@@ -121,58 +118,50 @@ class DensityMatrix:
         vars(self).update(dims=dims, mat=mat, spectrum=w, eigenvectors=v)  # frozen: set once here
 
 
-def validate_density(mat, dims, tol: float = DENSITY_TOL) -> DensityMatrix:
-    """The state ``DensityMatrix(dims, mat, tol)``: construction checks
-    the candidate density matrix, at ``tol``, and keeps its Hermitian part
-    and the eigen-solve positivity is checked with (see
+def validate_density(mat, dims) -> DensityMatrix:
+    """The state ``DensityMatrix(dims, mat)``: construction checks the
+    candidate density matrix, at ``DENSITY_TOL``, and keeps its Hermitian
+    part and the eigen-solve positivity is checked with (see
     :class:`DensityMatrix`)."""
-    return DensityMatrix(dims=dims, mat=mat, tol=tol)
+    return DensityMatrix(dims=dims, mat=mat)
 
 
 @dataclass(frozen=True, eq=False)
 class PureStateDecomposition:
-    """Coefficient matrices A_i of one pure-state decomposition.
+    """Coefficient matrices A_i of one pure-state decomposition, with the
+    spectrum of their Gram matrix.
 
     ``stack`` holds every n x m matrix A_i in one read-only (I, n, m)
     array; summing vec(A_i) vec(A_i)^dag over i reproduces the source
     density matrix, and sum_i tr(A_i A_i^dag) is the total probability (1
-    for a unit-trace state). Build it with :func:`make_decomposition`.
-
-    ``gram`` is the I x I Gram matrix Omega_ij = tr(A_i A_j^dag), built on
-    first use as V V^dag with row i of V the flattened A_i, then made
-    exactly Hermitian. ``gram_spectrum`` holds its eigenvalues, ascending
-    and read-only, computed once per decomposition:
-    :func:`eigen_decomposition` keeps the eigenvalues its members were
-    read with, and any other decomposition, built by hand or mixed,
-    computes them on first use by one ``eigvalsh`` of ``gram``.
+    for a unit-trace state); ``n`` and ``m`` are read from its shape.
+    ``gram_spectrum`` holds the ascending, read-only eigenvalues of the
+    I x I Gram matrix Omega_ij = tr(A_i A_j^dag). Both are set when the
+    decomposition is built, by :func:`make_decomposition` or
+    :func:`eigen_decomposition`.
     """
 
-    n: int
-    m: int
     stack: np.ndarray
+    gram_spectrum: np.ndarray
 
     def __len__(self) -> int:
         return len(self.stack)
 
-    @cached_property
-    def gram(self) -> np.ndarray:
-        vecs = self.stack.reshape(len(self), self.n * self.m)
-        omega = vecs @ vecs.conj().T
-        omega = (omega + omega.conj().T) / 2.0
-        omega.setflags(write=False)
-        return omega
+    @property
+    def n(self) -> int:
+        return self.stack.shape[1]
 
-    @cached_property
-    def gram_spectrum(self) -> np.ndarray:
-        w = np.linalg.eigvalsh(self.gram)
-        w.setflags(write=False)
-        return w
+    @property
+    def m(self) -> int:
+        return self.stack.shape[2]
 
 
 def make_decomposition(mats) -> PureStateDecomposition:
     """Copy n x m coefficient matrices, a sequence or an (I, n, m) array,
     into one read-only complex stack, checking their shapes and that
-    every entry is finite."""
+    every entry is finite, and compute its Gram spectrum by one
+    ``eigvalsh`` of the exactly Hermitian V V^dag, row i of V the
+    flattened A_i."""
     try:
         stack = np.array(mats, dtype=complex)
     except ValueError as exc:  # members of different shapes, or not numbers
@@ -184,7 +173,17 @@ def make_decomposition(mats) -> PureStateDecomposition:
     if not np.isfinite(stack).all():
         raise BadShapeError("coefficient matrices contain NaN or Inf entries")
     stack.setflags(write=False)
-    return PureStateDecomposition(n=stack.shape[1], m=stack.shape[2], stack=stack)
+    w = np.linalg.eigvalsh(gram_of(stack))
+    w.setflags(write=False)
+    return PureStateDecomposition(stack, w)
+
+
+def gram_of(stack: np.ndarray) -> np.ndarray:
+    """The Gram matrix Omega_ij = tr(A_i A_j^dag) of an (I, n, m) stack,
+    V V^dag with row i of V the flattened A_i, made exactly Hermitian."""
+    vecs = stack.reshape(len(stack), -1)
+    omega = vecs @ vecs.conj().T
+    return (omega + omega.conj().T) / 2.0
 
 
 def merge_cut(rho: DensityMatrix, cut: int = 1) -> DensityMatrix:
@@ -192,7 +191,7 @@ def merge_cut(rho: DensityMatrix, cut: int = 1) -> DensityMatrix:
     subsystems against the rest (:class:`BadCutError` unless 1 <= cut <
     len(dims)); a bipartite state is returned itself. The one place a
     bipartition is decided. The view is of the same checked matrix: it
-    shares the state's ``mat``, ``tol``, ``spectrum`` and ``eigenvectors``,
+    shares the state's ``mat``, ``spectrum`` and ``eigenvectors``,
     and neither checks nor decomposes it again."""
     if not 1 <= cut < len(rho.dims):
         raise BadCutError(f"cut must satisfy 1 <= cut < {len(rho.dims)}, got {cut}")
@@ -242,9 +241,11 @@ def eigen_decomposition(rho: DensityMatrix, rank: int | None = None) -> PureStat
     there at the default ``rank_tol``. At most ``rank`` members are
     returned, fewer only when rho has fewer positive eigenvalues. Their
     w, ascending, are the decomposition's ``gram_spectrum``, so no second
-    eigen-solve runs on the members. ``equivalence.fingerprint`` reads
-    them only to measure the members' deviation from rho;
-    ``decomposition_fingerprint`` reads F and the Gram trace from them.
+    eigen-solve runs on the members, and the members, fresh and finite,
+    are neither copied nor checked as :func:`make_decomposition` does.
+    ``equivalence.fingerprint`` reads the w only to measure the members'
+    deviation from rho; ``decomposition_fingerprint`` reads F and the
+    Gram trace from them.
     Each member is an N1 x N2 coefficient matrix, N1 the first
     subsystem's dimension and N2 that of the rest: to split a
     multipartite state elsewhere, decompose ``merge_cut(rho, cut)``.
@@ -301,11 +302,9 @@ def eigen_decomposition(rho: DensityMatrix, rank: int | None = None) -> PureStat
     # fresh and finite: no copy or check
     stack = members.reshape(rank, rho.dims[0], n // rho.dims[0])
     stack.setflags(write=False)
-    d = PureStateDecomposition(*stack.shape[1:], stack)
     kept = w[:rank][::-1]  # w is descending
     kept.setflags(write=False)
-    vars(d)["gram_spectrum"] = kept  # fills the cached property
-    return d
+    return PureStateDecomposition(stack, kept)
 
 
 def mix_decomposition(d: PureStateDecomposition, u) -> PureStateDecomposition:
@@ -349,7 +348,9 @@ def apply_local_unitary(d: PureStateDecomposition, p, q) -> PureStateDecompositi
 
 
 def apply_local_unitary_density(rho: DensityMatrix, locals_) -> DensityMatrix:
-    """Conjugate by a tensor product of local unitaries, one per subsystem."""
+    """Conjugate by a tensor product of local unitaries, one per
+    subsystem. The result is checked as every state is, at
+    ``DENSITY_TOL``."""
     locals_ = [require_unitary(u, what="local unitary") for u in locals_]
     if len(locals_) != len(rho.dims):
         raise DimensionMismatchError(
@@ -362,7 +363,7 @@ def apply_local_unitary_density(rho: DensityMatrix, locals_) -> DensityMatrix:
             )
     full = reduce(np.kron, locals_)
     out = full @ rho.mat @ full.conj().T
-    return validate_density(out, rho.dims, tol=max(rho.tol, 1e-9))
+    return validate_density(out, rho.dims)
 
 
 def random_density(dims, rank: int, seed: int) -> DensityMatrix:

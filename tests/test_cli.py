@@ -98,7 +98,6 @@ class TestCompute:
             path = write_state(tmp_path, f"trace{code}.json", doc)
             assert main(["compute", path]) == code
         assert "NotUnitTrace" in capsys.readouterr().err
-        assert load_state(tmp_path / "trace0.json").tol == 1e-10
 
     def test_mass_dropped_by_rank_rule_exit_0(self, tmp_path, capsys):
         # 62 eigenvalues of 4e-11, below the default rank_tol of 5e-11, and
@@ -483,6 +482,11 @@ class TestUsage:
         assert main(["compare", RHO1, RHO2, "--seed", "5"]) == 2
         assert main(["compare", RHO1, RHO2, "--json"]) == 1
         assert "seed" not in json.loads(capsys.readouterr().out)
+
+    def test_text_option_is_unknown(self):
+        # text is the default output; --json is the one format option
+        assert main(["compute", RHO1, "--text"]) == 2
+        assert main(["compare", RHO1, RHO2, "--text"]) == 2
 
     def test_no_arguments_exit_2(self):
         assert main([]) == 2

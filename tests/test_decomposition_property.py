@@ -30,6 +30,7 @@ from lu_invar.equivalence import (
 from lu_invar.invariants import gram_matrix
 from lu_invar.linalg import haar_unitary
 from lu_invar.states import (
+    DENSITY_TOL,
     apply_local_unitary_density,
     eigen_decomposition,
     make_decomposition,
@@ -331,9 +332,9 @@ GRAM_TRACE_CASES = [(dims, rank) for dims in ((2, 2), (2, 3), (3, 3))
 @pytest.mark.parametrize("dims, rank", GRAM_TRACE_CASES,
                          ids=[f"{d}-rank{r}" for d, r in GRAM_TRACE_CASES])
 def test_gram_trace_allowance_holds_above_rank_1(dims, rank):
-    # the Gram trace check allows rho.tol plus n r times rho's negative
+    # the Gram trace check allows DENSITY_TOL plus n r times rho's negative
     # mass, a bound proven only at rank 1: with one eigenvalue in
-    # [-1e-10, -1e-11], the excess of the trace error over rho.tol must
+    # [-1e-10, -1e-11], the excess of the trace error over DENSITY_TOL must
     # stay within that allowance at ranks 2 to 4 too
     n = math.prod(dims)
     rng = np.random.default_rng([n, rank])
@@ -350,7 +351,7 @@ def test_gram_trace_allowance_holds_above_rank_1(dims, rank):
         lam = rho.spectrum[::-1]
         negative = -lam[lam < 0.0].sum()
         assert len(d) == rank and negative >= 9e-12
-        excess = abs(d.gram_spectrum.sum() + lam[rank:].sum() - 1.0) - rho.tol
+        excess = abs(d.gram_spectrum.sum() + lam[rank:].sum() - 1.0) - DENSITY_TOL
         worst = max(worst, excess / (n * rank * negative))
         report = screen(rho, rotated_copy(rho, rng))
         if report.verdict == "NotEquivalent":

@@ -292,11 +292,11 @@ class TestOneHermitianMatrix:
         moved = apply_local_unitary_density(
             validate_density(mat, (2, 3)), random_local_unitaries((2, 3), seed=8)
         )
-        assert realignment_kyfan(DensityMatrix(dims=(2, 3), mat=mat, tol=1e-10)) == (
+        assert realignment_kyfan(DensityMatrix(dims=(2, 3), mat=mat)) == (
             realignment_kyfan(herm)
         )
         for other in (herm, moved):
-            by_hand = DensityMatrix(dims=(2, 3), mat=mat, tol=1e-10)
+            by_hand = DensityMatrix(dims=(2, 3), mat=mat)
             report = screen(by_hand, other)
             assert report.verdict == "Inconclusive", report.witness
 
@@ -477,20 +477,6 @@ class TestCholeskyPath:
         assert fa.rank == fb.rank == 2
         assert compare_fingerprints(fa, fb).verdict == "Inconclusive"
 
-    @pytest.mark.parametrize("rank", [4, 2])
-    def test_gram_trace_checked_at_the_state_tolerance(self, rank):
-        # validated at tol 1e-9 with a trace off by 5e-10, above GRAM_TOL:
-        # decomposition_fingerprint's Gram trace check accepts what
-        # validation accepted, and fingerprint runs no check of its own
-        mat = random_density((2, 2), rank, seed=1).mat * (1 + 5e-10)
-        rho = validate_density(mat, (2, 2), tol=1e-9)
-        assert fingerprint(rho).rank == rank
-        moved = apply_local_unitary_density(rho, random_local_unitaries((2, 2), seed=2))
-        assert screen(rho, moved).verdict == "Inconclusive"
-        fa, fb = (decomposition_fingerprint(eigen_decomposition(s), s) for s in (rho, moved))
-        assert fa.rank == fb.rank == rank
-        assert compare_fingerprints(fa, fb).verdict == "Inconclusive"
-
     @pytest.mark.parametrize("rank", [2, 4])
     def test_hermiticity_checked_once(self, rank, monkeypatch):
         # once per state, across validation and the fingerprints after it;
@@ -511,7 +497,7 @@ class TestCholeskyPath:
         fingerprint(rho)
         fingerprint(rho)
         assert len(calls) == 1
-        by_hand = DensityMatrix(dims=rho.dims, mat=rho.mat, tol=rho.tol)
+        by_hand = DensityMatrix(dims=rho.dims, mat=rho.mat)
         fingerprint(by_hand)
         fingerprint(by_hand)
         assert len(calls) == 2
@@ -520,7 +506,7 @@ class TestCholeskyPath:
         mat = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         mat[0, 1] = 1e-6
         with pytest.raises(NotHermitianError):
-            fingerprint(DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10))
+            fingerprint(DensityMatrix(dims=(2, 2), mat=mat))
 
     def test_numerical_rank(self):
         w = np.array([4e-11, 6e-11, 0.5, 0.5])
@@ -542,7 +528,7 @@ class TestCholeskyPath:
             numerical_rank(np.array([]))
         # a hand-built zero matrix is refused before that, by its trace
         with pytest.raises(NotUnitTraceError):
-            fingerprint(DensityMatrix(dims=(2, 2), mat=np.zeros((4, 4), dtype=complex), tol=1e-10))
+            fingerprint(DensityMatrix(dims=(2, 2), mat=np.zeros((4, 4), dtype=complex)))
 
 
 class TestDecompositionFingerprint:

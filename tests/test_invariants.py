@@ -239,6 +239,14 @@ class TestHypermatrix:
         with pytest.raises(BadShapeError, match="hypermatrix has NaN or Inf"):
             Hypermatrix(entries=entries)
 
+    def test_hand_built_wrong_shape_refused(self):
+        # a (2, 2, 2, 3) array once read invariant_N = 0j from its first 16
+        # entries, and a (2, 2, 2) one raised a bare IndexError
+        for shape in ((2, 2, 2, 3), (2, 2, 2)):
+            entries = np.arange(math.prod(shape), dtype=complex).reshape(shape)
+            with pytest.raises(BadShapeError, match=r"shape \(2, 2, 2, 2\), got"):
+                Hypermatrix(entries=entries)
+
 
 class TestCayley:
     def test_basis_tensor(self):

@@ -70,7 +70,7 @@ class TestPivotedCholesky:
         rng = np.random.default_rng(13)
         g = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
         h = hermitian_part(g @ g.conj().T)
-        rows = pivoted_cholesky(h, 1e-10)
+        rows = pivoted_cholesky(h, 1e-10, 1)
         assert rows.shape == (3, 8)
         assert np.abs(rows.T @ rows.conj() - h).max() < 1e-10
 
@@ -78,7 +78,7 @@ class TestPivotedCholesky:
         # pivots of 1e-3 and 1e-6 sit below tol 1e-2: a floor of 3 takes
         # them too, and a floor of 4 still stops at the zero pivot
         h = np.diag([1.0, 1e-3, 1e-6, 0.0]).astype(complex)
-        assert pivoted_cholesky(h, 1e-2).shape == (1, 4)
+        assert pivoted_cholesky(h, 1e-2, 1).shape == (1, 4)
         rows = pivoted_cholesky(h, 1e-2, 3)
         assert rows.shape == (3, 4)
         assert np.array_equal(pivoted_cholesky(h, 1e-2, 4), rows)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,14 @@ from lu_invar.errors import (
     BadCutError,
     BadLengthError,
     BadShapeError,
-    BadToleranceError,
     DimensionMismatchError,
     NotHermitianError,
     NotPSDError,
     NotUnitTraceError,
     NotUnitaryError,
 )
-from lu_invar.invariants import gram_matrix
+from lu_invar.equivalence import fingerprint
+from lu_invar.invariants import gram_matrix, hypermatrix
 from lu_invar.linalg import char_poly, haar_unitary, hermitian_eig, hermitian_part
 from lu_invar.states import (
     EIGH_MAX_N,
@@ -41,10 +42,6 @@ class TestValidateDensity:
         rho = validate_density(np.diag([0.5, 0.5, 0.0, 0.0]), (2, 2))
         assert rho.dims == (2, 2)
         assert rho.mat.shape[0] == 4
-
-    def test_stores_tolerance(self):
-        rho = validate_density(np.diag([0.5, 0.5, 0.0, 0.0]), (2, 2), tol=1e-9)
-        assert rho.tol == 1e-9
 
     def test_trace_two_rejected(self):
         with pytest.raises(NotUnitTraceError, match="NotUnitTrace"):
@@ -96,24 +93,7 @@ class TestValidateDensity:
         with pytest.raises(DimensionMismatchError, match="at least two subsystems"):
             validate_density(np.eye(4) / 4.0, (4,))
         with pytest.raises(DimensionMismatchError, match="at least two subsystems"):
-            DensityMatrix(dims=(4,), mat=np.eye(4) / 4.0, tol=1e-10)
-
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0], ids=str)
-    def test_bad_tolerance_refused_first(self, tol):
-        # a NaN tol once accepted this non-Hermitian matrix with eigenvalue
-        # -7.18, an infinite one any finite matrix, and -1 refused
-        # eye(4)/4 as not Hermitian; the shape is not read before the tol
-        bad = np.array([[5, 3j, 0, 0], [0, -7, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
-        for mat in (bad, np.eye(4) / 4.0, np.eye(3) / 3.0):
-            with pytest.raises(BadToleranceError, match="tol must be finite and >= 0"):
-                validate_density(mat, (2, 2), tol=tol)
-            with pytest.raises(BadToleranceError, match="tol must be finite and >= 0"):
-                DensityMatrix(dims=(2, 2), mat=mat, tol=tol)
-
-    def test_zero_tolerance_accepted(self):
-        rho = validate_density(np.eye(4) / 4.0, (2, 2), tol=0.0)
-        assert rho.tol == 0.0 and np.array_equal(rho.spectrum, np.full(4, 0.25))
+            DensityMatrix(dims=(4,), mat=np.eye(4) / 4.0)
 
 
 class TestSpectrum:
@@ -157,7 +137,7 @@ class TestSpectrum:
         mat = np.array(twin.mat)
         eigen_solves["eigh"].clear()
         if by_hand:
-            rho = DensityMatrix(dims=twin.dims, mat=mat, tol=twin.tol)
+            rho = DensityMatrix(dims=twin.dims, mat=mat)
         else:
             rho = validate_density(mat, twin.dims)
         assert eigen_solves == {"eigh": [(12, 12)], "eigvalsh": []}
@@ -194,7 +174,7 @@ class TestSpectrum:
 
     def test_hand_built_state_checked_when_built(self, rho1):
         # construction raises what validate_density raises, message and all
-        by_hand = DensityMatrix(dims=rho1.dims, mat=rho1.mat, tol=rho1.tol)
+        by_hand = DensityMatrix(dims=rho1.dims, mat=rho1.mat)
         assert np.array_equal(by_hand.spectrum, rho1.spectrum)
         not_psd = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
         not_hermitian = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
@@ -203,7 +183,7 @@ class TestSpectrum:
             with pytest.raises(error) as valid:
                 validate_density(mat, (2, 2))
             with pytest.raises(error) as built:
-                DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10)
+                DensityMatrix(dims=(2, 2), mat=mat)
             assert str(built.value) == str(valid.value)
 
     def test_hand_built_state_holds_its_hermitian_part(self):
@@ -211,7 +191,7 @@ class TestSpectrum:
         # validation stores, so both read one Hermitian matrix
         mat = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         mat[0, 1] = 2e-11
-        by_hand = DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10)
+        by_hand = DensityMatrix(dims=(2, 2), mat=mat)
         assert by_hand.mat is not mat and not by_hand.mat.flags.writeable
         valid = validate_density(mat, (2, 2))
         assert np.array_equal(by_hand.spectrum, valid.spectrum)
@@ -219,19 +199,20 @@ class TestSpectrum:
         assert np.array_equal(by_hand.mat, hermitian_part(mat))
 
     def test_hand_built_state_checked_as_validation_would(self):
-        # the same checks as validate_density, at the state's own tol
+        # the same checks as validate_density, at DENSITY_TOL
         with pytest.raises(NotUnitTraceError, match="NotUnitTrace"):
-            DensityMatrix(dims=(2, 2), mat=np.zeros((4, 4), dtype=complex), tol=1e-10)
+            DensityMatrix(dims=(2, 2), mat=np.zeros((4, 4), dtype=complex))
         with pytest.raises(NotUnitTraceError):
-            DensityMatrix(dims=(2, 2), mat=np.eye(4, dtype=complex) / 2.0, tol=1e-10)
+            DensityMatrix(dims=(2, 2), mat=np.eye(4, dtype=complex) / 2.0)
         with pytest.raises(DimensionMismatchError):
-            DensityMatrix(dims=(2, 2), mat=np.eye(3, dtype=complex) / 3.0, tol=1e-10)
-        # no 1e-10 floor: a residual of 1e-11 fails a tol of 1e-12
+            DensityMatrix(dims=(2, 2), mat=np.eye(3, dtype=complex) / 3.0)
+        # a residual of 1e-11 passes DENSITY_TOL, one of 2e-10 fails it
         mat = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         mat[0, 1] = 1e-11
-        assert len(DensityMatrix(dims=(2, 2), mat=mat, tol=1e-10).spectrum) == 4
-        with pytest.raises(NotHermitianError):
-            DensityMatrix(dims=(2, 2), mat=mat, tol=1e-12)
+        assert len(DensityMatrix(dims=(2, 2), mat=mat).spectrum) == 4
+        mat[0, 1] = 2e-10
+        with pytest.raises(NotHermitianError, match=r"> tol 1\.000e-10"):
+            DensityMatrix(dims=(2, 2), mat=mat)
 
 
 class TestEigenDecomposition:
@@ -291,7 +272,7 @@ class TestEigenDecomposition:
                     if cut == 1:
                         assert np.array_equal(eigen_decomposition(rho).stack, d.stack)
                     assert np.abs(reconstruct(d) - rho.mat).max() < 1e-10
-                    w, v = hermitian_eig(rho.mat, tol=max(rho.tol, 1e-10))
+                    w, v = hermitian_eig(rho.mat)
                     for i, a in enumerate(d.stack):
                         oracle = np.sqrt(w[i]) * flatten_multipartite(v[:, i], dims, cut)
                         overlap = np.vdot(oracle, a)
@@ -371,7 +352,7 @@ class TestEigenDecomposition:
             w, v = hermitian_eig(rho.mat)
             top = (v[:, :rank] * w[:rank]) @ v[:, :rank].conj().T
             assert np.abs(reconstruct(d) - top).max() <= 1e-12
-            assert np.abs(d.gram - np.diag(d.gram_spectrum[::-1])).max() <= 1e-13
+            assert np.abs(gram_matrix(d).omega - np.diag(d.gram_spectrum[::-1])).max() <= 1e-13
         # lambda_2 = 1e-14, kept at rank_tol 0, keeps two members
         w = np.zeros(n)
         w[:2] = 1.0 - 1e-14, 1e-14
@@ -423,26 +404,29 @@ class TestGramSpectrum:
             assert np.all(np.diff(w) >= 0.0)
             assert np.abs(w - rho.spectrum[-rank:]).max() <= 1e-13
 
-    def test_other_decompositions_compute_it_once_on_first_use(self, monkeypatch):
-        d = eigen_decomposition(random_density((2, 3), 3, seed=44))
-        built = (
-            make_decomposition(d.stack),
-            mix_decomposition(d, haar_unitary(3, seed=45)),
-            pad_with_zeros(d, 4),
+    def test_computed_once_when_built(self, eigen_solves):
+        # an eigen decomposition holds rho's kept eigenvalues, bitwise,
+        # with no eigen-solve; the other builders run one eigvalsh of the
+        # I x I Gram matrix when they build, and none on later reads
+        rho = random_density((2, 3), 3, seed=44)
+        eigen_solves["eigh"].clear()
+        d = eigen_decomposition(rho)
+        assert eigen_solves == {"eigh": [], "eigvalsh": []}
+        assert np.array_equal(d.gram_spectrum, rho.spectrum[-3:])
+        builders = (
+            (lambda: make_decomposition(d.stack), 3),
+            (lambda: mix_decomposition(d, haar_unitary(3, seed=45)), 3),
+            (lambda: pad_with_zeros(d, 4), 4),
         )
-        calls = []
-        real = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
-        for other in built:
-            calls.clear()
-            assert "gram_spectrum" not in vars(other)
+        for build, size in builders:
+            eigen_solves["eigvalsh"].clear()
+            other = build()
+            assert eigen_solves == {"eigh": [], "eigvalsh": [(size, size)]}
             w = other.gram_spectrum
-            assert calls == [1]
             assert not w.flags.writeable
-            assert other.gram_spectrum is w
-            assert gram_matrix(other).spectrum is w
-            assert calls == [1]
-            assert np.abs(w - np.linalg.eigvalsh(other.gram)).max() == 0.0
+            assert other.gram_spectrum is w and gram_matrix(other).spectrum is w
+            assert eigen_solves == {"eigh": [], "eigvalsh": [(size, size)]}
+            assert np.abs(w - np.linalg.eigvalsh(gram_matrix(other).omega)).max() == 0.0
             assert np.abs(w[-3:] - d.gram_spectrum).max() <= 1e-13
 
 
@@ -622,3 +606,23 @@ class TestFlattenMultipartite:
         for cut in (1, 2):
             out = flatten_multipartite(coeffs, (2, 3, 2), cut)
             assert np.linalg.matrix_rank(out) == 1
+
+
+_PLAIN = {
+    "DensityMatrix": lambda: random_density((2, 3), 2, seed=46),
+    "made decomposition": lambda: make_decomposition(np.eye(4).reshape(2, 2, 4) / 2.0),
+    "eigen decomposition": lambda: eigen_decomposition(random_density((2, 3), 2, seed=47)),
+    "Hypermatrix": lambda: hypermatrix(eigen_decomposition(random_density((2, 2), 2, seed=48))),
+    "Fingerprint": lambda: fingerprint(random_density((2, 2), 2, seed=49)),
+}
+
+
+@pytest.mark.parametrize("build", _PLAIN.values(), ids=_PLAIN)
+def test_reads_leave_only_the_declared_fields(build):
+    # every value is set when the object is built: reading each public
+    # attribute fills nothing in
+    obj = build()
+    for name in dir(obj):
+        if not name.startswith("_"):
+            getattr(obj, name)
+    assert set(vars(obj)) == {f.name for f in dataclasses.fields(obj)}
