@@ -477,6 +477,20 @@ class TestCholeskyPath:
         assert fa.rank == fb.rank == 2
         assert compare_fingerprints(fa, fb).verdict == "Inconclusive"
 
+    @pytest.mark.parametrize("rank", [4, 2])
+    def test_gram_trace_checked_at_the_state_tolerance(self, rank):
+        # validated with a trace off by 9e-11, just inside DENSITY_TOL:
+        # decomposition_fingerprint's Gram trace check accepts what
+        # validation accepted, and fingerprint runs no check of its own
+        mat = random_density((2, 2), rank, seed=1).mat * (1 + 9e-11)
+        rho = validate_density(mat, (2, 2))
+        assert fingerprint(rho).rank == rank
+        moved = apply_local_unitary_density(rho, random_local_unitaries((2, 2), seed=2))
+        assert screen(rho, moved).verdict == "Inconclusive"
+        fa, fb = (decomposition_fingerprint(eigen_decomposition(s), s) for s in (rho, moved))
+        assert fa.rank == fb.rank == rank
+        assert compare_fingerprints(fa, fb).verdict == "Inconclusive"
+
     @pytest.mark.parametrize("rank", [2, 4])
     def test_hermiticity_checked_once(self, rank, monkeypatch):
         # once per state, across validation and the fingerprints after it;
