@@ -47,7 +47,6 @@ from .errors import (
 from .invariants import (
     GramMatrix,
     Hypermatrix,
-    InvariantVector,
     cayley_det_222,
     f_invariants,
     gram_matrix,
@@ -84,7 +83,6 @@ __all__ = [
     "Fingerprint",
     "GramMatrix",
     "Hypermatrix",
-    "InvariantVector",
     "LuInvarError",
     "NoConvergenceError",
     "NotBipartiteError",

@@ -7,15 +7,14 @@ pair), ``mix`` (demonstrate decomposition independence interactively),
 
 Exit codes: 0 success / inconclusive, 1 not-equivalent or self-test
 failure, 2 I/O, parse or usage error, 3 state validation failure.
-Runs are reproducible: every randomized command takes ``--seed`` and
-falls back to the LU_INVAR_SEED environment variable.
+Runs are reproducible: every randomized command takes ``--seed``
+(default 0), and nothing else sets the seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import numpy as np
 
@@ -65,19 +64,6 @@ def _fmt(z) -> str:
     if abs(z.imag) < 1e-12:
         return _sci(z.real)
     return f"{_sci(z.real)}{'+' if z.imag >= 0 else '-'}{_sci(abs(z.imag))}i"
-
-
-def _seed_from(args) -> int:
-    """``--seed``, else LU_INVAR_SEED, else 0; either must be an integer >= 0."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("LU_INVAR_SEED")
-    if env is None:
-        return 0
-    try:
-        return _non_negative(env)
-    except argparse.ArgumentTypeError as exc:
-        raise StateFormatError(f"LU_INVAR_SEED {exc}") from exc
 
 
 def _config_from(args) -> ScreenConfig:
@@ -147,7 +133,7 @@ def cmd_mix(args) -> int:
     rho = load_state(args.state)
     bip = merge_cut(rho, cfg.cut)
     d = eigen_decomposition(bip, numerical_rank(bip.spectrum, cfg.rank_tol))
-    rng = np.random.default_rng(_seed_from(args))
+    rng = np.random.default_rng(args.seed)
     fps = [
         decomposition_fingerprint(mix_decomposition(d, haar_unitary(len(d), rng)), rho)
         for _ in range(args.count)
@@ -171,7 +157,7 @@ def cmd_mix(args) -> int:
 
 def cmd_random_lu(args) -> int:
     rho = load_state(args.state)
-    moved = apply_local_unitary_density(rho, random_local_unitaries(rho.dims, _seed_from(args)))
+    moved = apply_local_unitary_density(rho, random_local_unitaries(rho.dims, args.seed))
     save_state(moved, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -181,7 +167,7 @@ def cmd_selftest(args) -> int:
     # imported here so that the other commands do not load the suites
     from .selftest import run_selftest
 
-    results = run_selftest(full=args.full, seed=_seed_from(args))
+    results = run_selftest(full=args.full, seed=args.seed)
     for r in results:
         flag = "PASS" if r.passed else "FAIL"
         detail = f"  ({r.detail})" if r.detail and not r.passed else ""
@@ -192,8 +178,8 @@ def cmd_selftest(args) -> int:
 
 
 def _add_seed(parser) -> None:
-    parser.add_argument("--seed", type=_non_negative, default=None,
-                        help="random seed (fallback: LU_INVAR_SEED)")
+    parser.add_argument("--seed", type=_non_negative, default=0,
+                        help="random seed, an integer >= 0 (default %(default)s)")
 
 
 def _add_common(parser) -> None:
@@ -251,11 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_random_lu)
 
     p = sub.add_parser("selftest", help="run the embedded verification suites")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--quick", dest="full", action="store_false")
-    mode.add_argument("--full", dest="full", action="store_true")
+    p.add_argument("--full", action="store_true", help=(
+        "run 100 trials per property (default 10) and add the padding and covariance suites"))
     _add_seed(p)
-    p.set_defaults(full=False, func=cmd_selftest)
+    p.set_defaults(func=cmd_selftest)
 
     return parser
 

@@ -207,7 +207,7 @@ def _fingerprint(
             m_value = complex(lambdas["M"][0])
     dropped = max(float(rho.spectrum[-len(w) - 1]) if len(w) < len(rho.spectrum) else 0.0, 0.0)
     return Fingerprint(
-        dims=rho.dims, F=f.F, spectrum=w[::-1], kyfan=kyfan,
+        dims=rho.dims, F=f, spectrum=w[::-1], kyfan=kyfan,
         deviation=deviation, dropped=dropped,
         N_value=n_value, M_value=m_value, lambda_coeffs=lambdas,
     )

@@ -85,29 +85,20 @@ def gram_matrix(d: PureStateDecomposition) -> GramMatrix:
     return GramMatrix(decomposition=d)
 
 
-@dataclass(frozen=True, eq=False)
-class InvariantVector:
-    """F_0 .. F_I with F_i the i-th elementary symmetric polynomial of
-    the Gram spectrum. F_0 is exactly 1; F_1 equals tr(rho)."""
-
-    F: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.F)
-
-
 # Eigenvalues per block of the product recurrence in f_invariants
 F_BLOCK = 16
 
 
-def f_invariants(w) -> InvariantVector:
-    """Elementary symmetric polynomials of a Gram spectrum ``w``.
+def f_invariants(w) -> np.ndarray:
+    """Elementary symmetric polynomials F_0 .. F_I of a Gram spectrum
+    ``w``, as a read-only complex array of length I + 1.
 
     ``w`` holds the I eigenvalues of a Gram matrix Omega, such as
     ``GramMatrix.spectrum``, or the nonzero spectrum of the state itself,
     which every decomposition's Gram matrix shares. F_i := e_i(w), i.e.
     (-1)**i times the coefficient of lambda**(I-i) in det(lambda E - Omega),
-    so F_1 = tr(Omega) and F_I = det(Omega).
+    so F_1 = tr(Omega) (tr(rho) for a decomposition of rho) and
+    F_I = det(Omega).
 
     The eigenvalues are split, in the order given, into blocks of at most
     ``F_BLOCK``. Within a block the product recurrence
@@ -123,9 +114,7 @@ def f_invariants(w) -> InvariantVector:
     while len(polys) > 1:
         pairs = [polys[i:i + 2] for i in range(0, len(polys), 2)]
         polys = [np.convolve(*pair) if len(pair) == 2 else pair[0] for pair in pairs]
-    f = np.array(polys[0] if polys else [1.0], dtype=complex)
-    f.setflags(write=False)
-    return InvariantVector(F=f)
+    return _read_only(polys[0] if polys else [1.0])
 
 
 def _product_recurrence(xs: list) -> list:
@@ -286,23 +275,24 @@ def invariant_M(h: Hypermatrix) -> complex:
     return complex(h._m_expansion[1])
 
 
-def lambda_poly(x: InvariantVector | Hypermatrix, *, inv: str) -> np.ndarray:
+def lambda_poly(x: np.ndarray | Hypermatrix, *, inv: str) -> np.ndarray:
     """Coefficients of inv(Omega_s - lambda E) as a polynomial in lambda,
     in ascending powers, as a read-only complex array.
 
     ``inv`` selects the invariant polynomial applied to the shifted
     hypermatrix, and with it the order s and what ``x`` must be:
 
-    * ``"det"`` (s = 1): the :class:`InvariantVector` of a Gram spectrum,
-      from :func:`f_invariants`. The polynomial is returned in the monic
+    * ``"det"`` (s = 1): the 1-d F array of a Gram spectrum, from
+      :func:`f_invariants`. The polynomial is returned in the monic
       normalization (-1)**I det(Omega - lambda E) = det(lambda E - Omega),
       under which zero-padding the decomposition multiplies it by exactly
       lambda**(J-r);
     * ``"N"`` / ``"M"`` (s = 2): the 2x2x2x2 :class:`Hypermatrix`, from
       :func:`hypermatrix` of a two-member decomposition.
 
-    Nothing is built here: any other ``x``, a decomposition included,
-    raises :class:`UnsupportedFormatError`.
+    Nothing is built here: any other ``x`` (an array of another
+    dimension, a :class:`GramMatrix` or a decomposition included) raises
+    :class:`UnsupportedFormatError`.
 
     Each polynomial has a closed form. ``"det"`` gives
     sum_i (-1)**i F_i lambda**(I-i), the signed F of :func:`f_invariants`
@@ -321,11 +311,12 @@ def lambda_poly(x: InvariantVector | Hypermatrix, *, inv: str) -> np.ndarray:
     """
     if inv not in ("det", "N", "M"):
         raise UnsupportedFormatError(f"unknown invariant {inv!r}; use 'det', 'N' or 'M'")
-    want_type = InvariantVector if inv == "det" else Hypermatrix
-    if not isinstance(x, want_type):
-        raise UnsupportedFormatError(f"inv={inv!r} cannot be read from a {type(x).__name__}")
+    fits = (isinstance(x, np.ndarray) and x.ndim == 1) if inv == "det" else isinstance(x, Hypermatrix)
+    if not fits:
+        kind = f"{x.ndim}-d array" if isinstance(x, np.ndarray) else type(x).__name__
+        raise UnsupportedFormatError(f"inv={inv!r} cannot be read from a {kind}")
     if inv == "det":
-        signed = x.F.copy()
+        signed = x.astype(complex)
         # (-1)**i F_i: a sign flip is exact, and a zero it turns into -0.0
         # is written as 0
         signed[1::2] *= -1.0

@@ -71,15 +71,15 @@ def require_unitary(u, *, what: str = "matrix") -> np.ndarray:
     return u
 
 
-def hermitian_part(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_part(h) -> np.ndarray:
     """(H + H^dag) / 2, the exactly Hermitian matrix nearest a square H
-    that is within ``tol`` of Hermitian (``max |H - H^dag| <= tol``, else
-    :class:`NotHermitianError`)."""
+    that is within ``HERMITICITY_TOL`` of Hermitian
+    (``max |H - H^dag| <= HERMITICITY_TOL``, else :class:`NotHermitianError`)."""
     h = _require_square(as_complex_matrix(h))
     res = hermiticity_residual(h)
-    if res > tol:
+    if res > HERMITICITY_TOL:
         raise NotHermitianError(
-            f"NotHermitian: max |H - H^dag| = {res:.3e} > tol {tol:.3e}"
+            f"NotHermitian: max |H - H^dag| = {res:.3e} > tol {HERMITICITY_TOL:.3e}"
         )
     return (h + h.conj().T) / 2.0
 
@@ -131,15 +131,14 @@ def pivoted_cholesky(h: np.ndarray, tol: float, floor: int) -> np.ndarray:
     return rows[:r]
 
 
-def hermitian_eig(h, tol: float = HERMITICITY_TOL):
+def hermitian_eig(h):
     """Eigen-decomposition of a Hermitian matrix.
 
     Parameters
     ----------
     h : array_like
-        Square matrix with ``max |H - H^dag| <= tol``.
-    tol : float
-        Hermiticity tolerance (default 1e-10 absolute).
+        Square matrix with ``max |H - H^dag| <= HERMITICITY_TOL``
+        (1e-10 absolute).
 
     Returns
     -------
@@ -148,7 +147,7 @@ def hermitian_eig(h, tol: float = HERMITICITY_TOL):
         of column eigenvectors. For degenerate eigenvalues any orthonormal
         basis of the eigenspace may be returned.
     """
-    return eigh_descending(hermitian_part(h, tol))
+    return eigh_descending(hermitian_part(h))
 
 
 def singular_values(m) -> np.ndarray:

@@ -25,21 +25,23 @@ from .errors import StateFormatError
 from .states import DensityMatrix, validate_density
 
 
-def _emit(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1))
-    closepad = " " * (indent * level)
+def _emit(obj, level: int) -> str:
+    """``obj`` as canonical JSON at nesting ``level``, indented two spaces
+    per level."""
+    pad = "  " * (level + 1)
+    closepad = "  " * level
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f"{pad}{json.dumps(str(k))}: {_emit(obj[k], indent, level + 1)}"
+            f"{pad}{json.dumps(str(k))}: {_emit(obj[k], level + 1)}"
             for k in sorted(obj, key=str)
         ]
         return "{\n" + ",\n".join(items) + "\n" + closepad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [_emit(x, indent, level + 1) for x in obj]
+        parts = [_emit(x, level + 1) for x in obj]
         if all(len(p) <= 24 and "\n" not in p for p in parts):
             return "[" + ", ".join(parts) + "]"
         return "[\n" + ",\n".join(pad + p for p in parts) + "\n" + closepad + "]"
@@ -59,7 +61,7 @@ def _emit(obj, indent: int, level: int) -> str:
 
 def dumps(obj) -> str:
     """Serialize to canonical JSON: sorted keys, 17-significant-digit numbers."""
-    return _emit(obj, indent=2, level=0) + "\n"
+    return _emit(obj, 0) + "\n"
 
 
 def _pair(z: complex) -> list:

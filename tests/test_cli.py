@@ -278,19 +278,14 @@ class TestMix:
         assert main(["mix", RHO1, "--count", "-2"]) == 2
         assert "--count" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, env", [
-        (["mix", RHO1, "--seed", "-1"], None),
-        (["random-lu", RHO1, "--seed", "-3", "--out", "moved.json"], None),
-        (["random-lu", RHO1, "--out", "moved.json"], "-2"),
-        (["selftest", "--seed", "-1"], None),
-        (["selftest", "--seed", "-20000"], None),
-    ], ids=["mix", "random-lu", "random-lu-env", "selftest-1", "selftest-20000"])
-    def test_negative_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, env):
+    @pytest.mark.parametrize("argv", [
+        ["mix", RHO1, "--seed", "-1"],
+        ["random-lu", RHO1, "--seed", "-3", "--out", "moved.json"],
+        ["selftest", "--seed", "-1"],
+        ["selftest", "--seed", "-20000"],
+    ], ids=["mix", "random-lu", "selftest-1", "selftest-20000"])
+    def test_negative_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
-        if env is None:
-            monkeypatch.delenv("LU_INVAR_SEED", raising=False)
-        else:
-            monkeypatch.setenv("LU_INVAR_SEED", env)
         assert main(argv) == 2
         assert "must be an integer >= 0" in capsys.readouterr().err
         assert not (tmp_path / "moved.json").exists()
@@ -383,19 +378,31 @@ class TestRandomLu:
         main(["random-lu", SIGMA1, "--seed", "9", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        out1 = tmp_path / "env.json"
-        out2 = tmp_path / "flag.json"
+
+class TestSeed:
+    def test_environment_does_not_set_the_seed(self, tmp_path, monkeypatch, capsys):
+        # --seed (default 0) is the only seed: LU_INVAR_SEED changes nothing
+        out = tmp_path / "moved.json"
+
+        def outputs():
+            assert main(["random-lu", RHO1, "--out", str(out)]) == 0
+            assert main(["mix", SIGMA1, "--count", "3"]) == 0
+            assert main(["selftest"]) == 0
+            return out.read_bytes(), capsys.readouterr().out
+
         monkeypatch.setenv("LU_INVAR_SEED", "31")
-        main(["random-lu", RHO2, "--out", str(out1)])
+        with_env = outputs()
         monkeypatch.delenv("LU_INVAR_SEED")
-        main(["random-lu", RHO2, "--seed", "31", "--out", str(out2)])
-        assert out1.read_bytes() == out2.read_bytes()
+        assert with_env == outputs()
 
 
 class TestSelftest:
+    def test_quick_option_is_unknown(self):
+        # the default runs 10 trials per property; --full is the one mode option
+        assert main(["selftest", "--quick"]) == 2
+
     def test_quick_passes(self, capsys):
-        assert main(["selftest", "--quick", "--seed", "2"]) == 0
+        assert main(["selftest", "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "Example1: N(rho1)=1/256 PASS" in out
         assert "properties passed" in out
@@ -414,7 +421,7 @@ class TestSelftest:
             lu_invar.invariants.N_LAYOUT[0],
         ) + lu_invar.invariants.N_LAYOUT[2:]
         monkeypatch.setattr(lu_invar.invariants, "N_LAYOUT", corrupted)
-        assert main(["selftest", "--quick"]) == 1
+        assert main(["selftest"]) == 1
         out = capsys.readouterr().out
         assert "Example1: N(rho1)=1/256 FAIL" in out
 
@@ -430,11 +437,10 @@ class TestSelftest:
 
         def drifting(g):
             calls["n"] += 1
-            iv = real(g)
-            return type(iv)(F=iv.F + drift(calls["n"]))
+            return real(g) + drift(calls["n"])
 
         monkeypatch.setattr(lu_invar.equivalence, "f_invariants", drifting)
-        assert main(["selftest", "--quick"]) == 1
+        assert main(["selftest"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert "Example1: N(rho1)=1/256 PASS" in lines
         for row, bound in (
@@ -458,7 +464,7 @@ class TestSelftest:
             return real(rho) + 1e-3 * calls["n"]
 
         monkeypatch.setattr(lu_invar.equivalence, "realignment_kyfan", drifting)
-        assert main(["selftest", "--quick"]) == 1
+        assert main(["selftest"]) == 1
         lines = capsys.readouterr().out.splitlines()
         row = "Soundness: locally-unitary-equivalent pairs are never flagged"
         line = next(x for x in lines if x.startswith(row))

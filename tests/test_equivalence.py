@@ -66,13 +66,12 @@ def _equal_twin(kind):
     equal in content to every other one of its kind."""
     rho = random_density((2, 2), 2, seed=1300)
     d = eigen_decomposition(rho)
-    twins = (rho, d, gram_matrix(d), f_invariants(rho.spectrum), hypermatrix(d), fingerprint(rho))
+    twins = (rho, d, gram_matrix(d), hypermatrix(d), fingerprint(rho))
     return next(x for x in twins if type(x).__name__ == kind)
 
 
 @pytest.mark.parametrize("kind", [
-    "DensityMatrix", "PureStateDecomposition", "GramMatrix", "InvariantVector", "Hypermatrix",
-    "Fingerprint",
+    "DensityMatrix", "PureStateDecomposition", "GramMatrix", "Hypermatrix", "Fingerprint",
 ])
 def test_value_objects_compare_and_hash_by_identity(kind):
     # field-wise equality once compared arrays, raising ValueError, and
@@ -351,7 +350,7 @@ class TestCholeskyPath:
             assert got.rank == 2
             assert got.N_value is not None and got.M_value is not None
             f = f_invariants(rho.spectrum[-2:])
-            assert np.array_equal(got.F, f.F)
+            assert np.array_equal(got.F, f)
             assert np.array_equal(got.lambda_coeffs["det"], lambda_poly(f, inv="det"))
             assert (got.N_value, got.M_value) == (want.N_value, want.M_value)
             for key in ("N", "M"):
@@ -390,7 +389,7 @@ class TestCholeskyPath:
             rho = state_with_spectrum(exact, (2, 2), seed)
             fp = fingerprint(rho)
             assert np.array_equal(fp.spectrum, rho.spectrum[::-1][:2])
-            assert np.array_equal(fp.F, f_invariants(rho.spectrum[-2:]).F)
+            assert np.array_equal(fp.F, f_invariants(rho.spectrum[-2:]))
 
     @pytest.mark.parametrize("low", [3e-15, 1e-14, 3e-14, 1e-13, 3e-13, 1e-12])
     def test_rank_tol_zero_reads_the_rank_from_the_spectrum(self, low, solver):

@@ -109,21 +109,21 @@ class TestGramMatrix:
 
 class TestFInvariants:
     def test_half_half(self, rho1_decomp):
-        f = f_invariants(gram_matrix(rho1_decomp).spectrum).F
+        f = f_invariants(gram_matrix(rho1_decomp).spectrum)
         assert np.allclose(f, [1.0, 1.0, 0.25], atol=1e-12)
 
     def test_two_thirds_one_third(self, sigma2_decomp):
-        f = f_invariants(gram_matrix(sigma2_decomp).spectrum).F
+        f = f_invariants(gram_matrix(sigma2_decomp).spectrum)
         assert np.allclose(f, [1.0, 1.0, 2.0 / 9.0], atol=1e-12)
 
     def test_pure_state(self):
         rho = validate_density(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
-        f = f_invariants(gram_matrix(eigen_decomposition(rho)).spectrum).F
+        f = f_invariants(gram_matrix(eigen_decomposition(rho)).spectrum)
         assert np.allclose(f, [1.0, 1.0], atol=1e-12)
 
     def test_f0_exactly_one_and_real(self):
         rho = random_density((2, 3), 3, seed=61)
-        f = f_invariants(gram_matrix(eigen_decomposition(rho)).spectrum).F
+        f = f_invariants(gram_matrix(eigen_decomposition(rho)).spectrum)
         assert f[0] == 1.0
         assert abs(f[1] - 1.0) < 1e-10
         assert np.abs(f.imag).max() < 1e-10
@@ -135,7 +135,7 @@ class TestFInvariants:
         w = 2.0 ** -np.arange(16)
         w /= w.sum()
         rho = validate_density(np.diag(w), (4, 4))
-        f = f_invariants(gram_matrix(eigen_decomposition(rho)).spectrum).F
+        f = f_invariants(gram_matrix(eigen_decomposition(rho)).spectrum)
         exact = exact_elementary(w)
         for k in range(17):
             assert abs(f[k].imag) == 0.0
@@ -145,7 +145,7 @@ class TestFInvariants:
         # recurrence, merged by convolution
         for count, decades in ((64, 12), (256, 4)):
             w = np.geomspace(10.0 ** (-decades / 2), 10.0 ** (decades / 2), count)
-            f = f_invariants(w).F
+            f = f_invariants(w)
             assert np.array_equal(f.imag, np.zeros(count + 1))
             for f_k, e_k in zip(f.real.tolist(), exact_elementary(w)):
                 assert abs(Fraction(f_k) - e_k) <= Fraction(1e-13) * e_k
@@ -158,7 +158,7 @@ class TestFInvariants:
         spectra += [np.sort(rng.random(n)) / n for n in range(1, 17)]
         spectra += [random_density((4, 4), 16, seed=64).spectrum]
         for w in spectra:
-            f = f_invariants(w).F
+            f = f_invariants(w)
             assert f.tobytes() == f_invariants_loop(w).tobytes()
             assert not f.flags.writeable
 
@@ -166,7 +166,7 @@ class TestFInvariants:
         # the Gram matrix of the eigenvector decomposition is diagonal in
         # the state's eigenvalues, so F_i = e_i(spectrum)
         rho = random_density((2, 2), 4, seed=62)
-        f = f_invariants(gram_matrix(eigen_decomposition(rho)).spectrum).F
+        f = f_invariants(gram_matrix(eigen_decomposition(rho)).spectrum)
         w = np.linalg.eigvalsh(rho.mat)
         for i in range(len(f)):
             assert abs(f[i] - elementary_symmetric(list(w), i)) < 1e-9
@@ -426,6 +426,14 @@ class TestLambdaPoly:
             assert np.abs(nm_poly(mixed, "N") - base_n).max() < 1e-8
             assert np.abs(nm_poly(mixed, "M") - base_m).max() < 1e-8
 
+    def test_det_reads_the_f_array(self, rho1_decomp):
+        f = f_invariants(gram_matrix(rho1_decomp).spectrum)
+        assert type(f) is np.ndarray and f.ndim == 1 and f.dtype == complex
+        assert not f.flags.writeable
+        assert np.array_equal(lambda_poly(f, inv="det"), (np.array([1.0, -1.0, 1.0]) * f)[::-1])
+        with pytest.raises(UnsupportedFormatError, match="2-d array"):
+            lambda_poly(f[np.newaxis], inv="det")
+
     def test_built_object_of_wrong_kind_or_format_rejected(self, rho1_decomp):
         with pytest.raises(UnsupportedFormatError):
             lambda_poly(hypermatrix(rho1_decomp), inv="det")
@@ -576,10 +584,10 @@ class TestDecompositionIndependence:
             rank = trial % 4 + 1
             rho = random_density(dims, rank, seed=500 + trial)
             d = eigen_decomposition(rho)
-            base = f_invariants(gram_matrix(d).spectrum).F
+            base = f_invariants(gram_matrix(d).spectrum)
             for k in range(10):
                 mixed = mix_decomposition(d, haar_unitary(rank, seed=600 + 10 * trial + k))
-                assert np.abs(f_invariants(gram_matrix(mixed).spectrum).F - base).max() < 1e-9
+                assert np.abs(f_invariants(gram_matrix(mixed).spectrum) - base).max() < 1e-9
 
     def test_omega_entrywise_lu_invariance(self):
         for trial in range(10):
@@ -603,9 +611,9 @@ class TestDecompositionIndependence:
         # rho1 has a twofold-degenerate eigenvalue; rotating within the
         # degenerate eigenspace is another valid eigen decomposition
         d = eigen_decomposition(rho1)
-        base_f = f_invariants(gram_matrix(d).spectrum).F
+        base_f = f_invariants(gram_matrix(d).spectrum)
         base_n = invariant_N(hypermatrix(d))
         for k in range(10):
             rotated = mix_decomposition(d, haar_unitary(2, seed=1000 + k))
-            assert np.abs(f_invariants(gram_matrix(rotated).spectrum).F - base_f).max() < 1e-9
+            assert np.abs(f_invariants(gram_matrix(rotated).spectrum) - base_f).max() < 1e-9
             assert abs(invariant_N(hypermatrix(rotated)) - base_n) < 1e-9
