@@ -189,7 +189,10 @@ def _fingerprint(
     eigenvalue of rho (validation accepts them down to -DENSITY_TOL)
     leaves one in E, which lifts g above rho's spectrum by a
     basis-dependent amount and turns its eigenvectors: the sum shows the
-    lift, the negative mass stands in for the turn."""
+    lift, the negative mass stands in for the turn. Both sums run on
+    Python floats, in descending order, the second only when rho has a
+    negative eigenvalue. ``dropped`` is read from rho's spectrum by
+    ``.item()``."""
     f = f_invariants(w)
     lambdas = {"det": lambda_poly(f, inv="det")}
     n_value = m_value = None
@@ -197,15 +200,16 @@ def _fingerprint(
     if d is not None:
         lam = rho.spectrum.tolist()[::-1]
         kept = gram_matrix(d).spectrum.tolist()[::-1]
-        deviation = (sum(abs(a - b) for a, b in zip_longest(kept, lam[:len(kept)], fillvalue=0.0))
-                     - sum(x for x in lam if x < 0.0))
+        deviation = sum([abs(a - b) for a, b in zip_longest(kept, lam[:len(kept)], fillvalue=0.0)])
+        if lam[-1] < 0.0:  # rho's negative mass, summed in the same order
+            deviation -= sum(x for x in lam if x < 0.0)
         if len(d) == 2:
             h = hypermatrix(d)
             n_value = invariant_N(h)
             lambdas["N"] = lambda_poly(h, inv="N")
             lambdas["M"] = lambda_poly(h, inv="M")
             m_value = complex(lambdas["M"][0])
-    dropped = max(float(rho.spectrum[-len(w) - 1]) if len(w) < len(rho.spectrum) else 0.0, 0.0)
+    dropped = max(rho.spectrum.item(-len(w) - 1) if len(w) < len(rho.spectrum) else 0.0, 0.0)
     return Fingerprint(
         dims=rho.dims, F=f, spectrum=w[::-1], kyfan=kyfan,
         deviation=deviation, dropped=dropped,
@@ -329,13 +333,14 @@ def compare_fingerprints(fa: Fingerprint, fb: Fingerprint) -> EquivalenceReport:
 
     A check fails exactly when |a - b| exceeds its threshold, its weight
     times the sum of the two fingerprints' error bounds for that value,
-    so no difference that rounding can explain fails one. Past the end of
-    the shorter side, an entry is compared as zero within that side's
-    ``pad`` bound: the shorter spectrum is padded with zeros, and the
-    rank is not compared. When one side keeps an eigenvalue x that the
-    other drops as x', x' is at most the dropped side's bound, and x
-    exceeds x' by more than the two bounds only if the states' spectra
-    differ."""
+    so no difference that rounding can explain fails one. A row of equal
+    length on both sides is compared by a loop with no padding branch.
+    Otherwise, past the end of the shorter side, an entry is compared as
+    zero within that side's ``pad`` bound: the shorter spectrum is padded
+    with zeros, and the rank is not compared. When one side keeps an
+    eigenvalue x that the other drops as x', x' is at most the dropped
+    side's bound, and x exceeds x' by more than the two bounds only if
+    the states' spectra differ."""
     rows_b = _rows(fb)
     make = Check._make
     checks = []
@@ -344,6 +349,15 @@ def compare_fingerprints(fa: Fingerprint, fb: Fingerprint) -> EquivalenceReport:
             continue
         _, vb, bound_b, pad_b = rows_b[key]
         na, nb = len(va), len(vb)
+        if na == nb:  # no entry past the end of either side
+            bound = bound_a + bound_b
+            for k in range(na):
+                name, weight = labels[k]
+                a, b = va[k], vb[k]
+                threshold = weight * bound
+                delta = abs(a - b)
+                checks.append(make((name, a, b, delta, delta <= threshold, threshold)))
+            continue
         for k in range(max(na, nb)):
             name, weight = labels[k]
             a, ta = (va[k], bound_a) if k < na else (0.0, pad_a)

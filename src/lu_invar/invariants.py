@@ -106,15 +106,21 @@ def f_invariants(w) -> np.ndarray:
     prod (1 + x t) are then multiplied pairwise by ``np.convolve``. Omega
     is PSD, so up to rounding every term of both steps is nonnegative and
     each F_i keeps its relative accuracy however small it is. Up to
-    ``F_BLOCK`` eigenvalues there is one block and no merge. F_0 is
-    exactly 1 and every F_i is real.
+    ``F_BLOCK`` eigenvalues there is one block, returned as it is, with no
+    merge. A float array is read by ``.tolist()``, anything else through
+    ``np.asarray``. F_0 is exactly 1 and every F_i is real.
     """
-    xs = np.asarray(w, dtype=float).tolist()
+    if isinstance(w, np.ndarray) and w.dtype == float:
+        xs = w.tolist()
+    else:
+        xs = np.asarray(w, dtype=float).tolist()
+    if len(xs) <= F_BLOCK:
+        return _read_only(_product_recurrence(xs))
     polys = [_product_recurrence(xs[i:i + F_BLOCK]) for i in range(0, len(xs), F_BLOCK)]
     while len(polys) > 1:
         pairs = [polys[i:i + 2] for i in range(0, len(polys), 2)]
         polys = [np.convolve(*pair) if len(pair) == 2 else pair[0] for pair in pairs]
-    return _read_only(polys[0] if polys else [1.0])
+    return _read_only(polys[0])
 
 
 def _product_recurrence(xs: list) -> list:
@@ -239,19 +245,19 @@ N_LAYOUT = ((0, 1, 8, 9), (2, 3, 10, 11), (4, 5, 12, 13), (6, 7, 14, 15))
 M_LAYOUT = ((0, 8, 4, 12), (1, 9, 5, 13), (2, 10, 6, 14), (3, 11, 7, 15))
 
 
-# column pairs (j, k), j < k, in the order the 2x2 minors are listed
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
 def _expand(flat: list, layout) -> tuple[list, complex, list, list]:
     """The 4x4 ``layout`` x of the 16 scalars ``flat``, row-major, its det,
-    and the 2x2 minors ``s`` of rows (0, 1) and ``c`` of rows (2, 3) in
-    ``_PAIRS`` order. By Laplace expansion along rows (0, 1),
-    det = sum (-1)**(1 + j + k) s_jk c_lm over the column pairs, (l, m) the
-    complement of (j, k)."""
+    and the 2x2 minors ``s`` of rows (0, 1) and ``c`` of rows (2, 3), each
+    over the column pairs (j, k), j < k, in the order (0, 1), (0, 2),
+    (0, 3), (1, 2), (1, 3), (2, 3), written out term by term. By Laplace
+    expansion along rows (0, 1), det = sum (-1)**(1 + j + k) s_jk c_lm over
+    the column pairs, (l, m) the complement of (j, k)."""
     x = [flat[r] for row in layout for r in row]
-    s = [x[j] * x[4 + k] - x[k] * x[4 + j] for j, k in _PAIRS]
-    c = [x[8 + j] * x[12 + k] - x[8 + k] * x[12 + j] for j, k in _PAIRS]
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15 = x
+    s = [x0 * x5 - x1 * x4, x0 * x6 - x2 * x4, x0 * x7 - x3 * x4,
+         x1 * x6 - x2 * x5, x1 * x7 - x3 * x5, x2 * x7 - x3 * x6]
+    c = [x8 * x13 - x9 * x12, x8 * x14 - x10 * x12, x8 * x15 - x11 * x12,
+         x9 * x14 - x10 * x13, x9 * x15 - x11 * x13, x10 * x15 - x11 * x14]
     det = s[0] * c[5] - s[1] * c[4] + s[2] * c[3] + s[3] * c[2] - s[4] * c[1] + s[5] * c[0]
     return x, det, s, c
 
@@ -351,7 +357,9 @@ def _real_realignment(rho: DensityMatrix) -> np.ndarray:
     unitary Q_n = ((1 - i)/2)(I + i S_n), read from rho's entries.
 
     R[(i,j),(k,l)] = rho[i*m + k, j*m + l], and (S_n Im R)[(i,j),(k,l)] =
-    Im R[(j,i),(k,l)].
+    Im R[(j,i),(k,l)]. Both are transposed views of rho's entries, added
+    by one ``np.add`` into a fresh C-ordered array indexed (i, j, k, l),
+    so the reshape to R's shape copies nothing.
     """
     if len(rho.dims) != 2:
         raise NotBipartiteError(
@@ -359,7 +367,8 @@ def _real_realignment(rho: DensityMatrix) -> np.ndarray:
         )
     n, m = rho.dims
     x = rho.mat.reshape(n, m, n, m)
-    return (x.real + x.imag.transpose(2, 1, 0, 3)).transpose(0, 2, 1, 3).reshape(n * n, m * m)
+    re_r, s_im_r = x.real.transpose(0, 2, 1, 3), x.imag.transpose(2, 0, 1, 3)
+    return np.add(re_r, s_im_r, order="C").reshape(n * n, m * m)
 
 
 def realignment_kyfan(rho: DensityMatrix) -> float:

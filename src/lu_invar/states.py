@@ -210,15 +210,16 @@ def numerical_rank(w, rank_tol: float | None = None) -> int:
     and the noise floor len(w) eps lambda_max; the default ``rank_tol`` is
     scale-aware, 1e-10 times the largest eigenvalue. An eigenvalue at the
     rounding level of rho is no evidence of rank, whatever the
-    ``rank_tol``. At full rank only the smallest eigenvalue is read. A
+    ``rank_tol``. At full rank only the smallest eigenvalue is read. The
+    eigenvalues are read as Python floats, by ``.item()``. A
     rank of 0 raises :class:`BadToleranceError` when the largest
     eigenvalue is positive, so a given ``rank_tol`` dropped it, and
     :class:`NotPSDError` when no eigenvalue is positive.
     """
     n = len(w)
-    top = float(w[-1]) if n else 0.0
+    top = w.item(-1) if n else 0.0
     floor = max(n * EPS * top, 1e-10 * top if rank_tol is None else rank_tol)
-    if n and float(w[0]) > floor:
+    if n and w.item(0) > floor:
         return n
     rank = n - int(w.searchsorted(floor, "right"))
     if rank == 0 and top > 0.0:
@@ -256,7 +257,10 @@ def eigen_decomposition(rho: DensityMatrix, rank: int | None = None) -> PureStat
     - ``rho.eigenvectors``, kept by its check at n <= ``EIGH_MAX_N``
       with ``rho.spectrum`` from one ``eigh`` of ``rho.mat``: no
       eigen-solve runs here, and the positive eigenvalues of the
-      spectrum are the ones kept.
+      spectrum are the ones kept. The members are read from one slice
+      of the kept eigenvectors, each column scaled by its sqrt(w_i) and
+      the columns taken in reverse; the w, ascending, are that slice of
+      ``rho.spectrum``.
     - when rho has none: a diagonally pivoted Cholesky factorization
       (:func:`pivoted_cholesky`) stops once the largest remaining
       diagonal entry is at most tau, giving rho = L L^dag + E with r'
@@ -285,11 +289,12 @@ def eigen_decomposition(rho: DensityMatrix, rank: int | None = None) -> PureStat
         raise BadLengthError(f"a decomposition needs rank >= 1, got {rank}")
     v = rho.eigenvectors
     if v is not None:
-        w, v = lam[::-1], v[:, ::-1]  # descending views
         rank = min(rank, n)
-        while rank and w[rank - 1] <= 0.0:  # only positive eigenvalues are kept
+        while rank and lam.item(n - rank) <= 0.0:  # only positive eigenvalues are kept
             rank -= 1
-        members = v[:, :rank].T * np.sqrt(w[:rank, None])  # row i is sqrt(w_i) v_i
+        lo = n - rank  # the kept eigenpairs are the last ones, ascending
+        members = (v[:, lo:] * np.sqrt(lam[lo:]))[:, ::-1].T  # row i is sqrt(w_i) v_i, descending
+        kept = lam[lo:]
     else:
         top = max(float(rho.mat.diagonal().real.max()), 0.0)
         # never below LAPACK xPSTRF's default n eps max diag(rho): a pivot at
@@ -299,10 +304,10 @@ def eigen_decomposition(rho: DensityMatrix, rank: int | None = None) -> PureStat
         w, u = eigh_descending(rows.conj() @ rows.T)
         rank = min(rank, len(w))
         members = u[:, :rank].T @ rows  # row i is L u_i
+        kept = w[:rank][::-1]  # w is descending
     # fresh and finite: no copy or check
     stack = members.reshape(rank, rho.dims[0], n // rho.dims[0])
     stack.setflags(write=False)
-    kept = w[:rank][::-1]  # w is descending
     kept.setflags(write=False)
     return PureStateDecomposition(stack, kept)
 

@@ -162,6 +162,17 @@ class TestFInvariants:
             assert f.tobytes() == f_invariants_loop(w).tobytes()
             assert not f.flags.writeable
 
+    def test_list_tuple_and_array_agree(self):
+        # a float array is read by tolist(), anything else through
+        # np.asarray; 17 eigenvalues take the two-block path too
+        xs = np.random.default_rng(65).random(17).tolist()
+        for count in range(18):
+            w = xs[:count]
+            f = f_invariants(np.array(w))
+            assert f_invariants(w).tobytes() == f.tobytes()
+            assert f_invariants(tuple(w)).tobytes() == f.tobytes()
+            assert len(f) == count + 1
+
     def test_matches_state_spectrum_symmetric_polynomials(self):
         # the Gram matrix of the eigenvector decomposition is diagonal in
         # the state's eigenvalues, so F_i = e_i(spectrum)
