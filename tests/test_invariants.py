@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
+from lu_invar import invariants
 from lu_invar.equivalence import decomposition_fingerprint
 from lu_invar.errors import (
     BadShapeError,
+    NoConvergenceError,
     NotBipartiteError,
     NotUnitTraceError,
     UnsupportedFormatError,
@@ -70,6 +72,14 @@ def exact_elementary(w) -> list:
         for k in range(j, 0, -1):
             e[k] += big * e[k - 1]
     return [Fraction(e_k, 2 ** (k * shift)) for k, e_k in enumerate(e)]
+
+
+def _numpy_svd_gufunc():
+    """numpy's singular-value gufunc, skipping the test on a numpy without it."""
+    gufunc = getattr(getattr(np.linalg, "_umath_linalg", None), "svd", None)
+    if gufunc is None:
+        pytest.skip("this numpy has no singular-value gufunc")
+    return gufunc
 
 
 def realignment_case(dims, cut, rank, seed):
@@ -253,10 +263,15 @@ class TestHypermatrix:
     def test_hand_built_wrong_shape_refused(self):
         # a (2, 2, 2, 3) array once read invariant_N = 0j from its first 16
         # entries, and a (2, 2, 2) one raised a bare IndexError
-        for shape in ((2, 2, 2, 3), (2, 2, 2)):
-            entries = np.arange(math.prod(shape), dtype=complex).reshape(shape)
+        # and a nested list raised AttributeError reading its shape
+        nested = np.arange(16, dtype=complex).reshape(2, 2, 2, 2).tolist()
+        inputs = [np.arange(math.prod(shape), dtype=complex).reshape(shape)
+                  for shape in ((2, 2, 2, 3), (2, 2, 2))] + [nested]
+        for entries in inputs:
             with pytest.raises(BadShapeError, match=r"shape \(2, 2, 2, 2\), got"):
                 Hypermatrix(entries=entries)
+        with pytest.raises(BadShapeError, match="got a list, not a numpy array"):
+            Hypermatrix(entries=nested)
 
 
 class TestCayley:
@@ -560,6 +575,47 @@ class TestRealignment:
         expected = np.linalg.svd(r, compute_uv=False).sum()
         kyfan = realignment_kyfan(rho)
         assert abs(kyfan - expected) < 2 * max(r.shape) * EPS * max(kyfan, 1.0)
+
+    @pytest.mark.parametrize("dims, cut", REALIGNMENT_CASES, ids=REALIGNMENT_IDS)
+    @pytest.mark.parametrize("rank", [1, 2, "full"], ids=lambda r: f"rank{r}")
+    @pytest.mark.parametrize("binding", ["gufunc", "fallback"])
+    def test_kyfan_bitwise_that_of_np_linalg_svd(self, dims, cut, rank, binding, monkeypatch):
+        # the gufunc gives the wrapper's singular values bit for bit; a
+        # numpy release that changes it fails here
+        if binding == "gufunc":
+            assert invariants._svdvals is _numpy_svd_gufunc()
+        else:
+            monkeypatch.setattr(invariants, "_svdvals", invariants._svdvals_fallback)
+        rho = realignment_case(dims, cut, rank, seed=84)
+        expected = float(np.linalg.svd(_real_realignment(rho), compute_uv=False).sum())
+        assert realignment_kyfan(rho) == expected
+
+    def test_failed_svd_raises_no_convergence(self, rho1, monkeypatch):
+        # NaN singular values from the gufunc, LinAlgError from the fallback
+        monkeypatch.setattr(invariants, "_svdvals", lambda x: np.full(min(x.shape), np.nan))
+        with pytest.raises(NoConvergenceError, match="svd failed"):
+            realignment_kyfan(rho1)
+
+        def not_converged(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(invariants, "_svdvals", invariants._svdvals_fallback)
+        monkeypatch.setattr(np.linalg, "svd", not_converged)
+        with pytest.raises(NoConvergenceError, match="svd failed: SVD did not converge"):
+            realignment_kyfan(rho1)
+
+    @pytest.mark.parametrize("mode", ["ignore", "warning error", "errstate raise"])
+    def test_gufunc_failure_raises_no_convergence(self, rho1, mode, monkeypatch):
+        # a NaN matrix makes LAPACK itself fail: the gufunc returns NaN and
+        # raises the "invalid" flag, which reaches realignment_kyfan as NaN,
+        # a RuntimeWarning or a FloatingPointError by the caller's settings
+        _numpy_svd_gufunc()
+        monkeypatch.setattr(invariants, "_real_realignment", lambda rho: np.full((4, 4), np.nan))
+        invalid = "raise" if mode == "errstate raise" else "warn"
+        with warnings.catch_warnings(), np.errstate(invalid=invalid):
+            warnings.simplefilter("error" if mode == "warning error" else "ignore", RuntimeWarning)
+            with pytest.raises(NoConvergenceError, match="svd failed"):
+                realignment_kyfan(rho1)
 
     @pytest.mark.parametrize("dims, cut", REALIGNMENT_CASES, ids=REALIGNMENT_IDS)
     def test_real_matrix_is_swap_adapted_change_of_basis(self, dims, cut):
