@@ -20,7 +20,9 @@ which only conjugates the Gram matrix, so all give the same invariants.
 Every invariant here is a necessary condition for local unitary
 equivalence, so the verdict is one-sided: ``NotEquivalent`` with a named
 witness when some invariant differs, ``Inconclusive`` otherwise. There
-is deliberately no ``Equivalent`` verdict.
+is deliberately no ``Equivalent`` verdict. Every verdict comes from
+:func:`compare_fingerprints`, the dimension-signature check included:
+``screen`` is that function on the two states' fingerprints.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +60,7 @@ class ScreenConfig:
     """The rank threshold and the bipartition for fingerprinting.
 
     ``rank_tol`` of None means the scale-aware default (1e-10 times the
-    largest eigenvalue); a given one must be finite and >= 0, else
+    largest eigenvalue); a given one must be a finite real >= 0, else
     :class:`BadToleranceError`. ``cut`` selects the bipartition for states
     with more than two subsystems. There is no seed, as fingerprints are
     deterministic, and no comparison tolerance: each check's threshold
@@ -69,7 +72,7 @@ class ScreenConfig:
 
     def __post_init__(self) -> None:
         value = self.rank_tol or 0.0
-        if not (math.isfinite(value) and value >= 0.0):
+        if not (isinstance(value, Real) and math.isfinite(value) and value >= 0.0):
             raise BadToleranceError(f"rank_tol must be finite and >= 0, got {value!r}")
 
 
@@ -331,16 +334,24 @@ def compare_fingerprints(fa: Fingerprint, fb: Fingerprint) -> EquivalenceReport:
     """Compare two fingerprints check by check, in the fixed order of
     :func:`_rows`, over the quantities both have.
 
-    A check fails exactly when |a - b| exceeds its threshold, its weight
-    times the sum of the two fingerprints' error bounds for that value,
-    so no difference that rounding can explain fails one. A row of equal
-    length on both sides is compared by a loop with no padding branch.
-    Otherwise, past the end of the shorter side, an entry is compared as
-    zero within that side's ``pad`` bound: the shorter spectrum is padded
-    with zeros, and the rank is not compared. When one side keeps an
-    eigenvalue x that the other drops as x', x' is at most the dropped
-    side's bound, and x exceeds x' by more than the two bounds only if
-    the states' spectra differ."""
+    Fingerprints of different dimension signatures are NotEquivalent by
+    one check, ``dimension signature``, that holds the entries at the
+    first position where the signatures differ, a missing subsystem
+    reading as 0. Otherwise a check fails exactly when |a - b| exceeds
+    its threshold, its weight times the sum of the two fingerprints'
+    error bounds for that value, so no difference that rounding can
+    explain fails one. A row of equal length on both sides is compared
+    by a loop with no padding branch. Otherwise, past the end of the
+    shorter side, an entry is compared as zero within that side's
+    ``pad`` bound: the shorter spectrum is padded with zeros, and the
+    rank is not compared. When one side keeps an eigenvalue x that the
+    other drops as x', x' is at most the dropped side's bound, and x
+    exceeds x' by more than the two bounds only if the states' spectra
+    differ."""
+    if fa.dims != fb.dims:
+        a, b = next((x, y) for x, y in zip_longest(fa.dims, fb.dims, fillvalue=0) if x != y)
+        check = Check("dimension signature", complex(a), complex(b), math.inf, False, 0.0)
+        return EquivalenceReport("NotEquivalent", check.name, (fa.dims, fb.dims, None), (check,))
     rows_b = _rows(fb)
     make = Check._make
     checks = []
@@ -374,30 +385,9 @@ def compare_fingerprints(fa: Fingerprint, fb: Fingerprint) -> EquivalenceReport:
     )
 
 
-def screen_with_fingerprints(
-    rho_a: DensityMatrix, rho_b: DensityMatrix, cfg: ScreenConfig | None = None
-) -> tuple[EquivalenceReport, Fingerprint | None, Fingerprint | None]:
-    """Screen a pair; return the report and both fingerprints, or ``None,
-    None`` when the dimension signatures differ. That report's one check
-    holds the entries at the first position where the signatures differ,
-    a missing subsystem reading as 0."""
-    cfg = cfg or _DEFAULT_CONFIG
-    if rho_a.dims != rho_b.dims:
-        a, b = next(
-            (x, y) for x, y in zip_longest(rho_a.dims, rho_b.dims, fillvalue=0) if x != y
-        )
-        check = Check("dimension signature", complex(a), complex(b), math.inf, False, 0.0)
-        report = EquivalenceReport(
-            "NotEquivalent", check.name, (rho_a.dims, rho_b.dims, None), (check,)
-        )
-        return report, None, None
-    fa = fingerprint(rho_a, cfg)
-    fb = fingerprint(rho_b, cfg)
-    return compare_fingerprints(fa, fb), fa, fb
-
-
 def screen(
     rho_a: DensityMatrix, rho_b: DensityMatrix, cfg: ScreenConfig | None = None
 ) -> EquivalenceReport:
-    """Screen a pair of states for local-unitary non-equivalence."""
-    return screen_with_fingerprints(rho_a, rho_b, cfg)[0]
+    """Screen a pair of states for local-unitary non-equivalence: compare
+    their fingerprints across ``cfg.cut`` (:func:`compare_fingerprints`)."""
+    return compare_fingerprints(fingerprint(rho_a, cfg), fingerprint(rho_b, cfg))

@@ -124,13 +124,20 @@ def f_invariants(w) -> np.ndarray:
     is PSD, so up to rounding every term of both steps is nonnegative and
     each F_i keeps its relative accuracy however small it is. Up to
     ``F_BLOCK`` eigenvalues there is one block, returned as it is, with no
-    merge. A float array is read by ``.tolist()``, anything else through
-    ``np.asarray``. F_0 is exactly 1 and every F_i is real.
+    merge. A 1-d float array is read by ``.tolist()``, anything else
+    through ``np.asarray``, and a ``w`` that is not a 1-d array of numbers
+    raises :class:`BadShapeError`. F_0 is exactly 1 and every F_i is real.
     """
-    if isinstance(w, np.ndarray) and w.dtype == float:
+    if isinstance(w, np.ndarray) and w.dtype == float and w.ndim == 1:
         xs = w.tolist()
     else:
-        xs = np.asarray(w, dtype=float).tolist()
+        try:
+            a = np.asarray(w, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise BadShapeError(f"a Gram spectrum is a 1-d array of numbers: {exc}") from exc
+        if a.ndim != 1:
+            raise BadShapeError(f"a Gram spectrum is a 1-d array, got shape {a.shape}")
+        xs = a.tolist()
     if len(xs) <= F_BLOCK:
         return _read_only(_product_recurrence(xs))
     polys = [_product_recurrence(xs[i:i + F_BLOCK]) for i in range(0, len(xs), F_BLOCK)]
@@ -157,8 +164,8 @@ class Hypermatrix:
     (i, j, k, l) of tr(A_i A_j^dag A_k A_l^dag), so that the row-major
     flat index of entry (i, j, k, l) is exactly r = 8i + 4j + 2k + l.
 
-    Construction checks that ``entries`` is an ndarray of that shape and
-    that every entry is finite, raising :class:`BadShapeError` on any
+    Construction checks that ``entries`` is a numeric ndarray of that shape
+    and that every entry is finite, raising :class:`BadShapeError` on any
     other input (a nested list included) or on an Inf or NaN, reads the
     entries to Python complex scalars once and expands the 4x4 N and M
     layouts once: ``invariant_N`` and ``lambda_poly(h, inv="N")`` share
@@ -177,6 +184,8 @@ class Hypermatrix:
             )
         if self.entries.shape != (2, 2, 2, 2):
             raise BadShapeError(f"a hypermatrix has shape (2, 2, 2, 2), got {self.entries.shape}")
+        if self.entries.dtype.kind not in "biufc":
+            raise BadShapeError(f"a hypermatrix has numeric entries, got dtype {self.entries.dtype}")
         flat = self.entries.ravel().tolist()
         if not all(map(cmath.isfinite, flat)):
             raise BadShapeError("hypermatrix has NaN or Inf entries")

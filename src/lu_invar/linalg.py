@@ -32,8 +32,13 @@ EPS = float(np.finfo(float).eps)
 
 
 def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a 2-d complex128 array, rejecting non-finite entries."""
-    return _finite_matrix(np.asarray(m, dtype=complex))
+    """Coerce to a 2-d complex128 array, rejecting non-numeric, ragged and
+    non-finite input."""
+    try:
+        a = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadShapeError(f"expected a numeric matrix: {exc}") from exc
+    return _finite_matrix(a)
 
 
 def _finite_matrix(a: np.ndarray) -> np.ndarray:

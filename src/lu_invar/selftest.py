@@ -6,18 +6,18 @@ fingerprint of each state and one screen of each pair.
 
 Every other property is one entry of the table ``properties``, and one
 driver, ``run_property``, runs an entry for a number of trials from one
-seed. An entry names its report rows with each row's bound, says whether
-it runs only in the full profile, and gives a ``trial(rng)`` that draws
-one random case and returns one deviation per row. A row passes when its
-largest deviation is below its bound; a NaN deviation fails it. Random
-states are drawn on (2,2) and (2,3) at every rank from 1 to 4, and on
-(3,3) from 1 to 9. The properties: decomposition mixings and
-local-unitary transforms leave every invariant unchanged, degenerate
-eigenbases leave F, N, M and the lambda coefficients unchanged, locally
-rotated pairs are never flagged, and, in the full profile only,
-zero-padding shifts the determinant polynomial by a power of lambda and
+seed. An entry names its report rows with each row's bound and gives a
+``trial(rng)`` that draws one random case and returns one deviation per
+row. A row passes when its largest deviation is below its bound; a NaN
+deviation fails it. Random states are drawn on (2,2) and (2,3) at every
+rank from 1 to 4, and on (3,3) from 1 to 9. The properties:
+decomposition mixings and local-unitary transforms leave every
+invariant unchanged, degenerate eigenbases leave F, N, M and the lambda
+coefficients unchanged, locally rotated pairs are never flagged,
+zero-padding shifts the determinant polynomial by a power of lambda, and
 the 2x2x2 hyperdeterminant obeys its group covariance and agrees with a
-Levi-Civita contraction, kept here as its reference. The mixing,
+Levi-Civita contraction, kept here as its reference. Every property runs
+in every profile; ``--full`` sets only the trial count. The mixing,
 degree-4, degeneracy and padding properties read their invariants
 through ``decomposition_fingerprint``, the path that ``lu-invar mix``
 takes: F from each decomposition's Gram spectrum, after its Gram trace
@@ -64,7 +64,6 @@ class Property:
 
     rows: tuple[tuple[str, float], ...]
     trial: Callable[[np.random.Generator], tuple[float, ...]]
-    full_only: bool = False
 
 
 def fixture_rows() -> list[SuiteResult]:
@@ -264,7 +263,6 @@ def properties(rho1: DensityMatrix) -> dict[str, Property]:
                 ),
             ),
             _padding_trial,
-            full_only=True,
         ),
         "cayley": Property(
             (
@@ -273,7 +271,6 @@ def properties(rho1: DensityMatrix) -> dict[str, Property]:
                 ("Cayley: vanishes on product tensors", 1e-12),
             ),
             _cayley_trial,
-            full_only=True,
         ),
     }
 
@@ -291,14 +288,12 @@ def run_property(prop: Property, trials: int, seed: int) -> list[SuiteResult]:
 
 
 def run_selftest(full: bool = False, seed: int = 0) -> list[SuiteResult]:
-    """Run the fixture rows and the randomized suites; full mode adds the
-    padding and covariance suites and raises the trial count from 10 to
-    100. The acceptance tests run the same suites at their own trial
-    counts and seeds."""
+    """Run the fixture rows and every randomized suite; full mode raises
+    the trial count from 10 to 100. The acceptance tests run the same
+    suites at their own trial counts and seeds."""
     results = fixture_rows()
     trials = 100 if full else 10
     # suite i draws from seed + 7919 * i; the fixture rows are suites 0 and 1
     for i, prop in enumerate(properties(load_fixture("rho1")).values(), start=2):
-        if full or not prop.full_only:
-            results += run_property(prop, trials, seed + 7919 * i)
+        results += run_property(prop, trials, seed + 7919 * i)
     return results

@@ -167,10 +167,7 @@ def _witness_values_doc(report: EquivalenceReport):
 
 
 def report_to_doc(
-    report: EquivalenceReport,
-    fp_a: Fingerprint | None,
-    fp_b: Fingerprint | None,
-    cfg: ScreenConfig,
+    report: EquivalenceReport, fp_a: Fingerprint, fp_b: Fingerprint, cfg: ScreenConfig
 ) -> dict:
     return {
         "verdict": report.verdict,
@@ -187,8 +184,8 @@ def report_to_doc(
             }
             for c in report.checks
         ],
-        "fingerprint_a": None if fp_a is None else fingerprint_to_doc(fp_a),
-        "fingerprint_b": None if fp_b is None else fingerprint_to_doc(fp_b),
+        "fingerprint_a": fingerprint_to_doc(fp_a),
+        "fingerprint_b": fingerprint_to_doc(fp_b),
         "tolerances": {"rank_tol": None if cfg.rank_tol is None else float(cfg.rank_tol)},
         "tool_version": __version__,
     }

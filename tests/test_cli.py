@@ -203,7 +203,9 @@ class TestCompare:
         save_state(random_density((2, 3), 2, seed=5), path)
         assert main(["compare", RHO1, path, "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["fingerprint_a"] is None and doc["fingerprint_b"] is None
+        for key, state in (("fingerprint_a", RHO1), ("fingerprint_b", path)):
+            assert main(["compute", state, "--json"]) == 0
+            assert doc[key] == json.loads(capsys.readouterr().out)
         assert doc["witness"] == "dimension signature"
         assert doc["witness_values"] == {"delta": None, "value_a": [2, 2], "value_b": [2, 3]}
         (check,) = doc["checks"]
@@ -211,6 +213,22 @@ class TestCompare:
         assert main(["compare", RHO1, path]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] dimension signature: 2 vs 3 (delta inf, threshold 0)" in out
+
+    @pytest.mark.parametrize(
+        "option", [["--cut", "2"], ["--rank-tol", "0.6"]], ids=["cut", "rank-tol"]
+    )
+    def test_dims_mismatch_bad_option_is_usage_error(self, tmp_path, capsys, option):
+        # both states are fingerprinted before the dims are compared, so an
+        # option that one of them cannot take is a usage error, as for a
+        # pair of equal dims: rho1 has no cut 2, and its largest eigenvalue
+        # is 1/2
+        from lu_invar.states import random_density
+        from lu_invar.statefile import save_state
+
+        path = str(tmp_path / "three_qubits.json")
+        save_state(random_density((2, 2, 2), 2, seed=5), path)
+        assert main(["compare", RHO1, path, *option]) == 2
+        assert "usage error: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command", [["compare", RHO1, RHO2], ["mix", RHO1]], ids=["compare", "mix"]
@@ -408,11 +426,14 @@ class TestSelftest:
         assert "Example1: N(rho1)=1/256 PASS" in out
         assert "properties passed" in out
 
-    def test_full_includes_padding_and_covariance(self, capsys):
-        assert main(["selftest", "--full", "--seed", "2"]) == 0
+    @pytest.mark.parametrize("profile", [[], ["--full"]], ids=["default", "full"])
+    def test_full_includes_padding_and_covariance(self, capsys, profile):
+        # --full sets only the trial count: both profiles run every suite
+        assert main(["selftest", *profile, "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "Padding" in out
         assert "Cayley" in out
+        assert "21/21 properties passed" in out
 
     def test_corrupted_constant_detected(self, capsys, monkeypatch):
         # swap two rows of the N determinant layout: N flips sign and the

@@ -14,6 +14,7 @@ from lu_invar.equivalence import (
     screen,
 )
 from lu_invar.errors import (
+    BadShapeError,
     BadToleranceError,
     DimensionMismatchError,
     NotHermitianError,
@@ -21,6 +22,7 @@ from lu_invar.errors import (
     NotUnitTraceError,
 )
 from lu_invar.invariants import (
+    Hypermatrix,
     f_invariants,
     gram_matrix,
     hypermatrix,
@@ -648,13 +650,18 @@ class TestScreen:
     def test_dimension_signature_gate(self):
         # the check holds the entries at the first position where the
         # signatures differ; a missing subsystem reads as 0
+        # screen and compare_fingerprints give the same report
         a = random_density((2, 2), 2, seed=94)
         for dims_b, values in (((2, 3), (2, 3)), ((2, 2, 2), (0, 2))):
-            report = screen(a, random_density(dims_b, 2, seed=95))
-            assert report.verdict == "NotEquivalent"
-            assert report.witness == "dimension signature"
-            (check,) = report.checks
-            assert (check.value_a, check.value_b) == values
+            b = random_density(dims_b, 2, seed=95)
+            compared = compare_fingerprints(fingerprint(a), fingerprint(b))
+            for report in (screen(a, b), compared):
+                assert report.verdict == "NotEquivalent"
+                assert report.witness == "dimension signature"
+                assert report.witness_values == (a.dims, b.dims, None)
+                (check,) = report.checks
+                assert (check.value_a, check.value_b) == values
+            assert compared == screen(a, b)
 
     def test_symmetric(self, rho1, rho2):
         ab = screen(rho1, rho2)
@@ -837,3 +844,23 @@ class TestSoundness:
             if report.verdict != "Inconclusive":
                 flagged.append((trial, dims, rank, report.witness))
         assert flagged == []
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: validate_density([["a", "b"], ["c", "d"]], (2, 2)), BadShapeError),
+        (lambda: validate_density([[0.5, 0, 0, 0], [0]] * 2, (2, 2)), BadShapeError),
+        (lambda: Hypermatrix(entries=np.full((2, 2, 2, 2), "a")), BadShapeError),
+        (lambda: f_invariants(["a"]), BadShapeError),
+        (lambda: f_invariants(np.eye(2)), BadShapeError),
+        (lambda: ScreenConfig(rank_tol="x"), BadToleranceError),
+    ],
+    ids=["strings", "ragged", "string-hypermatrix", "string-spectrum", "2d-spectrum",
+         "string-rank-tol"],
+)
+def test_non_numeric_input_raises_package_error(call, error):
+    # every error the package raises derives from LuInvarError; these once
+    # escaped as a bare ValueError or TypeError from numpy or the math module
+    with pytest.raises(error):
+        call()
